@@ -2,9 +2,9 @@
 
 Exit codes are a total function of the outcome: 0 for success (solve:
 converged; verify: every check passed), 2 for a clean negative outcome
-(solve: iteration cap; verify: some check failed), 1 for input errors of any
-kind. The KACZMARZ_LOG environment variable (error, info, debug) controls
-stderr logging; it never changes file outputs.
+(solve: iteration cap or overflow; verify: some check failed), 1 for input
+errors of any kind. The KACZMARZ_LOG environment variable (error, info,
+debug) controls stderr logging; it never changes file outputs.
 
 bench writes one CSV row per (instance, solver, repetition). Fields other
 than wall_time are deterministic for fixed flags: rerunning the same command

@@ -50,6 +50,7 @@ from .sampling import (
 
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
+OVERFLOW = "overflow"
 
 ROP = "rop"
 RK = "rk"
@@ -161,6 +162,10 @@ def rek_iteration(a, b, x, z, i, j, flops=None, use_updated_z=False):
 
 # ----------------------------------------------------------------------
 # termination checks (cost booked on the separate check counter)
+#
+# Each returns its outcome first: CONVERGED, OVERFLOW (a norm it compares is
+# inf or nan, where `inf <= eps * inf` would otherwise read as converged), or
+# None to keep iterating.
 
 
 def _norm(v, flops=None):
@@ -169,13 +174,19 @@ def _norm(v, flops=None):
     return float(np.linalg.norm(v))
 
 
+def _overflowed(*norms):
+    return not all(math.isfinite(v) for v in norms)
+
+
 def rop_termination_check(a, z, eps, flops=None):
     """||A^T z|| <= eps * ||A||_F * ||z||; an exactly-zero z is the limit itself."""
     z_norm = _norm(z, flops)
     atz = _norm(a.rmatvec(z, flops), flops)
+    if _overflowed(z_norm, atz):
+        return OVERFLOW, atz
     if z_norm == 0.0:
-        return True, atz
-    return atz <= eps * math.sqrt(a.frob_sq) * z_norm, atz
+        return CONVERGED, atz
+    return CONVERGED if atz <= eps * math.sqrt(a.frob_sq) * z_norm else None, atz
 
 
 def rk_termination_check(a, b, x, eps, flops=None):
@@ -185,10 +196,12 @@ def rk_termination_check(a, b, x, eps, flops=None):
         flops.add(a.m)
     resid = _norm(resid_vec, flops)
     x_norm = _norm(x, flops)
+    if _overflowed(resid, x_norm):
+        return OVERFLOW, resid
     if x_norm == 0.0:
-        # Only a zero rhs legitimately stops at the origin.
-        return resid <= eps * _norm(b, flops), resid
-    return resid <= eps * math.sqrt(a.frob_sq) * x_norm, resid
+        # Only a zero rhs legitimately stops at the origin (resid is ||b|| here).
+        return CONVERGED if resid <= eps * _norm(b, flops) else None, resid
+    return CONVERGED if resid <= eps * math.sqrt(a.frob_sq) * x_norm else None, resid
 
 
 def rek_termination_check(a, b, x, z, eps, flops=None):
@@ -205,14 +218,18 @@ def rek_termination_check(a, b, x, z, eps, flops=None):
         flops.add(a.m)
     atz = _norm(a.rmatvec(z, flops), flops)
     x_norm = _norm(x, flops)
+    if _overflowed(resid, atz, x_norm):
+        return OVERFLOW, resid, atz
     if x_norm == 0.0:
         # Degenerate rule: converged at the origin only if b - z has
         # (relatively) nothing left for x to explain.
-        ok = _norm(bz, flops) <= eps * _norm(b, flops)
-        return ok, resid, atz
+        b_norm = _norm(b, flops)
+        if _overflowed(b_norm):
+            return OVERFLOW, resid, atz
+        return CONVERGED if _norm(bz, flops) <= eps * b_norm else None, resid, atz
     frob = math.sqrt(a.frob_sq)
     ok = resid <= eps * frob * x_norm and atz <= eps * a.frob_sq * x_norm
-    return ok, resid, atz
+    return CONVERGED if ok else None, resid, atz
 
 
 # ----------------------------------------------------------------------
@@ -249,9 +266,9 @@ def run_rop(a, b, config=None):
         for j in sample_block(table, rng, block).tolist():
             rop_step(a, z, j, flops)
         iters += block
-        done, atz = rop_termination_check(a, z, eps, check_flops)
-        if done:
-            reason = CONVERGED
+        outcome, atz = rop_termination_check(a, z, eps, check_flops)
+        if outcome:
+            reason = outcome
             break
     wall = time.perf_counter() - start
     return SolveReport(
@@ -286,9 +303,9 @@ def run_rk(a, b, config=None):
         for i in sample_block(table, rng, block).tolist():
             rk_step(a, x, i, b[i], flops)
         iters += block
-        done, resid = rk_termination_check(a, b, x, eps, check_flops)
-        if done:
-            reason = CONVERGED
+        outcome, resid = rk_termination_check(a, b, x, eps, check_flops)
+        if outcome:
+            reason = outcome
             break
     wall = time.perf_counter() - start
     return SolveReport(
@@ -329,9 +346,9 @@ def run_rek(a, b, config=None):
         for i, j in zip(rows.tolist(), cols.tolist()):
             rek_iteration(a, b, x, z, i, j, flops, use_updated)
         iters += block
-        done, resid, atz = rek_termination_check(a, b, x, z, eps, check_flops)
-        if done:
-            reason = CONVERGED
+        outcome, resid, atz = rek_termination_check(a, b, x, z, eps, check_flops)
+        if outcome:
+            reason = outcome
             break
     wall = time.perf_counter() - start
     return SolveReport(

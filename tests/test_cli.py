@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kaczmarz.cli import BENCH_FIELDS, main
-from kaczmarz.mmio import read_csv, read_matrix_market, read_vector
+from kaczmarz.mmio import read_csv, read_matrix_market, read_vector, write_vector
 
 
 def run_cli(argv):
@@ -77,6 +77,19 @@ def test_solve_iteration_cap_exits_2(tmp_path, capsys):
                     "--max-iters", "16"])
     assert code == 2
     assert "termination=max_iters" in capsys.readouterr().out
+
+
+def test_solve_overflow_exits_2(tmp_path, capsys):
+    mx, rhs = str(tmp_path / "a.mtx"), tmp_path / "b.mtx"
+    run_cli(["gen", "--kind", "dense", "--m", "30", "--n", "10", "--seed", "1",
+             "--matrix", mx, "--rhs", str(rhs)])
+    write_vector(rhs, read_vector(rhs) * 1e300)
+    capsys.readouterr()
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = run_cli(["solve", "--matrix", mx, "--rhs", str(rhs)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "termination=overflow" in out and "residual=inf" in out
 
 
 def test_solve_rejects_out_of_range_eps(tmp_path, capsys):

@@ -1,9 +1,21 @@
 """File formats: the exchange-format reader/writer pair and the CSV layer."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from kaczmarz.errors import MatrixMarketError, NonFiniteError, UnsupportedFormatError
+from kaczmarz.cli import main
+from kaczmarz.errors import (
+    AllZeroMatrixError,
+    MatrixMarketError,
+    NonFiniteError,
+    UnsupportedFormatError,
+)
 from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.mmio import (
@@ -14,6 +26,46 @@ from kaczmarz.mmio import (
     write_csv,
     write_matrix_market,
     write_vector,
+)
+from kaczmarz.solvers import SolverConfig, solve
+
+# The reader must not start emitting warnings (loadtxt warns on empty input).
+pytestmark = pytest.mark.filterwarnings("error")
+
+
+def per_line_bytes(obj, comment=None):
+    """The writer's output formed one entry line at a time: the bytes it must keep."""
+    out = []
+    if isinstance(obj, DualSparseMatrix):
+        out.append("%%MatrixMarket matrix coordinate real general\n")
+        if comment:
+            out.append("%% %s\n" % comment)
+        out.append("%d %d %d\n" % (obj.m, obj.n, obj.nnz))
+        for i in range(obj.m):
+            lo, hi = obj.row_ptr[i], obj.row_ptr[i + 1]
+            for j, v in zip(obj.row_cols[lo:hi], obj.row_vals[lo:hi]):
+                out.append("%d %d %s\n" % (i + 1, j + 1, format_float(v)))
+    else:
+        arr = np.asarray(obj, dtype=np.float64)
+        arr = arr.reshape(arr.shape[0], -1)
+        out.append("%%MatrixMarket matrix array real general\n")
+        if comment:
+            out.append("%% %s\n" % comment)
+        out.append("%d %d\n" % arr.shape)
+        for v in arr.T.ravel():
+            out.append("%s\n" % format_float(v))
+    return "".join(out).encode("ascii")
+
+
+def bits(arr):
+    """float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(arr, dtype=np.float64).view(np.uint64)
+
+
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e300, 1e300, 0.1, -0.1, 1.0 / 3.0]
+VALUES = st.one_of(
+    st.sampled_from(AWKWARD), st.floats(allow_nan=False, allow_infinity=False)
 )
 
 
@@ -109,6 +161,20 @@ def test_reader_accepts_comments_blanks_and_integer_field(tmp_path):
         ("%%MatrixMarket matrix coordinate real general\n-1 2 0\n", "line 2"),
         ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n", "line 2"),
         ("%%MatrixMarket matrix array real general\n2 1\n1.0\n1.0 2.0\n", "line 4"),
+        # comment and blank lines between entries still count toward line numbers
+        (COORD + "% c\n\n2 2 2\n1 1 1.0\n% mid\n\n2 2 x\n", "line 8: bad numeric value 'x'"),
+        (COORD + "2 2 2\n1 1 1.0\n  % mid\n\n3 1 1.0\n", "line 6: index (3, 1) outside 2x2"),
+        (COORD + "2 2 2\n\n1 1 1.0\n%\n2 2 nan\n", "line 6: non-finite value 'nan'"),
+        (COORD + "2 2 2\n1 1 1.0\n%\n\n2 2\n", "line 6: entry needs 'i j value'"),
+        (COORD.replace("\n", "\r\n") + "2 2 1\r\n% c\r\n1 x 1.0\r\n", "line 4: bad integer 'x'"),
+        (COORD + "% c\n2 2 3\n1 1 1.0\n% c\n2 2 bad\n", "line 3: expected 3 entries, found 2"),
+        ("%%MatrixMarket matrix array real general\n2 1\n% c\n\n1.0\n% c\ninf\n",
+         "line 7: non-finite value 'inf'"),
+        # plain decimal only: int() and float() take "1_0", the format does not
+        (COORD + "10 10 1\n1_0 1 1.0\n", "line 3: bad integer '1_0'"),
+        (COORD + "10 10 1\n1 1 1_0.5\n", "line 3: bad numeric value '1_0.5'"),
+        (COORD + "10 10 1\n1.0 1 1.0\n", "line 3: bad integer '1.0'"),
+        (COORD + "1_0 10 1\n1 1 1.0\n", "line 2: bad integer '1_0'"),
     ],
 )
 def test_malformed_files_report_line_numbers(tmp_path, content, lineno_fragment):
@@ -184,3 +250,128 @@ def test_csv_is_deterministic(tmp_path):
     write_csv(p1, ["x", "y"], rows)
     write_csv(p2, ["x", "y"], rows)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# vectorized reader and chunked writer
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arr=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7), elements=VALUES
+    )
+)
+def test_array_round_trip_is_bit_exact_property(tmp_path_factory, arr):
+    p = tmp_path_factory.mktemp("rt") / "arr.mtx"
+    write_matrix_market(p, arr)
+    back = read_matrix_market(p)
+    assert back.shape == arr.shape
+    np.testing.assert_array_equal(bits(back), bits(arr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arr=hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7), elements=VALUES
+    )
+)
+def test_coordinate_round_trip_is_bit_exact_property(tmp_path_factory, arr):
+    assume(np.any(arr != 0.0))
+    p = tmp_path_factory.mktemp("rt") / "coo.mtx"
+    # Squared norms of 1e300 entries overflow inside DualSparseMatrix itself,
+    # before and after the file; only the stored entries are compared here.
+    with np.errstate(over="ignore"):
+        a = DualSparseMatrix.from_dense(arr)
+        write_matrix_market(p, a)
+        back = read_matrix_market(p)
+    assert (back.m, back.n, back.nnz) == (a.m, a.n, a.nnz)
+    np.testing.assert_array_equal(back.row_ptr, a.row_ptr)
+    np.testing.assert_array_equal(back.row_cols, a.row_cols)
+    np.testing.assert_array_equal(bits(back.row_vals), bits(a.row_vals))
+
+
+def test_writer_bytes_equal_the_per_line_form(tmp_path):
+    # more than one 65536-line chunk, with the awkward values mixed in
+    rng = np.random.default_rng(4)
+    dense = rng.standard_normal((300, 250))
+    dense[rng.random(dense.shape) < 0.05] = 0.0
+    dense.ravel()[: len(AWKWARD)] = AWKWARD
+    with np.errstate(over="ignore"):  # squared norms of 1e300, as above
+        a = DualSparseMatrix.from_dense(dense)
+    assert a.nnz > 65536
+    vec = rng.standard_normal(70001)
+    vec[: len(AWKWARD)] = AWKWARD
+    cases = [(a, "kind=sparse seed=4"), (dense, None), (vec, "v"), (np.array([[-0.0]]), None)]
+    for k, (obj, comment) in enumerate(cases):
+        p = tmp_path / ("w%d.mtx" % k)
+        write_matrix_market(p, obj, comment=comment)
+        assert p.read_bytes() == per_line_bytes(obj, comment)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_gen_and_solve_files_keep_their_bytes(tmp_path, capsys):
+    mx, rhs, out = tmp_path / "A.mtx", tmp_path / "b.mtx", tmp_path / "x.mtx"
+    assert main(["gen", "--kind", "sparse", "--m", "40", "--n", "12", "--density", "0.3",
+                 "--seed", "11", "--matrix", str(mx), "--rhs", str(rhs)]) == 0
+    # digests of the files as the one-line-per-entry writer wrote them
+    assert sha256(mx) == "3d23b21e5764b019c46473f7894ace52878c5a29216a4267cd516509dca30e24"
+    assert sha256(rhs) == "5097e0b01d20c4bbde77192527074fc9353bccbec32f59042baaabf3e678108e"
+    assert main(["solve", "--matrix", str(mx), "--rhs", str(rhs), "--eps", "1e-8",
+                 "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # x's last bits follow the BLAS dot kernel, so its reference is formed here
+    report = solve(read_matrix_market(mx), read_vector(rhs), SolverConfig(eps=1e-8, seed=1))
+    expected = per_line_bytes(report.x.reshape(-1, 1), "solver=rek seed=1")
+    assert sha256(out) == hashlib.sha256(expected).hexdigest()
+
+
+def test_no_entries_is_an_all_zero_matrix_not_a_warning(tmp_path):
+    p = tmp_path / "zero.mtx"
+    p.write_text(COORD + "% nothing stored\n3 2 0\n% still nothing\n\n")
+    with pytest.raises(AllZeroMatrixError):
+        read_matrix_market(p)
+    p.write_text(COORD + "3 2 0\n1 1 1.0\n")
+    with pytest.raises(MatrixMarketError, match="line 2: expected 0 entries, found 1"):
+        read_matrix_market(p)
+    p.write_text("%%MatrixMarket matrix array real general\n2 1\n% nothing\n")
+    with pytest.raises(MatrixMarketError, match="line 2: expected 2 entries, found 0"):
+        read_matrix_market(p)
+
+
+def test_trailing_comment_on_an_entry_line_is_ignored(tmp_path):
+    p = tmp_path / "tc.mtx"
+    p.write_text(COORD + "2 2 1\n2 1 0.5 % note\n")
+    np.testing.assert_array_equal(read_matrix_market(p).to_dense(), [[0.0, 0.0], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize("index", ["2.5", "1.0", "1e0"])
+def test_non_integer_index_is_refused_with_warnings_hidden(tmp_path, index):
+    # outside pytest, DeprecationWarnings raised in library code are hidden;
+    # the refusal must not depend on a warnings filter being set
+    p = tmp_path / "fi.mtx"
+    p.write_text(COORD + "3 3 1\n%s 1 1.0\n" % index)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(MatrixMarketError, match="line 3: bad integer '%s'" % index):
+            read_matrix_market(p)
+
+
+def test_integer_via_float_fallback_is_refused(tmp_path, monkeypatch):
+    # numpy releases before the fallback was removed read "2.7" into an i8
+    # field as 2 and only emit a DeprecationWarning
+    def lenient_loadtxt(fh, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([(2, 1, 1.0)], dtype=kwargs["dtype"])
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    p = tmp_path / "fb.mtx"
+    p.write_text(COORD + "3 3 1\n2.7 1 1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(MatrixMarketError, match="line 3: bad integer '2.7'"):
+            read_matrix_market(p)

@@ -17,6 +17,7 @@ from kaczmarz.reference import min_norm_solve, projector_residual
 from kaczmarz.solvers import (
     CONVERGED,
     MAX_ITERS,
+    OVERFLOW,
     REK,
     RK,
     ROP,
@@ -126,6 +127,18 @@ def test_termination_check_degenerate_rules():
     assert ok  # b - z = 0 leaves nothing for x to explain
     ok, _, _ = rek_termination_check(a, b, np.zeros(2), np.zeros(3), eps)
     assert not ok
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_overflow_is_not_convergence(solver):
+    # inf <= eps * frob * inf is True; the checks must call it overflow instead
+    a, b, _ = generate(InstanceSpec(kind="dense", m=30, n=10, seed=1))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rep = solve(a, b * 1e300, SolverConfig(solver=solver, seed=0))
+    assert rep.termination == OVERFLOW and not rep.converged
+    assert rep.iters == 80  # stopped at the first check (interval 8 * min(m, n))
+    norm = rep.atz_norm if solver == ROP else rep.residual_norm
+    assert not math.isfinite(norm)
 
 
 def test_zero_rhs_converges_at_origin():
