@@ -73,6 +73,9 @@ class DualSparseMatrix:
         "col_sq_norms",
         "frob_sq",
         "_csr",
+        "_csr_t",
+        "_line_addrs",
+        "_alias_tables",
     )
 
     def __init__(self, csr):
@@ -103,6 +106,12 @@ class DualSparseMatrix:
         )
         self.frob_sq = float(self.row_vals @ self.row_vals)
         self._csr = csr
+        # A^T in CSR form shares the CSC arrays; built once, not per rmatvec.
+        self._csr_t = scipy.sparse.csr_matrix(
+            (self.col_vals, self.col_rows, self.col_ptr), shape=(self.n, self.m)
+        )
+        # Filled on first use by sampling.row_sampler / col_sampler.
+        self._alias_tables = {}
 
         for arr in (
             self.row_ptr,
@@ -115,6 +124,14 @@ class DualSparseMatrix:
             self.col_sq_norms,
         ):
             arr.setflags(write=False)
+        # Addresses of the frozen row and column arrays, in the order the
+        # compiled block kernels take them; valid while this matrix lives.
+        rows = (self.row_ptr, self.row_cols, self.row_vals, self.row_sq_norms)
+        cols = (self.col_ptr, self.col_rows, self.col_vals, self.col_sq_norms)
+        self._line_addrs = (
+            tuple(arr.ctypes.data for arr in rows),
+            tuple(arr.ctypes.data for arr in cols),
+        )
 
     # ------------------------------------------------------------------
     # construction
@@ -226,7 +243,7 @@ class DualSparseMatrix:
             )
         if flops is not None:
             flops.add(2 * self.nnz)
-        return self._csr.T @ z
+        return self._csr_t @ z
 
     def sparsity_profile(self):
         return SparsityProfile(

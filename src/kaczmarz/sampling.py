@@ -161,11 +161,22 @@ def reconstructed_mass(table):
     return mass / table.size
 
 
+def _cached_table(a, key, weights):
+    # The matrix is immutable, so its tables are built once and kept on it.
+    table = a._alias_tables.get(key)
+    if table is None:
+        table = a._alias_tables[key] = build_alias_table(weights)
+    return table
+
+
 def row_sampler(a):
-    """Alias table over rows of a DualSparseMatrix, weighted by squared norms."""
-    return build_alias_table(a.row_sq_norms)
+    """Alias table over rows of a DualSparseMatrix, weighted by squared norms.
+
+    Built on the first call for a matrix and reused by every later one.
+    """
+    return _cached_table(a, "row", a.row_sq_norms)
 
 
 def col_sampler(a):
-    """Alias table over columns, weighted by squared norms."""
-    return build_alias_table(a.col_sq_norms)
+    """Alias table over columns, weighted by squared norms; built once per matrix."""
+    return _cached_table(a, "col", a.col_sq_norms)

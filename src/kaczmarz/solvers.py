@@ -18,12 +18,21 @@ Three related iterations over a DualSparseMatrix:
 
 The REK x-update uses the z entry from *before* this iteration's column
 projection (the two projections commute in expectation but not pathwise);
-SolverConfig.rek_use_updated_z flips that for experiments.
+rek_iteration(use_updated_z=True) flips that as a step-level experiment.
+
+The runners draw a block of indices between two termination checks and hand
+it to rek_block / rk_block / rop_block, which run the whole block in one call
+of the compiled kernels in _blocks.c. Where those cannot be built, the same
+functions loop over rek_iteration / rk_step / rop_step instead. The compiled
+dots sum left to right, so their iterates differ from the per-step path's
+BLAS dots only by rounding (about 1e-14 relative) and do not depend on the
+BLAS kernel the host picks.
 
 Flop accounting: one dot or axpy over k stored entries costs 2k. A standalone
 rk_step books 4*nnz(row)+2 (dot, axpy, one subtract, one divide) and a
 rop_step 4*nnz(col)+1 (dot, axpy, one divide). A full REK iteration books
-4*(nnz(row)+nnz(col))+2, i.e. 4(m+n)+2 on dense instances. Termination-check
+4*(nnz(row)+nnz(col))+2, i.e. 4(m+n)+2 on dense instances. The block
+functions book the same totals from the index arrays. Termination-check
 work (two whole-matrix products plus norms) goes to a separate counter so the
 per-iteration tally stays exactly the model the bounds are stated in.
 """
@@ -37,6 +46,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _blocks
 from .errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
 from .matrices import FlopCounter
 from .sampling import (
@@ -72,7 +82,6 @@ class SolverConfig:
     check_interval: Optional[int] = None
     seed: int = 0
     solver: str = REK
-    rek_use_updated_z: bool = False
 
     def validate(self):
         if not (0.0 < self.eps < 2.0):
@@ -161,6 +170,71 @@ def rek_iteration(a, b, x, z, i, j, flops=None, use_updated_z=False):
 
 
 # ----------------------------------------------------------------------
+# blocks of steps: one compiled call, or the per-step loop as the fallback
+#
+# Each runs its steps in index order, updates x / z in place and returns the
+# flops booked, computed from the index arrays. The indices come from the
+# norm-weighted samplers, which never pick a zero-norm line, so the compiled
+# kernels divide without the per-step zero-norm check.
+
+
+def _addr(v, size):
+    """Address of a float64 vector the kernels may read or write `size` entries of."""
+    if v.dtype != np.float64 or v.shape != (size,) or not v.flags.c_contiguous:
+        raise DimensionMismatchError(
+            "expected a contiguous float64 vector of length %d, got %s%r"
+            % (size, v.dtype, v.shape)
+        )
+    return v.ctypes.data
+
+
+def _line_nnz(ptr, ids):
+    return int((ptr[ids + 1] - ptr[ids]).sum())
+
+
+def rop_block(a, z, cols):
+    """rop_step for each column in `cols`, in order."""
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    lib = _blocks.load()
+    if lib is None:
+        for j in cols.tolist():
+            rop_step(a, z, j)
+    elif lib.rop_block(a.n, *a._line_addrs[1], _addr(z, a.m), cols.ctypes.data, cols.size):
+        raise IndexError("sampled column index out of range")
+    return 4 * _line_nnz(a.col_ptr, cols) + cols.size
+
+
+def rk_block(a, b, x, rows):
+    """rk_step toward b[i] for each row i in `rows`, in order."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    lib = _blocks.load()
+    if lib is None:
+        for i in rows.tolist():
+            rk_step(a, x, i, b[i])
+    elif lib.rk_block(a.m, *a._line_addrs[0], _addr(b, a.m), _addr(x, a.n),
+                      rows.ctypes.data, rows.size):
+        raise IndexError("sampled row index out of range")
+    return 4 * _line_nnz(a.row_ptr, rows) + 2 * rows.size
+
+
+def rek_block(a, b, x, z, rows, cols):
+    """rek_iteration(i, j) for each pair of `rows` and `cols`, in order."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    cols = np.ascontiguousarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape:
+        raise DimensionMismatchError("need as many column picks as row picks")
+    lib = _blocks.load()
+    if lib is None:
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            rek_iteration(a, b, x, z, i, j)
+    elif lib.rek_block(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
+                       _addr(b, a.m), _addr(x, a.n), _addr(z, a.m),
+                       rows.ctypes.data, cols.ctypes.data, rows.size):
+        raise IndexError("sampled row or column index out of range")
+    return 4 * (_line_nnz(a.row_ptr, rows) + _line_nnz(a.col_ptr, cols)) + 2 * rows.size
+
+
+# ----------------------------------------------------------------------
 # termination checks (cost booked on the separate check counter)
 #
 # Each returns its outcome first: CONVERGED, OVERFLOW (a norm it compares is
@@ -244,7 +318,8 @@ def _validated_rhs(a, b):
         )
     if not np.isfinite(b).all():
         raise NonFiniteError("rhs entries must be finite")
-    return b
+    # the compiled block kernels read b through a raw pointer
+    return np.ascontiguousarray(b)
 
 
 def run_rop(a, b, config=None):
@@ -255,7 +330,7 @@ def run_rop(a, b, config=None):
     rng = RngStream.derived(config.seed, COL_STREAM_SALT)
     table = col_sampler(a)
     z = b.copy()
-    flops = FlopCounter()
+    flops = 0
     check_flops = FlopCounter()
     iters = 0
     reason = MAX_ITERS
@@ -263,8 +338,7 @@ def run_rop(a, b, config=None):
     start = time.perf_counter()
     while iters < cap:
         block = min(interval, cap - iters)
-        for j in sample_block(table, rng, block).tolist():
-            rop_step(a, z, j, flops)
+        flops += rop_block(a, z, sample_block(table, rng, block))
         iters += block
         outcome, atz = rop_termination_check(a, z, eps, check_flops)
         if outcome:
@@ -275,7 +349,7 @@ def run_rop(a, b, config=None):
         x=None,
         z=z,
         iters=iters,
-        flops=flops.count,
+        flops=flops,
         check_flops=check_flops.count,
         termination=reason,
         residual_norm=None,
@@ -292,7 +366,7 @@ def run_rk(a, b, config=None):
     rng = RngStream.derived(config.seed, ROW_STREAM_SALT)
     table = row_sampler(a)
     x = np.zeros(a.n)
-    flops = FlopCounter()
+    flops = 0
     check_flops = FlopCounter()
     iters = 0
     reason = MAX_ITERS
@@ -300,8 +374,7 @@ def run_rk(a, b, config=None):
     start = time.perf_counter()
     while iters < cap:
         block = min(interval, cap - iters)
-        for i in sample_block(table, rng, block).tolist():
-            rk_step(a, x, i, b[i], flops)
+        flops += rk_block(a, b, x, sample_block(table, rng, block))
         iters += block
         outcome, resid = rk_termination_check(a, b, x, eps, check_flops)
         if outcome:
@@ -312,7 +385,7 @@ def run_rk(a, b, config=None):
         x=x,
         z=None,
         iters=iters,
-        flops=flops.count,
+        flops=flops,
         check_flops=check_flops.count,
         termination=reason,
         residual_norm=resid,
@@ -330,10 +403,9 @@ def run_rek(a, b, config=None):
     col_rng = RngStream.derived(config.seed, COL_STREAM_SALT)
     row_table = row_sampler(a)
     col_table = col_sampler(a)
-    use_updated = config.rek_use_updated_z
     x = np.zeros(a.n)
     z = b.copy()
-    flops = FlopCounter()
+    flops = 0
     check_flops = FlopCounter()
     iters = 0
     reason = MAX_ITERS
@@ -343,8 +415,7 @@ def run_rek(a, b, config=None):
         block = min(interval, cap - iters)
         rows = sample_block(row_table, row_rng, block)
         cols = sample_block(col_table, col_rng, block)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            rek_iteration(a, b, x, z, i, j, flops, use_updated)
+        flops += rek_block(a, b, x, z, rows, cols)
         iters += block
         outcome, resid, atz = rek_termination_check(a, b, x, z, eps, check_flops)
         if outcome:
@@ -355,7 +426,7 @@ def run_rek(a, b, config=None):
         x=x,
         z=z,
         iters=iters,
-        flops=flops.count,
+        flops=flops,
         check_flops=check_flops.count,
         termination=reason,
         residual_norm=resid,

@@ -1,6 +1,6 @@
 """Statistical verification: do the solvers obey their own convergence theory?
 
-The drivers here re-run the exact solver update kernels with seeded streams,
+The drivers here re-run the solvers' block steps with seeded streams,
 but snapshot errors against oracle quantities at chosen iteration counts
 instead of running termination checks. The check battery compares empirical
 means across seeds with the closed-form envelopes, inflated by a statistical
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import FlopCounter
 from .reference import min_norm_solve
 from .sampling import (
     COL_STREAM_SALT,
@@ -31,9 +30,10 @@ from .sampling import (
 )
 from .solvers import (
     SolverConfig,
-    rek_iteration,
-    rek_termination_check,
+    rek_block,
+    rk_block,
     rk_step,
+    rop_block,
     rop_step,
     run_rek,
     theory_bounds,
@@ -63,9 +63,10 @@ def _checkpoint_blocks(checkpoints):
     return checkpoints
 
 
-def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed, use_updated_z=False):
+def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_t - x_ref||^2 at each checkpoint, one seeded REK run."""
     checkpoints = _checkpoint_blocks(checkpoints)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     row_rng = RngStream.derived(seed, ROW_STREAM_SALT)
     col_rng = RngStream.derived(seed, COL_STREAM_SALT)
     row_table = row_sampler(a)
@@ -79,8 +80,7 @@ def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed, use_updated_z=False):
         if block:
             rows = sample_block(row_table, row_rng, block)
             cols = sample_block(col_table, col_rng, block)
-            for i, j in zip(rows.tolist(), cols.tolist()):
-                rek_iteration(a, b, x, z, i, j, None, use_updated_z)
+            rek_block(a, b, x, z, rows, cols)
             done = t
         diff = x - x_ref
         out.append(float(diff @ diff))
@@ -90,6 +90,7 @@ def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed, use_updated_z=False):
 def rk_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_k - x_ref||^2 at each checkpoint, one seeded RK run from x = 0."""
     checkpoints = _checkpoint_blocks(checkpoints)
+    b = np.ascontiguousarray(b, dtype=np.float64)
     rng = RngStream.derived(seed, ROW_STREAM_SALT)
     table = row_sampler(a)
     x = np.zeros(a.n)
@@ -98,8 +99,7 @@ def rk_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     for t in checkpoints:
         block = t - done
         if block:
-            for i in sample_block(table, rng, block).tolist():
-                rk_step(a, x, i, b[i])
+            rk_block(a, b, x, sample_block(table, rng, block))
             done = t
         diff = x - x_ref
         out.append(float(diff @ diff))
@@ -117,8 +117,7 @@ def rop_checkpoint_errors(a, b, z_ref, checkpoints, seed):
     for t in checkpoints:
         block = t - done
         if block:
-            for j in sample_block(table, rng, block).tolist():
-                rop_step(a, z, j)
+            rop_block(a, z, sample_block(table, rng, block))
             done = t
         diff = z - z_ref
         out.append(float(diff @ diff))

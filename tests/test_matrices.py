@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from kaczmarz.errors import (
     AllZeroMatrixError,
@@ -145,6 +146,8 @@ def test_matvec_rmatvec_and_adjointness():
     tol = 16.0 * a.nnz * EPS * np.sqrt(a.frob_sq)
     np.testing.assert_allclose(a.matvec(x), dense @ x, atol=tol * np.linalg.norm(x), rtol=0)
     np.testing.assert_allclose(a.rmatvec(z), dense.T @ z, atol=tol * np.linalg.norm(z), rtol=0)
+    # the prebuilt transpose sums in the same order as scipy's own A.T @ z
+    np.testing.assert_array_equal(a.rmatvec(z), scipy.sparse.csr_matrix(dense).T @ z)
     lhs = float(z @ a.matvec(x))
     rhs = float(a.rmatvec(z) @ x)
     assert abs(lhs - rhs) <= tol * np.linalg.norm(x) * np.linalg.norm(z)

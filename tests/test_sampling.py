@@ -165,6 +165,11 @@ def test_row_col_samplers_use_squared_norms():
     np.testing.assert_allclose(
         reconstructed_mass(ct), a.col_sq_norms / a.frob_sq, atol=16 * EPS, rtol=0
     )
+    # built once per matrix; a fresh build gives the same table, so the same draws
+    assert row_sampler(a) is rt and col_sampler(a) is ct
+    fresh = build_alias_table(a.row_sq_norms)
+    np.testing.assert_array_equal(fresh.prob, rt.prob)
+    np.testing.assert_array_equal(fresh.alias, rt.alias)
 
 
 def test_empirical_frequencies_track_weights():

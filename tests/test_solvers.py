@@ -2,14 +2,22 @@
 
 Single steps are compared against a plain dense-numpy restatement of the
 same projection. Runner behavior (termination bookkeeping, flop counts,
-determinism) is pinned exactly.
+determinism) is pinned exactly. The compiled block kernels are compared
+against the per-step loop they replace, which is also their fallback.
 """
 
+import dataclasses
+import logging
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from kaczmarz import _blocks
 from kaczmarz.errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
 from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix, FlopCounter
@@ -22,16 +30,20 @@ from kaczmarz.solvers import (
     RK,
     ROP,
     SolverConfig,
+    rek_block,
     rek_iteration,
     rek_termination_check,
+    rk_block,
     rk_step,
     rk_termination_check,
+    rop_block,
     rop_step,
     rop_termination_check,
     run_rek,
     solve,
     theory_bounds,
 )
+from kaczmarz.verify import rek_checkpoint_errors
 
 EPS = np.finfo(np.float64).eps
 
@@ -319,3 +331,164 @@ def test_theory_bounds_argument_ranges():
         theory_bounds(ref, 1e-6, delta=0.0)
     with pytest.raises(InvalidRangeError):
         theory_bounds(ref, 1e-6, delta=1.0)
+
+
+# ----------------------------------------------------------------------
+# compiled block kernels against the per-step loop they replace
+
+BLOCK_SPECS = {
+    "dense": InstanceSpec(kind="dense", m=60, n=20, seed=21),
+    "sparse": InstanceSpec(kind="sparse", m=80, n=30, density=0.2, seed=22),
+    "illcond": InstanceSpec(kind="illcond", m=50, n=20, cond_target=100.0, seed=23),
+}
+
+
+@pytest.fixture
+def compiled():
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: only the per-step path runs here")
+
+
+def _estimate(report):
+    return report.z if report.x is None else report.x
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_SPECS))
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_compiled_blocks_match_the_per_step_loop(kind, solver, compiled, monkeypatch):
+    spec = BLOCK_SPECS[kind]
+    # RK only converges on a consistent system; the others take the noisy rhs.
+    a, b, _ = generate(dataclasses.replace(spec, consistent=solver == RK))
+    config = SolverConfig(solver=solver, eps=1e-10, seed=3)
+    fast = solve(a, b, config)
+    monkeypatch.setattr(_blocks, "load", lambda: None)  # the per-step loop
+    slow = solve(a, b, config)
+    assert fast.termination == slow.termination == CONVERGED
+    assert (fast.iters, fast.flops, fast.check_flops) == (slow.iters, slow.flops, slow.check_flops)
+    got, want = _estimate(fast), _estimate(slow)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_block_flops_equal_the_per_step_tally_on_sparse_instances():
+    a, b, _ = generate(BLOCK_SPECS["sparse"])
+    assert a.nnz < a.m * a.n
+    rng = np.random.default_rng(24)
+    rows = rng.integers(0, a.m, 500)
+    cols = rng.integers(0, a.n, 500)
+    x, z = np.zeros(a.n), b.copy()
+    tally = FlopCounter()
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        rek_iteration(a, b, x, z, i, j, tally)
+    x_blk, z_blk = np.zeros(a.n), b.copy()
+    assert rek_block(a, b, x_blk, z_blk, rows, cols) == tally.count
+    np.testing.assert_allclose(x_blk, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+    np.testing.assert_allclose(z_blk, z, rtol=0, atol=1e-12 * np.linalg.norm(z))
+
+    tally = FlopCounter()
+    for i in rows.tolist():
+        rk_step(a, np.zeros(a.n), i, b[i], tally)
+    assert rk_block(a, b, np.zeros(a.n), rows) == tally.count
+    tally = FlopCounter()
+    for j in cols.tolist():
+        rop_step(a, b.copy(), j, tally)
+    assert rop_block(a, b.copy(), cols) == tally.count
+
+
+def test_block_steps_refuse_out_of_range_indices(compiled):
+    a, b, _ = generate(BLOCK_SPECS["dense"])
+    x, z = np.zeros(a.n), b.copy()
+    for rows, cols in (([0, a.m], [0, 0]), ([0, 0], [-1, 0])):
+        with pytest.raises(IndexError):
+            rek_block(a, b, x, z, np.array(rows), np.array(cols))
+    for bad in (-1, a.m):
+        with pytest.raises(IndexError):
+            rk_block(a, b, x, np.array([0, bad]))
+    for bad in (-1, a.n):
+        with pytest.raises(IndexError):
+            rop_block(a, z, np.array([0, bad]))
+    # a refused block leaves the iterates untouched
+    np.testing.assert_array_equal(x, np.zeros(a.n))
+    np.testing.assert_array_equal(z, b)
+
+
+def test_strided_rhs_gives_the_same_report_as_its_contiguous_copy():
+    a, b, _ = generate(BLOCK_SPECS["sparse"])
+    stacked = np.column_stack([b, -b])
+    strided = stacked[:, 0]
+    assert not strided.flags.c_contiguous
+    for solver in (REK, RK, ROP):
+        config = SolverConfig(solver=solver, eps=1e-6, max_iters=2000, seed=4)
+        got, want = solve(a, strided, config), solve(a, b.copy(), config)
+        assert (got.iters, got.flops, got.termination) == (want.iters, want.flops, want.termination)
+        np.testing.assert_array_equal(_estimate(got), _estimate(want))
+    x_ref = np.zeros(a.n)
+    assert rek_checkpoint_errors(a, strided, x_ref, [10, 50], 5) == rek_checkpoint_errors(
+        a, b.copy(), x_ref, [10, 50], 5
+    )
+
+
+def test_missing_compiler_falls_back_with_unchanged_outputs(
+    compiled, monkeypatch, tmp_path, caplog
+):
+    a, b, _ = generate(BLOCK_SPECS["dense"])
+    config = SolverConfig(eps=1e-10, seed=6)
+    want = solve(a, b, config)
+
+    monkeypatch.setenv("PATH", str(tmp_path))  # no `cc` to be found
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _blocks.load.cache_clear()
+    try:
+        with caplog.at_level(logging.INFO, logger=_blocks.__name__):
+            got = solve(a, b, config)
+            again = solve(a, b, config)
+        assert _blocks.load() is None
+    finally:
+        _blocks.load.cache_clear()
+    assert [r.levelno for r in caplog.records] == [logging.INFO]  # logged once, not raised
+    assert "unavailable" in caplog.records[0].getMessage()
+    assert not [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+    for report in (got, again):
+        assert (report.iters, report.flops, report.check_flops, report.termination) == (
+            want.iters, want.flops, want.check_flops, want.termination)
+        assert np.linalg.norm(report.x - want.x) <= 1e-12 * np.linalg.norm(want.x)
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+from kaczmarz.generate import InstanceSpec, generate
+from kaczmarz.solvers import SolverConfig, solve
+for spec in (InstanceSpec(kind="dense", m=200, n=50, seed=3),
+             InstanceSpec(kind="sparse", m=300, n=80, density=0.2, seed=1)):
+    a, b, _ = generate(spec)
+    report = solve(a, b, SolverConfig(eps=1e-10, seed=1))
+    print(spec.kind, report.iters, hashlib.sha256(report.x.tobytes()).hexdigest())
+"""
+
+
+def _numpy_uses_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or not _numpy_uses_openblas(),
+    reason="OPENBLAS_CORETYPE selects kernels only in OpenBLAS on x86-64",
+)
+def test_iterates_do_not_depend_on_the_openblas_kernel(compiled):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_blocks.__file__)))
+    outputs = []
+    for coretype in (None, "Prescott", "Nehalem"):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 2
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
