@@ -1,12 +1,12 @@
 """Randomized Kaczmarz-type solvers for min-norm least squares.
 
-The extended variant (run_rek) converges to the minimum-norm least-squares
-solution of A x ~ b for any A, rank-deficient and inconsistent included, by
-pairing a column projection that strips the unreachable part of b with a row
-projection that solves against the rest. run_rk and run_rop expose the two
-constituent iterations on their own. Everything is seeded and reproducible;
-the reference module provides the SVD oracle the statistical checks compare
-against.
+The extended variant (solver "rek") converges to the minimum-norm
+least-squares solution of A x ~ b for any A, rank-deficient and inconsistent
+included, by pairing a column projection that strips the unreachable part of
+b with a row projection that solves against the rest. Solvers "rk" and "rop"
+run the two constituent iterations on their own; `solve` picks one by
+SolverConfig.solver. Everything is seeded and reproducible; min_norm_solve is
+the SVD oracle the statistical checks compare against.
 """
 
 from .errors import (
@@ -21,65 +21,29 @@ from .errors import (
     TooLargeError,
     UnsupportedFormatError,
 )
-from .generate import InstanceSpec, generate
-from .matrices import DualSparseMatrix, FlopCounter, SparsityProfile
-from .mmio import read_matrix_market, read_vector, write_matrix_market, write_vector
-from .reference import ReferenceSolution, min_norm_solve, projector_residual, svd_decompose
-from .sampling import AliasTable, RngStream, build_alias_table, sample, sample_block
-from .solvers import (
-    SolveReport,
-    SolverConfig,
-    TheoryBounds,
-    rek_iteration,
-    rk_step,
-    rop_step,
-    run_rek,
-    run_rk,
-    run_rop,
-    solve,
-    theory_bounds,
-)
+from .matrices import DualSparseMatrix
+from .reference import min_norm_solve
+from .solvers import SolveReport, SolverConfig, solve, theory_bounds
 
 __version__ = "0.1.0"
 
+# What README documents, plus the error types. Everything else is imported
+# from its own module (kaczmarz.generate, kaczmarz.mmio, kaczmarz.solvers, ...).
 __all__ = [
     "AllZeroMatrixError",
-    "AliasTable",
     "DegenerateDensityError",
     "DegenerateWeightsError",
     "DimensionMismatchError",
     "DualSparseMatrix",
-    "FlopCounter",
-    "InstanceSpec",
     "InvalidRangeError",
     "KaczmarzError",
     "MatrixMarketError",
     "NonFiniteError",
-    "ReferenceSolution",
-    "RngStream",
     "SolveReport",
     "SolverConfig",
-    "SparsityProfile",
-    "TheoryBounds",
     "TooLargeError",
     "UnsupportedFormatError",
-    "build_alias_table",
-    "generate",
     "min_norm_solve",
-    "projector_residual",
-    "read_matrix_market",
-    "read_vector",
-    "rek_iteration",
-    "rk_step",
-    "rop_step",
-    "run_rek",
-    "run_rk",
-    "run_rop",
-    "sample",
-    "sample_block",
     "solve",
-    "svd_decompose",
     "theory_bounds",
-    "write_matrix_market",
-    "write_vector",
 ]

@@ -2,16 +2,16 @@
 
 Three related iterations over a DualSparseMatrix:
 
-* run_rop: randomized orthogonal projection. Starting from z = b, repeatedly
+* ROP, randomized orthogonal projection. Starting from z = b, repeatedly
   project z off a random column (picked proportionally to squared column
   norm). z converges to the component of b orthogonal to the column space.
 
-* run_rk: randomized Kaczmarz. Starting from x = 0, repeatedly project x onto
+* RK, randomized Kaczmarz. Starting from x = 0, repeatedly project x onto
   the solution hyperplane of a random row (picked proportionally to squared
   row norm). Converges to the solution on consistent systems; on noisy ones it
   stalls at a floor set by the noise over sigma_min.
 
-* run_rek: randomized extended Kaczmarz. One column projection driving
+* REK, randomized extended Kaczmarz. One column projection driving
   z -> b_perp and one row projection driving x against b - z, per iteration,
   with independently seeded row and column streams. Converges to the min-norm
   least-squares solution even for rank-deficient, inconsistent systems.
@@ -20,13 +20,17 @@ The REK x-update uses the z entry from *before* this iteration's column
 projection (the two projections commute in expectation but not pathwise);
 rek_iteration(use_updated_z=True) flips that as a step-level experiment.
 
-The runners draw a block of indices between two termination checks and hand
-it to rek_block / rk_block / rop_block, which run the whole block in one call
-of the compiled kernels in _blocks.c. Where those cannot be built, the same
-functions loop over rek_iteration / rk_step / rop_step instead. The compiled
-dots sum left to right, so their iterates differ from the per-step path's
-BLAS dots only by rounding (about 1e-14 relative) and do not depend on the
-BLAS kernel the host picks.
+All three run through one driver, trajectory(): it draws each block of
+indices from the seeded streams, runs it with rek_block / rk_block /
+rop_block and yields the iterates at the iteration counts it is given.
+run_rek / run_rk / run_rop (and `solve`, which picks one) stop it every
+check interval for the solver's termination check; verify's checkpoint
+drivers stop it at their checkpoints and measure the error instead. The
+block functions run a whole block in one call of the compiled kernels in
+_blocks.c; where those cannot be built, they loop over rek_iteration /
+rk_step / rop_step instead. The compiled dots sum left to right, so their
+iterates differ from the per-step path's BLAS dots only by rounding (about
+1e-14 relative) and do not depend on the BLAS kernel the host picks.
 
 Flop accounting: one dot or axpy over k stored entries costs 2k. A standalone
 rk_step books 4*nnz(row)+2 (dot, axpy, one subtract, one divide) and a
@@ -39,6 +43,7 @@ per-iteration tally stays exactly the model the bounds are stated in.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -307,7 +312,7 @@ def rek_termination_check(a, b, x, z, eps, flops=None):
 
 
 # ----------------------------------------------------------------------
-# runners
+# the seeded trajectory, and the runners built on it
 
 
 def _validated_rhs(a, b):
@@ -322,117 +327,93 @@ def _validated_rhs(a, b):
     return np.ascontiguousarray(b)
 
 
-def run_rop(a, b, config=None):
-    """Drive z from b toward b_perp by random column projections."""
-    config = config or SolverConfig(solver=ROP)
+def trajectory(a, b, solver, seed, stops):
+    """Yield (iters, x, z, flops) of one seeded run after each count in `stops`.
+
+    The run starts from x = 0 (REK, RK) and z = b (REK, ROP); x is None for
+    ROP and z is None for RK. Rows and columns come from two streams derived
+    from `seed`, so the iterate after t steps depends on the seed and t only,
+    not on how `stops` splits the run into blocks. x and z are updated in
+    place between yields and flops is the running total. `stops` must not
+    decrease and may be lazy.
+    """
+    if not 0.0 < a.frob_sq < math.inf:
+        # Line norms would overflow or vanish in the samplers and the
+        # stopping rule would compare against eps * inf or eps * 0.
+        what = ("sum of squares of A's entries overflows" if a.frob_sq
+                else "squares of A's entries all underflow")
+        raise InvalidRangeError("the %s float64 (largest |entry| %.3g); rescale A and b"
+                                % (what, float(np.abs(a.row_vals).max())))
+    b = _validated_rhs(a, b)
+    x = None if solver == ROP else np.zeros(a.n)
+    z = None if solver == RK else b.copy()
+    if x is not None:
+        row_rng, row_table = RngStream.derived(seed, ROW_STREAM_SALT), row_sampler(a)
+    if z is not None:
+        col_rng, col_table = RngStream.derived(seed, COL_STREAM_SALT), col_sampler(a)
+    iters = flops = 0
+    for stop in stops:
+        block = stop - iters
+        if block < 0:
+            raise ValueError("stops must not decrease from 0, got %d after %d" % (stop, iters))
+        if block:
+            if solver == REK:
+                rows = sample_block(row_table, row_rng, block)
+                flops += rek_block(a, b, x, z, rows, sample_block(col_table, col_rng, block))
+            elif solver == RK:
+                flops += rk_block(a, b, x, sample_block(row_table, row_rng, block))
+            else:
+                flops += rop_block(a, z, sample_block(col_table, col_rng, block))
+            iters = stop
+        yield iters, x, z, flops
+
+
+def _run(a, b, config, solver):
+    """Run `solver` until its termination check says stop, checking every interval."""
+    config = config or SolverConfig(solver=solver)
     b = _validated_rhs(a, b)
     eps, cap, interval = config.resolved(a.m, a.n)
-    rng = RngStream.derived(config.seed, COL_STREAM_SALT)
-    table = col_sampler(a)
-    z = b.copy()
-    flops = 0
     check_flops = FlopCounter()
-    iters = 0
     reason = MAX_ITERS
-    atz = None
+    resid = atz = None
     start = time.perf_counter()
-    while iters < cap:
-        block = min(interval, cap - iters)
-        flops += rop_block(a, z, sample_block(table, rng, block))
-        iters += block
-        outcome, atz = rop_termination_check(a, z, eps, check_flops)
+    stops = itertools.chain(range(interval, cap, interval), (cap,))
+    for iters, x, z, flops in trajectory(a, b, solver, config.seed, stops):
+        if solver == REK:
+            outcome, resid, atz = rek_termination_check(a, b, x, z, eps, check_flops)
+        elif solver == RK:
+            outcome, resid = rk_termination_check(a, b, x, eps, check_flops)
+        else:
+            outcome, atz = rop_termination_check(a, z, eps, check_flops)
         if outcome:
             reason = outcome
             break
-    wall = time.perf_counter() - start
     return SolveReport(
-        x=None,
+        x=x,
         z=z,
         iters=iters,
         flops=flops,
         check_flops=check_flops.count,
         termination=reason,
-        residual_norm=None,
+        residual_norm=resid,
         atz_norm=atz,
-        wall_time=wall,
+        wall_time=time.perf_counter() - start,
     )
+
+
+def run_rop(a, b, config=None):
+    """Drive z from b toward b_perp by random column projections."""
+    return _run(a, b, config, ROP)
 
 
 def run_rk(a, b, config=None):
     """Randomized Kaczmarz from x = 0."""
-    config = config or SolverConfig(solver=RK)
-    b = _validated_rhs(a, b)
-    eps, cap, interval = config.resolved(a.m, a.n)
-    rng = RngStream.derived(config.seed, ROW_STREAM_SALT)
-    table = row_sampler(a)
-    x = np.zeros(a.n)
-    flops = 0
-    check_flops = FlopCounter()
-    iters = 0
-    reason = MAX_ITERS
-    resid = None
-    start = time.perf_counter()
-    while iters < cap:
-        block = min(interval, cap - iters)
-        flops += rk_block(a, b, x, sample_block(table, rng, block))
-        iters += block
-        outcome, resid = rk_termination_check(a, b, x, eps, check_flops)
-        if outcome:
-            reason = outcome
-            break
-    wall = time.perf_counter() - start
-    return SolveReport(
-        x=x,
-        z=None,
-        iters=iters,
-        flops=flops,
-        check_flops=check_flops.count,
-        termination=reason,
-        residual_norm=resid,
-        atz_norm=None,
-        wall_time=wall,
-    )
+    return _run(a, b, config, RK)
 
 
 def run_rek(a, b, config=None):
     """Randomized extended Kaczmarz from x = 0, z = b."""
-    config = config or SolverConfig()
-    b = _validated_rhs(a, b)
-    eps, cap, interval = config.resolved(a.m, a.n)
-    row_rng = RngStream.derived(config.seed, ROW_STREAM_SALT)
-    col_rng = RngStream.derived(config.seed, COL_STREAM_SALT)
-    row_table = row_sampler(a)
-    col_table = col_sampler(a)
-    x = np.zeros(a.n)
-    z = b.copy()
-    flops = 0
-    check_flops = FlopCounter()
-    iters = 0
-    reason = MAX_ITERS
-    resid = atz = None
-    start = time.perf_counter()
-    while iters < cap:
-        block = min(interval, cap - iters)
-        rows = sample_block(row_table, row_rng, block)
-        cols = sample_block(col_table, col_rng, block)
-        flops += rek_block(a, b, x, z, rows, cols)
-        iters += block
-        outcome, resid, atz = rek_termination_check(a, b, x, z, eps, check_flops)
-        if outcome:
-            reason = outcome
-            break
-    wall = time.perf_counter() - start
-    return SolveReport(
-        x=x,
-        z=z,
-        iters=iters,
-        flops=flops,
-        check_flops=check_flops.count,
-        termination=reason,
-        residual_norm=resid,
-        atz_norm=atz,
-        wall_time=wall,
-    )
+    return _run(a, b, config, REK)
 
 
 _RUNNERS = {ROP: run_rop, RK: run_rk, REK: run_rek}

@@ -1,11 +1,12 @@
 """Statistical verification: do the solvers obey their own convergence theory?
 
-The drivers here re-run the solvers' block steps with seeded streams,
-but snapshot errors against oracle quantities at chosen iteration counts
-instead of running termination checks. The check battery compares empirical
-means across seeds with the closed-form envelopes, inflated by a statistical
-slack factor (default 1.5) that absorbs Monte-Carlo noise; the envelopes
-themselves come only from the reference oracle, never from the solvers.
+The checkpoint drivers walk the same seeded trajectories as the solvers
+(solvers.trajectory), but stop at chosen iteration counts to measure the
+error against an oracle quantity instead of running termination checks. The
+check battery compares empirical means across seeds with the closed-form
+envelopes, inflated by a statistical slack factor (default 1.5) that absorbs
+Monte-Carlo noise; the envelopes themselves come only from the reference
+oracle, never from the solvers.
 
 The KACZMARZ_VERIFY_SLACK environment variable overrides the slack factor.
 It exists so the failure path can be exercised on purpose (set it below 1 and
@@ -20,23 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reference import min_norm_solve
-from .sampling import (
-    COL_STREAM_SALT,
-    ROW_STREAM_SALT,
-    RngStream,
-    col_sampler,
-    row_sampler,
-    sample_block,
-)
+from .sampling import sample_block  # noqa: F401  (the benchmark's tracer patches this name)
 from .solvers import (
+    REK,
+    RK,
+    ROP,
     SolverConfig,
-    rek_block,
-    rk_block,
     rk_step,
-    rop_block,
     rop_step,
     run_rek,
     theory_bounds,
+    trajectory,
 )
 
 DEFAULT_SLACK = 1.5
@@ -53,75 +48,31 @@ class CheckResult:
 
 
 # ----------------------------------------------------------------------
-# trajectory drivers (no termination checks; snapshots at given iterations)
+# checkpoint drivers (no termination checks; errors at given iterations)
 
 
-def _checkpoint_blocks(checkpoints):
-    checkpoints = sorted(int(t) for t in checkpoints)
-    if any(t < 0 for t in checkpoints):
-        raise ValueError("checkpoints must be nonnegative")
-    return checkpoints
+def _checkpoint_errors(a, b, solver, ref, checkpoints, seed):
+    """||v_t - ref||^2 at each checkpoint t of one seeded run; v is z for ROP, else x."""
+    out = []
+    for _, x, z, _ in trajectory(a, b, solver, seed, sorted(int(t) for t in checkpoints)):
+        diff = (z if solver == ROP else x) - ref
+        out.append(float(diff @ diff))
+    return out
 
 
 def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_t - x_ref||^2 at each checkpoint, one seeded REK run."""
-    checkpoints = _checkpoint_blocks(checkpoints)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    row_rng = RngStream.derived(seed, ROW_STREAM_SALT)
-    col_rng = RngStream.derived(seed, COL_STREAM_SALT)
-    row_table = row_sampler(a)
-    col_table = col_sampler(a)
-    x = np.zeros(a.n)
-    z = b.astype(np.float64, copy=True)
-    out = []
-    done = 0
-    for t in checkpoints:
-        block = t - done
-        if block:
-            rows = sample_block(row_table, row_rng, block)
-            cols = sample_block(col_table, col_rng, block)
-            rek_block(a, b, x, z, rows, cols)
-            done = t
-        diff = x - x_ref
-        out.append(float(diff @ diff))
-    return out
+    return _checkpoint_errors(a, b, REK, x_ref, checkpoints, seed)
 
 
 def rk_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_k - x_ref||^2 at each checkpoint, one seeded RK run from x = 0."""
-    checkpoints = _checkpoint_blocks(checkpoints)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    rng = RngStream.derived(seed, ROW_STREAM_SALT)
-    table = row_sampler(a)
-    x = np.zeros(a.n)
-    out = []
-    done = 0
-    for t in checkpoints:
-        block = t - done
-        if block:
-            rk_block(a, b, x, sample_block(table, rng, block))
-            done = t
-        diff = x - x_ref
-        out.append(float(diff @ diff))
-    return out
+    return _checkpoint_errors(a, b, RK, x_ref, checkpoints, seed)
 
 
 def rop_checkpoint_errors(a, b, z_ref, checkpoints, seed):
     """||z_k - z_ref||^2 at each checkpoint, one seeded ROP run from z = b."""
-    checkpoints = _checkpoint_blocks(checkpoints)
-    rng = RngStream.derived(seed, COL_STREAM_SALT)
-    table = col_sampler(a)
-    z = b.astype(np.float64, copy=True)
-    out = []
-    done = 0
-    for t in checkpoints:
-        block = t - done
-        if block:
-            rop_block(a, z, sample_block(table, rng, block))
-            done = t
-        diff = z - z_ref
-        out.append(float(diff @ diff))
-    return out
+    return _checkpoint_errors(a, b, ROP, z_ref, checkpoints, seed)
 
 
 # ----------------------------------------------------------------------
@@ -160,29 +111,33 @@ def rop_one_step_expectation(a, z, target):
 # the check battery behind `kaczmarz verify`
 
 
-def _mean_checkpoint_errors(runner, reps, seed):
+def _envelope_check(name, label, multipliers, envelope, errors, ref, reps, seed, slack):
+    """Mean of `errors(checkpoints, seed)` over `reps` seeds against slack * envelope(t).
+
+    The checkpoints are round(c * kappa_F^2) for each multiplier c; `label`
+    names them in the detail line.
+    """
+    checkpoints = [round(c * ref.kappa_f_sq) for c in multipliers]
     acc = None
     for r in range(reps):
-        errs = runner(seed + r)
+        errs = errors(checkpoints, seed + r)
         acc = errs if acc is None else [s + e for s, e in zip(acc, errs)]
-    return [s / reps for s in acc]
+    worst = 0.0
+    for t, total in zip(checkpoints, acc):
+        mean = total / reps
+        env = envelope(t)
+        worst = max(worst, mean / (slack * env) if env > 0 else float(mean > 0))
+    return CheckResult(
+        name,
+        worst <= 1.0,
+        "max mean/bound ratio %.3g over %s=%s (%d runs)" % (worst, label, checkpoints, reps),
+    )
 
 
 def check_rek_envelope(a, b, ref, reps, seed, slack):
-    bounds = theory_bounds(ref, eps=1e-6)
-    kf = ref.kappa_f_sq
-    checkpoints = [round(c * kf) for c in (2, 4, 8)]
-    means = _mean_checkpoint_errors(
-        lambda s: rek_checkpoint_errors(a, b, ref.x_ls, checkpoints, s), reps, seed
-    )
-    worst = 0.0
-    for t, mean in zip(checkpoints, means):
-        env = bounds.rek_envelope(t)
-        worst = max(worst, mean / (slack * env) if env > 0 else float(mean > 0))
-    return CheckResult(
-        "rek-envelope",
-        worst <= 1.0,
-        "max mean/bound ratio %.3g over T=%s (%d runs)" % (worst, checkpoints, reps),
+    return _envelope_check(
+        "rek-envelope", "T", (2, 4, 8), theory_bounds(ref, eps=1e-6).rek_envelope,
+        lambda ts, s: rek_checkpoint_errors(a, b, ref.x_ls, ts, s), ref, reps, seed, slack,
     )
 
 
@@ -191,42 +146,22 @@ def check_rk_envelope(a, b, ref, reps, seed, slack):
 
     Valid for any rhs; the noise term vanishes on consistent systems.
     """
-    kf = ref.kappa_f_sq
-    rate = 1.0 - 1.0 / kf
+    rate = 1.0 - 1.0 / ref.kappa_f_sq
     sigma_min_sq = ref.singular_values[ref.rank - 1] ** 2
     floor = float(ref.b_perp @ ref.b_perp) / sigma_min_sq
     x_ls_sq = float(ref.x_ls @ ref.x_ls)
-    checkpoints = [round(c * kf) for c in (2, 4, 8)]
-    means = _mean_checkpoint_errors(
-        lambda s: rk_checkpoint_errors(a, b, ref.x_ls, checkpoints, s), reps, seed
-    )
-    worst = 0.0
-    for t, mean in zip(checkpoints, means):
-        env = rate**t * x_ls_sq + floor
-        worst = max(worst, mean / (slack * env) if env > 0 else float(mean > 0))
-    return CheckResult(
-        "rk-envelope",
-        worst <= 1.0,
-        "max mean/bound ratio %.3g over k=%s (%d runs)" % (worst, checkpoints, reps),
+    return _envelope_check(
+        "rk-envelope", "k", (2, 4, 8), lambda t: rate**t * x_ls_sq + floor,
+        lambda ts, s: rk_checkpoint_errors(a, b, ref.x_ls, ts, s), ref, reps, seed, slack,
     )
 
 
 def check_rop_rate(a, b, ref, reps, seed, slack):
-    kf = ref.kappa_f_sq
-    rate = 1.0 - 1.0 / kf
+    rate = 1.0 - 1.0 / ref.kappa_f_sq
     b_range_sq = float(ref.b_range @ ref.b_range)
-    checkpoints = [round(c * kf) for c in (2, 4)]
-    means = _mean_checkpoint_errors(
-        lambda s: rop_checkpoint_errors(a, b, ref.b_perp, checkpoints, s), reps, seed
-    )
-    worst = 0.0
-    for t, mean in zip(checkpoints, means):
-        env = rate**t * b_range_sq
-        worst = max(worst, mean / (slack * env) if env > 0 else float(mean > 0))
-    return CheckResult(
-        "rop-rate",
-        worst <= 1.0,
-        "max mean/bound ratio %.3g over k=%s (%d runs)" % (worst, checkpoints, reps),
+    return _envelope_check(
+        "rop-rate", "k", (2, 4), lambda t: rate**t * b_range_sq,
+        lambda ts, s: rop_checkpoint_errors(a, b, ref.b_perp, ts, s), ref, reps, seed, slack,
     )
 
 

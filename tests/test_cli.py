@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from kaczmarz.cli import BENCH_FIELDS, main
-from kaczmarz.mmio import read_csv, read_matrix_market, read_vector, write_vector
+from kaczmarz.matrices import DualSparseMatrix
+from kaczmarz.mmio import (
+    read_csv,
+    read_matrix_market,
+    read_vector,
+    write_matrix_market,
+    write_vector,
+)
 
 
 def run_cli(argv):
@@ -90,6 +97,18 @@ def test_solve_overflow_exits_2(tmp_path, capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "termination=overflow" in out and "residual=inf" in out
+
+
+def test_solve_refuses_a_matrix_whose_norm_overflows(tmp_path, capsys):
+    mx, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore"):  # ||A||_F^2 overflows while the matrix is built
+        write_matrix_market(mx, DualSparseMatrix.from_dense(rng.standard_normal((40, 20)) * 1e153))
+        write_vector(rhs, rng.standard_normal(40) * 1e153)
+        code = run_cli(["solve", "--matrix", str(mx), "--rhs", str(rhs)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rescale A and b" in err
 
 
 def test_solve_rejects_out_of_range_eps(tmp_path, capsys):
@@ -215,6 +234,24 @@ def test_verify_passes_on_sane_instance(tmp_path, capsys):
     out_lines = capsys.readouterr().out.strip().splitlines()
     assert len(out_lines) == 7  # the full battery
     assert all(ln.startswith("PASS ") for ln in out_lines)
+
+
+README_VERIFY_LINES = [
+    "PASS rek-envelope: max mean/bound ratio 0.00796 over T=[250, 500, 999] (100 runs)",
+    "PASS rk-envelope: max mean/bound ratio 0.166 over k=[250, 500, 999] (100 runs)",
+    "PASS rop-rate: max mean/bound ratio 0.031 over k=[250, 500] (100 runs)",
+    "PASS one-step-contraction: rk 37.1<=38.4; rop 29.7<=30.7 ...",
+    "PASS iteration-bound: 100/100 runs terminated within T*=9067 (need 90)",
+    "PASS flop-model: dense: 1044000 flops == (4(m+n)+2)*2000: True",
+    "PASS forward-error: rel err 2.51e-10 <= bound 1.36e-08 (3120 iters)",
+]
+
+
+def test_readme_verify_example_prints_its_pinned_lines(capsys):
+    code = run_cli(["verify", "--kind", "dense", "--m", "100", "--n", "30",
+                    "--seed", "3", "--reps", "100"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == README_VERIFY_LINES
 
 
 def test_verify_subset_and_failure_exit_code(capsys, monkeypatch):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczmarz.errors import (
     AllZeroMatrixError,
@@ -71,6 +73,35 @@ def test_construction_errors():
         DualSparseMatrix.from_dense(np.array([[np.inf]]))
     with pytest.raises(DimensionMismatchError):
         DualSparseMatrix.from_dense(np.ones(3))
+
+
+# dyadic values, so duplicates can cancel exactly, and arbitrary finite ones
+VALUES = st.one_of(st.sampled_from([-2.5, -1.0, 0.5, 1.0, 3.0]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 11), VALUES),
+        min_size=1,
+        max_size=60,
+    ),
+)
+def test_canonicalisation_is_idempotent(m, n, triplets):
+    rows, cols, vals = (np.array(v) for v in zip(*triplets))
+    keep = (rows < m) & (cols < n)
+    try:
+        a = DualSparseMatrix.from_triplets(rows[keep], cols[keep], vals[keep], (m, n))
+    except AllZeroMatrixError:
+        return  # nothing survived (no entries in range, or duplicates that cancel)
+    own = np.repeat(np.arange(a.m), np.diff(a.row_ptr))
+    again = DualSparseMatrix.from_triplets(own, a.row_cols, a.row_vals, (a.m, a.n))
+    for name in ("row_ptr", "row_cols", "row_vals", "col_ptr", "col_rows", "col_vals",
+                 "row_sq_norms", "col_sq_norms"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(a, name), err_msg=name)
+    assert again.frob_sq == a.frob_sq and again.nnz == a.nnz
 
 
 def test_row_and_col_views_agree_with_dense():

@@ -7,6 +7,9 @@ that algorithm rather than against our own code.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kaczmarz.errors import DegenerateWeightsError
 from kaczmarz.matrices import DualSparseMatrix
@@ -113,6 +116,20 @@ def test_alias_reconstruction_invariant():
         t = build_alias_table(w)
         mass = reconstructed_mass(t)
         np.testing.assert_allclose(mass, w / w.sum(), atol=4.0 * size * EPS, rtol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 400),
+        elements=st.one_of(st.just(0.0), st.floats(1e-12, 1e12)),
+    )
+)
+def test_alias_reconstruction_property(w):
+    assume(w.sum() > 0.0)
+    mass = reconstructed_mass(build_alias_table(w))
+    np.testing.assert_allclose(mass, w / w.sum(), atol=1e-12, rtol=0)
 
 
 def test_zero_weight_outcomes_are_never_sampled():

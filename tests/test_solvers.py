@@ -7,6 +7,7 @@ against the per-step loop they replace, which is also their fallback.
 """
 
 import dataclasses
+import hashlib
 import logging
 import math
 import os
@@ -43,7 +44,7 @@ from kaczmarz.solvers import (
     solve,
     theory_bounds,
 )
-from kaczmarz.verify import rek_checkpoint_errors
+from kaczmarz.verify import rek_checkpoint_errors, rk_checkpoint_errors, rop_checkpoint_errors
 
 EPS = np.finfo(np.float64).eps
 
@@ -151,6 +152,35 @@ def test_overflow_is_not_convergence(solver):
     assert rep.iters == 80  # stopped at the first check (interval 8 * min(m, n))
     norm = rep.atz_norm if solver == ROP else rep.residual_norm
     assert not math.isfinite(norm)
+
+
+def _scaled_instance(scale):
+    rng = np.random.default_rng(0)
+    with np.errstate(over="ignore", under="ignore"):
+        a = DualSparseMatrix.from_dense(rng.standard_normal((40, 20)) * scale)
+    return a, rng.standard_normal(40) * scale
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_overflowing_frobenius_norm_is_refused(solver):
+    # every line norm is finite but ||A||_F^2 is not, so the stopping rule
+    # would compare against eps * inf (RK then read `converged` at 160 steps)
+    a, b = _scaled_instance(1e153)
+    assert np.isfinite(a.row_sq_norms).all() and np.isfinite(a.col_sq_norms).all()
+    assert a.frob_sq == math.inf
+    with pytest.raises(InvalidRangeError, match="sum of squares .* overflows float64"):
+        solve(a, b, SolverConfig(solver=solver, eps=1e-10, seed=0))
+
+
+@pytest.mark.parametrize("scale, words", [(1e200, "overflows"), (1e-170, "all underflow")])
+def test_out_of_scale_matrix_is_refused_with_a_true_message(scale, words):
+    a, b = _scaled_instance(scale)
+    with pytest.raises(InvalidRangeError, match=words) as info:
+        solve(a, b, SolverConfig(eps=1e-10, seed=0))
+    largest = "largest |entry| %.3g); rescale A and b" % np.abs(a.row_vals).max()
+    assert str(info.value).endswith(largest)
+    with pytest.raises(InvalidRangeError, match=words):  # the verify drivers too
+        rk_checkpoint_errors(a, b, 0.0, [5], 0)
 
 
 def test_zero_rhs_converges_at_origin():
@@ -492,3 +522,56 @@ def test_iterates_do_not_depend_on_the_openblas_kernel(compiled):
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 2
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# ----------------------------------------------------------------------
+# fixed-seed trajectories: pinned results, and independence of the block split
+
+GOLDEN_SPECS = {
+    "dense": InstanceSpec(kind="dense", m=200, n=50, seed=3),
+    "sparse": InstanceSpec(kind="sparse", m=300, n=80, density=0.2, seed=1),
+}
+
+# (iters, flops, check_flops, termination, sha256 of x bytes, of z bytes),
+# digests cut to their first 16 hex digits; None where the solver has no x / z
+GOLDEN_RUNS = {
+    ("dense", REK): (4400, 4408800, 451000, CONVERGED, "5caa5b567fca2cd1", "78e34538466e5681"),
+    ("dense", RK): (20000, 4040000, 1035000, MAX_ITERS, "f378ffeeb5eb903b", None),
+    ("dense", ROP): (3600, 2883600, 184500, CONVERGED, None, "126af46ec91a1185"),
+    ("sparse", REK): (7040, 2193872, 228668, CONVERGED, "7f277cf985bd23ad", "51b2574aabc81917"),
+    ("sparse", RK): (20000, 1408716, 342208, MAX_ITERS, "dfbfcee87351fd75", None),
+    ("sparse", ROP): (6400, 1548232, 103940, CONVERGED, None, "6493cd1337dc08df"),
+}
+
+
+def _digest(v):
+    return None if v is None else hashlib.sha256(v.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("kind, solver", sorted(GOLDEN_RUNS))
+def test_fixed_seed_runs_keep_their_pinned_results(kind, solver, compiled):
+    a, b, _ = generate(GOLDEN_SPECS[kind])
+    rep = solve(a, b, SolverConfig(solver=solver, eps=1e-10, seed=1, max_iters=20000))
+    got = (rep.iters, rep.flops, rep.check_flops, rep.termination, _digest(rep.x), _digest(rep.z))
+    assert got == GOLDEN_RUNS[kind, solver]
+
+
+@pytest.mark.parametrize("t", [10, 50, 400])
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_checkpoint_drivers_walk_the_runners_trajectory(solver, t):
+    # blocks of 3 and t - 3 against the runner's blocks of 7: any split of the
+    # same index streams must reach the same iterate, bit for bit
+    a, b, _ = generate(BLOCK_SPECS["sparse"])
+    driver = {REK: rek_checkpoint_errors, RK: rk_checkpoint_errors, ROP: rop_checkpoint_errors}
+    errs = driver[solver](a, b, 0.0, [3, t], 5)
+    rep = solve(a, b, SolverConfig(solver=solver, eps=1e-300, max_iters=t, check_interval=7, seed=5))
+    assert rep.iters == t
+    v = _estimate(rep)
+    assert errs[-1] == float(v @ v)
+
+
+def test_package_exports_resolve():
+    import kaczmarz
+
+    assert "solve" in kaczmarz.__all__ and "KaczmarzError" in kaczmarz.__all__
+    assert all(hasattr(kaczmarz, name) for name in kaczmarz.__all__)
