@@ -128,8 +128,6 @@ def build_parser():
     p_verify.add_argument("--matrix", help="verify a fixed instance instead of generating")
     p_verify.add_argument("--rhs")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--eps", type=float, default=1e-6)
-    p_verify.add_argument("--delta", type=float, default=0.1)
     p_verify.add_argument("--reps", type=int, default=100)
     p_verify.add_argument("--checks", help="comma-separated subset of check names")
     return parser

@@ -2,10 +2,13 @@
 
 A DualSparseMatrix keeps the same nonzero set twice, row-major (CSR) and
 column-major (CSC), so that single rows and single columns are both O(nnz of
-that line) to read. Construction canonicalizes triplets (duplicates summed,
-entries that sum to exactly zero dropped) and caches the squared row norms,
-squared column norms and the squared Frobenius norm, which the samplers and
-the termination checks read constantly.
+that line) to read. These six numpy arrays, with the row of each stored
+entry, are the only copy of the matrix: the whole-matrix products and
+to_dense are computed from them too. Construction canonicalizes triplets
+(duplicates summed in input order, entries that sum to exactly zero dropped)
+and caches the squared row norms, squared column norms and the squared
+Frobenius norm, which the samplers and the termination checks read
+constantly.
 
 All arrays are frozen after construction. A matrix can be shared between
 solver runs without defensive copies; the kernels mutate only the vectors
@@ -21,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     AllZeroMatrixError,
@@ -69,68 +71,55 @@ class DualSparseMatrix:
         "col_ptr",
         "col_rows",
         "col_vals",
+        "row_of_entry",
         "row_sq_norms",
         "col_sq_norms",
         "frob_sq",
-        "_csr",
-        "_csr_t",
         "_line_addrs",
         "_alias_tables",
     )
 
-    def __init__(self, csr):
-        """Build from a canonical scipy CSR matrix. Use the classmethods instead."""
-        csr = csr.tocsr()
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        if csr.nnz == 0:
-            raise AllZeroMatrixError("matrix has no nonzero entries")
-        csc = csr.tocsc()
-        self.m, self.n = (int(d) for d in csr.shape)
-        self.nnz = int(csr.nnz)
-        self.row_ptr = csr.indptr.astype(np.int64)
-        self.row_cols = csr.indices.astype(np.int64)
-        self.row_vals = np.asarray(csr.data, dtype=np.float64)
-        self.col_ptr = csc.indptr.astype(np.int64)
-        self.col_rows = csc.indices.astype(np.int64)
-        self.col_vals = np.asarray(csc.data, dtype=np.float64)
+    def __init__(self, shape, rows, cols, vals):
+        """Build from canonical int64/float64 triplets. Use the classmethods instead.
 
-        row_of_entry = np.repeat(np.arange(self.m), np.diff(self.row_ptr))
-        col_of_entry = np.repeat(np.arange(self.n), np.diff(self.col_ptr))
-        self.row_sq_norms = np.bincount(
-            row_of_entry, weights=self.row_vals**2, minlength=self.m
-        )
-        self.col_sq_norms = np.bincount(
-            col_of_entry, weights=self.col_vals**2, minlength=self.n
-        )
-        self.frob_sq = float(self.row_vals @ self.row_vals)
-        self._csr = csr
-        # A^T in CSR form shares the CSC arrays; built once, not per rmatvec.
-        self._csr_t = scipy.sparse.csr_matrix(
-            (self.col_vals, self.col_rows, self.col_ptr), shape=(self.n, self.m)
-        )
+        Canonical means row-major order, no duplicate positions and no zero
+        values; the arrays are kept, not copied, and frozen.
+        """
+        self.m, self.n = (int(d) for d in shape)
+        self.nnz = int(vals.size)
+        if self.nnz == 0:
+            raise AllZeroMatrixError("matrix has no nonzero entries")
+        self.row_of_entry = rows
+        self.row_cols = cols
+        self.row_vals = vals
+        self.row_ptr = _line_ptr(rows, self.m)
+        self.col_ptr = _line_ptr(cols, self.n)
+        # column-major positions are unique, so any sort gives the one order
+        order = np.argsort(cols * self.m + rows)
+        self.col_rows = rows[order]
+        self.col_vals = vals[order]
+        del order
+        squares = vals**2
+        self.row_sq_norms = np.bincount(rows, weights=squares, minlength=self.m)
+        # row-major order visits each column's entries in row order, as CSC does
+        self.col_sq_norms = np.bincount(cols, weights=squares, minlength=self.n)
+        self.frob_sq = float(vals @ vals)
         # Filled on first use by sampling.row_sampler / col_sampler.
         self._alias_tables = {}
 
-        for arr in (
-            self.row_ptr,
-            self.row_cols,
-            self.row_vals,
-            self.col_ptr,
-            self.col_rows,
-            self.col_vals,
-            self.row_sq_norms,
-            self.col_sq_norms,
-        ):
-            arr.setflags(write=False)
         # Addresses of the frozen row and column arrays, in the order the
         # compiled block kernels take them; valid while this matrix lives.
-        rows = (self.row_ptr, self.row_cols, self.row_vals, self.row_sq_norms)
-        cols = (self.col_ptr, self.col_rows, self.col_vals, self.col_sq_norms)
+        row_arrays = (self.row_ptr, self.row_cols, self.row_vals, self.row_sq_norms)
+        col_arrays = (self.col_ptr, self.col_rows, self.col_vals, self.col_sq_norms)
+        dtypes = (np.int64, np.int64, np.float64, np.float64) * 2
+        for arr, dtype in zip(row_arrays + col_arrays, dtypes):
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise ValueError("matrix storage must be C-contiguous %s arrays" % dtype.__name__)
+        for arr in row_arrays + col_arrays + (self.row_of_entry,):
+            arr.setflags(write=False)
         self._line_addrs = (
-            tuple(arr.ctypes.data for arr in rows),
-            tuple(arr.ctypes.data for arr in cols),
+            tuple(arr.ctypes.data for arr in row_arrays),
+            tuple(arr.ctypes.data for arr in col_arrays),
         )
 
     # ------------------------------------------------------------------
@@ -138,7 +127,7 @@ class DualSparseMatrix:
 
     @classmethod
     def from_triplets(cls, rows, cols, vals, shape):
-        """Build from COO triplets; duplicate positions are summed.
+        """Build from COO triplets; duplicate positions are summed in input order.
 
         Entries whose duplicates cancel to exactly zero are dropped from the
         stored pattern. Raises AllZeroMatrixError if nothing survives.
@@ -146,6 +135,10 @@ class DualSparseMatrix:
         m, n = (int(d) for d in shape)
         if m <= 0 or n <= 0:
             raise InvalidRangeError("matrix shape must be positive, got %dx%d" % (m, n))
+        if m * n >= 2**63:
+            raise InvalidRangeError(
+                "matrix shape %dx%d is too large: m*n must be below 2**63" % (m, n)
+            )
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -158,8 +151,25 @@ class DualSparseMatrix:
                 raise IndexError("column index out of range for %dx%d matrix" % (m, n))
         if not np.isfinite(vals).all():
             raise NonFiniteError("matrix entries must be finite")
-        coo = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, n))
-        return cls(coo.tocsr())
+        # Row-major position of each entry; a stable sort keeps duplicates in
+        # input order, and bincount over run ids sums each run left to right.
+        key = rows * n + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        vals = vals[order]
+        del order, rows, cols
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        run = np.cumsum(first)
+        run -= 1
+        vals = np.bincount(run, weights=vals)
+        del run
+        key = key[first]
+        del first
+        nonzero = vals != 0.0
+        rows, cols = np.divmod(key[nonzero], n)
+        return cls((m, n), rows, cols, vals[nonzero])
 
     @classmethod
     def from_dense(cls, dense):
@@ -169,10 +179,16 @@ class DualSparseMatrix:
             raise DimensionMismatchError("expected a 2-D array")
         if not np.isfinite(dense).all():
             raise NonFiniteError("matrix entries must be finite")
-        return cls(scipy.sparse.csr_matrix(dense))
+        flat = dense.ravel()
+        pos = np.flatnonzero(flat)
+        # divmod gives fresh contiguous index arrays (np.nonzero gives strided views)
+        rows, cols = np.divmod(pos, dense.shape[1])
+        return cls(dense.shape, rows, cols, flat[pos])
 
     def to_dense(self):
-        return self._csr.toarray()
+        dense = np.zeros((self.m, self.n))
+        dense[self.row_of_entry, self.row_cols] = self.row_vals
+        return dense
 
     # ------------------------------------------------------------------
     # per-line kernels
@@ -232,7 +248,10 @@ class DualSparseMatrix:
             )
         if flops is not None:
             flops.add(2 * self.nnz)
-        return self._csr @ x
+        # sums each row left to right, as a CSR product loop does
+        return np.bincount(
+            self.row_of_entry, weights=self.row_vals * x[self.row_cols], minlength=self.m
+        )
 
     def rmatvec(self, z, flops=None):
         """A^T z."""
@@ -243,7 +262,10 @@ class DualSparseMatrix:
             )
         if flops is not None:
             flops.add(2 * self.nnz)
-        return self._csr_t @ z
+        # sums each column in row order, as a CSC product loop does
+        return np.bincount(
+            self.row_cols, weights=self.row_vals * z[self.row_of_entry], minlength=self.n
+        )
 
     def sparsity_profile(self):
         return SparsityProfile(
@@ -265,3 +287,10 @@ class DualSparseMatrix:
 
     def __repr__(self):
         return "DualSparseMatrix(%dx%d, nnz=%d)" % (self.m, self.n, self.nnz)
+
+
+def _line_ptr(line_of_entry, count):
+    """Pointer array of a line-sorted layout: line k spans ptr[k]:ptr[k+1]."""
+    ptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(line_of_entry, minlength=count), out=ptr[1:])
+    return ptr

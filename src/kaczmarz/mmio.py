@@ -69,9 +69,9 @@ def write_matrix_market(path, obj, comment=None):
             if comment:
                 fh.write("%% %s\n" % comment)
             fh.write("%d %d %d\n" % (obj.m, obj.n, obj.nnz))
-            rows = np.repeat(np.arange(1, obj.m + 1), np.diff(obj.row_ptr))
             # "%.17g" % v and format_float(v) share CPython's float formatter
-            _write_lines(fh, "%d %d %.17g\n", (rows, obj.row_cols + 1, obj.row_vals))
+            lines = (obj.row_of_entry + 1, obj.row_cols + 1, obj.row_vals)
+            _write_lines(fh, "%d %d %.17g\n", lines)
             return
         arr = np.asarray(obj, dtype=np.float64)
         if arr.ndim == 1:

@@ -17,8 +17,7 @@ Three related iterations over a DualSparseMatrix:
   least-squares solution even for rank-deficient, inconsistent systems.
 
 The REK x-update uses the z entry from *before* this iteration's column
-projection (the two projections commute in expectation but not pathwise);
-rek_iteration(use_updated_z=True) flips that as a step-level experiment.
+projection (the two projections commute in expectation but not pathwise).
 
 All three run through one driver, trajectory(): it draws each block of
 indices from the seeded streams, runs it with rek_block / rk_block /
@@ -153,10 +152,10 @@ def rk_step(a, x, i, beta, flops=None):
         flops.add(4 * a.row_nnz(i) + 2)
 
 
-def rek_iteration(a, b, x, z, i, j, flops=None, use_updated_z=False):
+def rek_iteration(a, b, x, z, i, j, flops=None):
     """One REK iteration: column projection on z, then row projection on x.
 
-    The row update aims at b_i - z_i with the pre-update z_i by default.
+    The row update aims at b_i - z_i with the pre-update z_i.
     """
     col_sq = a.col_sq_norms[j]
     row_sq = a.row_sq_norms[i]
@@ -166,8 +165,6 @@ def rek_iteration(a, b, x, z, i, j, flops=None, use_updated_z=False):
         raise ZeroDivisionError("row %d has zero norm" % i)
     z_i = float(z[i])
     a.col_axpy(j, -a.col_dot(j, z) / col_sq, z)
-    if use_updated_z:
-        z_i = float(z[i])
     resid = (b[i] - z_i - a.row_dot(i, x)) / row_sq
     a.row_axpy(i, resid, x)
     if flops is not None:

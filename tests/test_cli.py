@@ -1,12 +1,18 @@
 """End-to-end behavior of the command-line front end.
 
 Calls main() in-process so exit codes, stdout and files can all be asserted
-without spawning interpreters.
+without spawning interpreters; only the test of which modules a fresh
+interpreter loads starts one.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kaczmarz
 from kaczmarz.cli import BENCH_FIELDS, main
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.mmio import (
@@ -274,3 +280,30 @@ def test_verify_unknown_check_name(capsys):
                     "--checks", "no-such-check"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_refuses_the_tolerance_flags_it_never_read(capsys):
+    for flag in ("--eps", "--delta"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--kind", "dense", "--m", "10", "--n", "4", flag, "1e-3"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+_IMPORT_SCRIPT = """
+import sys
+from kaczmarz.cli import main
+code = main(["verify", "--kind", "dense", "--m", "12", "--n", "4", "--seed", "1", "--reps", "3"])
+print(code, sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_cli_runs_without_loading_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kaczmarz.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code in ("0", "2") and loaded.strip() == "[]"

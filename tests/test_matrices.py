@@ -1,10 +1,11 @@
-"""Dual-view sparse storage against dense numpy oracles."""
+"""Dual-view sparse storage against dense numpy oracles and scipy.sparse."""
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kaczmarz.errors import (
     AllZeroMatrixError,
@@ -102,6 +103,87 @@ def test_canonicalisation_is_idempotent(m, n, triplets):
                  "row_sq_norms", "col_sq_norms"):
         np.testing.assert_array_equal(getattr(again, name), getattr(a, name), err_msg=name)
     assert again.frob_sq == a.frob_sq and again.nnz == a.nnz
+
+
+# ----------------------------------------------------------------------
+# scipy.sparse as the test-only reference for construction and products
+
+# quarters in [-1, 1]: sums of a few of them, and their squares, are exact in
+# any order, so duplicates can cancel and norms have one correct value
+DYADIC = st.integers(-4, 4).map(lambda k: k / 4)
+STORED = ("row_ptr", "row_cols", "row_vals", "col_ptr", "col_rows", "col_vals",
+          "row_sq_norms", "col_sq_norms")
+
+
+def _assert_matches_scipy(build, csr):
+    """`build()` stores what scipy's canonical CSR/CSC of `csr` hold."""
+    csr.sum_duplicates()
+    csr.eliminate_zeros()
+    if csr.nnz == 0:
+        with pytest.raises(AllZeroMatrixError):
+            build()
+        return
+    a = build()
+    csc = csr.tocsc()
+    sq = csr.multiply(csr)
+    want = {
+        "row_ptr": csr.indptr, "row_cols": csr.indices, "row_vals": csr.data,
+        "col_ptr": csc.indptr, "col_rows": csc.indices, "col_vals": csc.data,
+        "row_sq_norms": np.asarray(sq.sum(axis=1)).ravel(),
+        "col_sq_norms": np.asarray(sq.sum(axis=0)).ravel(),
+    }
+    for name in STORED:
+        got = getattr(a, name)
+        assert got.dtype == (np.float64 if "vals" in name or "norms" in name else np.int64)
+        np.testing.assert_array_equal(got, want[name], err_msg=name)
+    assert a.frob_sq == float(sq.sum()) and a.nnz == csr.nnz
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), DYADIC), max_size=40),
+)
+def test_triplets_are_stored_as_scipy_stores_them(m, n, triplets):
+    triplets = [(i, j, v) for i, j, v in triplets if i < m and j < n]
+    rows, cols, vals = (list(t) for t in zip(*triplets)) if triplets else ([], [], [])
+    csr = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(m, n), dtype=np.float64).tocsr()
+    _assert_matches_scipy(lambda: DualSparseMatrix.from_triplets(rows, cols, vals, (m, n)), csr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.integers(1, 8).flatmap(
+            lambda n: arrays(np.float64, (m, n),
+                             elements=st.one_of(st.sampled_from([0.0, -0.0]), DYADIC))
+        )
+    )
+)
+def test_dense_input_is_stored_as_scipy_stores_it(dense):
+    csr = scipy.sparse.csr_matrix(dense)
+    _assert_matches_scipy(lambda: DualSparseMatrix.from_dense(dense), csr)
+
+
+def test_products_equal_scipys_bit_for_bit():
+    # lines of ~20 entries, so a blocked or pairwise sum would differ
+    rng = np.random.default_rng(17)
+    dense = random_sparse_dense(rng, 40, 30, 0.6)
+    dense[[3, 7]] = 0.0  # empty rows
+    dense[:, [2, 5]] = 0.0  # empty columns
+    a = DualSparseMatrix.from_dense(dense)
+    csr = scipy.sparse.csr_matrix(dense)
+    x = rng.standard_normal(30)
+    z = rng.standard_normal(40)
+    np.testing.assert_array_equal(a.matvec(x), csr @ x)
+    np.testing.assert_array_equal(a.rmatvec(z), csr.T @ z)
+
+
+def test_duplicates_are_summed_in_input_order():
+    a = DualSparseMatrix.from_triplets([1, 0, 1, 1], [2, 0, 2, 2], [0.1, 5.0, 0.2, 0.3], (2, 3))
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert a.nnz == 2 and a.row_vals[1] == (0.1 + 0.2) + 0.3
 
 
 def test_row_and_col_views_agree_with_dense():
@@ -232,7 +314,8 @@ def test_flop_accounting_is_exact():
 
 def test_storage_is_immutable():
     a = DualSparseMatrix.from_dense(np.ones((2, 2)))
-    for arr in (a.row_vals, a.row_cols, a.row_ptr, a.col_vals, a.row_sq_norms):
+    for arr in (a.row_vals, a.row_cols, a.row_ptr, a.col_vals, a.col_rows, a.col_ptr,
+                a.row_sq_norms, a.col_sq_norms, a.row_of_entry):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -244,3 +327,20 @@ def test_sparsity_profile():
     assert prof.row_avg == pytest.approx(1.5)
     assert prof.col_avg == pytest.approx(1.0)
     assert prof.density == pytest.approx(0.5)
+
+
+def test_shapes_whose_position_keys_overflow_int64_are_refused():
+    # row-major and column-major position keys need m * n < 2**63
+    with pytest.raises(InvalidRangeError, match="2\\*\\*63"):
+        DualSparseMatrix.from_triplets([0], [0], [1.0], (2**32, 2**31))
+
+
+def test_init_refuses_arrays_the_kernels_cannot_address():
+    rows, vals = np.array([0, 1]), np.array([1.0, 2.0])
+    strided = np.array([[0, 9], [1, 9]])[:, 0]
+    assert not strided.flags.c_contiguous
+    for cols in (strided, np.array([0, 1], dtype=np.int32)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            DualSparseMatrix((2, 2), rows, cols, vals)
+    a = DualSparseMatrix((2, 2), rows, np.array([0, 1]), vals)
+    np.testing.assert_array_equal(a.to_dense(), np.diag(vals))
