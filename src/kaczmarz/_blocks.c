@@ -1,20 +1,59 @@
-/* Whole blocks of REK, RK and ROP steps over the CSR/CSC arrays of a
- * DualSparseMatrix, updating x and z in place.
+/* The compiled inner loops of the solvers, over the CSR/CSC arrays of a
+ * DualSparseMatrix: alias-table draws, whole blocks of REK, RK and ROP steps,
+ * and the sums of squares of the termination checks.
  *
- * Each function takes a block of already-sampled line indices and runs the
- * steps of rek_iteration / rk_step / rop_step one after the other, with the
- * same operations in the same order. Only the dot products can round
+ * alias_draws emits the same indices as sampling.sample_block's numpy path,
+ * bit for bit: the same SplitMix64 counter-mode stream, the same conversion
+ * to uniform doubles and the same cell and coin arithmetic.
+ *
+ * Each block function takes a block of already-sampled line indices and runs
+ * the steps of rek_iteration / rk_step / rop_step one after the other, with
+ * the same operations in the same order. Only the dot products can round
  * differently from the Python steps, whose dots go through BLAS: here they
  * sum left to right over the stored entries, and the file is compiled with
  * -ffp-contract=off, so the iterates do not depend on which BLAS kernel the
- * host would pick.
+ * host would pick. Every index is checked before any vector is touched: a
+ * block function returns the number of stored entries its steps visited, or
+ * -1, with x and z unchanged, when an index lies outside its range.
  *
- * Every index is checked before any vector is touched: a function returns 0
- * after running the whole block, or -1, with x and z unchanged, when an index
- * lies outside its range.
+ * check_sums forms each entry of A x and A^T z in the order the numpy
+ * products (bincount over the row-major entries) do, so those vectors are
+ * the same bits, and sums every sum of squares left to right.
  */
 
+#include <stddef.h>
 #include <stdint.h>
+
+#define GOLDEN 0x9E3779B97F4A7C15u
+
+static uint64_t mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9u;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBu;
+    return z ^ (z >> 31);
+}
+
+/* Uniform double in [0, 1) from draw number k (1-based) of stream `seed`. */
+static double uniform(uint64_t seed, uint64_t k)
+{
+    return (double)(mix64(seed + k * GOLDEN) >> 11) * 0x1p-53;
+}
+
+/* `count` draws from an alias table of `size` >= 1 cells, taking draws
+ * counter+1 .. counter+2*count of the stream: one uniform picks the cell, the
+ * next flips the accept/alias coin. */
+void alias_draws(uint64_t seed, uint64_t counter, int64_t size,
+                 const double *prob, const int64_t *alias, int64_t count,
+                 int64_t *out)
+{
+    for (int64_t k = 0; k < count; k++) {
+        uint64_t draw = counter + 2 * (uint64_t)k;
+        int64_t cell = (int64_t)(uniform(seed, draw + 1) * (double)size);
+        if (cell > size - 1) /* guard the top rounding edge */
+            cell = size - 1;
+        out[k] = uniform(seed, draw + 2) < prob[cell] ? cell : alias[cell];
+    }
+}
 
 static double line_dot(const int64_t *idx, const double *vals, int64_t lo,
                        int64_t hi, const double *v)
@@ -40,43 +79,56 @@ static int in_range(const int64_t *ids, int64_t count, int64_t size)
     return 1;
 }
 
-int rop_block(int64_t n, const int64_t *col_ptr, const int64_t *col_rows,
-              const double *col_vals, const double *col_sq, double *z,
-              const int64_t *cols, int64_t count)
+static double sum_sq(const double *v, int64_t size)
+{
+    double s = 0.0;
+    for (int64_t k = 0; k < size; k++)
+        s += v[k] * v[k];
+    return s;
+}
+
+int64_t rop_block(int64_t n, const int64_t *col_ptr, const int64_t *col_rows,
+                  const double *col_vals, const double *col_sq, double *z,
+                  const int64_t *cols, int64_t count)
 {
     if (!in_range(cols, count, n))
         return -1;
+    int64_t touched = 0;
     for (int64_t k = 0; k < count; k++) {
         int64_t j = cols[k], lo = col_ptr[j], hi = col_ptr[j + 1];
         double scale = line_dot(col_rows, col_vals, lo, hi, z) / col_sq[j];
         line_axpy(col_rows, col_vals, lo, hi, -scale, z);
+        touched += hi - lo;
     }
-    return 0;
+    return touched;
 }
 
-int rk_block(int64_t m, const int64_t *row_ptr, const int64_t *row_cols,
-             const double *row_vals, const double *row_sq, const double *b,
-             double *x, const int64_t *rows, int64_t count)
+int64_t rk_block(int64_t m, const int64_t *row_ptr, const int64_t *row_cols,
+                 const double *row_vals, const double *row_sq, const double *b,
+                 double *x, const int64_t *rows, int64_t count)
 {
     if (!in_range(rows, count, m))
         return -1;
+    int64_t touched = 0;
     for (int64_t k = 0; k < count; k++) {
         int64_t i = rows[k], lo = row_ptr[i], hi = row_ptr[i + 1];
         double resid = (b[i] - line_dot(row_cols, row_vals, lo, hi, x)) / row_sq[i];
         line_axpy(row_cols, row_vals, lo, hi, resid, x);
+        touched += hi - lo;
     }
-    return 0;
+    return touched;
 }
 
-int rek_block(int64_t m, int64_t n, const int64_t *row_ptr,
-              const int64_t *row_cols, const double *row_vals,
-              const double *row_sq, const int64_t *col_ptr,
-              const int64_t *col_rows, const double *col_vals,
-              const double *col_sq, const double *b, double *x, double *z,
-              const int64_t *rows, const int64_t *cols, int64_t count)
+int64_t rek_block(int64_t m, int64_t n, const int64_t *row_ptr,
+                  const int64_t *row_cols, const double *row_vals,
+                  const double *row_sq, const int64_t *col_ptr,
+                  const int64_t *col_rows, const double *col_vals,
+                  const double *col_sq, const double *b, double *x, double *z,
+                  const int64_t *rows, const int64_t *cols, int64_t count)
 {
     if (!in_range(rows, count, m) || !in_range(cols, count, n))
         return -1;
+    int64_t touched = 0;
     for (int64_t k = 0; k < count; k++) {
         int64_t i = rows[k], j = cols[k];
         int64_t lo = col_ptr[j], hi = col_ptr[j + 1];
@@ -84,10 +136,46 @@ int rek_block(int64_t m, int64_t n, const int64_t *row_ptr,
         double z_i = z[i];
         double scale = line_dot(col_rows, col_vals, lo, hi, z) / col_sq[j];
         line_axpy(col_rows, col_vals, lo, hi, -scale, z);
+        touched += hi - lo;
         lo = row_ptr[i];
         hi = row_ptr[i + 1];
         double resid = (b[i] - z_i - line_dot(row_cols, row_vals, lo, hi, x)) / row_sq[i];
         line_axpy(row_cols, row_vals, lo, hi, resid, x);
+        touched += hi - lo;
     }
-    return 0;
+    return touched;
+}
+
+/* The sums of squares of the termination checks, each left to right, into
+ * out[0..4]: A x - (b - z) (A x - b when z is NULL), A^T z, x, z and b. A
+ * NULL x leaves out slots 0, 2 and 4 and b is not read; a NULL z leaves out
+ * slots 1 and 3. Left-out slots are 0. */
+void check_sums(int64_t m, int64_t n, const int64_t *row_ptr,
+                const int64_t *row_cols, const double *row_vals,
+                const int64_t *col_ptr, const int64_t *col_rows,
+                const double *col_vals, const double *b, const double *x,
+                const double *z, double *out)
+{
+    double resid = 0.0, atz = 0.0, x_sq = 0.0, z_sq = 0.0, b_sq = 0.0;
+    if (x != NULL) {
+        for (int64_t i = 0; i < m; i++) {
+            double ax = line_dot(row_cols, row_vals, row_ptr[i], row_ptr[i + 1], x);
+            double r = ax - (z != NULL ? b[i] - z[i] : b[i]);
+            resid += r * r;
+        }
+        x_sq = sum_sq(x, n);
+        b_sq = sum_sq(b, m);
+    }
+    if (z != NULL) {
+        for (int64_t j = 0; j < n; j++) {
+            double p = line_dot(col_rows, col_vals, col_ptr[j], col_ptr[j + 1], z);
+            atz += p * p;
+        }
+        z_sq = sum_sq(z, m);
+    }
+    out[0] = resid;
+    out[1] = atz;
+    out[2] = x_sq;
+    out[3] = z_sq;
+    out[4] = b_sq;
 }

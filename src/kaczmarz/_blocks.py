@@ -1,4 +1,4 @@
-"""Build and load the compiled block kernels in _blocks.c.
+"""Build and load the compiled kernels in _blocks.c.
 
 The shared library is compiled on first use with the system C compiler and
 cached under ${XDG_CACHE_HOME:-~/.cache}/kaczmarz/. Its file name is a hash
@@ -8,9 +8,9 @@ into place, so concurrent processes never load a partial file.
 
 The flags fix the arithmetic: -ffp-contract=off forbids fused multiply-adds,
 and there is no -ffast-math or -march=native, so every host computes the
-same iterates. If the compiler is missing, the build fails or the library
-cannot be loaded, load() logs why once and returns None, and the solvers run
-their per-step Python kernels instead.
+same iterates, draws and check sums. If the compiler is missing, the build
+fails or the library cannot be loaded, load() logs why once and returns None,
+and the sampler, the solvers and their checks run their numpy paths instead.
 """
 
 from __future__ import annotations
@@ -31,12 +31,16 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_blocks.c")
 log = logging.getLogger(__name__)
 
 _I64 = ctypes.c_int64
+_U64 = ctypes.c_uint64
 _PTR = ctypes.c_void_p
-# Argument lists of the C functions; pointers are passed as raw addresses.
+# (result type, argument types) of the C functions; pointers are passed as
+# raw addresses.
 _SIGNATURES = {
-    "rop_block": (_I64,) + (_PTR,) * 6 + (_I64,),
-    "rk_block": (_I64,) + (_PTR,) * 7 + (_I64,),
-    "rek_block": (_I64, _I64) + (_PTR,) * 13 + (_I64,),
+    "alias_draws": (None, (_U64, _U64, _I64, _PTR, _PTR, _I64, _PTR)),
+    "rop_block": (_I64, (_I64,) + (_PTR,) * 6 + (_I64,)),
+    "rk_block": (_I64, (_I64,) + (_PTR,) * 7 + (_I64,)),
+    "rek_block": (_I64, (_I64, _I64) + (_PTR,) * 13 + (_I64,)),
+    "check_sums": (None, (_I64, _I64) + (_PTR,) * 10),
 }
 
 
@@ -78,10 +82,10 @@ def load():
     except (OSError, subprocess.CalledProcessError) as exc:
         # a failed compile says why on its stderr; anything else in its message
         detail = getattr(exc, "stderr", None) or exc
-        log.info("compiled block kernels unavailable, using the Python loop: %s", detail)
+        log.info("compiled kernels unavailable, using the numpy paths: %s", detail)
         return None
-    for name, argtypes in _SIGNATURES.items():
+    for name, (restype, argtypes) in _SIGNATURES.items():
         fn = getattr(lib, name)
+        fn.restype = restype
         fn.argtypes = argtypes
-        fn.restype = ctypes.c_int
     return lib

@@ -165,6 +165,8 @@ class DualSparseMatrix:
         run -= 1
         vals = np.bincount(run, weights=vals)
         del run
+        if vals.size < key.size and not np.isfinite(vals).all():
+            raise NonFiniteError("duplicate entries sum past float64")
         key = key[first]
         del first
         nonzero = vals != 0.0

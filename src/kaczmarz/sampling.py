@@ -2,8 +2,8 @@
 
 The generator is SplitMix64 driven in counter mode: draw number k (1-based)
 from seed s is mix64(s + k*GOLDEN) with the usual xorshift-multiply finalizer.
-Because the state is an affine function of the draw index, the scalar path and
-the vectorized block path provably emit the same sequence, and the stream is
+Because the state is an affine function of the draw index, any stretch of the
+stream can be computed without the ones before it, and the stream is
 bit-for-bit reproducible on any platform; no libc rand state is involved.
 
 Uniform doubles are (u64 >> 11) * 2^-53, i.e. dyadic rationals in [0, 1).
@@ -11,6 +11,11 @@ Uniform doubles are (u64 >> 11) * 2^-53, i.e. dyadic rationals in [0, 1).
 Alias tables give O(1) draws from a fixed discrete distribution: one uniform
 picks the cell, one uniform flips the accept/alias coin. Zero-weight indices
 keep their cell but carry acceptance probability 0 and are never returned.
+
+sample_block, the solvers' only source of indices, draws a whole block in one
+call of alias_draws in the compiled _blocks.c. Where that cannot be built it
+runs the same arithmetic on numpy arrays instead; the scalar sample() is the
+reference both are tested against, and all three emit the same sequence.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blocks
 from .errors import DegenerateWeightsError
 
 MASK64 = (1 << 64) - 1
@@ -144,6 +150,20 @@ def sample(table, rng):
 
 def sample_block(table, rng, count):
     """`count` draws at once; identical sequence to repeated sample()."""
+    lib = _blocks.load()
+    if lib is not None:
+        size, prob, alias = table.size, table.prob, table.alias
+        # the kernel reads prob[cell] and alias[cell] for cells 0..size-1
+        for arr, dtype in ((prob, np.float64), (alias, np.int64)):
+            if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+                    and arr.shape == (size,) and arr.flags.c_contiguous and size >= 1):
+                raise ValueError("alias table needs C-contiguous %s arrays of its size %r"
+                                 % (np.dtype(dtype).name, size))
+        out = np.empty(count, dtype=np.int64)
+        lib.alias_draws(rng.seed, rng.counter, size, prob.ctypes.data, alias.ctypes.data,
+                        count, out.ctypes.data)
+        rng.counter += 2 * count
+        return out
     u = rng.uniform_block(2 * count)
     cells = (u[0::2] * table.size).astype(np.int64)
     np.minimum(cells, table.size - 1, out=cells)

@@ -31,17 +31,27 @@ rk_step / rop_step instead. The compiled dots sum left to right, so their
 iterates differ from the per-step path's BLAS dots only by rounding (about
 1e-14 relative) and do not depend on the BLAS kernel the host picks.
 
+The termination checks take their norms from one call of the compiled
+check_sums: the products A x and A^T z come out bit-identical to the numpy
+ones, and every sum of squares runs left to right. So on the compiled path
+the stopping decision and the reported residual_norm / atz_norm do not
+depend on the BLAS kernel either. Where the kernels are unavailable, the
+checks use the numpy products and BLAS dots, as np.linalg.norm does.
+
 Flop accounting: one dot or axpy over k stored entries costs 2k. A standalone
 rk_step books 4*nnz(row)+2 (dot, axpy, one subtract, one divide) and a
 rop_step 4*nnz(col)+1 (dot, axpy, one divide). A full REK iteration books
 4*(nnz(row)+nnz(col))+2, i.e. 4(m+n)+2 on dense instances. The block
-functions book the same totals from the index arrays. Termination-check
-work (two whole-matrix products plus norms) goes to a separate counter so the
-per-iteration tally stays exactly the model the bounds are stated in.
+functions book the same totals from the number of stored entries the
+compiled kernel reports visiting (from the index arrays on the per-step
+path). Termination-check work (two whole-matrix products plus norms) goes to
+a separate counter so the per-iteration tally stays exactly the model the
+bounds are stated in.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import time
@@ -175,9 +185,10 @@ def rek_iteration(a, b, x, z, i, j, flops=None):
 # blocks of steps: one compiled call, or the per-step loop as the fallback
 #
 # Each runs its steps in index order, updates x / z in place and returns the
-# flops booked, computed from the index arrays. The indices come from the
-# norm-weighted samplers, which never pick a zero-norm line, so the compiled
-# kernels divide without the per-step zero-norm check.
+# flops booked: 4 per stored entry its steps visited, counted by the kernel
+# (or from the index arrays on the per-step path), plus the scalar flops. The
+# indices come from the norm-weighted samplers, which never pick a zero-norm
+# line, so the compiled kernels divide without the per-step zero-norm check.
 
 
 def _addr(v, size):
@@ -201,9 +212,13 @@ def rop_block(a, z, cols):
     if lib is None:
         for j in cols.tolist():
             rop_step(a, z, j)
-    elif lib.rop_block(a.n, *a._line_addrs[1], _addr(z, a.m), cols.ctypes.data, cols.size):
-        raise IndexError("sampled column index out of range")
-    return 4 * _line_nnz(a.col_ptr, cols) + cols.size
+        touched = _line_nnz(a.col_ptr, cols)
+    else:
+        touched = lib.rop_block(a.n, *a._line_addrs[1], _addr(z, a.m), cols.ctypes.data,
+                                cols.size)
+        if touched < 0:
+            raise IndexError("sampled column index out of range")
+    return 4 * touched + cols.size
 
 
 def rk_block(a, b, x, rows):
@@ -213,10 +228,13 @@ def rk_block(a, b, x, rows):
     if lib is None:
         for i in rows.tolist():
             rk_step(a, x, i, b[i])
-    elif lib.rk_block(a.m, *a._line_addrs[0], _addr(b, a.m), _addr(x, a.n),
-                      rows.ctypes.data, rows.size):
-        raise IndexError("sampled row index out of range")
-    return 4 * _line_nnz(a.row_ptr, rows) + 2 * rows.size
+        touched = _line_nnz(a.row_ptr, rows)
+    else:
+        touched = lib.rk_block(a.m, *a._line_addrs[0], _addr(b, a.m), _addr(x, a.n),
+                               rows.ctypes.data, rows.size)
+        if touched < 0:
+            raise IndexError("sampled row index out of range")
+    return 4 * touched + 2 * rows.size
 
 
 def rek_block(a, b, x, z, rows, cols):
@@ -229,11 +247,14 @@ def rek_block(a, b, x, z, rows, cols):
     if lib is None:
         for i, j in zip(rows.tolist(), cols.tolist()):
             rek_iteration(a, b, x, z, i, j)
-    elif lib.rek_block(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
-                       _addr(b, a.m), _addr(x, a.n), _addr(z, a.m),
-                       rows.ctypes.data, cols.ctypes.data, rows.size):
-        raise IndexError("sampled row or column index out of range")
-    return 4 * (_line_nnz(a.row_ptr, rows) + _line_nnz(a.col_ptr, cols)) + 2 * rows.size
+        touched = _line_nnz(a.row_ptr, rows) + _line_nnz(a.col_ptr, cols)
+    else:
+        touched = lib.rek_block(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
+                                _addr(b, a.m), _addr(x, a.n), _addr(z, a.m),
+                                rows.ctypes.data, cols.ctypes.data, rows.size)
+        if touched < 0:
+            raise IndexError("sampled row or column index out of range")
+    return 4 * touched + 2 * rows.size
 
 
 # ----------------------------------------------------------------------
@@ -241,13 +262,45 @@ def rek_block(a, b, x, z, rows, cols):
 #
 # Each returns its outcome first: CONVERGED, OVERFLOW (a norm it compares is
 # inf or nan, where `inf <= eps * inf` would otherwise read as converged), or
-# None to keep iterating.
+# None to keep iterating. The sums of squares behind the norms come from one
+# call of the compiled check_sums, or from numpy products and BLAS dots where
+# the kernels are unavailable.
 
 
-def _norm(v, flops=None):
+def _check_sums(a, b, x, z):
+    """Sums of squares of A x - (b - z), A^T z, x, z and b, in that order.
+
+    A None z makes the first A x - b and leaves out A^T z and z; a None x
+    leaves out A x - (b - z), x and b. Left-out sums are 0.0.
+    """
+    lib = _blocks.load()
+    if lib is not None:
+        out = (ctypes.c_double * 5)()
+        has_x = x is not None
+        lib.check_sums(a.m, a.n, *a._line_addrs[0][:3], *a._line_addrs[1][:3],
+                       _addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
+                       None if z is None else _addr(z, a.m), out)
+        return tuple(out)
+    # v.dot(v) is the sum np.linalg.norm takes the root of
+    resid_sq = atz_sq = x_sq = z_sq = b_sq = 0.0
+    if x is not None:
+        resid = a.matvec(x) - (b if z is None else b - z)
+        resid_sq, x_sq, b_sq = float(resid.dot(resid)), float(x.dot(x)), float(b.dot(b))
+    if z is not None:
+        atz = a.rmatvec(z)
+        atz_sq, z_sq = float(atz.dot(atz)), float(z.dot(z))
+    return resid_sq, atz_sq, x_sq, z_sq, b_sq
+
+
+def _book(flops, count):
     if flops is not None:
-        flops.add(2 * v.size)
-    return float(np.linalg.norm(v))
+        flops.add(count)
+
+
+def _norm(sq, size, flops):
+    """Root of a sum of squares over `size` entries, booking the sum's 2*size flops."""
+    _book(flops, 2 * size)
+    return math.sqrt(sq)
 
 
 def _overflowed(*norms):
@@ -256,8 +309,10 @@ def _overflowed(*norms):
 
 def rop_termination_check(a, z, eps, flops=None):
     """||A^T z|| <= eps * ||A||_F * ||z||; an exactly-zero z is the limit itself."""
-    z_norm = _norm(z, flops)
-    atz = _norm(a.rmatvec(z, flops), flops)
+    _, atz_sq, _, z_sq, _ = _check_sums(a, None, None, z)
+    _book(flops, 2 * a.nnz)  # A^T z
+    z_norm = _norm(z_sq, a.m, flops)
+    atz = _norm(atz_sq, a.n, flops)
     if _overflowed(z_norm, atz):
         return OVERFLOW, atz
     if z_norm == 0.0:
@@ -267,16 +322,15 @@ def rop_termination_check(a, z, eps, flops=None):
 
 def rk_termination_check(a, b, x, eps, flops=None):
     """||A x - b|| <= eps * ||A||_F * ||x||, with the zero-x degenerate rule."""
-    resid_vec = a.matvec(x, flops) - b
-    if flops is not None:
-        flops.add(a.m)
-    resid = _norm(resid_vec, flops)
-    x_norm = _norm(x, flops)
+    resid_sq, _, x_sq, _, b_sq = _check_sums(a, b, x, None)
+    _book(flops, 2 * a.nnz + a.m)  # A x, then - b
+    resid = _norm(resid_sq, a.m, flops)
+    x_norm = _norm(x_sq, a.n, flops)
     if _overflowed(resid, x_norm):
         return OVERFLOW, resid
     if x_norm == 0.0:
         # Only a zero rhs legitimately stops at the origin (resid is ||b|| here).
-        return CONVERGED if resid <= eps * _norm(b, flops) else None, resid
+        return CONVERGED if resid <= eps * _norm(b_sq, a.m, flops) else None, resid
     return CONVERGED if resid <= eps * math.sqrt(a.frob_sq) * x_norm else None, resid
 
 
@@ -286,23 +340,23 @@ def rek_termination_check(a, b, x, z, eps, flops=None):
     Residual is measured against b - z, the running estimate of the range
     component of b; A^T z measures how far z still is from b_perp.
     """
-    bz = b - z
-    if flops is not None:
-        flops.add(a.m)
-    resid = _norm(a.matvec(x, flops) - bz, flops)
-    if flops is not None:
-        flops.add(a.m)
-    atz = _norm(a.rmatvec(z, flops), flops)
-    x_norm = _norm(x, flops)
+    resid_sq, atz_sq, x_sq, _, b_sq = _check_sums(a, b, x, z)
+    _book(flops, 2 * a.nnz + 2 * a.m)  # b - z, A x, then the difference
+    resid = _norm(resid_sq, a.m, flops)
+    _book(flops, 2 * a.nnz)  # A^T z
+    atz = _norm(atz_sq, a.n, flops)
+    x_norm = _norm(x_sq, a.n, flops)
     if _overflowed(resid, atz, x_norm):
         return OVERFLOW, resid, atz
     if x_norm == 0.0:
         # Degenerate rule: converged at the origin only if b - z has
         # (relatively) nothing left for x to explain.
-        b_norm = _norm(b, flops)
+        b_norm = _norm(b_sq, a.m, flops)
         if _overflowed(b_norm):
             return OVERFLOW, resid, atz
-        return CONVERGED if _norm(bz, flops) <= eps * b_norm else None, resid, atz
+        # at x = 0 the residual is b - z itself; book it as the norm of b - z
+        _book(flops, 2 * a.m)
+        return CONVERGED if resid <= eps * b_norm else None, resid, atz
     frob = math.sqrt(a.frob_sq)
     ok = resid <= eps * frob * x_norm and atz <= eps * a.frob_sq * x_norm
     return CONVERGED if ok else None, resid, atz

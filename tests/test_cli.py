@@ -92,13 +92,13 @@ def test_solve_iteration_cap_exits_2(tmp_path, capsys):
     assert "termination=max_iters" in capsys.readouterr().out
 
 
-def test_solve_overflow_exits_2(tmp_path, capsys):
+def test_solve_overflow_exits_2(tmp_path, capsys, overflow_warnings):
     mx, rhs = str(tmp_path / "a.mtx"), tmp_path / "b.mtx"
     run_cli(["gen", "--kind", "dense", "--m", "30", "--n", "10", "--seed", "1",
              "--matrix", mx, "--rhs", str(rhs)])
     write_vector(rhs, read_vector(rhs) * 1e300)
     capsys.readouterr()
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with overflow_warnings():
         code = run_cli(["solve", "--matrix", mx, "--rhs", str(rhs)])
     assert code == 2
     out = capsys.readouterr().out

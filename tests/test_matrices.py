@@ -186,6 +186,16 @@ def test_duplicates_are_summed_in_input_order():
     assert a.nnz == 2 and a.row_vals[1] == (0.1 + 0.2) + 0.3
 
 
+def test_duplicates_that_sum_past_float64_are_refused():
+    # each entry is finite; only their sum at (0, 1) is not
+    with pytest.raises(NonFiniteError, match="duplicate entries sum past float64"):
+        DualSparseMatrix.from_triplets([0, 1, 0], [1, 0, 1], [1e308, 1.0, 1e308], (2, 2))
+    # finite sums of duplicates are kept, and cancelled ones dropped
+    a = DualSparseMatrix.from_triplets([0, 0, 1, 1], [1, 1, 0, 0], [1e153, 1e153, 1e153, -1e153],
+                                       (2, 2))
+    assert a.nnz == 1 and a.row_vals.tolist() == [2e153]
+
+
 def test_row_and_col_views_agree_with_dense():
     rng = np.random.default_rng(7)
     dense = random_sparse_dense(rng, 9, 6, 0.4)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kaczmarz import _blocks
 from kaczmarz.errors import DegenerateWeightsError
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.sampling import (
@@ -160,6 +161,69 @@ def test_sample_scalar_and_block_agree():
     block = sample_block(t, b, 50)
     scalar = np.array([sample(t, a) for _ in range(50)])
     np.testing.assert_array_equal(block, scalar)
+
+
+def _numpy_block(table, rng, count):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blocks, "load", lambda: None)
+        return sample_block(table, rng, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.integers(1, 40),
+        elements=st.one_of(st.just(0.0), st.floats(1e-12, 1e12)),
+    ),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**62),
+    st.integers(0, 60),
+)
+def test_compiled_draws_equal_the_numpy_and_scalar_draws(w, seed, counter, count):
+    assume(w.sum() > 0.0)
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: only the numpy path runs here")
+    table = build_alias_table(w)
+    streams = [RngStream(seed, counter) for _ in range(3)]
+    compiled = sample_block(table, streams[0], count)
+    vectorised = _numpy_block(table, streams[1], count)
+    scalar = [sample(table, streams[2]) for _ in range(count)]
+    assert compiled.dtype == vectorised.dtype == np.int64
+    np.testing.assert_array_equal(compiled, vectorised)
+    assert compiled.tolist() == scalar
+    assert streams[0].counter == streams[1].counter == streams[2].counter == counter + 2 * count
+    assert all(w[k] > 0.0 for k in scalar)
+
+
+def test_malformed_alias_tables_are_refused_before_the_kernel_runs(monkeypatch):
+    good = build_alias_table(np.array([1.0, 2.0, 3.0]))
+    calls = []
+
+    class Recording:
+        def alias_draws(self, *args):
+            calls.append(args)
+
+    monkeypatch.setattr(_blocks, "load", Recording)
+    malformed = [
+        AliasTable(3, good.prob.astype(np.float32), good.alias),  # wrong dtypes
+        AliasTable(3, good.prob, good.alias.astype(np.int32)),
+        AliasTable(3, np.repeat(good.prob, 2)[::2], good.alias),  # strided
+        AliasTable(3, good.prob, np.repeat(good.alias, 2)[::2]),
+        AliasTable(4, good.prob, good.alias),  # wrong lengths
+        AliasTable(3, good.prob[:2], good.alias),
+        AliasTable(3, good.prob, good.alias[:2]),
+        AliasTable(0, good.prob[:0], good.alias[:0]),  # no cell to draw
+        AliasTable(3, good.prob.tolist(), good.alias),  # not an array
+    ]
+    for table in malformed:
+        rng = RngStream(5, 7)
+        with pytest.raises(ValueError, match="alias table"):
+            sample_block(table, rng, 4)
+        assert rng.counter == 7
+    assert calls == []
+    sample_block(good, RngStream(5, 7), 4)
+    assert len(calls) == 1 and calls[0][:3] == (5, 7, 3)
 
 
 def test_single_outcome_table():
