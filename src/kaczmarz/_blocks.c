@@ -1,24 +1,29 @@
 /* The compiled inner loops of the solvers, over the CSR/CSC arrays of a
- * DualSparseMatrix: alias-table draws, whole blocks of REK, RK and ROP steps,
- * and the sums of squares of the termination checks.
+ * DualSparseMatrix: alias-table draws, whole blocks of solver steps, and the
+ * sums of squares of the termination checks.
  *
  * alias_draws emits the same indices as sampling.sample_block's numpy path,
  * bit for bit: the same SplitMix64 counter-mode stream, the same conversion
  * to uniform doubles and the same cell and coin arithmetic.
  *
- * Each block function takes a block of already-sampled line indices and runs
- * the steps of rek_iteration / rk_step / rop_step one after the other, with
- * the same operations in the same order. Only the dot products can round
+ * block_steps runs a block of already-sampled line indices through the steps
+ * of REK, one after the other: a column step on z (rop_step), then a row step
+ * on x (rk_step) toward b_i - z_i. RK and ROP are the same function with the
+ * other half left out: a NULL z aims the row steps at b_i, a NULL x leaves
+ * only the column steps. The operations and their order are those of
+ * rek_iteration / rk_step / rop_step. Only the dot products can round
  * differently from the Python steps, whose dots go through BLAS: here they
  * sum left to right over the stored entries, and the file is compiled with
  * -ffp-contract=off, so the iterates do not depend on which BLAS kernel the
- * host would pick. Every index is checked before any vector is touched: a
- * block function returns the number of stored entries its steps visited, or
- * -1, with x and z unchanged, when an index lies outside its range.
+ * host would pick. Every index of a half that runs is checked before any
+ * vector is touched: block_steps returns the number of stored entries its
+ * steps visited, or -1, with x and z unchanged, when an index lies outside
+ * its range.
  *
  * check_sums forms each entry of A x and A^T z in the order the numpy
- * products (bincount over the row-major entries) do, so those vectors are
- * the same bits, and sums every sum of squares left to right.
+ * products do (each row's entries left to right, each column's top to
+ * bottom), so those vectors are the same bits, and sums every sum of squares
+ * left to right.
  */
 
 #include <stddef.h>
@@ -87,61 +92,42 @@ static double sum_sq(const double *v, int64_t size)
     return s;
 }
 
-int64_t rop_block(int64_t n, const int64_t *col_ptr, const int64_t *col_rows,
-                  const double *col_vals, const double *col_sq, double *z,
-                  const int64_t *cols, int64_t count)
+/* For k < count: the column step on z with column cols[k], then the row step
+ * on x with row rows[k] toward b_i - z_i, z_i read before the column step.
+ * A NULL z leaves out the column steps and aims at b_i; a NULL x leaves out
+ * the row steps, and rows and b are not read. */
+int64_t block_steps(int64_t m, int64_t n, const int64_t *row_ptr,
+                    const int64_t *row_cols, const double *row_vals,
+                    const double *row_sq, const int64_t *col_ptr,
+                    const int64_t *col_rows, const double *col_vals,
+                    const double *col_sq, const double *b, double *x, double *z,
+                    const int64_t *rows, const int64_t *cols, int64_t count)
 {
-    if (!in_range(cols, count, n))
+    if ((x != NULL && !in_range(rows, count, m)) || (z != NULL && !in_range(cols, count, n)))
         return -1;
     int64_t touched = 0;
     for (int64_t k = 0; k < count; k++) {
-        int64_t j = cols[k], lo = col_ptr[j], hi = col_ptr[j + 1];
-        double scale = line_dot(col_rows, col_vals, lo, hi, z) / col_sq[j];
-        line_axpy(col_rows, col_vals, lo, hi, -scale, z);
-        touched += hi - lo;
-    }
-    return touched;
-}
-
-int64_t rk_block(int64_t m, const int64_t *row_ptr, const int64_t *row_cols,
-                 const double *row_vals, const double *row_sq, const double *b,
-                 double *x, const int64_t *rows, int64_t count)
-{
-    if (!in_range(rows, count, m))
-        return -1;
-    int64_t touched = 0;
-    for (int64_t k = 0; k < count; k++) {
-        int64_t i = rows[k], lo = row_ptr[i], hi = row_ptr[i + 1];
-        double resid = (b[i] - line_dot(row_cols, row_vals, lo, hi, x)) / row_sq[i];
-        line_axpy(row_cols, row_vals, lo, hi, resid, x);
-        touched += hi - lo;
-    }
-    return touched;
-}
-
-int64_t rek_block(int64_t m, int64_t n, const int64_t *row_ptr,
-                  const int64_t *row_cols, const double *row_vals,
-                  const double *row_sq, const int64_t *col_ptr,
-                  const int64_t *col_rows, const double *col_vals,
-                  const double *col_sq, const double *b, double *x, double *z,
-                  const int64_t *rows, const int64_t *cols, int64_t count)
-{
-    if (!in_range(rows, count, m) || !in_range(cols, count, n))
-        return -1;
-    int64_t touched = 0;
-    for (int64_t k = 0; k < count; k++) {
-        int64_t i = rows[k], j = cols[k];
-        int64_t lo = col_ptr[j], hi = col_ptr[j + 1];
-        /* the row target uses z_i from before this iteration's column step */
-        double z_i = z[i];
-        double scale = line_dot(col_rows, col_vals, lo, hi, z) / col_sq[j];
-        line_axpy(col_rows, col_vals, lo, hi, -scale, z);
-        touched += hi - lo;
-        lo = row_ptr[i];
-        hi = row_ptr[i + 1];
-        double resid = (b[i] - z_i - line_dot(row_cols, row_vals, lo, hi, x)) / row_sq[i];
-        line_axpy(row_cols, row_vals, lo, hi, resid, x);
-        touched += hi - lo;
+        int64_t i = 0, lo, hi;
+        double target = 0.0;
+        if (x != NULL) {
+            i = rows[k];
+            target = z != NULL ? b[i] - z[i] : b[i];
+        }
+        if (z != NULL) {
+            int64_t j = cols[k];
+            lo = col_ptr[j];
+            hi = col_ptr[j + 1];
+            double scale = line_dot(col_rows, col_vals, lo, hi, z) / col_sq[j];
+            line_axpy(col_rows, col_vals, lo, hi, -scale, z);
+            touched += hi - lo;
+        }
+        if (x != NULL) {
+            lo = row_ptr[i];
+            hi = row_ptr[i + 1];
+            double resid = (target - line_dot(row_cols, row_vals, lo, hi, x)) / row_sq[i];
+            line_axpy(row_cols, row_vals, lo, hi, resid, x);
+            touched += hi - lo;
+        }
     }
     return touched;
 }

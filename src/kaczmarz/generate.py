@@ -63,8 +63,10 @@ class InstanceSpec:
 
 
 def _unit_columns(dense):
+    """Scale each column of `dense` to unit norm in place; all-zero columns stay zero."""
     norms = np.linalg.norm(dense, axis=0)
-    return dense / np.where(norms > 0.0, norms, 1.0)
+    dense /= np.where(norms > 0.0, norms, 1.0)
+    return dense
 
 
 def _draw_matrix(spec, rng):
@@ -73,7 +75,8 @@ def _draw_matrix(spec, rng):
             mask = rng.random((spec.m, spec.n)) < spec.density
             vals = rng.standard_normal((spec.m, spec.n))
             if mask.any():
-                return _unit_columns(np.where(mask, vals, 0.0))
+                vals[~mask] = 0.0
+                return _unit_columns(vals)
         raise DegenerateDensityError(
             "sparse draw came up empty %d times (density %g on %dx%d)"
             % (_MAX_REDRAWS, spec.density, spec.m, spec.n)

@@ -2,13 +2,14 @@
 
 A DualSparseMatrix keeps the same nonzero set twice, row-major (CSR) and
 column-major (CSC), so that single rows and single columns are both O(nnz of
-that line) to read. These six numpy arrays, with the row of each stored
-entry, are the only copy of the matrix: the whole-matrix products and
-to_dense are computed from them too. Construction canonicalizes triplets
-(duplicates summed in input order, entries that sum to exactly zero dropped)
-and caches the squared row norms, squared column norms and the squared
-Frobenius norm, which the samplers and the termination checks read
-constantly.
+that line) to read. These six numpy arrays are the only copy of the matrix:
+the whole-matrix products and to_dense are computed from them too.
+Construction canonicalizes triplets (duplicates summed in input order,
+entries that sum to exactly zero dropped) and caches the squared row norms,
+squared column norms and the squared Frobenius norm, which the samplers and
+the termination checks read constantly. Entries above about 1.3e154 square
+to inf without a warning; the solvers refuse such a matrix with their own
+message.
 
 All arrays are frozen after construction. A matrix can be shared between
 solver runs without defensive copies; the kernels mutate only the vectors
@@ -71,7 +72,6 @@ class DualSparseMatrix:
         "col_ptr",
         "col_rows",
         "col_vals",
-        "row_of_entry",
         "row_sq_norms",
         "col_sq_norms",
         "frob_sq",
@@ -89,7 +89,6 @@ class DualSparseMatrix:
         self.nnz = int(vals.size)
         if self.nnz == 0:
             raise AllZeroMatrixError("matrix has no nonzero entries")
-        self.row_of_entry = rows
         self.row_cols = cols
         self.row_vals = vals
         self.row_ptr = _line_ptr(rows, self.m)
@@ -99,11 +98,12 @@ class DualSparseMatrix:
         self.col_rows = rows[order]
         self.col_vals = vals[order]
         del order
-        squares = vals**2
+        with np.errstate(over="ignore"):
+            squares = vals**2
+            self.frob_sq = float(vals @ vals)
         self.row_sq_norms = np.bincount(rows, weights=squares, minlength=self.m)
         # row-major order visits each column's entries in row order, as CSC does
         self.col_sq_norms = np.bincount(cols, weights=squares, minlength=self.n)
-        self.frob_sq = float(vals @ vals)
         # Filled on first use by sampling.row_sampler / col_sampler.
         self._alias_tables = {}
 
@@ -115,7 +115,7 @@ class DualSparseMatrix:
         for arr, dtype in zip(row_arrays + col_arrays, dtypes):
             if arr.dtype != dtype or not arr.flags.c_contiguous:
                 raise ValueError("matrix storage must be C-contiguous %s arrays" % dtype.__name__)
-        for arr in row_arrays + col_arrays + (self.row_of_entry,):
+        for arr in row_arrays + col_arrays:
             arr.setflags(write=False)
         self._line_addrs = (
             tuple(arr.ctypes.data for arr in row_arrays),
@@ -189,7 +189,7 @@ class DualSparseMatrix:
 
     def to_dense(self):
         dense = np.zeros((self.m, self.n))
-        dense[self.row_of_entry, self.row_cols] = self.row_vals
+        dense[self.entry_rows(), self.row_cols] = self.row_vals
         return dense
 
     # ------------------------------------------------------------------
@@ -250,10 +250,9 @@ class DualSparseMatrix:
             )
         if flops is not None:
             flops.add(2 * self.nnz)
-        # sums each row left to right, as a CSR product loop does
-        return np.bincount(
-            self.row_of_entry, weights=self.row_vals * x[self.row_cols], minlength=self.m
-        )
+        # the column-major entries visit each row left to right, as a CSR loop does
+        weights = self.col_vals * np.repeat(x, np.diff(self.col_ptr))
+        return np.bincount(self.col_rows, weights=weights, minlength=self.m)
 
     def rmatvec(self, z, flops=None):
         """A^T z."""
@@ -264,10 +263,13 @@ class DualSparseMatrix:
             )
         if flops is not None:
             flops.add(2 * self.nnz)
-        # sums each column in row order, as a CSC product loop does
-        return np.bincount(
-            self.row_cols, weights=self.row_vals * z[self.row_of_entry], minlength=self.n
-        )
+        # the row-major entries visit each column in row order, as a CSC loop does
+        weights = self.row_vals * np.repeat(z, np.diff(self.row_ptr))
+        return np.bincount(self.row_cols, weights=weights, minlength=self.n)
+
+    def entry_rows(self):
+        """Row of each stored entry, in row-major order."""
+        return np.repeat(np.arange(self.m), np.diff(self.row_ptr))
 
     def sparsity_profile(self):
         return SparsityProfile(

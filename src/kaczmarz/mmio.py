@@ -70,7 +70,7 @@ def write_matrix_market(path, obj, comment=None):
                 fh.write("%% %s\n" % comment)
             fh.write("%d %d %d\n" % (obj.m, obj.n, obj.nnz))
             # "%.17g" % v and format_float(v) share CPython's float formatter
-            lines = (obj.row_of_entry + 1, obj.row_cols + 1, obj.row_vals)
+            lines = (obj.entry_rows() + 1, obj.row_cols + 1, obj.row_vals)
             _write_lines(fh, "%d %d %.17g\n", lines)
             return
         arr = np.asarray(obj, dtype=np.float64)

@@ -14,8 +14,9 @@ keep their cell but carry acceptance probability 0 and are never returned.
 
 sample_block, the solvers' only source of indices, draws a whole block in one
 call of alias_draws in the compiled _blocks.c. Where that cannot be built it
-runs the same arithmetic on numpy arrays instead; the scalar sample() is the
-reference both are tested against, and all three emit the same sequence.
+runs the same arithmetic on numpy arrays instead. Both emit the sequence of
+one draw at a time (cell uniform, then coin uniform, per index), which the
+tests restate as a scalar reference.
 """
 
 from __future__ import annotations
@@ -60,15 +61,8 @@ class RngStream:
         """Independent stream obtained from a user seed by a fixed salt."""
         return cls(mix64((int(seed) ^ int(salt)) & MASK64))
 
-    def next_uint64(self):
-        self.counter += 1
-        return mix64((self.seed + self.counter * GOLDEN) & MASK64)
-
-    def next_uniform(self):
-        return (self.next_uint64() >> 11) * 2.0**-53
-
     def uniform_block(self, count):
-        """The next `count` uniforms at once; same values the scalar path gives."""
+        """The next `count` uniforms, (mix64(seed + k*GOLDEN) >> 11) * 2^-53 for each k."""
         ks = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += int(count)
         z = np.uint64(self.seed) + ks * np.uint64(GOLDEN)  # wraps mod 2^64
@@ -109,6 +103,11 @@ def build_alias_table(weights):
         raise DegenerateWeightsError("weights must not all be zero")
 
     size = w.size
+    if size / total == np.inf:
+        # a subnormal total: scale up by an exact power of two, or the zero
+        # weights would scale to 0 * inf = nan and be sampled
+        w = np.ldexp(w, 600)
+        total = float(w.sum())
     scaled = w * (size / total)
     prob = np.ones(size)
     alias = np.arange(size, dtype=np.int64)
@@ -138,18 +137,8 @@ def build_alias_table(weights):
     return AliasTable(size=size, prob=prob, alias=alias)
 
 
-def sample(table, rng):
-    """One draw: one uniform for the cell, one for the coin."""
-    u_cell = rng.next_uniform()
-    u_coin = rng.next_uniform()
-    k = int(u_cell * table.size)
-    if k >= table.size:  # guard the top rounding edge
-        k = table.size - 1
-    return k if u_coin < table.prob[k] else int(table.alias[k])
-
-
 def sample_block(table, rng, count):
-    """`count` draws at once; identical sequence to repeated sample()."""
+    """`count` draws, each from one uniform for the cell and the next for the coin."""
     lib = _blocks.load()
     if lib is not None:
         size, prob, alias = table.size, table.prob, table.alias

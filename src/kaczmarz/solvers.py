@@ -11,25 +11,27 @@ Three related iterations over a DualSparseMatrix:
   row norm). Converges to the solution on consistent systems; on noisy ones it
   stalls at a floor set by the noise over sigma_min.
 
-* REK, randomized extended Kaczmarz. One column projection driving
-  z -> b_perp and one row projection driving x against b - z, per iteration,
-  with independently seeded row and column streams. Converges to the min-norm
+* REK, randomized extended Kaczmarz. Per iteration, one ROP step on z
+  (driving z -> b_perp) and then one RK step on x toward b - z, with
+  independently seeded row and column streams. Converges to the min-norm
   least-squares solution even for rank-deficient, inconsistent systems.
 
 The REK x-update uses the z entry from *before* this iteration's column
 projection (the two projections commute in expectation but not pathwise).
 
-All three run through one driver, trajectory(): it draws each block of
-indices from the seeded streams, runs it with rek_block / rk_block /
-rop_block and yields the iterates at the iteration counts it is given.
-run_rek / run_rk / run_rop (and `solve`, which picks one) stop it every
-check interval for the solver's termination check; verify's checkpoint
-drivers stop it at their checkpoints and measure the error instead. The
-block functions run a whole block in one call of the compiled kernels in
-_blocks.c; where those cannot be built, they loop over rek_iteration /
-rk_step / rop_step instead. The compiled dots sum left to right, so their
-iterates differ from the per-step path's BLAS dots only by rounding (about
-1e-14 relative) and do not depend on the BLAS kernel the host picks.
+So RK is REK without z, aimed at b, and ROP is REK without x, and all three
+run through one driver, trajectory(): it draws each block of row indices
+(when there is an x) and column indices (when there is a z) from the seeded
+streams, runs the block with block_steps and yields the iterates at the
+iteration counts it is given. run_rek / run_rk / run_rop (and `solve`, which
+picks one) stop it every check interval for the solver's termination check;
+verify's checkpoint drivers stop it at their checkpoints and measure the
+error instead. block_steps runs a whole block in one call of the compiled
+block_steps in _blocks.c; where that cannot be built, it loops over
+rek_iteration / rk_step / rop_step instead. The compiled dots sum left to
+right, so their iterates differ from the per-step path's BLAS dots only by
+rounding (about 1e-14 relative) and do not depend on the BLAS kernel the
+host picks.
 
 The termination checks take their norms from one call of the compiled
 check_sums: the products A x and A^T z come out bit-identical to the numpy
@@ -41,10 +43,9 @@ checks use the numpy products and BLAS dots, as np.linalg.norm does.
 Flop accounting: one dot or axpy over k stored entries costs 2k. A standalone
 rk_step books 4*nnz(row)+2 (dot, axpy, one subtract, one divide) and a
 rop_step 4*nnz(col)+1 (dot, axpy, one divide). A full REK iteration books
-4*(nnz(row)+nnz(col))+2, i.e. 4(m+n)+2 on dense instances. The block
-functions book the same totals from the number of stored entries the
-compiled kernel reports visiting (from the index arrays on the per-step
-path). Termination-check work (two whole-matrix products plus norms) goes to
+4*(nnz(row)+nnz(col))+2, i.e. 4(m+n)+2 on dense instances. block_steps
+books the same totals from the number of stored entries the compiled kernel
+reports visiting (from the index arrays on the per-step path). Termination-check work (two whole-matrix products plus norms) goes to
 a separate counter so the per-iteration tally stays exactly the model the
 bounds are stated in.
 """
@@ -184,11 +185,11 @@ def rek_iteration(a, b, x, z, i, j, flops=None):
 # ----------------------------------------------------------------------
 # blocks of steps: one compiled call, or the per-step loop as the fallback
 #
-# Each runs its steps in index order, updates x / z in place and returns the
-# flops booked: 4 per stored entry its steps visited, counted by the kernel
-# (or from the index arrays on the per-step path), plus the scalar flops. The
+# block_steps updates x / z in place and returns the flops booked: 4 per
+# stored entry its steps visited, counted by the kernel (or from the index
+# arrays on the per-step path), plus the scalar flops of each step. The
 # indices come from the norm-weighted samplers, which never pick a zero-norm
-# line, so the compiled kernels divide without the per-step zero-norm check.
+# line, so the compiled kernel divides without the per-step zero-norm check.
 
 
 def _addr(v, size):
@@ -205,56 +206,42 @@ def _line_nnz(ptr, ids):
     return int((ptr[ids + 1] - ptr[ids]).sum())
 
 
-def rop_block(a, z, cols):
-    """rop_step for each column in `cols`, in order."""
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    lib = _blocks.load()
-    if lib is None:
-        for j in cols.tolist():
-            rop_step(a, z, j)
-        touched = _line_nnz(a.col_ptr, cols)
-    else:
-        touched = lib.rop_block(a.n, *a._line_addrs[1], _addr(z, a.m), cols.ctypes.data,
-                                cols.size)
-        if touched < 0:
-            raise IndexError("sampled column index out of range")
-    return 4 * touched + cols.size
+def block_steps(a, b, x, z, rows, cols):
+    """One block of steps, in index order, on whichever of x and z is not None.
 
-
-def rk_block(a, b, x, rows):
-    """rk_step toward b[i] for each row i in `rows`, in order."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    lib = _blocks.load()
-    if lib is None:
-        for i in rows.tolist():
-            rk_step(a, x, i, b[i])
-        touched = _line_nnz(a.row_ptr, rows)
-    else:
-        touched = lib.rk_block(a.m, *a._line_addrs[0], _addr(b, a.m), _addr(x, a.n),
-                               rows.ctypes.data, rows.size)
-        if touched < 0:
-            raise IndexError("sampled row index out of range")
-    return 4 * touched + 2 * rows.size
-
-
-def rek_block(a, b, x, z, rows, cols):
-    """rek_iteration(i, j) for each pair of `rows` and `cols`, in order."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    cols = np.ascontiguousarray(cols, dtype=np.int64)
-    if rows.shape != cols.shape:
+    With both, rek_iteration(rows[k], cols[k]) for each k; with z None,
+    rk_step toward b[i] for each row i in `rows`; with x None, rop_step for
+    each column in `cols`. The indices of a half left out, and b when x is
+    None, are not read.
+    """
+    has_x, has_z = x is not None, z is not None
+    rows = np.ascontiguousarray(rows, dtype=np.int64) if has_x else None
+    cols = np.ascontiguousarray(cols, dtype=np.int64) if has_z else None
+    if has_x and has_z and rows.shape != cols.shape:
         raise DimensionMismatchError("need as many column picks as row picks")
+    count = rows.size if has_x else cols.size
     lib = _blocks.load()
     if lib is None:
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            rek_iteration(a, b, x, z, i, j)
-        touched = _line_nnz(a.row_ptr, rows) + _line_nnz(a.col_ptr, cols)
+        if not has_z:
+            for i in rows.tolist():
+                rk_step(a, x, i, b[i])
+        elif not has_x:
+            for j in cols.tolist():
+                rop_step(a, z, j)
+        else:
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                rek_iteration(a, b, x, z, i, j)
+        touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
+                   + (_line_nnz(a.col_ptr, cols) if has_z else 0))
     else:
-        touched = lib.rek_block(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
-                                _addr(b, a.m), _addr(x, a.n), _addr(z, a.m),
-                                rows.ctypes.data, cols.ctypes.data, rows.size)
+        touched = lib.block_steps(
+            a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
+            _addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
+            _addr(z, a.m) if has_z else None, rows.ctypes.data if has_x else None,
+            cols.ctypes.data if has_z else None, count)
         if touched < 0:
             raise IndexError("sampled row or column index out of range")
-    return 4 * touched + 2 * rows.size
+    return 4 * touched + (2 if has_x else 1) * count
 
 
 # ----------------------------------------------------------------------
@@ -408,13 +395,9 @@ def trajectory(a, b, solver, seed, stops):
         if block < 0:
             raise ValueError("stops must not decrease from 0, got %d after %d" % (stop, iters))
         if block:
-            if solver == REK:
-                rows = sample_block(row_table, row_rng, block)
-                flops += rek_block(a, b, x, z, rows, sample_block(col_table, col_rng, block))
-            elif solver == RK:
-                flops += rk_block(a, b, x, sample_block(row_table, row_rng, block))
-            else:
-                flops += rop_block(a, z, sample_block(col_table, col_rng, block))
+            rows = sample_block(row_table, row_rng, block) if x is not None else None
+            cols = sample_block(col_table, col_rng, block) if z is not None else None
+            flops += block_steps(a, b, x, z, rows, cols)
             iters = stop
         yield iters, x, z, flops
 

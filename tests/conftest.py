@@ -30,16 +30,26 @@ def _no_runtime_warning():
 
 
 @pytest.fixture(params=["compiled", "fallback"])
-def overflow_warnings(request, monkeypatch):
+def kernels(request, monkeypatch):
     """Run the test on the compiled kernels and on the numpy fallback.
 
-    Gives the context to run an overflowing solve in: the fallback's numpy
-    products and norms warn about the overflow, the compiled sums must not
-    warn at all.
+    Gives the name of the path that runs. The patch holds for the whole test,
+    so every hypothesis example of a property runs on the same path.
     """
     if request.param == "fallback":
         monkeypatch.setattr(_blocks, "load", lambda: None)
-        return lambda: pytest.warns(RuntimeWarning, match="overflow")
-    if _blocks.load() is None:
+    elif _blocks.load() is None:
         pytest.skip("no C compiler: only the numpy fallback runs here")
+    return request.param
+
+
+@pytest.fixture
+def overflow_warnings(kernels):
+    """The context to run an overflowing solve in, on either path of `kernels`.
+
+    The fallback's numpy products and norms warn about the overflow, the
+    compiled sums must not warn at all.
+    """
+    if kernels == "fallback":
+        return lambda: pytest.warns(RuntimeWarning, match="overflow")
     return _no_runtime_warning

@@ -108,10 +108,25 @@ def test_solve_overflow_exits_2(tmp_path, capsys, overflow_warnings):
 def test_solve_refuses_a_matrix_whose_norm_overflows(tmp_path, capsys):
     mx, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
     rng = np.random.default_rng(0)
-    with np.errstate(over="ignore"):  # ||A||_F^2 overflows while the matrix is built
-        write_matrix_market(mx, DualSparseMatrix.from_dense(rng.standard_normal((40, 20)) * 1e153))
-        write_vector(rhs, rng.standard_normal(40) * 1e153)
-        code = run_cli(["solve", "--matrix", str(mx), "--rhs", str(rhs)])
+    write_matrix_market(mx, DualSparseMatrix.from_dense(rng.standard_normal((40, 20)) * 1e153))
+    write_vector(rhs, rng.standard_normal(40) * 1e153)
+    code = run_cli(["solve", "--matrix", str(mx), "--rhs", str(rhs)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rescale A and b" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_refuses_entries_whose_squares_overflow_without_a_warning(tmp_path, capsys):
+    # 1e300 squares to inf; reading the file must not warn, and the one refusal
+    # is the solver's own message
+    mx, rhs = tmp_path / "a.mtx", tmp_path / "b.mtx"
+    mx.write_text("%%MatrixMarket matrix coordinate real general\n3 2 3\n"
+                  "1 1 1e300\n2 2 1\n3 1 -2.5\n")
+    write_vector(rhs, np.ones(3))
+    a = read_matrix_market(mx)
+    assert a.frob_sq == np.inf and a.row_sq_norms[0] == np.inf
+    code = run_cli(["solve", "--matrix", str(mx), "--rhs", str(rhs)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "rescale A and b" in err

@@ -325,7 +325,7 @@ def test_flop_accounting_is_exact():
 def test_storage_is_immutable():
     a = DualSparseMatrix.from_dense(np.ones((2, 2)))
     for arr in (a.row_vals, a.row_cols, a.row_ptr, a.col_vals, a.col_rows, a.col_ptr,
-                a.row_sq_norms, a.col_sq_norms, a.row_of_entry):
+                a.row_sq_norms, a.col_sq_norms):
         with pytest.raises(ValueError):
             arr[0] = 0
 

@@ -2,7 +2,9 @@
 
 The generator is pinned to the SplitMix64 output function, so the first
 values for a known seed can be checked against the sequence published with
-that algorithm rather than against our own code.
+that algorithm rather than against our own code. The scalar helpers below
+restate the generator and the alias draw one value at a time; the block
+paths the solvers use (numpy and compiled) must emit the same sequence.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
+    GOLDEN,
+    MASK64,
     AliasTable,
     RngStream,
     build_alias_table,
@@ -24,11 +28,31 @@ from kaczmarz.sampling import (
     mix64,
     reconstructed_mass,
     row_sampler,
-    sample,
     sample_block,
 )
 
 EPS = np.finfo(np.float64).eps
+
+
+def next_uint64(rng):
+    """Draw number rng.counter + 1 of the stream, advancing the counter by one."""
+    rng.counter += 1
+    return mix64((rng.seed + rng.counter * GOLDEN) & MASK64)
+
+
+def next_uniform(rng):
+    return (next_uint64(rng) >> 11) * 2.0**-53
+
+
+def sample(table, rng):
+    """One draw: one uniform for the cell, one for the coin."""
+    u_cell = next_uniform(rng)
+    u_coin = next_uniform(rng)
+    k = int(u_cell * table.size)
+    if k >= table.size:  # guard the top rounding edge
+        k = table.size - 1
+    return k if u_coin < table.prob[k] else int(table.alias[k])
+
 
 # First five outputs of SplitMix64 for seed 1234567 (widely published
 # reference sequence for this mixer).
@@ -44,7 +68,7 @@ SPLITMIX64_FIRST5 = [
 
 def test_known_splitmix64_sequence():
     rng = RngStream(SPLITMIX64_SEED)
-    got = [rng.next_uint64() for _ in range(5)]
+    got = [next_uint64(rng) for _ in range(5)]
     assert got == SPLITMIX64_FIRST5
 
 
@@ -57,7 +81,7 @@ def test_mix64_matches_stream():
 def test_uniforms_are_53_bit_fractions():
     rng = RngStream(SPLITMIX64_SEED)
     for want_bits in SPLITMIX64_FIRST5:
-        u = rng.next_uniform()
+        u = next_uniform(rng)
         assert u == (want_bits >> 11) * 2.0**-53
         assert 0.0 <= u < 1.0
 
@@ -66,11 +90,11 @@ def test_block_path_equals_scalar_path():
     a = RngStream(42)
     b = RngStream(42)
     block = b.uniform_block(7)
-    scalar = np.array([a.next_uniform() for _ in range(7)])
+    scalar = np.array([next_uniform(a) for _ in range(7)])
     np.testing.assert_array_equal(block, scalar)
     assert a.counter == b.counter == 7
     # continuing after a block pickup stays aligned
-    assert a.next_uint64() == b.next_uint64()
+    assert next_uint64(a) == next_uint64(b)
 
 
 def test_derived_streams_are_decorrelated_and_deterministic():
@@ -80,15 +104,15 @@ def test_derived_streams_are_decorrelated_and_deterministic():
     assert col.seed == mix64(9 ^ COL_STREAM_SALT)
     assert row.seed != col.seed
     again = RngStream.derived(9, ROW_STREAM_SALT)
-    assert [row.next_uint64() for _ in range(4)] == [again.next_uint64() for _ in range(4)]
+    assert [next_uint64(row) for _ in range(4)] == [next_uint64(again) for _ in range(4)]
 
 
 def test_counter_mode_is_stateless_in_the_counter():
     # jumping the counter reproduces the tail of the sequence
     rng = RngStream(5)
-    seq = [rng.next_uint64() for _ in range(6)]
+    seq = [next_uint64(rng) for _ in range(6)]
     late = RngStream(5, counter=3)
-    assert [late.next_uint64() for _ in range(3)] == seq[3:]
+    assert [next_uint64(late) for _ in range(3)] == seq[3:]
 
 
 def test_alias_table_two_outcomes_by_hand():
@@ -141,6 +165,17 @@ def test_zero_weight_outcomes_are_never_sampled():
     assert set(np.unique(draws)).isdisjoint({1, 3})
     counts = np.bincount(draws, minlength=5) / draws.size
     np.testing.assert_allclose(counts[[0, 2, 4]], [0.5, 0.25, 0.25], atol=0.02)
+
+
+@pytest.mark.filterwarnings("error")
+def test_weights_with_a_subnormal_total_keep_their_zeros_unreachable():
+    # size / total overflows here; scaling by it would turn 0 into 0 * inf = nan
+    w = np.array([1e-310, 0.0, 3e-310, 0.0])
+    t = build_alias_table(w)
+    mass = reconstructed_mass(t)
+    assert mass[1] == mass[3] == 0.0
+    np.testing.assert_allclose(mass, [0.25, 0.0, 0.75, 0.0], atol=1e-6, rtol=0)
+    assert set(sample_block(t, RngStream(3), 2000).tolist()) == {0, 2}
 
 
 def test_degenerate_weights_rejected():

@@ -14,9 +14,12 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from kaczmarz import _blocks
 from kaczmarz.errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
@@ -31,13 +34,11 @@ from kaczmarz.solvers import (
     RK,
     ROP,
     SolverConfig,
-    rek_block,
+    block_steps,
     rek_iteration,
     rek_termination_check,
-    rk_block,
     rk_step,
     rk_termination_check,
-    rop_block,
     rop_step,
     rop_termination_check,
     run_rek,
@@ -146,10 +147,39 @@ def test_overflow_is_not_convergence(solver, overflow_warnings):
     assert not math.isfinite(norm)
 
 
+_SCALED_A, _SCALED_B, _ = generate(InstanceSpec(kind="dense", m=12, n=5, seed=8))
+
+
+# the patched fallback path holds for every example, as the property intends
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(solver=st.sampled_from([REK, RK, ROP]), a_exp=st.integers(-560, 530),
+       b_exp=st.integers(-1074, 1023))
+# a subnormal ||A||_F^2 whose zero-norm rows the sampler once picked
+@example(solver=RK, a_exp=-536, b_exp=0)
+def test_converged_is_never_reported_with_a_non_finite_state(kernels, solver, a_exp, b_exp):
+    # power-of-two scales are exact, so only the float64 range limits the run
+    base = _SCALED_A
+    a = DualSparseMatrix.from_triplets(base.entry_rows(), base.row_cols,
+                                       np.ldexp(base.row_vals, a_exp), (base.m, base.n))
+    b = np.ldexp(_SCALED_B, b_exp)
+    config = SolverConfig(solver=solver, eps=1e-6, max_iters=1200, seed=5)
+    if not 0.0 < a.frob_sq < math.inf:
+        with pytest.raises(InvalidRangeError, match="rescale A and b"):
+            solve(a, b, config)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the fallback's overflowing norms
+        rep = solve(a, b, config)
+    assert rep.termination in (CONVERGED, MAX_ITERS, OVERFLOW)
+    if rep.converged:
+        for v in (rep.x, rep.z, rep.residual_norm, rep.atz_norm):
+            assert v is None or np.isfinite(v).all()
+
+
 def _scaled_instance(scale):
     rng = np.random.default_rng(0)
-    with np.errstate(over="ignore", under="ignore"):
-        a = DualSparseMatrix.from_dense(rng.standard_normal((40, 20)) * scale)
+    a = DualSparseMatrix.from_dense(rng.standard_normal((40, 20)) * scale)
     return a, rng.standard_normal(40) * scale
 
 
@@ -402,18 +432,18 @@ def test_block_flops_equal_the_per_step_tally_on_sparse_instances():
     for i, j in zip(rows.tolist(), cols.tolist()):
         rek_iteration(a, b, x, z, i, j, tally)
     x_blk, z_blk = np.zeros(a.n), b.copy()
-    assert rek_block(a, b, x_blk, z_blk, rows, cols) == tally.count
+    assert block_steps(a, b, x_blk, z_blk, rows, cols) == tally.count
     np.testing.assert_allclose(x_blk, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
     np.testing.assert_allclose(z_blk, z, rtol=0, atol=1e-12 * np.linalg.norm(z))
 
     tally = FlopCounter()
     for i in rows.tolist():
         rk_step(a, np.zeros(a.n), i, b[i], tally)
-    assert rk_block(a, b, np.zeros(a.n), rows) == tally.count
+    assert block_steps(a, b, np.zeros(a.n), None, rows, None) == tally.count
     tally = FlopCounter()
     for j in cols.tolist():
         rop_step(a, b.copy(), j, tally)
-    assert rop_block(a, b.copy(), cols) == tally.count
+    assert block_steps(a, None, None, b.copy(), None, cols) == tally.count
 
 
 def test_block_steps_refuse_out_of_range_indices(compiled):
@@ -421,13 +451,13 @@ def test_block_steps_refuse_out_of_range_indices(compiled):
     x, z = np.zeros(a.n), b.copy()
     for rows, cols in (([0, a.m], [0, 0]), ([0, 0], [-1, 0])):
         with pytest.raises(IndexError):
-            rek_block(a, b, x, z, np.array(rows), np.array(cols))
+            block_steps(a, b, x, z, np.array(rows), np.array(cols))
     for bad in (-1, a.m):
         with pytest.raises(IndexError):
-            rk_block(a, b, x, np.array([0, bad]))
+            block_steps(a, b, x, None, np.array([0, bad]), None)
     for bad in (-1, a.n):
         with pytest.raises(IndexError):
-            rop_block(a, z, np.array([0, bad]))
+            block_steps(a, None, None, z, None, np.array([0, bad]))
     # a refused block leaves the iterates untouched
     np.testing.assert_array_equal(x, np.zeros(a.n))
     np.testing.assert_array_equal(z, b)
