@@ -17,11 +17,17 @@ call of alias_draws in the compiled _blocks.c. Where that cannot be built it
 runs the same arithmetic on numpy arrays instead. Both emit the sequence of
 one draw at a time (cell uniform, then coin uniform, per index), which the
 tests restate as a scalar reference.
+
+The compiled path binds what it can once instead of once per block. A table
+is checked, and the addresses of its prob and alias arrays are taken, on its
+first compiled draw; both are kept on the table. A caller that draws many
+blocks passes an IndexBuffer, a reusable int64 array that knows its own
+address, and gets its draws back as a view of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +88,8 @@ class AliasTable:
     size: int
     prob: np.ndarray  # acceptance probability of each cell
     alias: np.ndarray  # fallback index of each cell
+    # (prob address, alias address), set by the first compiled draw
+    _addrs: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_alias_table(weights):
@@ -137,26 +145,61 @@ def build_alias_table(weights):
     return AliasTable(size=size, prob=prob, alias=alias)
 
 
-def sample_block(table, rng, count):
-    """`count` draws, each from one uniform for the cell and the next for the coin."""
-    lib = _blocks.load()
-    if lib is not None:
-        size, prob, alias = table.size, table.prob, table.alias
-        # the kernel reads prob[cell] and alias[cell] for cells 0..size-1
-        for arr, dtype in ((prob, np.float64), (alias, np.int64)):
+class IndexBuffer:
+    """A reusable int64 array for sample_block's draws, and its address.
+
+    It grows, to exactly the size asked for, only when a block is larger
+    than any before it, so its address is taken once per growth rather than
+    once per block.
+    """
+
+    __slots__ = ("array", "address")
+
+    def __init__(self):
+        self.array = np.empty(0, dtype=np.int64)
+        self.address = None
+
+    def take(self, count):
+        """The first `count` entries, growing the array if it is shorter."""
+        if count > self.array.size:
+            self.array = np.empty(count, dtype=np.int64)
+            self.address = self.array.ctypes.data
+        return self.array[:count]
+
+
+def _table_addrs(table):
+    """(prob, alias) addresses of a table the kernel may read `size` cells of."""
+    if table._addrs is None:
+        size = table.size
+        for arr, dtype in ((table.prob, np.float64), (table.alias, np.int64)):
             if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
                     and arr.shape == (size,) and arr.flags.c_contiguous and size >= 1):
                 raise ValueError("alias table needs C-contiguous %s arrays of its size %r"
                                  % (np.dtype(dtype).name, size))
-        out = np.empty(count, dtype=np.int64)
-        lib.alias_draws(rng.seed, rng.counter, size, prob.ctypes.data, alias.ctypes.data,
-                        count, out.ctypes.data)
-        rng.counter += 2 * count
-        return out
-    u = rng.uniform_block(2 * count)
-    cells = (u[0::2] * table.size).astype(np.int64)
-    np.minimum(cells, table.size - 1, out=cells)
-    return np.where(u[1::2] < table.prob[cells], cells, table.alias[cells])
+        # a frozen table keeps its arrays, and an array keeps its address
+        object.__setattr__(table, "_addrs", (table.prob.ctypes.data, table.alias.ctypes.data))
+    return table._addrs
+
+
+def sample_block(table, rng, count, out=None):
+    """`count` draws, each from one uniform for the cell and the next for the coin.
+
+    With an IndexBuffer `out`, the draws are written into it and returned as
+    a view of it, valid until its next use; otherwise into a new array.
+    """
+    if out is None:
+        out = IndexBuffer()
+    draws = out.take(count)
+    lib = _blocks.load()
+    if lib is None:
+        u = rng.uniform_block(2 * count)
+        cells = (u[0::2] * table.size).astype(np.int64)
+        np.minimum(cells, table.size - 1, out=cells)
+        draws[:] = np.where(u[1::2] < table.prob[cells], cells, table.alias[cells])
+        return draws
+    lib.alias_draws(rng.seed, rng.counter, table.size, *_table_addrs(table), count, out.address)
+    rng.counter += 2 * count
+    return draws
 
 
 def reconstructed_mass(table):

@@ -33,6 +33,13 @@ right, so their iterates differ from the per-step path's BLAS dots only by
 rounding (about 1e-14 relative) and do not depend on the BLAS kernel the
 host picks.
 
+trajectory binds the compiled call once per run, not once per block: b, x
+and z are checked and their addresses taken when the run starts, and the
+row and column indices are drawn into two reusable int64 buffers that grow
+only when a block is larger than any before it (8*min(m, n) entries each at
+the solvers' default check interval). So a block costs one alias_draws call
+per stream and one block_steps call, with no array allocated or re-checked.
+
 The termination checks take their norms from one call of the compiled
 check_sums: the products A x and A^T z come out bit-identical to the numpy
 ones, and every sum of squares runs left to right. So on the compiled path
@@ -45,14 +52,16 @@ rk_step books 4*nnz(row)+2 (dot, axpy, one subtract, one divide) and a
 rop_step 4*nnz(col)+1 (dot, axpy, one divide). A full REK iteration books
 4*(nnz(row)+nnz(col))+2, i.e. 4(m+n)+2 on dense instances. block_steps
 books the same totals from the number of stored entries the compiled kernel
-reports visiting (from the index arrays on the per-step path). Termination-check work (two whole-matrix products plus norms) goes to
-a separate counter so the per-iteration tally stays exactly the model the
+reports visiting (from the index arrays on the per-step path).
+Termination-check work (two whole-matrix products plus norms) goes to a
+separate counter so the per-iteration tally stays exactly the model the
 bounds are stated in.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 import time
@@ -67,6 +76,7 @@ from .matrices import FlopCounter
 from .sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
+    IndexBuffer,
     RngStream,
     col_sampler,
     row_sampler,
@@ -206,6 +216,47 @@ def _line_nnz(ptr, ids):
     return int((ptr[ids + 1] - ptr[ids]).sum())
 
 
+def _bound_steps(a, b, x, z):
+    """block_steps for many blocks on the same b, x and z.
+
+    b, x and z are checked, and their addresses taken, once here. The result
+    is steps(rows, cols, row_addr, col_addr), which runs one block as
+    block_steps does, given the int64 index arrays and their addresses (the
+    compiled kernel reads the addresses, the per-step path the arrays).
+    """
+    has_x, has_z = x is not None, z is not None
+    scalar_flops = 2 if has_x else 1
+    lib = _blocks.load()
+    if lib is None:
+        def steps(rows, cols, row_addr, col_addr):
+            if not has_z:
+                for i in rows.tolist():
+                    rk_step(a, x, i, b[i])
+            elif not has_x:
+                for j in cols.tolist():
+                    rop_step(a, z, j)
+            else:
+                for i, j in zip(rows.tolist(), cols.tolist()):
+                    rek_iteration(a, b, x, z, i, j)
+            touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
+                       + (_line_nnz(a.col_ptr, cols) if has_z else 0))
+            return 4 * touched + scalar_flops * (rows.size if has_x else cols.size)
+        return steps
+
+    kernel = functools.partial(
+        lib.block_steps, a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
+        _addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
+        _addr(z, a.m) if has_z else None)
+
+    def steps(rows, cols, row_addr, col_addr):
+        count = rows.size if has_x else cols.size
+        touched = kernel(row_addr, col_addr, count)
+        if touched < 0:
+            raise IndexError("sampled row or column index out of range")
+        return 4 * touched + scalar_flops * count
+    return steps
+
+
 def block_steps(a, b, x, z, rows, cols):
     """One block of steps, in index order, on whichever of x and z is not None.
 
@@ -219,29 +270,8 @@ def block_steps(a, b, x, z, rows, cols):
     cols = np.ascontiguousarray(cols, dtype=np.int64) if has_z else None
     if has_x and has_z and rows.shape != cols.shape:
         raise DimensionMismatchError("need as many column picks as row picks")
-    count = rows.size if has_x else cols.size
-    lib = _blocks.load()
-    if lib is None:
-        if not has_z:
-            for i in rows.tolist():
-                rk_step(a, x, i, b[i])
-        elif not has_x:
-            for j in cols.tolist():
-                rop_step(a, z, j)
-        else:
-            for i, j in zip(rows.tolist(), cols.tolist()):
-                rek_iteration(a, b, x, z, i, j)
-        touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
-                   + (_line_nnz(a.col_ptr, cols) if has_z else 0))
-    else:
-        touched = lib.block_steps(
-            a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
-            _addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
-            _addr(z, a.m) if has_z else None, rows.ctypes.data if has_x else None,
-            cols.ctypes.data if has_z else None, count)
-        if touched < 0:
-            raise IndexError("sampled row or column index out of range")
-    return 4 * touched + (2 if has_x else 1) * count
+    return _bound_steps(a, b, x, z)(rows, cols, rows.ctypes.data if has_x else None,
+                                    cols.ctypes.data if has_z else None)
 
 
 # ----------------------------------------------------------------------
@@ -389,15 +419,17 @@ def trajectory(a, b, solver, seed, stops):
         row_rng, row_table = RngStream.derived(seed, ROW_STREAM_SALT), row_sampler(a)
     if z is not None:
         col_rng, col_table = RngStream.derived(seed, COL_STREAM_SALT), col_sampler(a)
+    row_buf, col_buf = IndexBuffer(), IndexBuffer()
+    steps = _bound_steps(a, b, x, z)
     iters = flops = 0
     for stop in stops:
         block = stop - iters
         if block < 0:
             raise ValueError("stops must not decrease from 0, got %d after %d" % (stop, iters))
         if block:
-            rows = sample_block(row_table, row_rng, block) if x is not None else None
-            cols = sample_block(col_table, col_rng, block) if z is not None else None
-            flops += block_steps(a, b, x, z, rows, cols)
+            rows = sample_block(row_table, row_rng, block, row_buf) if x is not None else None
+            cols = sample_block(col_table, col_rng, block, col_buf) if z is not None else None
+            flops += steps(rows, cols, row_buf.address, col_buf.address)
             iters = stop
         yield iters, x, z, flops
 

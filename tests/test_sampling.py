@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from kaczmarz import _blocks
 from kaczmarz.errors import DegenerateWeightsError
+from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.sampling import (
     COL_STREAM_SALT,
@@ -22,6 +23,7 @@ from kaczmarz.sampling import (
     GOLDEN,
     MASK64,
     AliasTable,
+    IndexBuffer,
     RngStream,
     build_alias_table,
     col_sampler,
@@ -30,6 +32,7 @@ from kaczmarz.sampling import (
     row_sampler,
     sample_block,
 )
+from kaczmarz.solvers import SolverConfig, solve
 
 EPS = np.finfo(np.float64).eps
 
@@ -259,6 +262,34 @@ def test_malformed_alias_tables_are_refused_before_the_kernel_runs(monkeypatch):
     assert calls == []
     sample_block(good, RngStream(5, 7), 4)
     assert len(calls) == 1 and calls[0][:3] == (5, 7, 3)
+
+
+def test_draws_into_a_reused_buffer_equal_fresh_draws(kernels):
+    table = build_alias_table(np.array([0.0, 1.0, 2.0, 3.0, 0.0, 5.0]))
+    buf = IndexBuffer()
+    reused, fresh = RngStream(11, 3), RngStream(11, 3)
+    for count in (1, 40, 3, 0, 41, 2):
+        got = sample_block(table, reused, count, buf)
+        np.testing.assert_array_equal(got, sample_block(table, fresh, count))
+        assert got.dtype == np.int64 and np.shares_memory(got, buf.array) == (count > 0)
+        assert reused.counter == fresh.counter
+    # grown to the largest block only, never per block
+    assert buf.array.size == 41
+
+
+@pytest.mark.parametrize("spec", [
+    InstanceSpec(kind="dense", m=100, n=30, seed=3),  # the README's verify instance
+    InstanceSpec(kind="sparse", m=40, n=25, density=0.05, seed=5),
+], ids=["readme-dense", "sparse-empty-lines"])
+def test_cached_tables_reconstruct_the_squared_norm_distribution(spec):
+    a, b, _ = generate(spec)
+    if spec.kind == "sparse":
+        assert (a.row_sq_norms == 0.0).any() and (a.col_sq_norms == 0.0).any()
+    solve(a, b, SolverConfig(max_iters=10))  # the tables a run draws from, cached on a
+    for table, sq in ((row_sampler(a), a.row_sq_norms), (col_sampler(a), a.col_sq_norms)):
+        # zero-norm lines get exactly zero mass
+        np.testing.assert_allclose(reconstructed_mass(table), sq / a.frob_sq, rtol=1e-12, atol=0)
+    assert row_sampler(a) is row_sampler(a) and col_sampler(a) is col_sampler(a)
 
 
 def test_single_outcome_table():

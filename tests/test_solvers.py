@@ -26,6 +26,14 @@ from kaczmarz.errors import DimensionMismatchError, InvalidRangeError, NonFinite
 from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix, FlopCounter
 from kaczmarz.reference import min_norm_solve, projector_residual
+from kaczmarz.sampling import (
+    COL_STREAM_SALT,
+    ROW_STREAM_SALT,
+    RngStream,
+    col_sampler,
+    row_sampler,
+    sample_block,
+)
 from kaczmarz.solvers import (
     CONVERGED,
     MAX_ITERS,
@@ -44,8 +52,14 @@ from kaczmarz.solvers import (
     run_rek,
     solve,
     theory_bounds,
+    trajectory,
 )
 from kaczmarz.verify import rek_checkpoint_errors, rk_checkpoint_errors, rop_checkpoint_errors
+
+try:
+    from numpy._core import _internal as np_internal
+except ImportError:  # numpy < 2
+    from numpy.core import _internal as np_internal
 
 EPS = np.finfo(np.float64).eps
 
@@ -610,6 +624,61 @@ def test_checkpoint_drivers_walk_the_runners_trajectory(solver, t):
     assert rep.iters == t
     v = _estimate(rep)
     assert errs[-1] == float(v @ v)
+
+
+# ----------------------------------------------------------------------
+# trajectory binds the compiled calls once per run
+
+
+def _ctypes_constructions(monkeypatch, run):
+    """How many ndarray.ctypes objects `run()` builds: one per address taken that way."""
+    count = 0
+    init = np_internal._ctypes.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np_internal._ctypes, "__init__", counting)
+        run()
+    return count
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_trajectory_takes_no_addresses_per_block(solver, compiled, monkeypatch):
+    # addresses are taken when a run starts, on a table's first draw and when
+    # an index buffer grows, so 50 blocks take as many as 5
+    counts = []
+    for blocks in (5, 50):
+        a, b, _ = generate(BLOCK_SPECS["sparse"])  # a fresh matrix: its tables unbound
+        stops = range(40, 40 * blocks + 1, 40)
+        counts.append(_ctypes_constructions(
+            monkeypatch, lambda: list(trajectory(a, b, solver, 4, stops))))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_reused_index_buffers_leak_nothing_between_blocks(solver, kernels):
+    # blocks of 1, 1, 298, 1 and 899 steps: the buffers grow, then serve
+    # smaller blocks than they hold, then grow again
+    a, b, _ = generate(BLOCK_SPECS["sparse"])
+
+    def end_of_run(stops):
+        *_, (iters, x, z, flops) = trajectory(a, b, solver, 9, stops)
+        return iters, _digest(x), _digest(z), flops
+
+    x = None if solver == ROP else np.zeros(a.n)
+    z = None if solver == RK else b.copy()
+    rows = None if x is None else sample_block(
+        row_sampler(a), RngStream.derived(9, ROW_STREAM_SALT), 1200)
+    cols = None if z is None else sample_block(
+        col_sampler(a), RngStream.derived(9, COL_STREAM_SALT), 1200)
+    flops = block_steps(a, b, x, z, rows, cols)
+    want = (1200, _digest(x), _digest(z), flops)
+    assert end_of_run((1, 2, 300, 301, 1200)) == want
+    assert end_of_run((1200,)) == want
 
 
 def test_package_exports_resolve():
