@@ -224,68 +224,73 @@ def cmd_solve(args):
     return 0 if report.converged else 2
 
 
+def _bench_instances(args):
+    """(rep, seed, name, a, b, oracle) for each rep of each point.
+
+    A file instance does not depend on the seed, so it is read, and its
+    oracle solved, once for all reps.
+    """
+    def oracle(a, b):
+        return min_norm_solve(a, b) if max(a.m, a.n) <= args.oracle_cap else None
+
+    if args.matrix:
+        a, b = _instance_from_args(args, args.seed)
+        fixed = (os.path.basename(args.matrix), a, b, oracle(a, b))
+        for rep in range(args.reps):
+            yield (rep, args.seed + rep) + fixed
+        return
+    if not args.kind or args.m is None:
+        raise KaczmarzError("bench needs --kind/--m/--n or --matrix/--rhs")
+    for point in [int(tok) for tok in str(args.m).split(",") if tok.strip()]:
+        for rep in range(args.reps):
+            spec = _spec_from_args(args, point, args.seed + rep)
+            a, b, _ = generate(spec)
+            yield rep, spec.seed, "%s-%dx%d" % (spec.kind, spec.m, spec.n), a, b, oracle(a, b)
+
+
 def _bench_rows(args):
     solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
     for s in solvers:
         if s not in SOLVERS:
             raise KaczmarzError("unknown solver %r" % s)
-    if args.matrix:
-        points = [None]
-    else:
-        if not args.kind or args.m is None:
-            raise KaczmarzError("bench needs --kind/--m/--n or --matrix/--rhs")
-        points = [int(tok) for tok in str(args.m).split(",") if tok.strip()]
-
-    for point in points:
-        for rep in range(args.reps):
-            seed = args.seed + rep
-            if point is None:
-                a, b = _instance_from_args(args, seed)
-                name = os.path.basename(args.matrix)
-            else:
-                spec = _spec_from_args(args, point, seed)
-                a, b, _ = generate(spec)
-                name = "%s-%dx%d" % (spec.kind, spec.m, spec.n)
-            ref = None
-            if max(a.m, a.n) <= args.oracle_cap:
-                ref = min_norm_solve(a, b)
-            for solver_name in solvers:
-                config = SolverConfig(
-                    eps=args.eps,
-                    max_iters=args.max_iters,
-                    check_interval=args.check_interval,
-                    seed=seed,
-                    solver=solver_name,
+    for rep, seed, name, a, b, ref in _bench_instances(args):
+        for solver_name in solvers:
+            config = SolverConfig(
+                eps=args.eps,
+                max_iters=args.max_iters,
+                check_interval=args.check_interval,
+                seed=seed,
+                solver=solver_name,
+            )
+            if config.max_iters is None and ref is not None:
+                config.max_iters = math.ceil(
+                    2.0 * theory_bounds(ref, eps=args.eps, delta=args.delta).t_star
                 )
-                if config.max_iters is None and ref is not None:
-                    config.max_iters = math.ceil(
-                        2.0 * theory_bounds(ref, eps=args.eps, delta=args.delta).t_star
-                    )
-                report = solve(a, b, config)
-                forward_err = None
-                if ref is not None and report.x is not None:
-                    forward_err = float(np.linalg.norm(report.x - ref.x_ls))
-                log.debug(
-                    "%s %s rep=%d: %s in %d iters",
-                    name, solver_name, rep, report.termination, report.iters,
-                )
-                yield {
-                    "instance": "%s-rep%d" % (name, rep),
-                    "solver": solver_name,
-                    "m": a.m,
-                    "n": a.n,
-                    "nnz": a.nnz,
-                    "eps": args.eps,
-                    "seed": seed,
-                    "converged": report.converged,
-                    "iters": report.iters,
-                    "flops": report.flops,
-                    "check_flops": report.check_flops,
-                    "residual_norm": report.residual_norm,
-                    "atz_norm": report.atz_norm,
-                    "forward_err": forward_err,
-                    "wall_time": report.wall_time,
-                }
+            report = solve(a, b, config)
+            forward_err = None
+            if ref is not None and report.x is not None:
+                forward_err = float(np.linalg.norm(report.x - ref.x_ls))
+            log.debug(
+                "%s %s rep=%d: %s in %d iters",
+                name, solver_name, rep, report.termination, report.iters,
+            )
+            yield {
+                "instance": "%s-rep%d" % (name, rep),
+                "solver": solver_name,
+                "m": a.m,
+                "n": a.n,
+                "nnz": a.nnz,
+                "eps": args.eps,
+                "seed": seed,
+                "converged": report.converged,
+                "iters": report.iters,
+                "flops": report.flops,
+                "check_flops": report.check_flops,
+                "residual_norm": report.residual_norm,
+                "atz_norm": report.atz_norm,
+                "forward_err": forward_err,
+                "wall_time": report.wall_time,
+            }
 
 
 def cmd_bench(args):

@@ -1,4 +1,4 @@
-"""Dual-layout sparse storage and the flop-counted kernels the solvers touch.
+"""Dual-layout sparse storage and the per-line kernels the solvers touch.
 
 A DualSparseMatrix keeps the same nonzero set twice, row-major (CSR) and
 column-major (CSC), so that single rows and single columns are both O(nnz of
@@ -15,14 +15,13 @@ All arrays are frozen after construction. A matrix can be shared between
 solver runs without defensive copies; the kernels mutate only the vectors
 they are handed.
 
-Flop accounting convention: a dot or an axpy over k stored entries costs 2k
-flops. Kernels take an optional FlopCounter and add exactly what they touch,
-so counts are a deterministic function of the index sequence.
+Flop convention: a dot or an axpy over k stored entries costs 2k flops, and
+a whole-matrix product 2*nnz. The kernels count nothing themselves; the
+solvers book each block and each termination check by formula (see
+kaczmarz.solvers).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,31 +31,6 @@ from .errors import (
     InvalidRangeError,
     NonFiniteError,
 )
-
-
-class FlopCounter:
-    """Mutable flop tally threaded through the kernels."""
-
-    __slots__ = ("count",)
-
-    def __init__(self, count=0):
-        self.count = int(count)
-
-    def add(self, n):
-        self.count += n
-
-    def __repr__(self):
-        return "FlopCounter(%d)" % self.count
-
-
-@dataclass(frozen=True)
-class SparsityProfile:
-    """Average line populations of a matrix, as used by the flop model."""
-
-    nnz: int
-    row_avg: float  # nnz / m
-    col_avg: float  # nnz / n
-    density: float  # nnz / (m * n)
 
 
 class DualSparseMatrix:
@@ -195,74 +169,54 @@ class DualSparseMatrix:
     # ------------------------------------------------------------------
     # per-line kernels
 
-    def row_nnz(self, i):
-        self._check_row(i)
-        return int(self.row_ptr[i + 1] - self.row_ptr[i])
-
-    def col_nnz(self, j):
-        self._check_col(j)
-        return int(self.col_ptr[j + 1] - self.col_ptr[j])
-
-    def row_dot(self, i, x, flops=None):
+    def row_dot(self, i, x):
         """<a_i, x>, touching only the stored entries of row i."""
         self._check_row(i)
         lo = self.row_ptr[i]
         hi = self.row_ptr[i + 1]
-        if flops is not None:
-            flops.add(2 * int(hi - lo))
         return float(self.row_vals[lo:hi] @ x[self.row_cols[lo:hi]])
 
-    def col_dot(self, j, z, flops=None):
+    def col_dot(self, j, z):
         """<a^(j), z> for column j."""
         self._check_col(j)
         lo = self.col_ptr[j]
         hi = self.col_ptr[j + 1]
-        if flops is not None:
-            flops.add(2 * int(hi - lo))
         return float(self.col_vals[lo:hi] @ z[self.col_rows[lo:hi]])
 
-    def row_axpy(self, i, alpha, x, flops=None):
+    def row_axpy(self, i, alpha, x):
         """x += alpha * a_i, in place, touching only stored entries."""
         self._check_row(i)
         lo = self.row_ptr[i]
         hi = self.row_ptr[i + 1]
         x[self.row_cols[lo:hi]] += alpha * self.row_vals[lo:hi]
-        if flops is not None:
-            flops.add(2 * int(hi - lo))
 
-    def col_axpy(self, j, alpha, z, flops=None):
+    def col_axpy(self, j, alpha, z):
         """z += alpha * a^(j), in place."""
         self._check_col(j)
         lo = self.col_ptr[j]
         hi = self.col_ptr[j + 1]
         z[self.col_rows[lo:hi]] += alpha * self.col_vals[lo:hi]
-        if flops is not None:
-            flops.add(2 * int(hi - lo))
 
     # ------------------------------------------------------------------
     # whole-matrix products (used by termination checks and reports)
 
-    def matvec(self, x, flops=None):
+    def matvec(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise DimensionMismatchError(
                 "matvec expects a length-%d vector, got shape %r" % (self.n, x.shape)
             )
-        if flops is not None:
-            flops.add(2 * self.nnz)
         # the column-major entries visit each row left to right, as a CSR loop does
         weights = self.col_vals * np.repeat(x, np.diff(self.col_ptr))
         return np.bincount(self.col_rows, weights=weights, minlength=self.m)
 
-    def rmatvec(self, z, flops=None):
+    def rmatvec(self, z):
         """A^T z."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.m,):
             raise DimensionMismatchError(
                 "rmatvec expects a length-%d vector, got shape %r" % (self.m, z.shape)
             )
-        if flops is not None:
-            flops.add(2 * self.nnz)
         # the row-major entries visit each column in row order, as a CSC loop does
         weights = self.row_vals * np.repeat(z, np.diff(self.row_ptr))
         return np.bincount(self.row_cols, weights=weights, minlength=self.n)
@@ -270,14 +224,6 @@ class DualSparseMatrix:
     def entry_rows(self):
         """Row of each stored entry, in row-major order."""
         return np.repeat(np.arange(self.m), np.diff(self.row_ptr))
-
-    def sparsity_profile(self):
-        return SparsityProfile(
-            nnz=self.nnz,
-            row_avg=self.nnz / self.m,
-            col_avg=self.nnz / self.n,
-            density=self.nnz / (self.m * self.n),
-        )
 
     # ------------------------------------------------------------------
 

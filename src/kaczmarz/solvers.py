@@ -27,11 +27,10 @@ iteration counts it is given. run_rek / run_rk / run_rop (and `solve`, which
 picks one) stop it every check interval for the solver's termination check;
 verify's checkpoint drivers stop it at their checkpoints and measure the
 error instead. block_steps runs a whole block in one call of the compiled
-block_steps in _blocks.c; where that cannot be built, it loops over
-rek_iteration / rk_step / rop_step instead. The compiled dots sum left to
-right, so their iterates differ from the per-step path's BLAS dots only by
-rounding (about 1e-14 relative) and do not depend on the BLAS kernel the
-host picks.
+block_steps in _blocks.c; where that cannot be built, it runs the same loop
+over rop_step and rk_step instead. The compiled dots sum left to right, so
+their iterates differ from the per-step path's BLAS dots only by rounding
+(about 1e-14 relative) and do not depend on the BLAS kernel the host picks.
 
 trajectory binds the compiled call once per run, not once per block: b, x
 and z are checked and their addresses taken when the run starts, and the
@@ -47,15 +46,16 @@ the stopping decision and the reported residual_norm / atz_norm do not
 depend on the BLAS kernel either. Where the kernels are unavailable, the
 checks use the numpy products and BLAS dots, as np.linalg.norm does.
 
-Flop accounting: one dot or axpy over k stored entries costs 2k. A standalone
-rk_step books 4*nnz(row)+2 (dot, axpy, one subtract, one divide) and a
-rop_step 4*nnz(col)+1 (dot, axpy, one divide). A full REK iteration books
-4*(nnz(row)+nnz(col))+2, i.e. 4(m+n)+2 on dense instances. block_steps
-books the same totals from the number of stored entries the compiled kernel
-reports visiting (from the index arrays on the per-step path).
-Termination-check work (two whole-matrix products plus norms) goes to a
-separate counter so the per-iteration tally stays exactly the model the
-bounds are stated in.
+Flops are booked by formula where the work runs; one dot or axpy over k
+stored entries costs 2k. block_steps returns 4 per stored entry its steps
+visit (a dot and an axpy) plus 2 per REK or RK step (one subtract, one
+divide) or 1 per ROP step (one divide): 4(m+n)+2 per REK iteration on dense
+instances. The compiled kernel reports the entries it visited; the per-step
+path counts them from the index arrays. Each termination check returns its
+own cost, which the runners book apart from the iterations so that the
+per-iteration tally stays exactly the model the bounds are stated in:
+ROP 2nnz+2m+2n, RK 2nnz+3m+2n, REK 4nnz+4m+4n, and at x = 0 RK adds 2m and
+REK 4m (2m when ||b|| overflows).
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ import numpy as np
 
 from . import _blocks
 from .errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
-from .matrices import FlopCounter
 from .sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
@@ -151,45 +150,22 @@ class SolveReport:
 # single steps
 
 
-def rop_step(a, z, j, flops=None):
+def rop_step(a, z, j):
     """Project z off column j: z -= (<a_col_j, z> / ||a_col_j||^2) a_col_j."""
     sq = a.col_sq_norms[j]
     if sq == 0.0:
         raise ZeroDivisionError("column %d has zero norm" % j)
     scale = a.col_dot(j, z) / sq
     a.col_axpy(j, -scale, z)
-    if flops is not None:
-        flops.add(4 * a.col_nnz(j) + 1)
 
 
-def rk_step(a, x, i, beta, flops=None):
+def rk_step(a, x, i, beta):
     """Project x onto the hyperplane <a_row_i, x> = beta."""
     sq = a.row_sq_norms[i]
     if sq == 0.0:
         raise ZeroDivisionError("row %d has zero norm" % i)
     resid = (beta - a.row_dot(i, x)) / sq
     a.row_axpy(i, resid, x)
-    if flops is not None:
-        flops.add(4 * a.row_nnz(i) + 2)
-
-
-def rek_iteration(a, b, x, z, i, j, flops=None):
-    """One REK iteration: column projection on z, then row projection on x.
-
-    The row update aims at b_i - z_i with the pre-update z_i.
-    """
-    col_sq = a.col_sq_norms[j]
-    row_sq = a.row_sq_norms[i]
-    if col_sq == 0.0:
-        raise ZeroDivisionError("column %d has zero norm" % j)
-    if row_sq == 0.0:
-        raise ZeroDivisionError("row %d has zero norm" % i)
-    z_i = float(z[i])
-    a.col_axpy(j, -a.col_dot(j, z) / col_sq, z)
-    resid = (b[i] - z_i - a.row_dot(i, x)) / row_sq
-    a.row_axpy(i, resid, x)
-    if flops is not None:
-        flops.add(4 * (a.row_nnz(i) + a.col_nnz(j)) + 2)
 
 
 # ----------------------------------------------------------------------
@@ -229,15 +205,17 @@ def _bound_steps(a, b, x, z):
     lib = _blocks.load()
     if lib is None:
         def steps(rows, cols, row_addr, col_addr):
-            if not has_z:
-                for i in rows.tolist():
-                    rk_step(a, x, i, b[i])
-            elif not has_x:
-                for j in cols.tolist():
+            # the compiled kernel's loop: the row target with z_i from before
+            # the column step, then the column step, then the row step
+            row_ids = rows.tolist() if has_x else itertools.repeat(None)
+            col_ids = cols.tolist() if has_z else itertools.repeat(None)
+            for i, j in zip(row_ids, col_ids):
+                if has_x:
+                    target = b[i] - z[i] if has_z else b[i]
+                if has_z:
                     rop_step(a, z, j)
-            else:
-                for i, j in zip(rows.tolist(), cols.tolist()):
-                    rek_iteration(a, b, x, z, i, j)
+                if has_x:
+                    rk_step(a, x, i, target)
             touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
                        + (_line_nnz(a.col_ptr, cols) if has_z else 0))
             return 4 * touched + scalar_flops * (rows.size if has_x else cols.size)
@@ -260,10 +238,10 @@ def _bound_steps(a, b, x, z):
 def block_steps(a, b, x, z, rows, cols):
     """One block of steps, in index order, on whichever of x and z is not None.
 
-    With both, rek_iteration(rows[k], cols[k]) for each k; with z None,
-    rk_step toward b[i] for each row i in `rows`; with x None, rop_step for
-    each column in `cols`. The indices of a half left out, and b when x is
-    None, are not read.
+    For each k: rop_step on column cols[k] (unless z is None), then rk_step
+    on row i = rows[k] (unless x is None) toward b[i] - z[i], with z[i] read
+    before the column step, or toward b[i] when z is None. The indices of a
+    half left out, and b when x is None, are not read.
     """
     has_x, has_z = x is not None, z is not None
     rows = np.ascontiguousarray(rows, dtype=np.int64) if has_x else None
@@ -275,11 +253,12 @@ def block_steps(a, b, x, z, rows, cols):
 
 
 # ----------------------------------------------------------------------
-# termination checks (cost booked on the separate check counter)
+# termination checks
 #
 # Each returns its outcome first: CONVERGED, OVERFLOW (a norm it compares is
 # inf or nan, where `inf <= eps * inf` would otherwise read as converged), or
-# None to keep iterating. The sums of squares behind the norms come from one
+# None to keep iterating. Its flops come last, for the runner's separate
+# check tally. The sums of squares behind the norms come from one
 # call of the compiled check_sums, or from numpy products and BLAS dots where
 # the kernels are unavailable.
 
@@ -309,74 +288,63 @@ def _check_sums(a, b, x, z):
     return resid_sq, atz_sq, x_sq, z_sq, b_sq
 
 
-def _book(flops, count):
-    if flops is not None:
-        flops.add(count)
-
-
-def _norm(sq, size, flops):
-    """Root of a sum of squares over `size` entries, booking the sum's 2*size flops."""
-    _book(flops, 2 * size)
-    return math.sqrt(sq)
-
-
 def _overflowed(*norms):
     return not all(math.isfinite(v) for v in norms)
 
 
-def rop_termination_check(a, z, eps, flops=None):
+def rop_termination_check(a, z, eps):
     """||A^T z|| <= eps * ||A||_F * ||z||; an exactly-zero z is the limit itself."""
     _, atz_sq, _, z_sq, _ = _check_sums(a, None, None, z)
-    _book(flops, 2 * a.nnz)  # A^T z
-    z_norm = _norm(z_sq, a.m, flops)
-    atz = _norm(atz_sq, a.n, flops)
+    flops = 2 * (a.nnz + a.m + a.n)  # A^T z, then the sums of squares of z and A^T z
+    z_norm, atz = math.sqrt(z_sq), math.sqrt(atz_sq)
     if _overflowed(z_norm, atz):
-        return OVERFLOW, atz
+        return OVERFLOW, atz, flops
     if z_norm == 0.0:
-        return CONVERGED, atz
-    return CONVERGED if atz <= eps * math.sqrt(a.frob_sq) * z_norm else None, atz
+        return CONVERGED, atz, flops
+    return CONVERGED if atz <= eps * math.sqrt(a.frob_sq) * z_norm else None, atz, flops
 
 
-def rk_termination_check(a, b, x, eps, flops=None):
+def rk_termination_check(a, b, x, eps):
     """||A x - b|| <= eps * ||A||_F * ||x||, with the zero-x degenerate rule."""
     resid_sq, _, x_sq, _, b_sq = _check_sums(a, b, x, None)
-    _book(flops, 2 * a.nnz + a.m)  # A x, then - b
-    resid = _norm(resid_sq, a.m, flops)
-    x_norm = _norm(x_sq, a.n, flops)
+    # A x, then - b, then the sums of squares of the residual and x
+    flops = 2 * a.nnz + 3 * a.m + 2 * a.n
+    resid, x_norm = math.sqrt(resid_sq), math.sqrt(x_sq)
     if _overflowed(resid, x_norm):
-        return OVERFLOW, resid
+        return OVERFLOW, resid, flops
     if x_norm == 0.0:
         # Only a zero rhs legitimately stops at the origin (resid is ||b|| here).
-        return CONVERGED if resid <= eps * _norm(b_sq, a.m, flops) else None, resid
-    return CONVERGED if resid <= eps * math.sqrt(a.frob_sq) * x_norm else None, resid
+        flops += 2 * a.m  # the sum of squares of b
+        return CONVERGED if resid <= eps * math.sqrt(b_sq) else None, resid, flops
+    return CONVERGED if resid <= eps * math.sqrt(a.frob_sq) * x_norm else None, resid, flops
 
 
-def rek_termination_check(a, b, x, z, eps, flops=None):
+def rek_termination_check(a, b, x, z, eps):
     """Both REK inequalities against the current (x, z).
 
     Residual is measured against b - z, the running estimate of the range
     component of b; A^T z measures how far z still is from b_perp.
     """
     resid_sq, atz_sq, x_sq, _, b_sq = _check_sums(a, b, x, z)
-    _book(flops, 2 * a.nnz + 2 * a.m)  # b - z, A x, then the difference
-    resid = _norm(resid_sq, a.m, flops)
-    _book(flops, 2 * a.nnz)  # A^T z
-    atz = _norm(atz_sq, a.n, flops)
-    x_norm = _norm(x_sq, a.n, flops)
+    # b - z, A x and their difference, A^T z, then the sums of squares of the
+    # residual, A^T z and x
+    flops = 4 * (a.nnz + a.m + a.n)
+    resid, atz, x_norm = math.sqrt(resid_sq), math.sqrt(atz_sq), math.sqrt(x_sq)
     if _overflowed(resid, atz, x_norm):
-        return OVERFLOW, resid, atz
+        return OVERFLOW, resid, atz, flops
     if x_norm == 0.0:
         # Degenerate rule: converged at the origin only if b - z has
         # (relatively) nothing left for x to explain.
-        b_norm = _norm(b_sq, a.m, flops)
+        b_norm = math.sqrt(b_sq)
+        flops += 2 * a.m  # the sum of squares of b
         if _overflowed(b_norm):
-            return OVERFLOW, resid, atz
+            return OVERFLOW, resid, atz, flops
         # at x = 0 the residual is b - z itself; book it as the norm of b - z
-        _book(flops, 2 * a.m)
-        return CONVERGED if resid <= eps * b_norm else None, resid, atz
+        flops += 2 * a.m
+        return CONVERGED if resid <= eps * b_norm else None, resid, atz, flops
     frob = math.sqrt(a.frob_sq)
     ok = resid <= eps * frob * x_norm and atz <= eps * a.frob_sq * x_norm
-    return CONVERGED if ok else None, resid, atz
+    return CONVERGED if ok else None, resid, atz, flops
 
 
 # ----------------------------------------------------------------------
@@ -439,18 +407,19 @@ def _run(a, b, config, solver):
     config = config or SolverConfig(solver=solver)
     b = _validated_rhs(a, b)
     eps, cap, interval = config.resolved(a.m, a.n)
-    check_flops = FlopCounter()
+    check_flops = 0
     reason = MAX_ITERS
     resid = atz = None
     start = time.perf_counter()
     stops = itertools.chain(range(interval, cap, interval), (cap,))
     for iters, x, z, flops in trajectory(a, b, solver, config.seed, stops):
         if solver == REK:
-            outcome, resid, atz = rek_termination_check(a, b, x, z, eps, check_flops)
+            outcome, resid, atz, cost = rek_termination_check(a, b, x, z, eps)
         elif solver == RK:
-            outcome, resid = rk_termination_check(a, b, x, eps, check_flops)
+            outcome, resid, cost = rk_termination_check(a, b, x, eps)
         else:
-            outcome, atz = rop_termination_check(a, z, eps, check_flops)
+            outcome, atz, cost = rop_termination_check(a, z, eps)
+        check_flops += cost
         if outcome:
             reason = outcome
             break
@@ -459,7 +428,7 @@ def _run(a, b, config, solver):
         z=z,
         iters=iters,
         flops=flops,
-        check_flops=check_flops.count,
+        check_flops=check_flops,
         termination=reason,
         residual_norm=resid,
         atz_norm=atz,

@@ -214,8 +214,7 @@ def check_flop_model(a, b, ref, reps, seed, slack):
     iters = 2000
     config = SolverConfig(eps=1e-300, max_iters=iters, seed=seed)
     report = run_rek(a, b, config)
-    profile = a.sparsity_profile()
-    model = 4.0 * (profile.row_avg + profile.col_avg) + 2.0
+    model = 4.0 * (a.nnz / a.m + a.nnz / a.n) + 2.0
     per_iter = report.flops / report.iters
     if a.nnz == a.m * a.n:
         ok = report.flops == (4 * (a.m + a.n) + 2) * report.iters

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import kaczmarz
+from kaczmarz import cli
 from kaczmarz.cli import BENCH_FIELDS, main
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.mmio import (
@@ -228,6 +229,31 @@ def test_bench_fixed_instance_from_files(tmp_path):
     assert len(rows) == 3
     assert all(r["instance"].startswith("a.mtx-rep") for r in rows)
     assert all(r["residual_norm"] == "" for r in rows)  # no x estimate for this solver
+
+
+def test_bench_reads_and_solves_a_fixed_instance_once(tmp_path, monkeypatch):
+    mx, rhs = str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx")
+    run_cli(["gen", "--kind", "sparse", "--m", "25", "--n", "10", "--seed", "2",
+             "--matrix", mx, "--rhs", rhs])
+    calls = []
+    for name in ("read_matrix_market", "min_norm_solve"):
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    argv = ["bench", "--matrix", mx, "--rhs", rhs, "--solver", "rek,rk,rop", "--eps", "1e-8"]
+    all_csv, one_csv = str(tmp_path / "all.csv"), str(tmp_path / "one.csv")
+    assert run_cli(argv + ["--seed", "4", "--reps", "3", "--csv", all_csv]) == 0
+    assert calls == ["read_matrix_market", "min_norm_solve"]
+
+    # the same sweep one rep at a time, each rep reading the files afresh
+    want = []
+    for rep in range(3):
+        assert run_cli(argv + ["--seed", str(4 + rep), "--reps", "1", "--csv", one_csv]) == 0
+        for row in strip_wall_time(one_csv):
+            want.append(dict(row, instance="a.mtx-rep%d" % rep))
+    assert len(calls) == 2 * 4
+    assert strip_wall_time(all_csv) == want
 
 
 def test_log_level_does_not_change_outputs(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from kaczmarz.errors import (
     InvalidRangeError,
     NonFiniteError,
 )
-from kaczmarz.matrices import DualSparseMatrix, FlopCounter
+from kaczmarz.matrices import DualSparseMatrix
 
 EPS = np.finfo(np.float64).eps
 
@@ -39,8 +39,8 @@ def test_from_triplets_sums_duplicates_and_drops_zeros():
     np.testing.assert_array_equal(a.to_dense(), dense)
     # (2,2) cancelled exactly, (0,1) merged: 3 stored entries remain
     assert a.nnz == 3
-    assert a.row_nnz(2) == 1
-    assert a.col_nnz(2) == 0
+    assert np.diff(a.row_ptr).tolist() == [1, 1, 1]
+    assert np.diff(a.col_ptr).tolist() == [2, 1, 0]
 
 
 def test_from_dense_round_trip_and_explicit_zero_dropped():
@@ -200,18 +200,19 @@ def test_row_and_col_views_agree_with_dense():
     rng = np.random.default_rng(7)
     dense = random_sparse_dense(rng, 9, 6, 0.4)
     a = DualSparseMatrix.from_dense(dense)
+    row_nnz, col_nnz = np.diff(a.row_ptr), np.diff(a.col_ptr)
     for i in range(9):
         lo, hi = a.row_ptr[i], a.row_ptr[i + 1]
         got = np.zeros(6)
         got[a.row_cols[lo:hi]] = a.row_vals[lo:hi]
         np.testing.assert_array_equal(got, dense[i])
-        assert a.row_nnz(i) == np.count_nonzero(dense[i])
+        assert row_nnz[i] == np.count_nonzero(dense[i])
     for j in range(6):
         lo, hi = a.col_ptr[j], a.col_ptr[j + 1]
         got = np.zeros(9)
         got[a.col_rows[lo:hi]] = a.col_vals[lo:hi]
         np.testing.assert_array_equal(got, dense[:, j])
-        assert a.col_nnz(j) == np.count_nonzero(dense[:, j])
+        assert col_nnz[j] == np.count_nonzero(dense[:, j])
 
 
 def test_cached_norms_match_dense():
@@ -233,13 +234,14 @@ def test_dot_kernels_match_dense():
     a = DualSparseMatrix.from_dense(dense)
     x = rng.standard_normal(7)
     z = rng.standard_normal(10)
+    row_nnz, col_nnz = np.diff(a.row_ptr), np.diff(a.col_ptr)
     for i in range(10):
         want = float(dense[i] @ x)
-        tol = 4.0 * max(a.row_nnz(i), 1) * EPS * max(abs(want), np.abs(dense[i] * x).sum())
+        tol = 4.0 * max(row_nnz[i], 1) * EPS * max(abs(want), np.abs(dense[i] * x).sum())
         assert abs(a.row_dot(i, x) - want) <= tol
     for j in range(7):
         want = float(dense[:, j] @ z)
-        tol = 4.0 * max(a.col_nnz(j), 1) * EPS * max(abs(want), np.abs(dense[:, j] * z).sum())
+        tol = 4.0 * max(col_nnz[j], 1) * EPS * max(abs(want), np.abs(dense[:, j] * z).sum())
         assert abs(a.col_dot(j, z) - want) <= tol
 
 
@@ -295,31 +297,7 @@ def test_line_index_bounds():
     with pytest.raises(IndexError):
         a.col_axpy(2, 1.0, z)
     with pytest.raises(IndexError):
-        a.row_nnz(5)
-
-
-def test_flop_accounting_is_exact():
-    rng = np.random.default_rng(2)
-    dense = random_sparse_dense(rng, 6, 5, 0.5)
-    a = DualSparseMatrix.from_dense(dense)
-    x = rng.standard_normal(5)
-    z = rng.standard_normal(6)
-
-    c = FlopCounter()
-    a.row_dot(1, x, flops=c)
-    assert c.count == 2 * a.row_nnz(1)
-    a.col_dot(3, z, flops=c)
-    assert c.count == 2 * a.row_nnz(1) + 2 * a.col_nnz(3)
-
-    c = FlopCounter()
-    a.row_axpy(0, 2.0, x, flops=c)
-    a.col_axpy(4, 2.0, z, flops=c)
-    assert c.count == 2 * a.row_nnz(0) + 2 * a.col_nnz(4)
-
-    c = FlopCounter()
-    a.matvec(x, flops=c)
-    a.rmatvec(z, flops=c)
-    assert c.count == 4 * a.nnz
+        a.row_axpy(3, 1.0, x)
 
 
 def test_storage_is_immutable():
@@ -328,15 +306,6 @@ def test_storage_is_immutable():
                 a.row_sq_norms, a.col_sq_norms):
         with pytest.raises(ValueError):
             arr[0] = 0
-
-
-def test_sparsity_profile():
-    dense = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
-    prof = DualSparseMatrix.from_dense(dense).sparsity_profile()
-    assert prof.nnz == 3
-    assert prof.row_avg == pytest.approx(1.5)
-    assert prof.col_avg == pytest.approx(1.0)
-    assert prof.density == pytest.approx(0.5)
 
 
 def test_shapes_whose_position_keys_overflow_int64_are_refused():

