@@ -10,15 +10,15 @@
  * of REK, one after the other: a column step on z (rop_step), then a row step
  * on x (rk_step) toward b_i - z_i. RK and ROP are the same function with the
  * other half left out: a NULL z aims the row steps at b_i, a NULL x leaves
- * only the column steps. The operations and their order are those of
- * rek_iteration / rk_step / rop_step. Only the dot products can round
- * differently from the Python steps, whose dots go through BLAS: here they
- * sum left to right over the stored entries, and the file is compiled with
- * -ffp-contract=off, so the iterates do not depend on which BLAS kernel the
- * host would pick. Every index of a half that runs is checked before any
- * vector is touched: block_steps returns the number of stored entries its
- * steps visited, or -1, with x and z unchanged, when an index lies outside
- * its range.
+ * only the column steps. The operations and their order are those of the
+ * per-step path in kaczmarz.solvers: for each k, read the row target, then
+ * rop_step, then rk_step. Only the dot products can round differently from
+ * the Python steps, whose dots go through BLAS: here they sum left to right
+ * over the stored entries, and the file is compiled with -ffp-contract=off,
+ * so the iterates do not depend on which BLAS kernel the host would pick.
+ * Every index of a half that runs is checked before any vector is touched:
+ * block_steps returns the number of stored entries its steps visited, or -1,
+ * with x and z unchanged, when an index lies outside its range.
  *
  * check_sums forms each entry of A x and A^T z in the order the numpy
  * products do (each row's entries left to right, each column's top to

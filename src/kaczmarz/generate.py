@@ -17,6 +17,27 @@ column rank; rank-deficient callers should ask the oracle.
 
 Identical specs produce bit-identical instances: every draw goes through one
 numpy Generator seeded from spec.seed, in a fixed order.
+
+The sparse kind never holds an m x n array. It is drawn one block of rows
+at a time, about 4 MB of float64 per block, and built straight from its
+row-major triplets. Its draws and bits are still those of the whole-matrix
+draw: an m x n array of mask uniforms, then an m x n array of normals, then
+the unit-column scaling. Each attempt takes the mask uniforms from the
+generator as it stands (one 64-bit draw per double, row-major) and the
+normals from a copy of it advanced by m*n draws (PCG64.advance). Afterwards
+the generator takes the copy's state, so a redraw, planted and b start
+where they would after the two whole arrays. The column norms add each
+column's squares in row order, as numpy's norm over axis 0 of a C-ordered
+array does for n >= 2; numpy sums a single column pairwise, so for n = 1
+that column is formed and normed by numpy itself.
+
+A consistent sparse b is the BLAS product over dense row blocks of a
+multiple of 64 rows. It equals the whole-matrix product bit for bit wherever
+the BLAS groups the rows of both alike: when the whole product runs on one
+BLAS thread or fits in one block. OpenBLAS can split a larger product across
+threads at a row that is not a multiple of four; then a few entries of b
+differ by rounding, and the whole-matrix product itself changed with the
+number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -34,6 +55,8 @@ ILLCOND = "illcond"
 KINDS = (SPARSE, DENSE, ILLCOND)
 
 _MAX_REDRAWS = 16
+# The sparse kind is drawn, and its b formed, in row blocks of about this size.
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass
@@ -69,18 +92,81 @@ def _unit_columns(dense):
     return dense
 
 
-def _draw_matrix(spec, rng):
-    if spec.kind == SPARSE:
-        for _ in range(_MAX_REDRAWS):
-            mask = rng.random((spec.m, spec.n)) < spec.density
-            vals = rng.standard_normal((spec.m, spec.n))
-            if mask.any():
-                vals[~mask] = 0.0
-                return _unit_columns(vals)
+def _row_blocks(m, n):
+    """(lo, hi) row ranges of about _BLOCK_BYTES of float64 each.
+
+    Every range but the last spans a multiple of 64 rows, so the BLAS gemv
+    kernel's groups of four rows fall on the same rows as in a one-thread
+    product over the whole matrix, also where the block's own product is
+    split over 2, 4, 8 or 16 threads. The last range takes any tail of fewer
+    than 64 rows with it, so no range is a lone row (numpy multiplies a
+    one-row matrix by a vector with another routine than gemv).
+    """
+    step = max(64, _BLOCK_BYTES // (8 * n) // 64 * 64)
+    starts = list(range(0, m, step))
+    if len(starts) > 1 and m - starts[-1] < 64:
+        starts.pop()
+    return zip(starts, starts[1:] + [m])
+
+
+def _draw_sparse(spec, rng):
+    """The sparse kind, one row block at a time; see the module docstring."""
+    m, n = spec.m, spec.n
+    bits = rng.bit_generator
+    for _ in range(_MAX_REDRAWS):
+        # the normals start where m*n uniforms of one 64-bit draw each end
+        normal_bits = np.random.PCG64()
+        normal_bits.state = bits.state
+        normal_bits.advance(m * n)
+        normals = np.random.Generator(normal_bits)
+        keys, vals = [], []
+        for lo, hi in _row_blocks(m, n):
+            pos = np.flatnonzero(rng.random((hi - lo) * n) < spec.density)
+            vals.append(normals.standard_normal((hi - lo) * n)[pos])
+            pos += lo * n
+            keys.append(pos)
+        bits.state = normal_bits.state
+        key = np.concatenate(keys)
+        if key.size:
+            break
+    else:
         raise DegenerateDensityError(
             "sparse draw came up empty %d times (density %g on %dx%d)"
             % (_MAX_REDRAWS, spec.density, spec.m, spec.n)
         )
+    del keys
+    val = np.concatenate(vals)
+    del vals
+    if not val.all():
+        # a normal drawn as exactly zero is not stored
+        key, val = key[val != 0.0], val[val != 0.0]
+    rows, cols = np.divmod(key, n)
+    del key
+    if n == 1:
+        # numpy norms one contiguous column by a pairwise sum, so form it
+        column = np.zeros((m, 1))
+        column[rows, 0] = val
+        norms = np.linalg.norm(column, axis=0)
+    else:
+        # numpy's norm over axis 0 adds the rows one at a time: row order
+        norms = np.sqrt(np.bincount(cols, weights=val * val, minlength=n))
+    val /= norms[cols]
+    return DualSparseMatrix((m, n), rows, cols, val)
+
+
+def _row_block_product(a, x):
+    """A @ x as the BLAS product over dense row blocks of A."""
+    b = np.empty(a.m)
+    for lo, hi in _row_blocks(a.m, a.n):
+        p0, p1 = a.row_ptr[lo], a.row_ptr[hi]
+        block = np.zeros((hi - lo, a.n))
+        block[np.repeat(np.arange(hi - lo), np.diff(a.row_ptr[lo:hi + 1])),
+              a.row_cols[p0:p1]] = a.row_vals[p0:p1]
+        b[lo:hi] = block @ x
+    return b
+
+
+def _draw_dense(spec, rng):
     if spec.kind == DENSE:
         return _unit_columns(rng.standard_normal((spec.m, spec.n)))
     # illcond
@@ -96,13 +182,17 @@ def generate(spec):
     """Materialize (A, b, planted). planted is None when consistent=False."""
     spec.validate()
     rng = np.random.default_rng(int(spec.seed))
-    dense = _draw_matrix(spec, rng)
+    if spec.kind == SPARSE:
+        a = _draw_sparse(spec, rng)
+    else:
+        dense = _draw_dense(spec, rng)
+        a = DualSparseMatrix.from_dense(dense)
     if spec.consistent:
         planted = rng.standard_normal(spec.n)
-        b = dense @ planted
+        b = _row_block_product(a, planted) if spec.kind == SPARSE else dense @ planted
         if spec.noise_scale > 0.0:
             b = b + spec.noise_scale * rng.standard_normal(spec.m)
     else:
         planted = None
         b = rng.standard_normal(spec.m)
-    return DualSparseMatrix.from_dense(dense), b, planted
+    return a, b, planted

@@ -54,10 +54,11 @@ class DualSparseMatrix:
     )
 
     def __init__(self, shape, rows, cols, vals):
-        """Build from canonical int64/float64 triplets. Use the classmethods instead.
+        """Build from canonical int64/float64 triplets, unchecked.
 
         Canonical means row-major order, no duplicate positions and no zero
-        values; the arrays are kept, not copied, and frozen.
+        or non-finite values; the arrays are kept, not copied, and frozen.
+        Triplets not known to be canonical go through the classmethods.
         """
         self.m, self.n = (int(d) for d in shape)
         self.nnz = int(vals.size)

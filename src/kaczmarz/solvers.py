@@ -44,7 +44,10 @@ check_sums: the products A x and A^T z come out bit-identical to the numpy
 ones, and every sum of squares runs left to right. So on the compiled path
 the stopping decision and the reported residual_norm / atz_norm do not
 depend on the BLAS kernel either. Where the kernels are unavailable, the
-checks use the numpy products and BLAS dots, as np.linalg.norm does.
+checks use the numpy products and BLAS dots, as np.linalg.norm does. Like
+the blocks, the checks are bound once per run: the runners take the
+addresses of b, x and z and make the result array at the first check, and
+hand the bound sums to every check after it.
 
 Flops are booked by formula where the work runs; one dot or axpy over k
 stored entries costs 2k. block_steps returns 4 per stored entry its steps
@@ -260,41 +263,54 @@ def block_steps(a, b, x, z, rows, cols):
 # None to keep iterating. Its flops come last, for the runner's separate
 # check tally. The sums of squares behind the norms come from one
 # call of the compiled check_sums, or from numpy products and BLAS dots where
-# the kernels are unavailable.
+# the kernels are unavailable. The optional last argument, sums, is
+# _bound_check_sums of the same vectors; without it a check binds its own.
 
 
-def _check_sums(a, b, x, z):
-    """Sums of squares of A x - (b - z), A^T z, x, z and b, in that order.
+def _bound_check_sums(a, b, x, z):
+    """The sums of squares behind the termination checks, bound to b, x and z.
 
-    A None z makes the first A x - b and leaves out A^T z and z; a None x
-    leaves out A x - (b - z), x and b. Left-out sums are 0.0.
+    Returns sums(), which gives the sums of squares of A x - (b - z), A^T z,
+    x, z and b, in that order, for the current contents of x and z. A None z
+    makes the first A x - b and leaves out A^T z and z; a None x leaves out
+    A x - (b - z), x and b. Left-out sums are 0.0. On the compiled path the
+    addresses are taken, and the result array made, once here, so a check
+    that reuses sums() costs one check_sums call.
     """
     lib = _blocks.load()
     if lib is not None:
         out = (ctypes.c_double * 5)()
         has_x = x is not None
-        lib.check_sums(a.m, a.n, *a._line_addrs[0][:3], *a._line_addrs[1][:3],
-                       _addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
-                       None if z is None else _addr(z, a.m), out)
-        return tuple(out)
-    # v.dot(v) is the sum np.linalg.norm takes the root of
-    resid_sq = atz_sq = x_sq = z_sq = b_sq = 0.0
-    if x is not None:
-        resid = a.matvec(x) - (b if z is None else b - z)
-        resid_sq, x_sq, b_sq = float(resid.dot(resid)), float(x.dot(x)), float(b.dot(b))
-    if z is not None:
-        atz = a.rmatvec(z)
-        atz_sq, z_sq = float(atz.dot(atz)), float(z.dot(z))
-    return resid_sq, atz_sq, x_sq, z_sq, b_sq
+        call = functools.partial(
+            lib.check_sums, a.m, a.n, *a._line_addrs[0][:3], *a._line_addrs[1][:3],
+            _addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
+            None if z is None else _addr(z, a.m), out)
+
+        def sums():
+            call()
+            return tuple(out)
+        return sums
+
+    def sums():
+        # v.dot(v) is the sum np.linalg.norm takes the root of
+        resid_sq = atz_sq = x_sq = z_sq = b_sq = 0.0
+        if x is not None:
+            resid = a.matvec(x) - (b if z is None else b - z)
+            resid_sq, x_sq, b_sq = float(resid.dot(resid)), float(x.dot(x)), float(b.dot(b))
+        if z is not None:
+            atz = a.rmatvec(z)
+            atz_sq, z_sq = float(atz.dot(atz)), float(z.dot(z))
+        return resid_sq, atz_sq, x_sq, z_sq, b_sq
+    return sums
 
 
 def _overflowed(*norms):
     return not all(math.isfinite(v) for v in norms)
 
 
-def rop_termination_check(a, z, eps):
+def rop_termination_check(a, z, eps, sums=None):
     """||A^T z|| <= eps * ||A||_F * ||z||; an exactly-zero z is the limit itself."""
-    _, atz_sq, _, z_sq, _ = _check_sums(a, None, None, z)
+    _, atz_sq, _, z_sq, _ = (sums or _bound_check_sums(a, None, None, z))()
     flops = 2 * (a.nnz + a.m + a.n)  # A^T z, then the sums of squares of z and A^T z
     z_norm, atz = math.sqrt(z_sq), math.sqrt(atz_sq)
     if _overflowed(z_norm, atz):
@@ -304,9 +320,9 @@ def rop_termination_check(a, z, eps):
     return CONVERGED if atz <= eps * math.sqrt(a.frob_sq) * z_norm else None, atz, flops
 
 
-def rk_termination_check(a, b, x, eps):
+def rk_termination_check(a, b, x, eps, sums=None):
     """||A x - b|| <= eps * ||A||_F * ||x||, with the zero-x degenerate rule."""
-    resid_sq, _, x_sq, _, b_sq = _check_sums(a, b, x, None)
+    resid_sq, _, x_sq, _, b_sq = (sums or _bound_check_sums(a, b, x, None))()
     # A x, then - b, then the sums of squares of the residual and x
     flops = 2 * a.nnz + 3 * a.m + 2 * a.n
     resid, x_norm = math.sqrt(resid_sq), math.sqrt(x_sq)
@@ -319,13 +335,13 @@ def rk_termination_check(a, b, x, eps):
     return CONVERGED if resid <= eps * math.sqrt(a.frob_sq) * x_norm else None, resid, flops
 
 
-def rek_termination_check(a, b, x, z, eps):
+def rek_termination_check(a, b, x, z, eps, sums=None):
     """Both REK inequalities against the current (x, z).
 
     Residual is measured against b - z, the running estimate of the range
     component of b; A^T z measures how far z still is from b_perp.
     """
-    resid_sq, atz_sq, x_sq, _, b_sq = _check_sums(a, b, x, z)
+    resid_sq, atz_sq, x_sq, _, b_sq = (sums or _bound_check_sums(a, b, x, z))()
     # b - z, A x and their difference, A^T z, then the sums of squares of the
     # residual, A^T z and x
     flops = 4 * (a.nnz + a.m + a.n)
@@ -409,16 +425,18 @@ def _run(a, b, config, solver):
     eps, cap, interval = config.resolved(a.m, a.n)
     check_flops = 0
     reason = MAX_ITERS
-    resid = atz = None
+    resid = atz = sums = None
     start = time.perf_counter()
     stops = itertools.chain(range(interval, cap, interval), (cap,))
     for iters, x, z, flops in trajectory(a, b, solver, config.seed, stops):
+        # trajectory updates the same x and z in place, so bind them once
+        sums = sums or _bound_check_sums(a, b, x, z)
         if solver == REK:
-            outcome, resid, atz, cost = rek_termination_check(a, b, x, z, eps)
+            outcome, resid, atz, cost = rek_termination_check(a, b, x, z, eps, sums)
         elif solver == RK:
-            outcome, resid, cost = rk_termination_check(a, b, x, eps)
+            outcome, resid, cost = rk_termination_check(a, b, x, eps, sums)
         else:
-            outcome, atz, cost = rop_termination_check(a, z, eps)
+            outcome, atz, cost = rop_termination_check(a, z, eps, sums)
         check_flops += cost
         if outcome:
             reason = outcome

@@ -1,10 +1,14 @@
 """Pinned instance ensembles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kaczmarz import generate as generate_module
 from kaczmarz.errors import DegenerateDensityError, InvalidRangeError
 from kaczmarz.generate import KINDS, InstanceSpec, generate
+from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.reference import min_norm_solve
 
 EPS = np.finfo(np.float64).eps
@@ -107,3 +111,124 @@ def test_all_kinds_produce_solvable_instances():
         ref = min_norm_solve(a, b)
         assert ref.rank >= 1
         assert np.isfinite(ref.x_ls).all()
+
+
+# ----------------------------------------------------------------------
+# the sparse kind against the whole-matrix draw it replaced
+
+
+def whole_matrix_sparse(spec):
+    """The sparse kind drawn through m x n arrays, as generate() once did.
+
+    The reference the row-block draw must match byte for byte: an m x n
+    array of mask uniforms, then one of normals (redrawn while the mask is
+    empty), numpy's column norms, from_dense, and b = dense @ planted.
+    """
+    rng = np.random.default_rng(int(spec.seed))
+    for _ in range(16):
+        mask = rng.random((spec.m, spec.n)) < spec.density
+        dense = rng.standard_normal((spec.m, spec.n))
+        if mask.any():
+            break
+    else:
+        raise DegenerateDensityError("empty every time")
+    dense[~mask] = 0.0
+    norms = np.linalg.norm(dense, axis=0)
+    dense /= np.where(norms > 0.0, norms, 1.0)
+    if spec.consistent:
+        planted = rng.standard_normal(spec.n)
+        b = dense @ planted
+        if spec.noise_scale > 0.0:
+            b = b + spec.noise_scale * rng.standard_normal(spec.m)
+    else:
+        planted, b = None, rng.standard_normal(spec.m)
+    return DualSparseMatrix.from_dense(dense), b, planted
+
+
+MATRIX_FIELDS = ("m", "n", "nnz", "frob_sq", "row_ptr", "row_cols", "row_vals", "col_ptr",
+                 "col_rows", "col_vals", "row_sq_norms", "col_sq_norms")
+
+
+def _bytes(v):
+    return None if v is None else (type(v), np.asarray(v).dtype, np.shape(v),
+                                   np.asarray(v).tobytes())
+
+
+def assert_same_instance(got, want, rhs=True):
+    for field in MATRIX_FIELDS:
+        assert _bytes(getattr(got[0], field)) == _bytes(getattr(want[0], field)), field
+    assert _bytes(got[2]) == _bytes(want[2]), "planted"
+    if rhs:
+        assert _bytes(got[1]) == _bytes(want[1]), "b"
+
+
+# A consistent b is compared only where OpenBLAS runs the whole product on
+# one thread: gemv below 9216 entries (2304 times its multithreading
+# threshold of 4) does, and 193 x 40 is 7720. In 64-row blocks, 193 rows
+# leave a last row that the tail rule must keep from standing alone.
+SAME_BYTES = {
+    "n=1": InstanceSpec("sparse", 500, 1, density=0.3, seed=1),
+    "n=1 consistent": InstanceSpec("sparse", 500, 1, density=0.3, consistent=True, seed=1),
+    "n=2, m=1e5": InstanceSpec("sparse", 100_000, 2, density=0.25, seed=2),
+    "m=1": InstanceSpec("sparse", 1, 40, density=0.5, seed=3),
+    "density 1": InstanceSpec("sparse", 60, 25, density=1.0, seed=4),
+    "3 blocks": InstanceSpec("sparse", 3000, 500, density=0.1, seed=8),
+    # seed 2 comes up empty four times before it draws an entry
+    "redraw": InstanceSpec("sparse", 2, 3, density=0.05, consistent=True, seed=2),
+    "degenerate": InstanceSpec("sparse", 2, 2, density=1e-12, seed=0),
+    "consistent": InstanceSpec("sparse", 193, 40, density=0.2, consistent=True, seed=6),
+    "consistent, noise": InstanceSpec("sparse", 193, 40, density=0.2, consistent=True,
+                                      noise_scale=1e-3, seed=7),
+}
+
+
+@pytest.mark.parametrize("block_bytes", ["default", "64-row blocks"])
+@pytest.mark.parametrize("case", sorted(SAME_BYTES))
+def test_sparse_draw_keeps_the_whole_matrix_bytes(case, block_bytes, monkeypatch):
+    spec = SAME_BYTES[case]
+    if block_bytes != "default":
+        # the smallest block: 64 rows, however narrow
+        monkeypatch.setattr(generate_module, "_BLOCK_BYTES", 1)
+    try:
+        want = whole_matrix_sparse(spec)
+    except DegenerateDensityError:
+        with pytest.raises(DegenerateDensityError):
+            generate(spec)
+        return
+    assert_same_instance(generate(spec), want)
+
+
+def test_redraw_case_takes_the_redraw_loop():
+    spec = SAME_BYTES["redraw"]
+    rng = np.random.default_rng(spec.seed)
+    assert not (rng.random((spec.m, spec.n)) < spec.density).any()
+
+
+def test_split_gemv_moves_b_by_rounding_only():
+    """Where OpenBLAS may split the whole product across threads, b can move.
+
+    A 2002 x 500 gemv is large enough for OpenBLAS to split across threads,
+    and two threads split it at row 1001, off a multiple of four, so that
+    product groups its rows unlike the row blocks. A and planted keep their
+    bytes; b keeps its value to rounding.
+    """
+    spec = InstanceSpec("sparse", 2002, 500, density=0.1, consistent=True, seed=9)
+    got, want = generate(spec), whole_matrix_sparse(spec)
+    assert_same_instance(got, want, rhs=False)
+    scale = np.abs(want[0].to_dense()) @ np.abs(want[2])
+    assert (np.abs(got[1] - want[1]) <= 8 * EPS * scale).all()
+
+
+def test_sparse_draw_holds_no_m_by_n_array():
+    # one 4000 x 500 float64 array alone is 80 B per stored entry at density
+    # 0.1; the whole-matrix draw peaked at about 170 B, one m x n block at a
+    # time at 96 B, the 4 MB row blocks at about 50 B
+    spec = InstanceSpec("sparse", 4000, 500, density=0.1, seed=5)
+    generate(spec)
+    tracemalloc.start()
+    try:
+        a, _, _ = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / a.nnz < 80

@@ -42,6 +42,7 @@ from kaczmarz.solvers import (
     RK,
     ROP,
     SolverConfig,
+    _bound_check_sums,
     block_steps,
     rek_termination_check,
     rk_step,
@@ -171,6 +172,23 @@ def test_termination_checks_book_their_flops_in_every_branch(kernels):
         # b - z = 0 and A^T z = 0 are finite, ||b||^2 is not
         outcome, resid, atz, cost = rek_termination_check(a, huge, zero, huge.copy(), eps)
         assert (outcome, resid, atz, cost) == (OVERFLOW, 0.0, 0.0, 42)
+
+
+def test_bound_checks_follow_in_place_updates(kernels):
+    # the runners bind the check sums once and keep updating x and z in place
+    a, b, _ = generate(InstanceSpec(kind="sparse", m=40, n=12, density=0.3, seed=4))
+    x, z = np.zeros(a.n), b.copy()
+    rek_sums, rk_sums = _bound_check_sums(a, b, x, z), _bound_check_sums(a, b, x, None)
+    rop_sums = _bound_check_sums(a, b, None, z)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        x[:] = rng.standard_normal(a.n)
+        z[:] = rng.standard_normal(a.m)
+        for eps in (1e-8, 10.0):
+            assert (rek_termination_check(a, b, x, z, eps, rek_sums)
+                    == rek_termination_check(a, b, x, z, eps))
+            assert rk_termination_check(a, b, x, eps, rk_sums) == rk_termination_check(a, b, x, eps)
+            assert rop_termination_check(a, z, eps, rop_sums) == rop_termination_check(a, z, eps)
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
