@@ -1,5 +1,9 @@
 """Build and load the compiled kernels in _blocks.c.
 
+The kernels are the sampler's alias draws, the solvers' block steps and
+termination-check sums, DualSparseMatrix's CSC scatter, and the Matrix Market
+entry formatter and parser of kaczmarz.mmio.
+
 The shared library is compiled on first use with the system C compiler and
 cached under ${XDG_CACHE_HOME:-~/.cache}/kaczmarz/. Its file name is a hash
 of the source, the flags and the machine, so an edited source or another host
@@ -14,7 +18,8 @@ loops does not hinge on where the compiler happens to place them (left to
 gcc 12, the RK row loop ran 20% slower on dense rows of 400 entries on an
 AMD EPYC). If the compiler is missing, the build fails or the library cannot
 be loaded, load() logs why once and returns None, and the sampler, the
-solvers and their checks run their numpy paths instead.
+solvers, their checks, the matrix constructor and the file reader and writer
+run their numpy paths instead.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ _SIGNATURES = {
     "alias_draws": (None, (_U64, _U64, _I64, _PTR, _PTR, _I64, _PTR)),
     "block_steps": (_I64, (_I64, _I64) + (_PTR,) * 13 + (_I64,)),
     "check_sums": (None, (_I64, _I64) + (_PTR,) * 10),
+    "csc_scatter": (None, (_I64,) + (_PTR,) * 6),
+    "format_lines": (_I64, (_PTR,) * 3 + (_I64,) * 3 + (_PTR,)),
+    "parse_entries": (_I64, (_PTR, _I64, _I64, _PTR, _PTR, _PTR)),
 }
 
 

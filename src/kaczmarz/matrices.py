@@ -7,7 +7,9 @@ the whole-matrix products and to_dense are computed from them too.
 Construction canonicalizes triplets (duplicates summed in input order,
 entries that sum to exactly zero dropped) and caches the squared row norms,
 squared column norms and the squared Frobenius norm, which the samplers and
-the termination checks read constantly. Entries above about 1.3e154 square
+the termination checks read constantly. The column-major copy comes from one
+counting pass over the row-major arrays (csc_scatter in _blocks.c), or from
+an argsort where the kernels are not built. Entries above about 1.3e154 square
 to inf without a warning; the solvers refuse such a matrix with their own
 message.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _blocks
 from .errors import (
     AllZeroMatrixError,
     DimensionMismatchError,
@@ -64,15 +67,17 @@ class DualSparseMatrix:
         self.nnz = int(vals.size)
         if self.nnz == 0:
             raise AllZeroMatrixError("matrix has no nonzero entries")
+        if not rows.shape == cols.shape == vals.shape == (self.nnz,):
+            raise DimensionMismatchError("triplet arrays must be 1-D and equally long")
+        for arr, dtype in ((rows, np.int64), (cols, np.int64), (vals, np.float64)):
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise ValueError("matrix storage must be C-contiguous %s arrays" % dtype.__name__)
         self.row_cols = cols
         self.row_vals = vals
         self.row_ptr = _line_ptr(rows, self.m)
         self.col_ptr = _line_ptr(cols, self.n)
-        # column-major positions are unique, so any sort gives the one order
-        order = np.argsort(cols * self.m + rows)
-        self.col_rows = rows[order]
-        self.col_vals = vals[order]
-        del order
+        self.col_rows, self.col_vals = _csc_order(self.m, self.row_ptr, rows, cols, vals,
+                                                  self.col_ptr)
         with np.errstate(over="ignore"):
             squares = vals**2
             self.frob_sq = float(vals @ vals)
@@ -86,10 +91,6 @@ class DualSparseMatrix:
         # compiled block kernels take them; valid while this matrix lives.
         row_arrays = (self.row_ptr, self.row_cols, self.row_vals, self.row_sq_norms)
         col_arrays = (self.col_ptr, self.col_rows, self.col_vals, self.col_sq_norms)
-        dtypes = (np.int64, np.int64, np.float64, np.float64) * 2
-        for arr, dtype in zip(row_arrays + col_arrays, dtypes):
-            if arr.dtype != dtype or not arr.flags.c_contiguous:
-                raise ValueError("matrix storage must be C-contiguous %s arrays" % dtype.__name__)
         for arr in row_arrays + col_arrays:
             arr.setflags(write=False)
         self._line_addrs = (
@@ -245,3 +246,18 @@ def _line_ptr(line_of_entry, count):
     ptr = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(line_of_entry, minlength=count), out=ptr[1:])
     return ptr
+
+
+def _csc_order(m, row_ptr, rows, cols, vals, col_ptr):
+    """(col_rows, col_vals): the row-major entries reordered column by column."""
+    lib = _blocks.load()
+    if lib is None:
+        # column-major positions are unique, so any sort gives the one order
+        order = np.argsort(cols * m + rows)
+        return rows[order], vals[order]
+    col_rows = np.empty_like(rows)
+    col_vals = np.empty_like(vals)
+    next_slot = col_ptr[:-1].copy()
+    lib.csc_scatter(m, row_ptr.ctypes.data, cols.ctypes.data, vals.ctypes.data,
+                    next_slot.ctypes.data, col_rows.ctypes.data, col_vals.ctypes.data)
+    return col_rows, col_vals

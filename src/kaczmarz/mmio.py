@@ -7,17 +7,27 @@ order per the format). `integer` files parse as real. Everything else
 (complex, pattern, any symmetry but general) raises UnsupportedFormatError.
 
 The banner and the size line are parsed by hand; the entries are parsed in
-one numpy pass and checked as arrays (entry count, index range, finiteness).
+one pass and checked as arrays (entry count, index range, finiteness).
 Entry tokens must be plain decimal: integers are `[+-]digits`, and neither
 indices nor values may contain `_`. On an entry line `%` starts a comment
 wherever it stands, as in numpy.loadtxt. When the entries are refused, the
 file is scanned again line by line, only to report the first bad line by its
 1-based number.
 
+The entry pass is parse_entries in the compiled _blocks.c where that is
+built. It reads the file in 1 MB chunks and takes only a strict grammar: one
+space or tab between tokens, indices of at most 18 digits, plain decimal
+values, `\\n` line ends, no comment or blank line among the entries and
+exactly the announced number of them. Any other file, and every file when
+the kernels are not built, goes to numpy.loadtxt, so the accepted files, the
+values (both parsers round correctly) and every error message are the same
+on both paths.
+
 Floats are written with 17 significant digits, which round-trips float64
 exactly; reading back a file this module wrote reproduces the object bit for
-bit. Entries are formatted a chunk of lines at a time, to the same bytes as
-one `"%d %d %s\\n" % (i, j, format_float(v))` line per entry. CSV output uses
+bit. Entries are formatted a chunk of lines at a time, by format_lines in
+_blocks.c or else in Python, to the same bytes as one
+`"%d %d %s\\n" % (i, j, format_float(v))` line per entry. CSV output uses
 the same float formatting, a header row, commas and LF line endings, so
 identical runs produce identical bytes.
 """
@@ -26,11 +36,13 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 import warnings
 
 import numpy as np
 
+from . import _blocks
 from .errors import MatrixMarketError, NonFiniteError, UnsupportedFormatError
 from .matrices import DualSparseMatrix
 
@@ -38,6 +50,7 @@ _BANNER = "%%MatrixMarket"
 _COORDINATE_ENTRY = np.dtype([("i", "i8"), ("j", "i8"), ("v", "f8")])
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 _LINES_PER_WRITE = 65536
+_LINE_BYTES = 72  # the longest entry line format_lines in _blocks.c can write
 
 
 def format_float(x):
@@ -50,28 +63,55 @@ def format_float(x):
 
 
 def _write_lines(fh, fmt, columns):
-    """Write `fmt % (c[k] for c in columns)` for every k, many lines per write."""
-    width = len(columns)
-    total = len(columns[0])
-    for lo in range(0, total, _LINES_PER_WRITE):
-        hi = min(lo + _LINES_PER_WRITE, total)
-        flat = [None] * (width * (hi - lo))
-        for c, col in enumerate(columns):
-            flat[c::width] = col[lo:hi].tolist()
-        fh.write(fmt * (hi - lo) % tuple(flat))
+    """Write `fmt % (c[k] for c in columns)` for every k in one write."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for c, col in enumerate(columns):
+        flat[c::len(columns)] = col.tolist()
+    fh.write((fmt * len(columns[0]) % tuple(flat)).encode("ascii"))
+
+
+def _write_entries(fh, vals, row_ptr=None, row_cols=None):
+    """One line per entry, `_LINES_PER_WRITE` lines per write.
+
+    The lines are "i j v" (1-based) for the CSR arrays row_ptr/row_cols/vals,
+    "v" alone without them. The compiled formatter writes them where it runs,
+    `_write_lines` otherwise; both give the bytes of one
+    `"%d %d %s\\n" % (i, j, format_float(v))` per entry, since "%.17g" % v and
+    format_float(v) share CPython's float formatter.
+    """
+    lib = _blocks.load()
+    if lib is not None:
+        buf = np.empty(min(vals.size, _LINES_PER_WRITE) * _LINE_BYTES, dtype=np.uint8)
+        addrs = [None if a is None else a.ctypes.data for a in (row_ptr, row_cols, vals)]
+    for lo in range(0, vals.size, _LINES_PER_WRITE):
+        hi = min(lo + _LINES_PER_WRITE, vals.size)
+        # the row that holds entry lo
+        row = 0 if row_ptr is None else int(np.searchsorted(row_ptr, lo, side="right")) - 1
+        size = -1 if lib is None else lib.format_lines(*addrs, row, lo, hi, buf.ctypes.data)
+        if size >= 0:
+            fh.write(buf[:size])
+        elif row_ptr is None:
+            _write_lines(fh, "%.17g\n", (vals[lo:hi],))
+        else:
+            rows = np.searchsorted(row_ptr, np.arange(lo, hi), side="right")  # 1-based
+            _write_lines(fh, "%d %d %.17g\n", (rows, row_cols[lo:hi] + 1, vals[lo:hi]))
+
+
+def _head(fmt, comment, size):
+    """The banner, the optional comment and the size line, as bytes."""
+    lines = ["%s matrix %s real general" % (_BANNER, fmt)]
+    if comment:
+        lines.append("% " + comment)
+    lines.append(size)
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def write_matrix_market(path, obj, comment=None):
     """Write a DualSparseMatrix (coordinate) or ndarray (array) to `path`."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "wb") as fh:
         if isinstance(obj, DualSparseMatrix):
-            fh.write("%s matrix coordinate real general\n" % _BANNER)
-            if comment:
-                fh.write("%% %s\n" % comment)
-            fh.write("%d %d %d\n" % (obj.m, obj.n, obj.nnz))
-            # "%.17g" % v and format_float(v) share CPython's float formatter
-            lines = (obj.entry_rows() + 1, obj.row_cols + 1, obj.row_vals)
-            _write_lines(fh, "%d %d %.17g\n", lines)
+            fh.write(_head("coordinate", comment, "%d %d %d" % (obj.m, obj.n, obj.nnz)))
+            _write_entries(fh, obj.row_vals, obj.row_ptr, obj.row_cols)
             return
         arr = np.asarray(obj, dtype=np.float64)
         if arr.ndim == 1:
@@ -80,12 +120,9 @@ def write_matrix_market(path, obj, comment=None):
             raise MatrixMarketError("can only write 1-D or 2-D arrays")
         if not np.isfinite(arr).all():
             raise NonFiniteError("refusing to write non-finite entries")
-        fh.write("%s matrix array real general\n" % _BANNER)
-        if comment:
-            fh.write("%% %s\n" % comment)
-        fh.write("%d %d\n" % arr.shape)
+        fh.write(_head("array", comment, "%d %d" % arr.shape))
         # array format lists entries down each column in turn
-        _write_lines(fh, "%.17g\n", (arr.T.ravel(),))
+        _write_entries(fh, arr.T.ravel())
 
 
 def write_vector(path, vec, comment=None):
@@ -197,19 +234,16 @@ def _parse_size(fmt, tokens, lineno):
     return m, n, m * n
 
 
-def _entries_ok(data, fmt, m, n, expected):
+def _entries_ok(entries, m, n, expected):
     """Vectorized entry checks: count, 1 <= i <= m, 1 <= j <= n, finite values."""
-    if fmt == "array":
-        return data.shape == (expected, 1) and bool(np.isfinite(data).all())
-    if len(data) != expected:
+    *ij, v = entries
+    if len(v) != expected:
         return False
-    if not expected:
-        return True
-    i, j = data["i"], data["j"]
-    return bool(
-        i.min() >= 1 and i.max() <= m and j.min() >= 1 and j.max() <= n
-        and np.isfinite(data["v"]).all()
-    )
+    if ij and expected:
+        i, j = ij
+        if not (i.min() >= 1 and i.max() <= m and j.min() >= 1 and j.max() <= n):
+            return False
+    return bool(np.isfinite(v).all())
 
 
 def _raise_first_fault(path, fmt, m, n, expected, size_lineno):
@@ -240,6 +274,42 @@ def _raise_first_fault(path, fmt, m, n, expected, size_lineno):
     raise MatrixMarketError("entries could not be parsed", size_lineno)
 
 
+def _parse_compiled(path, offset, fmt, expected):
+    """The entries from byte `offset` on by the compiled parser, or None.
+
+    None when the parser is not built, or refuses the file: anything outside
+    its strict grammar (see _blocks.c) goes to numpy.loadtxt instead. Arrays
+    are sized by the entry count only where the rest of the file can hold
+    that many lines, of at least 6 bytes ("1 1 1\\n") or 2 ("1\\n").
+    """
+    lib = _blocks.load()
+    min_line = 6 if fmt == "coordinate" else 2
+    if lib is None or not 0 < expected <= (os.path.getsize(path) - offset) // min_line:
+        return None
+    vals = np.empty(expected)
+    ij = (np.empty(expected, dtype=np.int64), np.empty(expected, dtype=np.int64))
+    addrs = (a.ctypes.data for a in ij) if fmt == "coordinate" else (None, None)
+    if lib.parse_entries(os.fsencode(path), offset, expected, *addrs, vals.ctypes.data) < 0:
+        return None
+    return (*ij, vals) if fmt == "coordinate" else (vals,)
+
+
+def _parse_loadtxt(fh, fmt):
+    """The entries from the position of `fh` on by numpy.loadtxt, or None."""
+    try:
+        with warnings.catch_warnings():
+            # numpy releases that still parse an integer token via
+            # float ("2.7" -> 2) only warn; make that a refusal here
+            warnings.simplefilter("error", DeprecationWarning)
+            if fmt == "coordinate":
+                data = np.loadtxt(fh, comments="%", dtype=_COORDINATE_ENTRY, ndmin=1)
+                return data["i"], data["j"], data["v"]
+            data = np.loadtxt(fh, comments="%", dtype=np.float64, ndmin=2)
+    except (ValueError, DeprecationWarning):
+        return None
+    return (data[:, 0],) if data.shape[1] == 1 else None
+
+
 def read_matrix_market(path):
     """Read one Matrix Market file.
 
@@ -249,25 +319,18 @@ def read_matrix_market(path):
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         fmt, size_tokens, size_lineno, has_entries = _read_preamble(fh)
         m, n, expected = _parse_size(fmt, size_tokens, size_lineno)
-        if fmt == "coordinate":
-            dtype, ndmin = _COORDINATE_ENTRY, 1
-        else:
-            dtype, ndmin = np.float64, 2
-        data = np.empty(0, dtype=dtype)
         if has_entries:
-            try:
-                with warnings.catch_warnings():
-                    # numpy releases that still parse an integer token via
-                    # float ("2.7" -> 2) only warn; make that a refusal here
-                    warnings.simplefilter("error", DeprecationWarning)
-                    data = np.loadtxt(fh, comments="%", dtype=dtype, ndmin=ndmin)
-            except (ValueError, DeprecationWarning):
-                data = None
-    if data is None or not _entries_ok(data, fmt, m, n, expected):
+            entries = _parse_compiled(path, fh.tell(), fmt, expected) or _parse_loadtxt(fh, fmt)
+        elif fmt == "coordinate":
+            entries = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
+        else:
+            entries = (np.empty(0),)
+    if entries is None or not _entries_ok(entries, m, n, expected):
         _raise_first_fault(path, fmt, m, n, expected, size_lineno)
     if fmt == "coordinate":
-        return DualSparseMatrix.from_triplets(data["i"] - 1, data["j"] - 1, data["v"], (m, n))
-    return data[:, 0].reshape((n, m)).T  # stored column-major
+        i, j, v = entries
+        return DualSparseMatrix.from_triplets(i - 1, j - 1, v, (m, n))
+    return entries[0].reshape((n, m)).T  # stored column-major
 
 
 def read_vector(path):

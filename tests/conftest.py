@@ -1,6 +1,8 @@
 """Session set-up and fixtures shared by every test module."""
 
 import contextlib
+import shutil
+import tempfile
 import warnings
 
 import pytest
@@ -8,17 +10,19 @@ import pytest
 from kaczmarz import _blocks
 
 
-@pytest.fixture(scope="session", autouse=True)
-def kernel_cache(tmp_path_factory):
-    """Build the compiled block kernels into a fresh cache directory.
+def pytest_configure(config):
+    """Build the compiled kernels into a fresh cache directory.
 
     Every session then exercises a cold build, and nothing is written to the
-    user's ~/.cache. Subprocesses started by tests inherit the variable.
+    user's ~/.cache. This runs before collection, because test modules build
+    matrices at import and the matrix constructor loads the kernels.
+    Subprocesses started by tests inherit the variable.
     """
-    path = tmp_path_factory.mktemp("xdg-cache")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(path))
-        yield path
+    path = tempfile.mkdtemp(prefix="kaczmarz-cache-")
+    mp = pytest.MonkeyPatch()
+    mp.setenv("XDG_CACHE_HOME", path)
+    config.add_cleanup(lambda: shutil.rmtree(path, ignore_errors=True))
+    config.add_cleanup(mp.undo)
 
 
 @contextlib.contextmanager

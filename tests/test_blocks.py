@@ -2,12 +2,15 @@
 
 Each C function is held to the numpy computation it stands in for: the
 block kernel's entry counts to the index arrays' line populations, and the
-check sums to sequential sums of squares of the numpy products, bit for bit.
-The source itself must compile without a warning, and the ctypes signatures
+check sums to sequential sums of squares of the numpy products, bit for bit,
+and the entry formatter to Python's "%.17g" formatting, byte for byte (the
+CSC scatter and the entry parser are held to their numpy twins in
+test_matrices.py and test_mmio.py). The source itself must compile without a warning, and the ctypes signatures
 must match the functions it defines.
 """
 
 import ctypes
+import math
 import re
 import shutil
 import subprocess
@@ -15,6 +18,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kaczmarz import _blocks
 from kaczmarz.matrices import DualSparseMatrix
@@ -67,7 +72,8 @@ def test_signatures_name_exactly_the_exported_functions():
     with open(_blocks.SOURCE) as fh:
         exported = _exported_functions(fh.read())
     assert exported == _blocks._SIGNATURES
-    assert set(exported) == {"alias_draws", "block_steps", "check_sums"}
+    assert set(exported) == {"alias_draws", "block_steps", "check_sums", "csc_scatter",
+                             "format_lines", "parse_entries"}
 
 
 def test_signature_parser_reads_declarations_it_must_not_miss():
@@ -156,3 +162,53 @@ def test_block_kernels_return_the_entries_they_visit(lib, halves):
         assert _block_steps(lib, a, None, x, z, bad_rows, cols, 2) == _line_nnz(a.col_ptr, cols[:2])
     if z is None:
         assert _block_steps(lib, a, b, x, z, rows, bad_cols, 2) == _line_nnz(a.row_ptr, rows[:2])
+
+
+# the %g exponent switch points and the ends of the float64 range, each with
+# its neighbour below
+_FORMAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf,
+                 0.1, 1.0 / 3.0]
+for _edge in (1e-11, 1e-5, 1e-4, 1e16, 1e17):
+    _FORMAT_EDGES += [_edge, -_edge, math.nextafter(_edge, 0.0)]
+# decimals one half past a 17-digit number: their rounding is a near-tie
+_NEAR_TIES = st.builds(lambda d, e: float("%d5e%d" % (d, e)),
+                       st.integers(10**16, 10**17 - 1), st.integers(-40, 20))
+
+
+def _format_lines(lib, vals, row_ptr=None, row_cols=None, lo=0):
+    buf = np.empty(max(vals.size - lo, 1) * 72, dtype=np.uint8)
+    row = 0 if row_ptr is None else int(np.searchsorted(row_ptr, lo, side="right")) - 1
+    addrs = [None if a is None else a.ctypes.data for a in (row_ptr, row_cols, vals)]
+    size = lib.format_lines(*addrs, row, lo, vals.size, buf.ctypes.data)
+    return buf[:size].tobytes().decode("ascii")
+
+
+# the lib fixture only skips; it is the same for every example
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vals=st.lists(st.one_of(st.sampled_from(_FORMAT_EDGES), _NEAR_TIES,
+                               st.floats(allow_nan=False)), min_size=1, max_size=40),
+       data=st.data())
+def test_format_lines_writes_what_python_formats(lib, vals, data):
+    vals = np.array(vals)
+    # rows of 0-5 entries, the last row taking what is left
+    row_nnz = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=12))
+    row_ptr = np.minimum(np.concatenate([[0], np.cumsum(row_nnz)]), vals.size)
+    row_ptr[-1] = vals.size
+    row_cols = np.array(data.draw(st.lists(st.integers(0, 2**63 - 2), min_size=vals.size,
+                                           max_size=vals.size)), dtype=np.int64)
+    lo = data.draw(st.integers(0, vals.size - 1))
+    rows = np.searchsorted(row_ptr, np.arange(vals.size), side="right") - 1
+    assert _format_lines(lib, vals, lo=lo) == "".join("%.17g\n" % v for v in vals[lo:])
+    assert _format_lines(lib, vals, row_ptr, row_cols, lo) == "".join(
+        "%d %d %.17g\n" % (i + 1, j + 1, v)
+        for i, j, v in zip(rows[lo:], row_cols[lo:], vals[lo:]))
+
+
+def test_format_lines_writes_indices_of_every_width(lib):
+    cols = np.array([10**k + d for k in range(19) for d in (-1, 0)] + [2**63 - 2],
+                    dtype=np.int64)
+    vals = np.ones(cols.size)
+    row_ptr = np.array([0, cols.size], dtype=np.int64)
+    assert _format_lines(lib, vals, row_ptr, cols) == "".join("1 %d 1\n" % (j + 1) for j in cols)

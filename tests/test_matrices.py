@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kaczmarz import _blocks
 from kaczmarz.errors import (
     AllZeroMatrixError,
     DimensionMismatchError,
@@ -321,5 +322,38 @@ def test_init_refuses_arrays_the_kernels_cannot_address():
     for cols in (strided, np.array([0, 1], dtype=np.int32)):
         with pytest.raises(ValueError, match="C-contiguous"):
             DualSparseMatrix((2, 2), rows, cols, vals)
+    with pytest.raises(DimensionMismatchError, match="equally long"):
+        DualSparseMatrix((2, 2), np.array([0, 1, 1]), np.array([0, 1]), vals)
     a = DualSparseMatrix((2, 2), rows, np.array([0, 1]), vals)
     np.testing.assert_array_equal(a.to_dense(), np.diag(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda m: st.integers(1, 9).flatmap(
+            lambda n: arrays(np.float64, (m, n),
+                             elements=st.one_of(st.just(0.0), DYADIC))
+        )
+    )
+)
+def test_csc_scatter_and_argsort_store_the_same_arrays(dense):
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: only the argsort runs here")
+    assume(np.any(dense != 0.0))
+    compiled = DualSparseMatrix.from_dense(dense)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_blocks, "load", lambda: None)
+        fallback = DualSparseMatrix.from_dense(dense)
+    for name in ("col_ptr", "col_rows", "col_vals"):
+        got, want = getattr(compiled, name), getattr(fallback, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_csc_order_skips_empty_rows_and_columns(kernels):
+    dense = np.zeros((6, 5))
+    dense[[1, 4, 4, 5], [3, 0, 3, 3]] = [1.0, 2.0, 3.0, 4.0]
+    a = DualSparseMatrix.from_dense(dense)
+    np.testing.assert_array_equal(a.col_ptr, [0, 1, 1, 1, 4, 4])
+    np.testing.assert_array_equal(a.col_rows, [4, 1, 4, 5])
+    np.testing.assert_array_equal(a.col_vals, [2.0, 1.0, 3.0, 4.0])

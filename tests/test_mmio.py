@@ -1,14 +1,20 @@
 """File formats: the exchange-format reader/writer pair and the CSV layer."""
 
+import decimal
 import hashlib
+import math
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from kaczmarz import _blocks, mmio
 from kaczmarz.cli import main
 from kaczmarz.errors import (
     AllZeroMatrixError,
@@ -174,7 +180,7 @@ def test_reader_accepts_comments_blanks_and_integer_field(tmp_path):
         (COORD + "1_0 10 1\n1 1 1.0\n", "line 2: bad integer '1_0'"),
     ],
 )
-def test_malformed_files_report_line_numbers(tmp_path, content, lineno_fragment):
+def test_malformed_files_report_line_numbers(kernels, tmp_path, content, lineno_fragment):
     p = tmp_path / "bad.mtx"
     p.write_text(content)
     with pytest.raises(MatrixMarketError) as exc:
@@ -253,13 +259,15 @@ def test_csv_is_deterministic(tmp_path):
 # vectorized reader and chunked writer
 
 
-@settings(max_examples=60, deadline=None)
+# the patched fallback path holds for every example
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     arr=hnp.arrays(
         np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7), elements=VALUES
     )
 )
-def test_array_round_trip_is_bit_exact_property(tmp_path_factory, arr):
+def test_array_round_trip_is_bit_exact_property(kernels, tmp_path_factory, arr):
     p = tmp_path_factory.mktemp("rt") / "arr.mtx"
     write_matrix_market(p, arr)
     back = read_matrix_market(p)
@@ -267,13 +275,15 @@ def test_array_round_trip_is_bit_exact_property(tmp_path_factory, arr):
     np.testing.assert_array_equal(bits(back), bits(arr))
 
 
-@settings(max_examples=60, deadline=None)
+# the patched fallback path holds for every example
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     arr=hnp.arrays(
         np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=7), elements=VALUES
     )
 )
-def test_coordinate_round_trip_is_bit_exact_property(tmp_path_factory, arr):
+def test_coordinate_round_trip_is_bit_exact_property(kernels, tmp_path_factory, arr):
     assume(np.any(arr != 0.0))
     p = tmp_path_factory.mktemp("rt") / "coo.mtx"
     a = DualSparseMatrix.from_dense(arr)
@@ -285,7 +295,7 @@ def test_coordinate_round_trip_is_bit_exact_property(tmp_path_factory, arr):
     np.testing.assert_array_equal(bits(back.row_vals), bits(a.row_vals))
 
 
-def test_writer_bytes_equal_the_per_line_form(tmp_path):
+def test_writer_bytes_equal_the_per_line_form(kernels, tmp_path):
     # more than one 65536-line chunk, with the awkward values mixed in
     rng = np.random.default_rng(4)
     dense = rng.standard_normal((300, 250))
@@ -306,7 +316,7 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_gen_and_solve_files_keep_their_bytes(tmp_path, capsys):
+def test_gen_and_solve_files_keep_their_bytes(kernels, tmp_path, capsys):
     mx, rhs, out = tmp_path / "A.mtx", tmp_path / "b.mtx", tmp_path / "x.mtx"
     assert main(["gen", "--kind", "sparse", "--m", "40", "--n", "12", "--density", "0.3",
                  "--seed", "11", "--matrix", str(mx), "--rhs", str(rhs)]) == 0
@@ -368,3 +378,179 @@ def test_integer_via_float_fallback_is_refused(tmp_path, monkeypatch):
         warnings.simplefilter("ignore")
         with pytest.raises(MatrixMarketError, match="line 3: bad integer '2.7'"):
             read_matrix_market(p)
+
+
+# ----------------------------------------------------------------------
+# the compiled entry parser and its numpy fallback
+
+
+def outcome(path):
+    """What reading `path` gives, in a form two reads can be compared by."""
+    try:
+        got = read_matrix_market(path)
+    except (MatrixMarketError, AllZeroMatrixError) as exc:
+        return type(exc), str(exc)
+    if isinstance(got, DualSparseMatrix):
+        return (got.m, got.n), got.row_ptr.tolist(), got.row_cols.tolist(), bits(got.row_vals).tolist()
+    return got.shape, bits(got).tolist()
+
+
+ARRAY = "%%MatrixMarket matrix array real general\n"
+FAST = COORD + "3 3 2\n1 1 1.5\n2 3 -2.0\n"
+
+
+@pytest.mark.parametrize(
+    "content, defers",
+    [
+        (FAST, False),
+        (FAST.replace("1 1", "1\t1"), False),  # one tab is a separator
+        (FAST.replace("1 1", "+1 1"), False),
+        (FAST.replace("1.5", ".5"), False),
+        (FAST.replace("1.5", "5."), False),
+        (FAST.replace("1.5", "1E5"), False),
+        (FAST.replace("1.5", "-1.5e-3"), False),
+        (FAST.replace("1.5", "1e-400"), False),  # underflows to 0.0 on both paths
+        (FAST.replace("1.5", "1e400"), False),  # overflows, refused as non-finite
+        (FAST.replace("1 1", "000000000000000001 1"), False),  # 18 digits
+        (FAST.replace("1 1", "-1 1"), False),  # refused by the range check
+        (ARRAY + "2 1\n5.\n.5\n", False),
+        (FAST.replace("2 3 -2.0", "% mid\n2 3 -2.0"), True),
+        (FAST.replace("1.5\n", "1.5 % c\n"), True),
+        (FAST.replace("\n1 1", "\r\n1 1").replace("\n2 3", "\r\n2 3"), True),
+        (FAST.replace("1.5\n", "1.5\r"), True),
+        (FAST.replace("1.5\n", "1.5\n\n"), True),
+        (FAST + "\n", True),
+        (FAST[:-1], True),  # no final newline
+        (FAST + "3 3", True),  # a last line past the count, without one
+        (FAST.replace("1 1", "1  1"), True),
+        (FAST.replace("1 1", " 1 1"), True),
+        (FAST.replace("1.5", "1.5 "), True),
+        (FAST.replace("1.5", "1_0"), True),
+        (FAST.replace("1 1", "1_0 1"), True),
+        (FAST.replace("1.5", "0x1p3"), True),
+        (FAST.replace("1.5", "inf"), True),
+        (FAST.replace("1.5", "nan"), True),
+        (FAST.replace("1.5", "1.5e"), True),
+        (FAST.replace("1 1", "0000000000000000001 1"), True),  # 19 digits
+        (FAST.replace("1 1", "1.0 1"), True),
+        (FAST.replace("1.5", "1.5é"), True),
+        (FAST.replace("1.5", "1·5"), True),
+        (FAST.replace("2 3 -2.0\n", ""), True),  # too few entries
+        (FAST + "3 3 1.0\n", True),  # too many
+        (ARRAY + "2 1\n5.\n1 2\n", True),
+    ],
+)
+def test_fast_reader_defers_exactly_where_it_should(tmp_path, monkeypatch, content, defers):
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: only the numpy reader runs here")
+    p = tmp_path / "f.mtx"
+    p.write_bytes(content.encode("utf-8"))
+    calls = []
+
+    def spy(fh, fmt):
+        calls.append(fmt)
+        return parse_loadtxt(fh, fmt)
+
+    parse_loadtxt = mmio._parse_loadtxt
+    monkeypatch.setattr(mmio, "_parse_loadtxt", spy)
+    compiled = outcome(p)
+    assert bool(calls) == defers
+    monkeypatch.setattr(_blocks, "load", lambda: None)
+    assert compiled == outcome(p)
+
+
+def test_an_entry_count_the_file_cannot_hold_allocates_nothing(kernels, tmp_path):
+    p = tmp_path / "huge.mtx"
+    p.write_text(COORD + "10 10 1000000000000000\n1 1 1.0\n2 2 2.0\n3 3 3.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixMarketError,
+                           match="line 2: expected 1000000000000000 entries, found 3"):
+            read_matrix_market(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+_COMMA_LOCALE_PROBE = """
+import locale, sys
+import numpy as np
+from kaczmarz import _blocks
+from kaczmarz.matrices import DualSparseMatrix
+from kaczmarz.mmio import format_float, read_matrix_market, write_matrix_market
+
+for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8",
+             "nl_NL.UTF-8", "it_IT.UTF-8", "es_ES.UTF-8", "pt_BR.UTF-8", "de_DE", "fr_FR"):
+    try:
+        locale.setlocale(locale.LC_NUMERIC, name)
+    except locale.Error:
+        continue
+    if locale.localeconv()["decimal_point"] == ",":
+        break
+else:
+    sys.exit(77)
+lib = _blocks.load()
+vals = np.array([0.1, -2.5e-17, 1e300, 1.0 / 3.0])
+assert lib.format_lines(None, None, vals.ctypes.data, 0, 0, 4,
+                        np.empty(4 * 72, np.uint8).ctypes.data) == -1
+a = DualSparseMatrix.from_triplets([0, 0, 1, 2], [0, 2, 1, 0], vals, (3, 3))
+path = sys.argv[1]
+write_matrix_market(path, a)
+want = "".join("%d %d %s\\n" % (i + 1, j + 1, format_float(v))
+               for i, j, v in zip([0, 0, 1, 2], [0, 2, 1, 0], vals))
+with open(path, "rb") as fh:
+    assert fh.read().decode("ascii").split("\\n", 2)[2] == want
+back = read_matrix_market(path)
+assert back.row_vals.tobytes() == vals.tobytes()
+"""
+
+
+def test_writer_and_reader_ignore_a_comma_decimal_locale(tmp_path):
+    # snprintf and strtod follow LC_NUMERIC; the compiled paths step aside there
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: the numpy paths do not read the locale")
+    proc = subprocess.run([sys.executable, "-c", _COMMA_LOCALE_PROBE, str(tmp_path / "l.mtx")],
+                          capture_output=True, text=True)
+    if proc.returncode == 77:
+        pytest.skip("no locale with a comma decimal point is installed")
+    assert proc.returncode == 0, proc.stderr
+
+
+def _decimal(sign, digits, point, exponent):
+    point = min(point, len(digits))
+    token = sign + digits[:point] + "." + digits[point:]
+    return token if exponent is None else "%se%d" % (token, exponent)
+
+
+def _near_midpoint(x, precision):
+    # the decimal halfway between x and the next float64 up, rounded to
+    # `precision` significant digits
+    mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+    return str(decimal.Context(prec=precision).create_decimal(mid))
+
+
+TOKENS = st.one_of(
+    st.builds(_decimal, st.sampled_from(["", "-", "+"]),
+              st.text("0123456789", min_size=1, max_size=24), st.integers(0, 24),
+              st.one_of(st.none(), st.integers(-340, 320))),
+    st.builds(_near_midpoint, st.floats(1e-300, 1e300), st.integers(15, 40)),
+)
+
+
+# the patched spy holds for every example
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens=st.lists(TOKENS, min_size=1, max_size=30))
+# 19 digits that round to a float64 midpoint in 64 bits, but lie off it
+@example(tokens=["8654512360476693886e-24", "8682664277854431134e-16",
+                 "3884651940921152386e-22"])
+def test_fast_reader_rounds_every_decimal_as_float_does(tmp_path_factory, monkeypatch, tokens):
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: only the numpy reader runs here")
+    want = np.array([float(t) for t in tokens])
+    assume(np.isfinite(want).all())
+    p = tmp_path_factory.mktemp("dec") / "d.mtx"
+    p.write_text(ARRAY + "%d 1\n" % len(tokens) + "".join(t + "\n" for t in tokens))
+    monkeypatch.setattr(mmio, "_parse_loadtxt", None)  # must not be reached
+    np.testing.assert_array_equal(bits(read_matrix_market(p)[:, 0]), bits(want))
