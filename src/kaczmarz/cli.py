@@ -34,7 +34,7 @@ from .mmio import (
 )
 from .reference import min_norm_solve
 from .solvers import SOLVERS, SolverConfig, solve, theory_bounds
-from .verify import DEFAULT_SLACK, run_all_checks
+from .verify import run_all_checks
 
 log = logging.getLogger("kaczmarz")
 
@@ -303,15 +303,10 @@ def cmd_bench(args):
 
 def cmd_verify(args):
     a, b = _instance_from_args(args, args.seed)
-    slack = DEFAULT_SLACK
-    override = os.environ.get("KACZMARZ_VERIFY_SLACK")
-    if override:
-        slack = float(override)
-        log.info("slack factor overridden to %g", slack)
     names = None
     if args.checks:
         names = {tok.strip() for tok in args.checks.split(",") if tok.strip()}
-    results = run_all_checks(a, b, reps=args.reps, seed=args.seed, slack=slack, names=names)
+    results = run_all_checks(a, b, reps=args.reps, seed=args.seed, names=names)
     if not results:
         raise KaczmarzError("no checks selected")
     for res in results:
@@ -330,13 +325,7 @@ def main(argv=None):
             "verify": cmd_verify,
         }[args.command]
         return handler(args)
-    except KaczmarzError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError, IndexError) as exc:
+    except (KaczmarzError, OSError, ValueError, ZeroDivisionError, IndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -108,21 +108,24 @@ def _head(fmt, comment, size):
 
 def write_matrix_market(path, obj, comment=None):
     """Write a DualSparseMatrix (coordinate) or ndarray (array) to `path`."""
-    with open(path, "wb") as fh:
-        if isinstance(obj, DualSparseMatrix):
-            fh.write(_head("coordinate", comment, "%d %d %d" % (obj.m, obj.n, obj.nnz)))
-            _write_entries(fh, obj.row_vals, obj.row_ptr, obj.row_cols)
-            return
+    if isinstance(obj, DualSparseMatrix):
+        head = _head("coordinate", comment, "%d %d %d" % (obj.m, obj.n, obj.nnz))
+        entries = (obj.row_vals, obj.row_ptr, obj.row_cols)
+    else:
         arr = np.asarray(obj, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
+        # refused before `path` is opened, so an existing file keeps its bytes
         if arr.ndim != 2:
             raise MatrixMarketError("can only write 1-D or 2-D arrays")
         if not np.isfinite(arr).all():
             raise NonFiniteError("refusing to write non-finite entries")
-        fh.write(_head("array", comment, "%d %d" % arr.shape))
+        head = _head("array", comment, "%d %d" % arr.shape)
         # array format lists entries down each column in turn
-        _write_entries(fh, arr.T.ravel())
+        entries = (arr.T.ravel(),)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        _write_entries(fh, *entries)
 
 
 def write_vector(path, vec, comment=None):

@@ -47,7 +47,7 @@ depend on the BLAS kernel either. Where the kernels are unavailable, the
 checks use the numpy products and BLAS dots, as np.linalg.norm does. Like
 the blocks, the checks are bound once per run: the runners take the
 addresses of b, x and z and make the result array at the first check, and
-hand the bound sums to every check after it.
+hand the bound sums to every check.
 
 Flops are booked by formula where the work runs; one dot or axpy over k
 stored entries costs 2k. block_steps returns 4 per stored entry its steps
@@ -258,13 +258,14 @@ def block_steps(a, b, x, z, rows, cols):
 # ----------------------------------------------------------------------
 # termination checks
 #
-# Each returns its outcome first: CONVERGED, OVERFLOW (a norm it compares is
-# inf or nan, where `inf <= eps * inf` would otherwise read as converged), or
-# None to keep iterating. Its flops come last, for the runner's separate
-# check tally. The sums of squares behind the norms come from one
-# call of the compiled check_sums, or from numpy products and BLAS dots where
-# the kernels are unavailable. The optional last argument, sums, is
-# _bound_check_sums of the same vectors; without it a check binds its own.
+# Each takes the matrix, the run's _bound_check_sums and eps, and returns
+# (outcome, residual_norm, atz_norm, flops), with None for the norm its solver
+# lacks (atz_norm for RK, residual_norm for ROP). The outcome is CONVERGED,
+# OVERFLOW (a norm it compares is inf or nan, where `inf <= eps * inf` would
+# otherwise read as converged), or None to keep iterating. The flops are for
+# the runner's separate check tally. The sums of squares behind the norms come
+# from one call of the compiled check_sums, or from numpy products and BLAS
+# dots where the kernels are unavailable.
 
 
 def _bound_check_sums(a, b, x, z):
@@ -308,40 +309,42 @@ def _overflowed(*norms):
     return not all(math.isfinite(v) for v in norms)
 
 
-def rop_termination_check(a, z, eps, sums=None):
+def rop_termination_check(a, sums, eps):
     """||A^T z|| <= eps * ||A||_F * ||z||; an exactly-zero z is the limit itself."""
-    _, atz_sq, _, z_sq, _ = (sums or _bound_check_sums(a, None, None, z))()
+    _, atz_sq, _, z_sq, _ = sums()
     flops = 2 * (a.nnz + a.m + a.n)  # A^T z, then the sums of squares of z and A^T z
     z_norm, atz = math.sqrt(z_sq), math.sqrt(atz_sq)
     if _overflowed(z_norm, atz):
-        return OVERFLOW, atz, flops
+        return OVERFLOW, None, atz, flops
     if z_norm == 0.0:
-        return CONVERGED, atz, flops
-    return CONVERGED if atz <= eps * math.sqrt(a.frob_sq) * z_norm else None, atz, flops
+        return CONVERGED, None, atz, flops
+    ok = atz <= eps * math.sqrt(a.frob_sq) * z_norm
+    return CONVERGED if ok else None, None, atz, flops
 
 
-def rk_termination_check(a, b, x, eps, sums=None):
+def rk_termination_check(a, sums, eps):
     """||A x - b|| <= eps * ||A||_F * ||x||, with the zero-x degenerate rule."""
-    resid_sq, _, x_sq, _, b_sq = (sums or _bound_check_sums(a, b, x, None))()
+    resid_sq, _, x_sq, _, b_sq = sums()
     # A x, then - b, then the sums of squares of the residual and x
     flops = 2 * a.nnz + 3 * a.m + 2 * a.n
     resid, x_norm = math.sqrt(resid_sq), math.sqrt(x_sq)
     if _overflowed(resid, x_norm):
-        return OVERFLOW, resid, flops
+        return OVERFLOW, resid, None, flops
     if x_norm == 0.0:
         # Only a zero rhs legitimately stops at the origin (resid is ||b|| here).
         flops += 2 * a.m  # the sum of squares of b
-        return CONVERGED if resid <= eps * math.sqrt(b_sq) else None, resid, flops
-    return CONVERGED if resid <= eps * math.sqrt(a.frob_sq) * x_norm else None, resid, flops
+        return CONVERGED if resid <= eps * math.sqrt(b_sq) else None, resid, None, flops
+    ok = resid <= eps * math.sqrt(a.frob_sq) * x_norm
+    return CONVERGED if ok else None, resid, None, flops
 
 
-def rek_termination_check(a, b, x, z, eps, sums=None):
+def rek_termination_check(a, sums, eps):
     """Both REK inequalities against the current (x, z).
 
     Residual is measured against b - z, the running estimate of the range
     component of b; A^T z measures how far z still is from b_perp.
     """
-    resid_sq, atz_sq, x_sq, _, b_sq = (sums or _bound_check_sums(a, b, x, z))()
+    resid_sq, atz_sq, x_sq, _, b_sq = sums()
     # b - z, A x and their difference, A^T z, then the sums of squares of the
     # residual, A^T z and x
     flops = 4 * (a.nnz + a.m + a.n)
@@ -423,6 +426,9 @@ def _run(a, b, config, solver):
     config = config or SolverConfig(solver=solver)
     b = _validated_rhs(a, b)
     eps, cap, interval = config.resolved(a.m, a.n)
+    # looked up per run, so a wrapper bound to the module-level name is used
+    check = {REK: rek_termination_check, RK: rk_termination_check,
+             ROP: rop_termination_check}[solver]
     check_flops = 0
     reason = MAX_ITERS
     resid = atz = sums = None
@@ -431,12 +437,7 @@ def _run(a, b, config, solver):
     for iters, x, z, flops in trajectory(a, b, solver, config.seed, stops):
         # trajectory updates the same x and z in place, so bind them once
         sums = sums or _bound_check_sums(a, b, x, z)
-        if solver == REK:
-            outcome, resid, atz, cost = rek_termination_check(a, b, x, z, eps, sums)
-        elif solver == RK:
-            outcome, resid, cost = rk_termination_check(a, b, x, eps, sums)
-        else:
-            outcome, atz, cost = rop_termination_check(a, z, eps, sums)
+        outcome, resid, atz, cost = check(a, sums, eps)
         check_flops += cost
         if outcome:
             reason = outcome

@@ -4,13 +4,9 @@ The checkpoint drivers walk the same seeded trajectories as the solvers
 (solvers.trajectory), but stop at chosen iteration counts to measure the
 error against an oracle quantity instead of running termination checks. The
 check battery compares empirical means across seeds with the closed-form
-envelopes, inflated by a statistical slack factor (default 1.5) that absorbs
+envelopes, inflated by a statistical slack factor (SLACK) that absorbs
 Monte-Carlo noise; the envelopes themselves come only from the reference
 oracle, never from the solvers.
-
-The KACZMARZ_VERIFY_SLACK environment variable overrides the slack factor.
-It exists so the failure path can be exercised on purpose (set it below 1 and
-healthy checks start failing); it is not part of the CLI surface.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from .solvers import (
     trajectory,
 )
 
-DEFAULT_SLACK = 1.5
+SLACK = 1.5
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,8 @@ def rop_one_step_expectation(a, z, target):
 # the check battery behind `kaczmarz verify`
 
 
-def _envelope_check(name, label, multipliers, envelope, errors, ref, reps, seed, slack):
-    """Mean of `errors(checkpoints, seed)` over `reps` seeds against slack * envelope(t).
+def _envelope_check(name, label, multipliers, envelope, errors, ref, reps, seed):
+    """Mean of `errors(checkpoints, seed)` over `reps` seeds against SLACK * envelope(t).
 
     The checkpoints are round(c * kappa_F^2) for each multiplier c; `label`
     names them in the detail line.
@@ -126,7 +122,7 @@ def _envelope_check(name, label, multipliers, envelope, errors, ref, reps, seed,
     for t, total in zip(checkpoints, acc):
         mean = total / reps
         env = envelope(t)
-        worst = max(worst, mean / (slack * env) if env > 0 else float(mean > 0))
+        worst = max(worst, mean / (SLACK * env) if env > 0 else float(mean > 0))
     return CheckResult(
         name,
         worst <= 1.0,
@@ -134,14 +130,14 @@ def _envelope_check(name, label, multipliers, envelope, errors, ref, reps, seed,
     )
 
 
-def check_rek_envelope(a, b, ref, reps, seed, slack):
+def check_rek_envelope(a, b, ref, reps, seed):
     return _envelope_check(
         "rek-envelope", "T", (2, 4, 8), theory_bounds(ref, eps=1e-6).rek_envelope,
-        lambda ts, s: rek_checkpoint_errors(a, b, ref.x_ls, ts, s), ref, reps, seed, slack,
+        lambda ts, s: rek_checkpoint_errors(a, b, ref.x_ls, ts, s), ref, reps, seed,
     )
 
 
-def check_rk_envelope(a, b, ref, reps, seed, slack):
+def check_rk_envelope(a, b, ref, reps, seed):
     """Noisy-RK bound: rate^k ||x_ls||^2 + ||b_perp||^2 / sigma_min^2.
 
     Valid for any rhs; the noise term vanishes on consistent systems.
@@ -152,22 +148,22 @@ def check_rk_envelope(a, b, ref, reps, seed, slack):
     x_ls_sq = float(ref.x_ls @ ref.x_ls)
     return _envelope_check(
         "rk-envelope", "k", (2, 4, 8), lambda t: rate**t * x_ls_sq + floor,
-        lambda ts, s: rk_checkpoint_errors(a, b, ref.x_ls, ts, s), ref, reps, seed, slack,
+        lambda ts, s: rk_checkpoint_errors(a, b, ref.x_ls, ts, s), ref, reps, seed,
     )
 
 
-def check_rop_rate(a, b, ref, reps, seed, slack):
+def check_rop_rate(a, b, ref, reps, seed):
     rate = 1.0 - 1.0 / ref.kappa_f_sq
     b_range_sq = float(ref.b_range @ ref.b_range)
     return _envelope_check(
         "rop-rate", "k", (2, 4), lambda t: rate**t * b_range_sq,
-        lambda ts, s: rop_checkpoint_errors(a, b, ref.b_perp, ts, s), ref, reps, seed, slack,
+        lambda ts, s: rop_checkpoint_errors(a, b, ref.b_perp, ts, s), ref, reps, seed,
     )
 
 
-def check_one_step(a, b, ref, reps, seed, slack):
+def check_one_step(a, b, ref, reps, seed):
     """Exact conditional-expectation contractions, enumerated, zero slack."""
-    del reps, slack  # deterministic check
+    del reps  # deterministic check
     rate = 1.0 - 1.0 / ref.kappa_f_sq
     rng = np.random.default_rng(seed)
     ok = True
@@ -191,15 +187,12 @@ def check_one_step(a, b, ref, reps, seed, slack):
     return CheckResult("one-step-contraction", ok, "; ".join(details[:2]) + " ...")
 
 
-def check_iteration_bound(a, b, ref, reps, seed, slack, eps=1e-6, delta=0.1):
-    del slack
-    bounds = theory_bounds(ref, eps=eps, delta=delta)
-    cap = math.ceil(bounds.t_star)
-    interval = 8 * min(a.m, a.n)
+def check_iteration_bound(a, b, ref, reps, seed):
+    eps, delta = 1e-6, 0.1
+    cap = math.ceil(theory_bounds(ref, eps=eps, delta=delta).t_star)
     hits = 0
     for r in range(reps):
-        config = SolverConfig(eps=eps, max_iters=cap, check_interval=interval, seed=seed + r)
-        report = run_rek(a, b, config)
+        report = run_rek(a, b, SolverConfig(eps=eps, max_iters=cap, seed=seed + r))
         hits += report.converged
     need = math.ceil((1.0 - delta) * reps)
     return CheckResult(
@@ -209,8 +202,8 @@ def check_iteration_bound(a, b, ref, reps, seed, slack, eps=1e-6, delta=0.1):
     )
 
 
-def check_flop_model(a, b, ref, reps, seed, slack):
-    del ref, reps, slack
+def check_flop_model(a, b, ref, reps, seed):
+    del ref, reps
     iters = 2000
     config = SolverConfig(eps=1e-300, max_iters=iters, seed=seed)
     report = run_rek(a, b, config)
@@ -225,8 +218,9 @@ def check_flop_model(a, b, ref, reps, seed, slack):
     return CheckResult("flop-model", ok, detail)
 
 
-def check_forward_error(a, b, ref, reps, seed, slack, eps=1e-10):
-    del reps, slack
+def check_forward_error(a, b, ref, reps, seed):
+    del reps
+    eps = 1e-10
     bounds = theory_bounds(ref, eps=eps)
     config = SolverConfig(eps=eps, seed=seed)
     report = run_rek(a, b, config)
@@ -254,12 +248,12 @@ ALL_CHECKS = (
 )
 
 
-def run_all_checks(a, b, reps=100, seed=0, slack=DEFAULT_SLACK, names=None):
+def run_all_checks(a, b, reps=100, seed=0, names=None):
     """Run the battery against one instance; needs the oracle to fit in memory."""
     ref = min_norm_solve(a, b)
     results = []
     for name, fn in ALL_CHECKS:
         if names and name not in names:
             continue
-        results.append(fn(a, b, ref, reps, seed, slack))
+        results.append(fn(a, b, ref, reps, seed))
     return results

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kaczmarz
-from kaczmarz import cli
+from kaczmarz import cli, verify
 from kaczmarz.cli import BENCH_FIELDS, main
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.mmio import (
@@ -80,6 +80,25 @@ def test_solve_converges_and_writes_solution(tmp_path, capsys):
     x = read_vector(out_vec)
     assert x.shape == (10,)
     assert np.isfinite(x).all()
+
+
+def test_solve_reads_an_array_file_as_its_coordinate_twin(tmp_path, capsys):
+    # a dense (array-format) matrix file goes through DualSparseMatrix.from_dense
+    coord, arr, rhs = (str(tmp_path / name) for name in ("a.mtx", "dense.mtx", "b.mtx"))
+    run_cli(["gen", "--kind", "sparse", "--m", "60", "--n", "15", "--density", "0.3",
+             "--seed", "4", "--matrix", coord, "--rhs", rhs])
+    write_matrix_market(arr, read_matrix_market(coord).to_dense())
+    capsys.readouterr()
+    runs = []
+    for mx in (coord, arr):
+        out_vec = tmp_path / ("x-" + os.path.basename(mx))
+        code = run_cli(["solve", "--matrix", mx, "--rhs", rhs, "--eps", "1e-8",
+                        "--seed", "1", "--out", str(out_vec)])
+        line = capsys.readouterr().out.strip()
+        assert " wall=" in line
+        runs.append((code, line.rsplit(" wall=", 1)[0], out_vec.read_bytes()))
+    assert runs[0][1].startswith("solver=rek termination=")
+    assert runs[0] == runs[1]
 
 
 def test_solve_iteration_cap_exits_2(tmp_path, capsys):
@@ -308,12 +327,22 @@ def test_verify_subset_and_failure_exit_code(capsys, monkeypatch):
     out_lines = capsys.readouterr().out.strip().splitlines()
     assert len(out_lines) == 2
 
-    # an absurd slack override must flip the battery to FAIL and exit 2
-    monkeypatch.setenv("KACZMARZ_VERIFY_SLACK", "1e-12")
+    # an absurd slack must flip the battery to FAIL and exit 2
+    monkeypatch.setattr(verify, "SLACK", 1e-12)
     code = run_cli(["verify", "--kind", "dense", "--m", "20", "--n", "6",
                     "--seed", "8", "--reps", "5", "--checks", "rek-envelope"])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_flop_model_on_a_sparse_instance(capsys):
+    # the sparse branch compares the mean booked flops per iteration with the
+    # model 4(nnz/m + nnz/n) + 2 within 5%
+    code = run_cli(["verify", "--kind", "sparse", "--m", "100", "--n", "30",
+                    "--density", "0.3", "--seed", "3", "--checks", "flop-model"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS flop-model: sparse: 167.00 flops/iter vs model 165.63"]
 
 
 def test_verify_unknown_check_name(capsys):

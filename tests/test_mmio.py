@@ -178,6 +178,9 @@ def test_reader_accepts_comments_blanks_and_integer_field(tmp_path):
         (COORD + "10 10 1\n1 1 1_0.5\n", "line 3: bad numeric value '1_0.5'"),
         (COORD + "10 10 1\n1.0 1 1.0\n", "line 3: bad integer '1.0'"),
         (COORD + "1_0 10 1\n1 1 1.0\n", "line 2: bad integer '1_0'"),
+        ("%%MatrixMarket matrix array real general\n2 2 2\n1.0\n",
+         "line 2: array size line needs 'm n'"),
+        ("%%MatrixMarket matrix array real general\n0 2\n", "line 2: bad dimensions 0 2"),
     ],
 )
 def test_malformed_files_report_line_numbers(kernels, tmp_path, content, lineno_fragment):
@@ -226,6 +229,15 @@ def test_read_vector_rejects_matrices(tmp_path):
 def test_writer_refuses_non_finite(tmp_path):
     with pytest.raises(NonFiniteError):
         write_matrix_market(tmp_path / "nan.mtx", np.array([np.nan]))
+    # a refused write leaves the file already at the path as it was
+    p = tmp_path / "v.mtx"
+    write_vector(p, np.array([1.0, -2.5, 3.0]))
+    before = p.read_bytes()
+    with pytest.raises(NonFiniteError):
+        write_matrix_market(p, np.array([1.0, np.inf]))
+    with pytest.raises(MatrixMarketError, match="1-D or 2-D"):
+        write_matrix_market(p, np.zeros((2, 2, 2)))
+    assert p.read_bytes() == before
 
 
 def test_csv_round_trip_and_cell_conventions(tmp_path):

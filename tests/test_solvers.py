@@ -131,22 +131,34 @@ def test_zero_norm_lines_raise():
 _CHECK_A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
 
 
+def _rek_check(a, b, x, z, eps):
+    return rek_termination_check(a, _bound_check_sums(a, b, x, z), eps)
+
+
+def _rk_check(a, b, x, eps):
+    return rk_termination_check(a, _bound_check_sums(a, b, x, None), eps)
+
+
+def _rop_check(a, z, eps):
+    return rop_termination_check(a, _bound_check_sums(a, None, None, z), eps)
+
+
 def test_termination_check_degenerate_rules():
     a = DualSparseMatrix.from_dense(_CHECK_A)
     b = np.array([1.0, 2.0, 3.0])
     eps = 1e-8
     # x = 0 with nonzero rhs is not converged
-    ok, _, _ = rk_termination_check(a, b, np.zeros(2), eps)
-    assert not ok
+    ok, _, atz, _ = _rk_check(a, b, np.zeros(2), eps)
+    assert not ok and atz is None  # RK has no z
     # x = 0 with zero rhs is the answer
-    ok, _, _ = rk_termination_check(a, np.zeros(3), np.zeros(2), eps)
+    ok, _, _, _ = _rk_check(a, np.zeros(3), np.zeros(2), eps)
     assert ok
     # z = 0 is already the orthogonal-complement limit
-    ok, _, _ = rop_termination_check(a, np.zeros(3), eps)
-    assert ok
-    ok, _, _, _ = rek_termination_check(a, b, np.zeros(2), b.copy(), eps)
+    ok, resid, _, _ = _rop_check(a, np.zeros(3), eps)
+    assert ok and resid is None  # ROP has no x
+    ok, _, _, _ = _rek_check(a, b, np.zeros(2), b.copy(), eps)
     assert ok  # b - z = 0 leaves nothing for x to explain
-    ok, _, _, _ = rek_termination_check(a, b, np.zeros(2), np.zeros(3), eps)
+    ok, _, _, _ = _rek_check(a, b, np.zeros(2), np.zeros(3), eps)
     assert not ok
 
 
@@ -156,21 +168,21 @@ def test_termination_checks_book_their_flops_in_every_branch(kernels):
     a = DualSparseMatrix.from_dense(_CHECK_A)
     b, x, eps = np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), 1e-8
     zero = np.zeros(2)
-    assert rop_termination_check(a, b, eps)[-1] == 18
-    assert rk_termination_check(a, b, x, eps)[-1] == 21
-    assert rk_termination_check(a, b, zero, eps)[-1] == 27
-    assert rek_termination_check(a, b, x, b / 2, eps)[-1] == 36
-    assert rek_termination_check(a, b, zero, b / 2, eps)[-1] == 48
+    assert _rop_check(a, b, eps)[-1] == 18
+    assert _rk_check(a, b, x, eps)[-1] == 21
+    assert _rk_check(a, b, zero, eps)[-1] == 27
+    assert _rek_check(a, b, x, b / 2, eps)[-1] == 36
+    assert _rek_check(a, b, zero, b / 2, eps)[-1] == 48
 
     # overflowing norms stop a check early, before the x = 0 rule
     huge = np.array([1.0, 0.5, -1.0]) * 1e200  # orthogonal to A's columns
     np.testing.assert_array_equal(_CHECK_A.T @ huge, zero)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the fallback's numpy sums
-        outcome, _, cost = rk_termination_check(a, huge, zero, eps)
+        outcome, _, _, cost = _rk_check(a, huge, zero, eps)
         assert (outcome, cost) == (OVERFLOW, 21)
         # b - z = 0 and A^T z = 0 are finite, ||b||^2 is not
-        outcome, resid, atz, cost = rek_termination_check(a, huge, zero, huge.copy(), eps)
+        outcome, resid, atz, cost = _rek_check(a, huge, zero, huge.copy(), eps)
         assert (outcome, resid, atz, cost) == (OVERFLOW, 0.0, 0.0, 42)
 
 
@@ -185,10 +197,10 @@ def test_bound_checks_follow_in_place_updates(kernels):
         x[:] = rng.standard_normal(a.n)
         z[:] = rng.standard_normal(a.m)
         for eps in (1e-8, 10.0):
-            assert (rek_termination_check(a, b, x, z, eps, rek_sums)
-                    == rek_termination_check(a, b, x, z, eps))
-            assert rk_termination_check(a, b, x, eps, rk_sums) == rk_termination_check(a, b, x, eps)
-            assert rop_termination_check(a, z, eps, rop_sums) == rop_termination_check(a, z, eps)
+            # sums bound before the updates read what freshly bound ones do
+            assert rek_termination_check(a, rek_sums, eps) == _rek_check(a, b, x, z, eps)
+            assert rk_termination_check(a, rk_sums, eps) == _rk_check(a, b, x, eps)
+            assert rop_termination_check(a, rop_sums, eps) == _rop_check(a, z, eps)
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
