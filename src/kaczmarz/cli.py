@@ -224,6 +224,11 @@ def cmd_solve(args):
     return 0 if report.converged else 2
 
 
+def _names(text):
+    """The names in a comma-separated list, blanks dropped."""
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
 def _bench_instances(args):
     """(rep, seed, name, a, b, oracle) for each rep of each point.
 
@@ -249,7 +254,11 @@ def _bench_instances(args):
 
 
 def _bench_rows(args):
-    solvers = [s.strip() for s in args.solver.split(",") if s.strip()]
+    if args.reps < 1:
+        raise KaczmarzError("--reps must be >= 1, got %d" % args.reps)
+    solvers = _names(args.solver)
+    if not solvers:
+        raise KaczmarzError("--solver names no solver")
     for s in solvers:
         if s not in SOLVERS:
             raise KaczmarzError("unknown solver %r" % s)
@@ -303,12 +312,8 @@ def cmd_bench(args):
 
 def cmd_verify(args):
     a, b = _instance_from_args(args, args.seed)
-    names = None
-    if args.checks:
-        names = {tok.strip() for tok in args.checks.split(",") if tok.strip()}
+    names = None if args.checks is None else _names(args.checks)
     results = run_all_checks(a, b, reps=args.reps, seed=args.seed, names=names)
-    if not results:
-        raise KaczmarzError("no checks selected")
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 2

@@ -69,11 +69,11 @@ def svd_decompose(a):
     return np.linalg.svd(dense, full_matrices=False)
 
 
-def min_norm_solve(a, b, rank_tol=None):
+def min_norm_solve(a, b):
     """Rank-revealing min-norm least-squares solve of A x ~ b.
 
-    rank_tol defaults to 8*max(m,n)*machine_epsilon; singular values at or
-    below rank_tol*sigma_max are treated as zero.
+    Singular values at or below 8*max(m,n)*machine_epsilon*sigma_max are
+    treated as zero.
     """
     dense, nnz = _as_dense(a)
     m, n = dense.shape
@@ -86,8 +86,7 @@ def min_norm_solve(a, b, rank_tol=None):
         raise NonFiniteError("rhs entries must be finite")
 
     u, s, vt = svd_decompose(dense)
-    if rank_tol is None:
-        rank_tol = 8.0 * max(m, n) * np.finfo(np.float64).eps
+    rank_tol = 8.0 * max(m, n) * np.finfo(np.float64).eps
     sigma_max = float(s[0]) if s.size else 0.0
     if sigma_max == 0.0:
         raise AllZeroMatrixError("matrix has no nonzero entries")

@@ -32,8 +32,10 @@ over rop_step and rk_step instead. The compiled dots sum left to right, so
 their iterates differ from the per-step path's BLAS dots only by rounding
 (about 1e-14 relative) and do not depend on the BLAS kernel the host picks.
 
-trajectory binds the compiled call once per run, not once per block: b, x
-and z are checked and their addresses taken when the run starts, and the
+A run is bound once, not once per block or check: when trajectory starts,
+_bind checks b, x and z, takes their addresses and binds both the compiled
+block_steps and the compiled check_sums to them (or, where the kernels are
+unavailable, closes the per-step loop and the numpy sums over them). The
 row and column indices are drawn into two reusable int64 buffers that grow
 only when a block is larger than any before it (8*min(m, n) entries each at
 the solvers' default check interval). So a block costs one alias_draws call
@@ -44,10 +46,9 @@ check_sums: the products A x and A^T z come out bit-identical to the numpy
 ones, and every sum of squares runs left to right. So on the compiled path
 the stopping decision and the reported residual_norm / atz_norm do not
 depend on the BLAS kernel either. Where the kernels are unavailable, the
-checks use the numpy products and BLAS dots, as np.linalg.norm does. Like
-the blocks, the checks are bound once per run: the runners take the
-addresses of b, x and z and make the result array at the first check, and
-hand the bound sums to every check.
+checks use the numpy products and BLAS dots, as np.linalg.norm does.
+trajectory yields the bound sums with each stop, and the runners hand them
+to every check.
 
 Flops are booked by formula where the work runs; one dot or axpy over k
 stored entries costs 2k. block_steps returns 4 per stored entry its steps
@@ -195,16 +196,22 @@ def _line_nnz(ptr, ids):
     return int((ptr[ids + 1] - ptr[ids]).sum())
 
 
-def _bound_steps(a, b, x, z):
-    """block_steps for many blocks on the same b, x and z.
+def _bind(a, b, x, z):
+    """block_steps and the check sums for a run on the same b, x and z.
 
-    b, x and z are checked, and their addresses taken, once here. The result
-    is steps(rows, cols, row_addr, col_addr), which runs one block as
+    b, x and z are checked, and their addresses taken, once here. Returns
+    (steps, sums). steps(rows, cols, row_addr, col_addr) runs one block as
     block_steps does, given the int64 index arrays and their addresses (the
     compiled kernel reads the addresses, the per-step path the arrays).
+    sums() gives the sums of squares of A x - (b - z), A^T z, x, z and b, in
+    that order, for the current contents of x and z. A None z makes the first
+    A x - b and leaves out A^T z and z; a None x leaves out A x - (b - z), x
+    and b. Left-out sums are 0.0.
     """
     has_x, has_z = x is not None, z is not None
     scalar_flops = 2 if has_x else 1
+    vecs = (_addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
+            _addr(z, a.m) if has_z else None)
     lib = _blocks.load()
     if lib is None:
         def steps(rows, cols, row_addr, col_addr):
@@ -222,12 +229,24 @@ def _bound_steps(a, b, x, z):
             touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
                        + (_line_nnz(a.col_ptr, cols) if has_z else 0))
             return 4 * touched + scalar_flops * (rows.size if has_x else cols.size)
-        return steps
+
+        def sums():
+            # v.dot(v) is the sum np.linalg.norm takes the root of
+            resid_sq = atz_sq = x_sq = z_sq = b_sq = 0.0
+            if has_x:
+                resid = a.matvec(x) - (b if z is None else b - z)
+                resid_sq, x_sq, b_sq = float(resid.dot(resid)), float(x.dot(x)), float(b.dot(b))
+            if has_z:
+                atz = a.rmatvec(z)
+                atz_sq, z_sq = float(atz.dot(atz)), float(z.dot(z))
+            return resid_sq, atz_sq, x_sq, z_sq, b_sq
+        return steps, sums
 
     kernel = functools.partial(
-        lib.block_steps, a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
-        _addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
-        _addr(z, a.m) if has_z else None)
+        lib.block_steps, a.m, a.n, *a._line_addrs[0], *a._line_addrs[1], *vecs)
+    out = (ctypes.c_double * 5)()
+    check = functools.partial(
+        lib.check_sums, a.m, a.n, *a._line_addrs[0][:3], *a._line_addrs[1][:3], *vecs, out)
 
     def steps(rows, cols, row_addr, col_addr):
         count = rows.size if has_x else cols.size
@@ -235,7 +254,11 @@ def _bound_steps(a, b, x, z):
         if touched < 0:
             raise IndexError("sampled row or column index out of range")
         return 4 * touched + scalar_flops * count
-    return steps
+
+    def sums():
+        check()
+        return tuple(out)
+    return steps, sums
 
 
 def block_steps(a, b, x, z, rows, cols):
@@ -251,58 +274,22 @@ def block_steps(a, b, x, z, rows, cols):
     cols = np.ascontiguousarray(cols, dtype=np.int64) if has_z else None
     if has_x and has_z and rows.shape != cols.shape:
         raise DimensionMismatchError("need as many column picks as row picks")
-    return _bound_steps(a, b, x, z)(rows, cols, rows.ctypes.data if has_x else None,
-                                    cols.ctypes.data if has_z else None)
+    steps, _ = _bind(a, b, x, z)
+    return steps(rows, cols, rows.ctypes.data if has_x else None,
+                 cols.ctypes.data if has_z else None)
 
 
 # ----------------------------------------------------------------------
 # termination checks
 #
-# Each takes the matrix, the run's _bound_check_sums and eps, and returns
-# (outcome, residual_norm, atz_norm, flops), with None for the norm its solver
-# lacks (atz_norm for RK, residual_norm for ROP). The outcome is CONVERGED,
-# OVERFLOW (a norm it compares is inf or nan, where `inf <= eps * inf` would
-# otherwise read as converged), or None to keep iterating. The flops are for
-# the runner's separate check tally. The sums of squares behind the norms come
-# from one call of the compiled check_sums, or from numpy products and BLAS
-# dots where the kernels are unavailable.
-
-
-def _bound_check_sums(a, b, x, z):
-    """The sums of squares behind the termination checks, bound to b, x and z.
-
-    Returns sums(), which gives the sums of squares of A x - (b - z), A^T z,
-    x, z and b, in that order, for the current contents of x and z. A None z
-    makes the first A x - b and leaves out A^T z and z; a None x leaves out
-    A x - (b - z), x and b. Left-out sums are 0.0. On the compiled path the
-    addresses are taken, and the result array made, once here, so a check
-    that reuses sums() costs one check_sums call.
-    """
-    lib = _blocks.load()
-    if lib is not None:
-        out = (ctypes.c_double * 5)()
-        has_x = x is not None
-        call = functools.partial(
-            lib.check_sums, a.m, a.n, *a._line_addrs[0][:3], *a._line_addrs[1][:3],
-            _addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
-            None if z is None else _addr(z, a.m), out)
-
-        def sums():
-            call()
-            return tuple(out)
-        return sums
-
-    def sums():
-        # v.dot(v) is the sum np.linalg.norm takes the root of
-        resid_sq = atz_sq = x_sq = z_sq = b_sq = 0.0
-        if x is not None:
-            resid = a.matvec(x) - (b if z is None else b - z)
-            resid_sq, x_sq, b_sq = float(resid.dot(resid)), float(x.dot(x)), float(b.dot(b))
-        if z is not None:
-            atz = a.rmatvec(z)
-            atz_sq, z_sq = float(atz.dot(atz)), float(z.dot(z))
-        return resid_sq, atz_sq, x_sq, z_sq, b_sq
-    return sums
+# Each takes the matrix, the run's sums (bound by _bind, alongside its block
+# steps) and eps, and returns (outcome, residual_norm, atz_norm, flops), with
+# None for the norm its solver lacks (atz_norm for RK, residual_norm for ROP).
+# The outcome is CONVERGED, OVERFLOW (a norm it compares is inf or nan, where
+# `inf <= eps * inf` would otherwise read as converged), or None to keep
+# iterating. The flops are for the runner's separate check tally. The sums of
+# squares behind the norms come from one call of the compiled check_sums, or
+# from numpy products and BLAS dots where the kernels are unavailable.
 
 
 def _overflowed(*norms):
@@ -370,27 +357,16 @@ def rek_termination_check(a, sums, eps):
 # the seeded trajectory, and the runners built on it
 
 
-def _validated_rhs(a, b):
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (a.m,):
-        raise DimensionMismatchError(
-            "rhs must have length %d, got shape %r" % (a.m, b.shape)
-        )
-    if not np.isfinite(b).all():
-        raise NonFiniteError("rhs entries must be finite")
-    # the compiled block kernels read b through a raw pointer
-    return np.ascontiguousarray(b)
-
-
 def trajectory(a, b, solver, seed, stops):
-    """Yield (iters, x, z, flops) of one seeded run after each count in `stops`.
+    """Yield (iters, x, z, flops, sums) of one seeded run after each count in `stops`.
 
     The run starts from x = 0 (REK, RK) and z = b (REK, ROP); x is None for
     ROP and z is None for RK. Rows and columns come from two streams derived
     from `seed`, so the iterate after t steps depends on the seed and t only,
     not on how `stops` splits the run into blocks. x and z are updated in
-    place between yields and flops is the running total. `stops` must not
-    decrease and may be lazy.
+    place between yields and flops is the running total. sums is the run's
+    bound check sums (see _bind), the same function at every yield. `stops`
+    must not decrease and may be lazy.
     """
     if not 0.0 < a.frob_sq < math.inf:
         # Line norms would overflow or vanish in the samplers and the
@@ -399,7 +375,15 @@ def trajectory(a, b, solver, seed, stops):
                 else "squares of A's entries all underflow")
         raise InvalidRangeError("the %s float64 (largest |entry| %.3g); rescale A and b"
                                 % (what, float(np.abs(a.row_vals).max())))
-    b = _validated_rhs(a, b)
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (a.m,):
+        raise DimensionMismatchError(
+            "rhs must have length %d, got shape %r" % (a.m, b.shape)
+        )
+    if not np.isfinite(b).all():
+        raise NonFiniteError("rhs entries must be finite")
+    # the compiled kernels read b through a raw pointer
+    b = np.ascontiguousarray(b)
     x = None if solver == ROP else np.zeros(a.n)
     z = None if solver == RK else b.copy()
     if x is not None:
@@ -407,7 +391,7 @@ def trajectory(a, b, solver, seed, stops):
     if z is not None:
         col_rng, col_table = RngStream.derived(seed, COL_STREAM_SALT), col_sampler(a)
     row_buf, col_buf = IndexBuffer(), IndexBuffer()
-    steps = _bound_steps(a, b, x, z)
+    steps, sums = _bind(a, b, x, z)
     iters = flops = 0
     for stop in stops:
         block = stop - iters
@@ -418,25 +402,22 @@ def trajectory(a, b, solver, seed, stops):
             cols = sample_block(col_table, col_rng, block, col_buf) if z is not None else None
             flops += steps(rows, cols, row_buf.address, col_buf.address)
             iters = stop
-        yield iters, x, z, flops
+        yield iters, x, z, flops, sums
 
 
 def _run(a, b, config, solver):
     """Run `solver` until its termination check says stop, checking every interval."""
     config = config or SolverConfig(solver=solver)
-    b = _validated_rhs(a, b)
     eps, cap, interval = config.resolved(a.m, a.n)
     # looked up per run, so a wrapper bound to the module-level name is used
     check = {REK: rek_termination_check, RK: rk_termination_check,
              ROP: rop_termination_check}[solver]
     check_flops = 0
     reason = MAX_ITERS
-    resid = atz = sums = None
+    resid = atz = None
     start = time.perf_counter()
     stops = itertools.chain(range(interval, cap, interval), (cap,))
-    for iters, x, z, flops in trajectory(a, b, solver, config.seed, stops):
-        # trajectory updates the same x and z in place, so bind them once
-        sums = sums or _bound_check_sums(a, b, x, z)
+    for iters, x, z, flops, sums in trajectory(a, b, solver, config.seed, stops):
         outcome, resid, atz, cost = check(a, sums, eps)
         check_flops += cost
         if outcome:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidRangeError
 from .reference import min_norm_solve
 from .sampling import sample_block  # noqa: F401  (the benchmark's tracer patches this name)
 from .solvers import (
@@ -50,7 +51,7 @@ class CheckResult:
 def _checkpoint_errors(a, b, solver, ref, checkpoints, seed):
     """||v_t - ref||^2 at each checkpoint t of one seeded run; v is z for ROP, else x."""
     out = []
-    for _, x, z, _ in trajectory(a, b, solver, seed, sorted(int(t) for t in checkpoints)):
+    for _, x, z, _, _ in trajectory(a, b, solver, seed, sorted(int(t) for t in checkpoints)):
         diff = (z if solver == ROP else x) - ref
         out.append(float(diff @ diff))
     return out
@@ -249,11 +250,20 @@ ALL_CHECKS = (
 
 
 def run_all_checks(a, b, reps=100, seed=0, names=None):
-    """Run the battery against one instance; needs the oracle to fit in memory."""
+    """Run the battery, or the checks in `names`, against one instance.
+
+    reps below 1, an empty `names` and an unknown name are refused before the
+    oracle runs. The oracle must fit in memory.
+    """
+    if reps < 1:
+        raise InvalidRangeError("reps must be >= 1, got %d" % reps)
+    if names is not None:
+        known = [name for name, _ in ALL_CHECKS]
+        unknown = [name for name in names if name not in known]
+        if unknown or not names:
+            raise InvalidRangeError("%s; the checks are %s" % (
+                "unknown check " + ", ".join(map(repr, unknown)) if unknown
+                else "no check selected", ", ".join(known)))
     ref = min_norm_solve(a, b)
-    results = []
-    for name, fn in ALL_CHECKS:
-        if names and name not in names:
-            continue
-        results.append(fn(a, b, ref, reps, seed))
-    return results
+    return [fn(a, b, ref, reps, seed) for name, fn in ALL_CHECKS
+            if names is None or name in names]

@@ -275,6 +275,22 @@ def test_bench_reads_and_solves_a_fixed_instance_once(tmp_path, monkeypatch):
     assert strip_wall_time(all_csv) == want
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--reps", "0"], "--reps must be >= 1, got 0"),
+    (["--reps", "-3"], "--reps must be >= 1, got -3"),
+    (["--solver", ","], "--solver names no solver"),
+])
+def test_bench_refuses_no_reps_and_no_solvers(tmp_path, capsys, monkeypatch, flags, message):
+    generated = []
+    monkeypatch.setattr(cli, "generate", lambda spec: generated.append(spec))
+    csv_path = tmp_path / "r.csv"
+    code = run_cli(["bench", "--kind", "dense", "--m", "20", "--n", "5", *flags,
+                    "--csv", str(csv_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not generated and not csv_path.exists()
+
+
 def test_log_level_does_not_change_outputs(tmp_path, monkeypatch):
     csv1, csv2 = str(tmp_path / "q1.csv"), str(tmp_path / "q2.csv")
     argv = ["bench", "--kind", "dense", "--m", "10", "--n", "4", "--reps", "1",
@@ -350,6 +366,34 @@ def test_verify_unknown_check_name(capsys):
                     "--checks", "no-such-check"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+_CHECK_NAMES = ("rek-envelope, rk-envelope, rop-rate, one-step-contraction, iteration-bound, "
+                "flop-model, forward-error")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--reps", "0"], "reps must be >= 1, got 0"),
+    (["--reps", "-3"], "reps must be >= 1, got -3"),
+    (["--reps", "0", "--checks", "iteration-bound"], "reps must be >= 1, got 0"),
+    (["--checks", "flop-model,flopmodel"],
+     "unknown check 'flopmodel'; the checks are " + _CHECK_NAMES),
+    (["--checks", ","], "no check selected; the checks are " + _CHECK_NAMES),
+    (["--checks", ""], "no check selected; the checks are " + _CHECK_NAMES),
+])
+def test_verify_refuses_empty_runs_before_the_oracle(capsys, monkeypatch, flags, message):
+    solved = []
+    monkeypatch.setattr(verify, "min_norm_solve", lambda a, b: solved.append(a))
+    code = run_cli(["verify", "--kind", "dense", "--m", "30", "--n", "8", "--seed", "3", *flags])
+    assert code == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "error: %s\n" % message)
+    assert not solved
+
+
+def test_verify_matrix_needs_its_rhs(capsys):
+    assert run_cli(["verify", "--matrix", "A.mtx"]) == 1
+    assert capsys.readouterr().err == "error: --rhs is required when --matrix is given\n"
 
 
 def test_verify_refuses_the_tolerance_flags_it_never_read(capsys):

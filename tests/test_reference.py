@@ -136,14 +136,14 @@ def test_resolving_with_range_component_reproduces_x_ls():
     assert np.linalg.norm(again.b_perp) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_rank_tol_override():
-    dense = np.diag([1.0, 1e-5, 1e-15])
-    a = DualSparseMatrix.from_dense(dense)
+def test_rank_cut_is_8_max_mn_eps_times_sigma_max():
+    # the cut is 8*3*eps ~ 5.3e-15 times sigma_max: at any scale a tail of
+    # 1e-15 sigma_max is dropped and one of 1e-13 sigma_max is kept
     b = np.ones(3)
-    # default tol is 8*max(m,n)*eps ~ 5e-15, absorbing the 1e-15 direction
-    assert min_norm_solve(a, b).rank == 2
-    assert min_norm_solve(a, b, rank_tol=1e-16).rank == 3
-    assert min_norm_solve(a, b, rank_tol=1e-3).rank == 1
+    for scale in (1.0, 1e10):
+        for tail, rank in ((1e-15, 2), (1e-13, 3)):
+            a = DualSparseMatrix.from_dense(scale * np.diag([1.0, 1e-5, tail]))
+            assert min_norm_solve(a, b).rank == rank
 
 
 def test_accepts_plain_ndarray_and_validates():

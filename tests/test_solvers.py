@@ -42,7 +42,7 @@ from kaczmarz.solvers import (
     RK,
     ROP,
     SolverConfig,
-    _bound_check_sums,
+    _bind,
     block_steps,
     rek_termination_check,
     rk_step,
@@ -132,15 +132,15 @@ _CHECK_A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
 
 
 def _rek_check(a, b, x, z, eps):
-    return rek_termination_check(a, _bound_check_sums(a, b, x, z), eps)
+    return rek_termination_check(a, _bind(a, b, x, z)[1], eps)
 
 
 def _rk_check(a, b, x, eps):
-    return rk_termination_check(a, _bound_check_sums(a, b, x, None), eps)
+    return rk_termination_check(a, _bind(a, b, x, None)[1], eps)
 
 
 def _rop_check(a, z, eps):
-    return rop_termination_check(a, _bound_check_sums(a, None, None, z), eps)
+    return rop_termination_check(a, _bind(a, None, None, z)[1], eps)
 
 
 def test_termination_check_degenerate_rules():
@@ -190,8 +190,8 @@ def test_bound_checks_follow_in_place_updates(kernels):
     # the runners bind the check sums once and keep updating x and z in place
     a, b, _ = generate(InstanceSpec(kind="sparse", m=40, n=12, density=0.3, seed=4))
     x, z = np.zeros(a.n), b.copy()
-    rek_sums, rk_sums = _bound_check_sums(a, b, x, z), _bound_check_sums(a, b, x, None)
-    rop_sums = _bound_check_sums(a, b, None, z)
+    rek_sums, rk_sums = _bind(a, b, x, z)[1], _bind(a, b, x, None)[1]
+    rop_sums = _bind(a, b, None, z)[1]
     rng = np.random.default_rng(1)
     for _ in range(3):
         x[:] = rng.standard_normal(a.n)
@@ -713,13 +713,23 @@ def test_trajectory_takes_no_addresses_per_block(solver, compiled, monkeypatch):
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_trajectory_refuses_decreasing_stops(solver, kernels):
+    a, b, _ = generate(BLOCK_SPECS["dense"])
+    run = trajectory(a, b, solver, 0, [10, 5])
+    iters, *_ = next(run)
+    assert iters == 10
+    with pytest.raises(ValueError, match="^stops must not decrease from 0, got 5 after 10$"):
+        next(run)
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
 def test_reused_index_buffers_leak_nothing_between_blocks(solver, kernels):
     # blocks of 1, 1, 298, 1 and 899 steps: the buffers grow, then serve
     # smaller blocks than they hold, then grow again
     a, b, _ = generate(BLOCK_SPECS["sparse"])
 
     def end_of_run(stops):
-        *_, (iters, x, z, flops) = trajectory(a, b, solver, 9, stops)
+        *_, (iters, x, z, flops, _) = trajectory(a, b, solver, 9, stops)
         return iters, _digest(x), _digest(z), flops
 
     x = None if solver == ROP else np.zeros(a.n)
