@@ -15,10 +15,17 @@
  * other half left out: a NULL z aims the row steps at b_i, a NULL x leaves
  * only the column steps. The operations and their order are those of the
  * per-step path in kaczmarz.solvers: for each k, read the row target, then
- * rop_step, then rk_step. Only the dot products can round differently from
- * the Python steps, whose dots go through BLAS: here they sum left to right
- * over the stored entries, and the file is compiled with -ffp-contract=off,
- * so the iterates do not depend on which BLAS kernel the host would pick.
+ * rop_step, then rk_step. Each step's axpy is held back and done just before
+ * the next step's dot on the same vector, and after the last step, which
+ * changes no operation's inputs: z_i is read once the column step before it
+ * has finished. When the held-back line and the next line on a vector are
+ * both full (as many stored entries as the vector has), their indices are
+ * 0 .. size-1 in order, so the axpy and the dot run as one loop over v[q]
+ * with no index gather; any other pair runs the gathered axpy, then the dot.
+ * Only the dot products can round differently from the Python steps, whose
+ * dots go through BLAS: here they sum left to right over the stored
+ * entries, and the file is compiled with -ffp-contract=off, so the iterates
+ * do not depend on which BLAS kernel the host would pick.
  * Every index of a half that runs is checked before any vector is touched:
  * block_steps returns the number of stored entries its steps visited, or -1,
  * with x and z unchanged, when an index lies outside its range.
@@ -94,12 +101,22 @@ void alias_draws(uint64_t seed, uint64_t counter, int64_t size,
     }
 }
 
+/* The dot of the stored entries lo .. hi-1 with v, left to right. A line of
+ * a matrix with `size` rows (a column) or `size` columns (a row) that stores
+ * `size` entries lists the indices 0 .. size-1 in order, so v is read
+ * without the gather. */
 static double line_dot(const int64_t *idx, const double *vals, int64_t lo,
-                       int64_t hi, const double *v)
+                       int64_t hi, int64_t size, const double *v)
 {
     double s = 0.0;
-    for (int64_t k = lo; k < hi; k++)
-        s += vals[k] * v[idx[k]];
+    if (hi - lo == size) {
+        const double *w = vals + lo;
+        for (int64_t q = 0; q < size; q++)
+            s += w[q] * v[q];
+    } else {
+        for (int64_t k = lo; k < hi; k++)
+            s += vals[k] * v[idx[k]];
+    }
     return s;
 }
 
@@ -108,6 +125,26 @@ static void line_axpy(const int64_t *idx, const double *vals, int64_t lo,
 {
     for (int64_t k = lo; k < hi; k++)
         v[idx[k]] += alpha * vals[k];
+}
+
+/* v += alpha * (entries plo .. phi-1), the axpy held back from the step
+ * before, then the dot of entries lo .. hi-1 with v. When both lines are
+ * full, each v[q] is updated and then read in one loop. */
+static double axpy_dot(const int64_t *idx, const double *vals, int64_t size,
+                       int64_t plo, int64_t phi, double alpha, int64_t lo,
+                       int64_t hi, double *v)
+{
+    if (phi - plo == size && hi - lo == size) {
+        const double *p = vals + plo, *w = vals + lo;
+        double s = 0.0;
+        for (int64_t q = 0; q < size; q++) {
+            v[q] += alpha * p[q];
+            s += w[q] * v[q];
+        }
+        return s;
+    }
+    line_axpy(idx, vals, plo, phi, alpha, v);
+    return line_dot(idx, vals, lo, hi, size, v);
 }
 
 static int in_range(const int64_t *ids, int64_t count, int64_t size)
@@ -129,7 +166,10 @@ static double sum_sq(const double *v, int64_t size)
 /* For k < count: the column step on z with column cols[k], then the row step
  * on x with row rows[k] toward b_i - z_i, z_i read before the column step.
  * A NULL z leaves out the column steps and aims at b_i; a NULL x leaves out
- * the row steps, and rows and b are not read. */
+ * the row steps, and rows and b are not read. The axpy of step k on either
+ * vector runs inside step k+1's dot on it (axpy_dot), so z_i is read after
+ * the column loop of step k, which finishes step k-1 on z; the last axpys
+ * run before the return. */
 int64_t block_steps(int64_t m, int64_t n, const int64_t *row_ptr,
                     const int64_t *row_cols, const double *row_vals,
                     const double *row_sq, const int64_t *col_ptr,
@@ -140,29 +180,34 @@ int64_t block_steps(int64_t m, int64_t n, const int64_t *row_ptr,
     if ((x != NULL && !in_range(rows, count, m)) || (z != NULL && !in_range(cols, count, n)))
         return -1;
     int64_t touched = 0;
+    /* the held-back axpys: z += z_alpha * entries z_lo .. z_hi-1 of the
+     * column layout, x += x_alpha * entries x_lo .. x_hi-1 of the row one */
+    int64_t z_lo = 0, z_hi = 0, x_lo = 0, x_hi = 0;
+    double z_alpha = 0.0, x_alpha = 0.0;
     for (int64_t k = 0; k < count; k++) {
-        int64_t i = 0, lo, hi;
-        double target = 0.0;
-        if (x != NULL) {
-            i = rows[k];
-            target = z != NULL ? b[i] - z[i] : b[i];
-        }
         if (z != NULL) {
-            int64_t j = cols[k];
-            lo = col_ptr[j];
-            hi = col_ptr[j + 1];
-            double scale = line_dot(col_rows, col_vals, lo, hi, z) / col_sq[j];
-            line_axpy(col_rows, col_vals, lo, hi, -scale, z);
+            int64_t j = cols[k], lo = col_ptr[j], hi = col_ptr[j + 1];
+            double scale = axpy_dot(col_rows, col_vals, m, z_lo, z_hi, z_alpha, lo, hi, z)
+                           / col_sq[j];
+            z_lo = lo;
+            z_hi = hi;
+            z_alpha = -scale;
             touched += hi - lo;
         }
         if (x != NULL) {
-            lo = row_ptr[i];
-            hi = row_ptr[i + 1];
-            double resid = (target - line_dot(row_cols, row_vals, lo, hi, x)) / row_sq[i];
-            line_axpy(row_cols, row_vals, lo, hi, resid, x);
+            int64_t i = rows[k], lo = row_ptr[i], hi = row_ptr[i + 1];
+            double target = z != NULL ? b[i] - z[i] : b[i];
+            double dot = axpy_dot(row_cols, row_vals, n, x_lo, x_hi, x_alpha, lo, hi, x);
+            x_lo = lo;
+            x_hi = hi;
+            x_alpha = (target - dot) / row_sq[i];
             touched += hi - lo;
         }
     }
+    if (z != NULL)
+        line_axpy(col_rows, col_vals, z_lo, z_hi, z_alpha, z);
+    if (x != NULL)
+        line_axpy(row_cols, row_vals, x_lo, x_hi, x_alpha, x);
     return touched;
 }
 
@@ -179,7 +224,7 @@ void check_sums(int64_t m, int64_t n, const int64_t *row_ptr,
     double resid = 0.0, atz = 0.0, x_sq = 0.0, z_sq = 0.0, b_sq = 0.0;
     if (x != NULL) {
         for (int64_t i = 0; i < m; i++) {
-            double ax = line_dot(row_cols, row_vals, row_ptr[i], row_ptr[i + 1], x);
+            double ax = line_dot(row_cols, row_vals, row_ptr[i], row_ptr[i + 1], n, x);
             double r = ax - (z != NULL ? b[i] - z[i] : b[i]);
             resid += r * r;
         }
@@ -188,7 +233,7 @@ void check_sums(int64_t m, int64_t n, const int64_t *row_ptr,
     }
     if (z != NULL) {
         for (int64_t j = 0; j < n; j++) {
-            double p = line_dot(col_rows, col_vals, col_ptr[j], col_ptr[j + 1], z);
+            double p = line_dot(col_rows, col_vals, col_ptr[j], col_ptr[j + 1], m, z);
             atz += p * p;
         }
         z_sq = sum_sq(z, m);

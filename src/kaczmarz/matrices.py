@@ -127,9 +127,16 @@ class DualSparseMatrix:
                 raise IndexError("column index out of range for %dx%d matrix" % (m, n))
         if not np.isfinite(vals).all():
             raise NonFiniteError("matrix entries must be finite")
-        # Row-major position of each entry; a stable sort keeps duplicates in
-        # input order, and bincount over run ids sums each run left to right.
+        # Row-major position of each entry. Strictly increasing positions of
+        # nonzero values are canonical already (as every coordinate file this
+        # package writes is): the constructor takes them as they are, with
+        # fresh copies of the arrays it keeps and freezes.
         key = rows * n + cols
+        if (key[1:] > key[:-1]).all() and vals.all():
+            del key
+            return cls((m, n), np.ascontiguousarray(rows), cols.copy(), vals.copy())
+        # A stable sort keeps duplicates in input order, and bincount over run
+        # ids sums each run left to right.
         order = np.argsort(key, kind="stable")
         key = key[order]
         vals = vals[order]

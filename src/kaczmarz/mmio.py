@@ -332,7 +332,9 @@ def read_matrix_market(path):
         _raise_first_fault(path, fmt, m, n, expected, size_lineno)
     if fmt == "coordinate":
         i, j, v = entries
-        return DualSparseMatrix.from_triplets(i - 1, j - 1, v, (m, n))
+        i -= 1  # the reader's own arrays, made 0-based in place
+        j -= 1
+        return DualSparseMatrix.from_triplets(i, j, v, (m, n))
     return entries[0].reshape((n, m)).T  # stored column-major
 
 

@@ -1,8 +1,9 @@
 """The compiled kernels in _blocks.c, called directly.
 
-Each C function is held to the numpy computation it stands in for: the
-block kernel's entry counts to the index arrays' line populations, and the
-check sums to sequential sums of squares of the numpy products, bit for bit,
+Each C function is held to the computation it stands in for: the block
+kernel's entry counts to the index arrays' line populations and its iterates
+to a plain-Python transcription of the steps, the check sums to sequential
+sums of squares of the numpy products, both bit for bit,
 and the entry formatter to Python's "%.17g" formatting, byte for byte (the
 CSC scatter and the entry parser are held to their numpy twins in
 test_matrices.py and test_mmio.py). The source itself must compile without a warning, and the ctypes signatures
@@ -109,9 +110,16 @@ def _sequential_sum_sq(v):
     return float(np.cumsum(v * v)[-1])
 
 
+def _dense(seed, m=12, n=7):
+    # every line full: the kernels read v without the index gather
+    rng = np.random.default_rng(seed)
+    return DualSparseMatrix.from_dense(rng.standard_normal((m, n))), rng
+
+
+@pytest.mark.parametrize("matrix", [_with_empty_lines, _dense])
 @pytest.mark.parametrize("halves", ["both", "x only", "z only"])
-def test_check_sums_are_sequential_sums_over_the_numpy_products(lib, halves):
-    a, rng = _with_empty_lines(31)
+def test_check_sums_are_sequential_sums_over_the_numpy_products(lib, halves, matrix):
+    a, rng = matrix(31)
     b = rng.standard_normal(a.m)
     x = None if halves == "z only" else rng.standard_normal(a.n)
     z = None if halves == "x only" else rng.standard_normal(a.m)
@@ -162,6 +170,82 @@ def test_block_kernels_return_the_entries_they_visit(lib, halves):
         assert _block_steps(lib, a, None, x, z, bad_rows, cols, 2) == _line_nnz(a.col_ptr, cols[:2])
     if z is None:
         assert _block_steps(lib, a, b, x, z, rows, bad_cols, 2) == _line_nnz(a.row_ptr, rows[:2])
+
+
+def _reference_steps(a, b, x, z, rows, cols):
+    """The steps of REK (RK with z None, ROP with x None) in plain Python.
+
+    For each k in the paper's order: the row target with z_i from before the
+    column step, the column step on z, then the row step on x; every dot
+    sums its line's stored entries left to right, every axpy updates them
+    in order. Returns the new x and z as float64 arrays.
+    """
+    x = None if x is None else x.tolist()
+    z = None if z is None else z.tolist()
+    b = b.tolist()
+    row_ptr, row_cols, row_vals, row_sq = (v.tolist() for v in (
+        a.row_ptr, a.row_cols, a.row_vals, a.row_sq_norms))
+    col_ptr, col_rows, col_vals, col_sq = (v.tolist() for v in (
+        a.col_ptr, a.col_rows, a.col_vals, a.col_sq_norms))
+
+    def dot(ptr, idx, vals, line, v):
+        s = 0.0
+        for k in range(ptr[line], ptr[line + 1]):
+            s += vals[k] * v[idx[k]]
+        return s
+
+    def axpy(ptr, idx, vals, line, alpha, v):
+        for k in range(ptr[line], ptr[line + 1]):
+            v[idx[k]] += alpha * vals[k]
+
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if x is not None:
+            target = b[i] - z[i] if z is not None else b[i]
+        if z is not None:
+            scale = dot(col_ptr, col_rows, col_vals, j, z) / col_sq[j]
+            axpy(col_ptr, col_rows, col_vals, j, -scale, z)
+        if x is not None:
+            resid = (target - dot(row_ptr, row_cols, row_vals, i, x)) / row_sq[i]
+            axpy(row_ptr, row_cols, row_vals, i, resid, x)
+    return tuple(None if v is None else np.array(v) for v in (x, z))
+
+
+def _sparse_40x6(rng):
+    # density 0.8: about a quarter of the rows full, no column full
+    dense = np.where(rng.random((40, 6)) < 0.8, rng.standard_normal((40, 6)), 0.0)
+    dense[np.arange(40), rng.integers(0, 6, 40)] = rng.standard_normal(40)  # no empty row
+    return dense
+
+
+def _dense_12x7_with_zeros(rng):
+    # full rows and columns next to ones a zero or two short of full
+    dense = rng.standard_normal((12, 7))
+    dense[[1, 4, 4, 9, 10], [2, 5, 0, 2, 6]] = 0.0
+    return dense
+
+
+@pytest.mark.parametrize("block", [1, 2, 300])
+@pytest.mark.parametrize("matrix", [_sparse_40x6, _dense_12x7_with_zeros])
+@pytest.mark.parametrize("halves", ["both", "x only", "z only"])
+def test_block_steps_are_the_sequential_steps_bit_for_bit(lib, halves, matrix, block):
+    rng = np.random.default_rng(41)
+    a = DualSparseMatrix.from_dense(matrix(rng))
+    row_len, col_len = np.diff(a.row_ptr), np.diff(a.col_ptr)
+    assert row_len.all() and col_len.all()
+    assert (row_len == a.n).any() and (row_len < a.n).any() and (col_len < a.m).any()
+    steps = 600
+    rows = rng.integers(0, a.m, steps)
+    cols = rng.integers(0, a.n, steps)
+    b = rng.standard_normal(a.m)
+    x = None if halves == "z only" else np.zeros(a.n)
+    z = None if halves == "x only" else b.copy()
+    want = _reference_steps(a, b, x, z, rows, cols)
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        _block_steps(lib, a, b, x, z, rows[lo:hi], cols[lo:hi], hi - lo)
+    for got, ref in zip((x, z), want):
+        assert (got is None) == (ref is None)
+        assert got is None or got.tobytes() == ref.tobytes()
 
 
 # the %g exponent switch points and the ends of the float64 range, each with

@@ -44,6 +44,26 @@ def test_from_triplets_sums_duplicates_and_drops_zeros():
     assert np.diff(a.col_ptr).tolist() == [2, 1, 0]
 
 
+def test_canonical_triplets_store_what_the_sort_stores_and_stay_the_callers(kernels):
+    rng = np.random.default_rng(7)
+    dense = random_sparse_dense(rng, 30, 20, 0.3)
+    rows, cols = np.nonzero(dense)  # row-major, each position once
+    vals = dense[rows, cols]
+    shuffled = rng.permutation(rows.size)
+    want = DualSparseMatrix.from_triplets(rows[shuffled], cols[shuffled], vals[shuffled],
+                                          dense.shape)
+    # strided views, as numpy.loadtxt's structured fields are
+    table = np.empty(rows.size, dtype=[("i", "i8"), ("j", "i8"), ("v", "f8")])
+    table["i"], table["j"], table["v"] = rows, cols, vals
+    for args in ((rows, cols, vals), (table["i"], table["j"], table["v"])):
+        got = DualSparseMatrix.from_triplets(*args, dense.shape)
+        for name in STORED:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for arr in args:
+            assert arr.flags.writeable
+            assert not any(np.shares_memory(arr, getattr(got, name)) for name in STORED)
+
+
 def test_from_dense_round_trip_and_explicit_zero_dropped():
     dense = np.array([[1.0, 0.0], [0.0, -2.5], [3.0, 4.0]])
     a = DualSparseMatrix.from_dense(dense)
