@@ -36,7 +36,10 @@
  * left to right.
  *
  * csc_scatter builds the column-major arrays by one counting pass over the
- * row-major ones, the same arrays as DualSparseMatrix's argsort.
+ * row-major ones, the same arrays as DualSparseMatrix's argsort, and in the
+ * same pass the squared row and column norms, the same bits as its numpy
+ * fallback's bincounts over the entries' squares (squares above the double
+ * range are inf there and here).
  *
  * format_lines and parse_entries are the per-entry text work of
  * kaczmarz.mmio. format_lines writes the bytes of Python's
@@ -247,17 +250,27 @@ void check_sums(int64_t m, int64_t n, const int64_t *row_ptr,
 
 /* The column-major arrays of an m-row CSR matrix: each row's entries, rows
  * in order, go to the next free slot of their column, so each column lists
- * its rows top to bottom. next[j] must start at col_ptr[j]. */
+ * its rows top to bottom. next[j] must start at col_ptr[j] and col_sq[j] at
+ * 0; row_sq[i] is written whole. Each entry's square is added to its row's
+ * and its column's sum as the entry is visited, row-major, which is the
+ * order and the arithmetic of numpy's bincount(rows|cols, weights=vals**2). */
 void csc_scatter(int64_t m, const int64_t *row_ptr, const int64_t *row_cols,
                  const double *row_vals, int64_t *next, int64_t *col_rows,
-                 double *col_vals)
+                 double *col_vals, double *row_sq, double *col_sq)
 {
-    for (int64_t i = 0; i < m; i++)
+    for (int64_t i = 0; i < m; i++) {
+        double sq = 0.0;
         for (int64_t k = row_ptr[i]; k < row_ptr[i + 1]; k++) {
-            int64_t q = next[row_cols[k]]++;
+            int64_t j = row_cols[k];
+            double v = row_vals[k];
+            int64_t q = next[j]++;
             col_rows[q] = i;
-            col_vals[q] = row_vals[k];
+            col_vals[q] = v;
+            sq += v * v;
+            col_sq[j] += v * v;
         }
+        row_sq[i] = sq;
+    }
 }
 
 static int decimal_point_is_dot(void)

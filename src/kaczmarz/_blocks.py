@@ -1,8 +1,8 @@
 """Build and load the compiled kernels in _blocks.c.
 
 The kernels are the sampler's alias draws, the solvers' block steps and
-termination-check sums, DualSparseMatrix's CSC scatter, and the Matrix Market
-entry formatter and parser of kaczmarz.mmio.
+termination-check sums, DualSparseMatrix's CSC scatter and line norms, and
+the Matrix Market entry formatter and parser of kaczmarz.mmio.
 
 The shared library is compiled on first use with the system C compiler and
 cached under ${XDG_CACHE_HOME:-~/.cache}/kaczmarz/. Its file name is a hash
@@ -48,7 +48,7 @@ _SIGNATURES = {
     "alias_draws": (None, (_U64, _U64, _I64, _PTR, _PTR, _I64, _PTR)),
     "block_steps": (_I64, (_I64, _I64) + (_PTR,) * 13 + (_I64,)),
     "check_sums": (None, (_I64, _I64) + (_PTR,) * 10),
-    "csc_scatter": (None, (_I64,) + (_PTR,) * 6),
+    "csc_scatter": (None, (_I64,) + (_PTR,) * 8),
     "format_lines": (_I64, (_PTR,) * 3 + (_I64,) * 3 + (_PTR,)),
     "parse_entries": (_I64, (_PTR, _I64, _I64, _PTR, _PTR, _PTR)),
 }

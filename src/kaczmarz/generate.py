@@ -18,13 +18,16 @@ column rank; rank-deficient callers should ask the oracle.
 Identical specs produce bit-identical instances: every draw goes through one
 numpy Generator seeded from spec.seed, in a fixed order.
 
-The sparse kind never holds an m x n array. It is drawn one block of rows
-at a time, about 4 MB of float64 per block, and built straight from its
-row-major triplets. Its draws and bits are still those of the whole-matrix
-draw: an m x n array of mask uniforms, then an m x n array of normals, then
-the unit-column scaling. Each attempt takes the mask uniforms from the
-generator as it stands (one 64-bit draw per double, row-major) and the
-normals from a copy of it advanced by m*n draws (PCG64.advance). Afterwards
+The sparse kind never holds an m x n array. It is drawn in chunks of row-
+major positions through one 1 MB buffer, which takes a chunk's mask
+uniforms and then its normals, and it is handed to the matrix constructor
+as CSR arrays: the row pointer is read off the sorted positions, and the
+column indices overwrite them, so no per-entry row array is formed. Its
+draws and bits are still those of the whole-matrix draw: an m x n array of
+mask uniforms, then an m x n array of normals, then the unit-column scaling.
+Each attempt takes the mask uniforms from the generator as it stands (one
+64-bit draw per double, row-major) and the normals from a copy of it
+advanced by m*n draws (PCG64.advance). Afterwards
 the generator takes the copy's state, so a redraw, planted and b start
 where they would after the two whole arrays. The column norms add each
 column's squares in row order, as numpy's norm over axis 0 of a C-ordered
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDensityError, InvalidRangeError
-from .matrices import DualSparseMatrix
+from .matrices import DualSparseMatrix, _row_ptr
 
 SPARSE = "sparse"
 DENSE = "dense"
@@ -55,7 +58,9 @@ ILLCOND = "illcond"
 KINDS = (SPARSE, DENSE, ILLCOND)
 
 _MAX_REDRAWS = 16
-# The sparse kind is drawn, and its b formed, in row blocks of about this size.
+# The sparse kind is drawn this many positions (1 MB of float64) at a time.
+_DRAW_CHUNK = 1 << 17
+# A consistent sparse b is formed in row blocks of about this size.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -110,48 +115,54 @@ def _row_blocks(m, n):
 
 
 def _draw_sparse(spec, rng):
-    """The sparse kind, one row block at a time; see the module docstring."""
+    """The sparse kind, one chunk of positions at a time; see the module docstring."""
     m, n = spec.m, spec.n
     bits = rng.bit_generator
+    size = m * n
+    # one buffer takes each chunk's uniforms, then its normals
+    draws = np.empty(min(size, _DRAW_CHUNK))
     for _ in range(_MAX_REDRAWS):
         # the normals start where m*n uniforms of one 64-bit draw each end
         normal_bits = np.random.PCG64()
         normal_bits.state = bits.state
-        normal_bits.advance(m * n)
+        normal_bits.advance(size)
         normals = np.random.Generator(normal_bits)
         keys, vals = [], []
-        for lo, hi in _row_blocks(m, n):
-            pos = np.flatnonzero(rng.random((hi - lo) * n) < spec.density)
-            vals.append(normals.standard_normal((hi - lo) * n)[pos])
-            pos += lo * n
+        for lo in range(0, size, draws.size):
+            chunk = draws[:size - lo]
+            pos = np.flatnonzero(rng.random(out=chunk) < spec.density)
+            vals.append(normals.standard_normal(out=chunk)[pos])
+            pos += lo
             keys.append(pos)
         bits.state = normal_bits.state
-        key = np.concatenate(keys)
-        if key.size:
+        if any(pos.size for pos in keys):
             break
     else:
         raise DegenerateDensityError(
             "sparse draw came up empty %d times (density %g on %dx%d)"
             % (_MAX_REDRAWS, spec.density, spec.m, spec.n)
         )
+    del draws, chunk
+    key = np.concatenate(keys)
     del keys
     val = np.concatenate(vals)
     del vals
     if not val.all():
         # a normal drawn as exactly zero is not stored
         key, val = key[val != 0.0], val[val != 0.0]
-    rows, cols = np.divmod(key, n)
-    del key
+    row_ptr = _row_ptr(key, m, n)
     if n == 1:
-        # numpy norms one contiguous column by a pairwise sum, so form it
+        # numpy norms one contiguous column by a pairwise sum, so form it;
+        # with one column, each position is its row
         column = np.zeros((m, 1))
-        column[rows, 0] = val
+        column[key, 0] = val
         norms = np.linalg.norm(column, axis=0)
-    else:
+    cols = np.remainder(key, n, out=key)
+    if n > 1:
         # numpy's norm over axis 0 adds the rows one at a time: row order
         norms = np.sqrt(np.bincount(cols, weights=val * val, minlength=n))
     val /= norms[cols]
-    return DualSparseMatrix((m, n), rows, cols, val)
+    return DualSparseMatrix((m, n), row_ptr, cols, val)
 
 
 def _row_block_product(a, x):

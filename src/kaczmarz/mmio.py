@@ -331,10 +331,17 @@ def read_matrix_market(path):
     if entries is None or not _entries_ok(entries, m, n, expected):
         _raise_first_fault(path, fmt, m, n, expected, size_lineno)
     if fmt == "coordinate":
-        i, j, v = entries
-        i -= 1  # the reader's own arrays, made 0-based in place
-        j -= 1
-        return DualSparseMatrix.from_triplets(i, j, v, (m, n))
+        # The reader's own arrays, made 0-based in place, are handed over:
+        # from_triplets keeps the columns and values, frozen here, as they
+        # are. Popped into the call, the rows have no other reference, so
+        # they are freed as soon as their row pointer is formed.
+        entries = list(entries)
+        entries[0] -= 1
+        entries[1] -= 1
+        entries[1].setflags(write=False)
+        entries[2].setflags(write=False)
+        return DualSparseMatrix.from_triplets(entries.pop(0), entries.pop(0), entries.pop(0),
+                                              (m, n))
     return entries[0].reshape((n, m)).T  # stored column-major
 
 
@@ -369,9 +376,3 @@ def write_csv(path, fieldnames, rows):
         writer.writerow(fieldnames)
         for row in rows:
             writer.writerow([_csv_cell(row[name]) for name in fieldnames])
-
-
-def read_csv(path):
-    """Read back a CSV written by write_csv, as a list of dicts of strings."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        return list(csv.DictReader(fh))

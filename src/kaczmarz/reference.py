@@ -119,13 +119,3 @@ def min_norm_solve(a, b):
         n=n,
         nnz=nnz,
     )
-
-
-def projector_residual(ref, v):
-    """||(I - A^+ A) v||: how far v sticks out of the row space."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (ref.n,):
-        raise DimensionMismatchError(
-            "vector must have length %d, got shape %r" % (ref.n, v.shape)
-        )
-    return float(np.linalg.norm(v - ref.row_basis @ (ref.row_basis.T @ v)))

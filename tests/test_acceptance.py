@@ -16,8 +16,7 @@ from scipy.stats import chi2
 from kaczmarz.cli import main as cli_main
 from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
-from kaczmarz.mmio import read_csv
-from kaczmarz.reference import min_norm_solve, projector_residual
+from kaczmarz.reference import min_norm_solve
 from kaczmarz.sampling import (
     ROW_STREAM_SALT,
     RngStream,
@@ -34,6 +33,8 @@ from kaczmarz.verify import (
     rop_checkpoint_errors,
     rop_one_step_expectation,
 )
+
+from helpers import projector_residual, read_csv
 
 EPS = np.finfo(np.float64).eps
 ENVELOPE_SLACK = 1.5

@@ -17,12 +17,13 @@ from kaczmarz import cli, verify
 from kaczmarz.cli import BENCH_FIELDS, main
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.mmio import (
-    read_csv,
     read_matrix_market,
     read_vector,
     write_matrix_market,
     write_vector,
 )
+
+from helpers import read_csv
 
 
 def run_cli(argv):

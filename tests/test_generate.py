@@ -187,8 +187,10 @@ SAME_BYTES = {
 def test_sparse_draw_keeps_the_whole_matrix_bytes(case, block_bytes, monkeypatch):
     spec = SAME_BYTES[case]
     if block_bytes != "default":
-        # the smallest block: 64 rows, however narrow
+        # the smallest block: 64 rows, however narrow; and draws in chunks
+        # that end mid-row
         monkeypatch.setattr(generate_module, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(generate_module, "_DRAW_CHUNK", 997)
     try:
         want = whole_matrix_sparse(spec)
     except DegenerateDensityError:

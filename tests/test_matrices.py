@@ -1,5 +1,7 @@
 """Dual-view sparse storage against dense numpy oracles and scipy.sparse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -14,7 +16,9 @@ from kaczmarz.errors import (
     InvalidRangeError,
     NonFiniteError,
 )
+from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
+from kaczmarz.mmio import read_matrix_market, write_matrix_market
 
 EPS = np.finfo(np.float64).eps
 
@@ -62,6 +66,13 @@ def test_canonical_triplets_store_what_the_sort_stores_and_stay_the_callers(kern
         for arr in args:
             assert arr.flags.writeable
             assert not any(np.shares_memory(arr, getattr(got, name)) for name in STORED)
+    # read-only arrays that own their memory are kept as they are
+    frozen = [arr.copy() for arr in (rows, cols, vals)]
+    for arr in frozen:
+        arr.setflags(write=False)
+    got = DualSparseMatrix.from_triplets(*frozen, dense.shape)
+    assert got.row_cols is frozen[1] and got.row_vals is frozen[2]
+    assert got.row_vals.tobytes() == want.row_vals.tobytes()
 
 
 def test_from_dense_round_trip_and_explicit_zero_dropped():
@@ -336,15 +347,23 @@ def test_shapes_whose_position_keys_overflow_int64_are_refused():
 
 
 def test_init_refuses_arrays_the_kernels_cannot_address():
-    rows, vals = np.array([0, 1]), np.array([1.0, 2.0])
+    row_ptr, cols, vals = np.array([0, 1, 2]), np.array([0, 1]), np.array([1.0, 2.0])
     strided = np.array([[0, 9], [1, 9]])[:, 0]
     assert not strided.flags.c_contiguous
-    for cols in (strided, np.array([0, 1], dtype=np.int32)):
+    for bad_cols in (strided, np.array([0, 1], dtype=np.int32)):
         with pytest.raises(ValueError, match="C-contiguous"):
-            DualSparseMatrix((2, 2), rows, cols, vals)
-    with pytest.raises(DimensionMismatchError, match="equally long"):
-        DualSparseMatrix((2, 2), np.array([0, 1, 1]), np.array([0, 1]), vals)
-    a = DualSparseMatrix((2, 2), rows, np.array([0, 1]), vals)
+            DualSparseMatrix((2, 2), row_ptr, bad_cols, vals)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        DualSparseMatrix((2, 2), row_ptr.astype(np.int32), cols, vals)
+    # one pointer too many, and three columns for two values
+    for bad in ((np.array([0, 1, 2, 2]), cols), (row_ptr, np.array([0, 1, 1]))):
+        with pytest.raises(DimensionMismatchError, match="m\\+1 row pointers"):
+            DualSparseMatrix((2, 2), *bad, vals)
+    # pointers that would visit an entry twice, or skip one, in the scatter
+    for bad_ptr in ([0, 3, 2], [1, 1, 2], [0, 1, 1]):
+        with pytest.raises(DimensionMismatchError, match="rise from 0"):
+            DualSparseMatrix((2, 2), np.array(bad_ptr), cols, vals)
+    a = DualSparseMatrix((2, 2), row_ptr, cols, vals)
     np.testing.assert_array_equal(a.to_dense(), np.diag(vals))
 
 
@@ -353,7 +372,7 @@ def test_init_refuses_arrays_the_kernels_cannot_address():
     st.integers(1, 9).flatmap(
         lambda m: st.integers(1, 9).flatmap(
             lambda n: arrays(np.float64, (m, n),
-                             elements=st.one_of(st.just(0.0), DYADIC))
+                             elements=st.one_of(st.just(0.0), DYADIC, st.floats(-1e6, 1e6)))
         )
     )
 )
@@ -365,9 +384,28 @@ def test_csc_scatter_and_argsort_store_the_same_arrays(dense):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_blocks, "load", lambda: None)
         fallback = DualSparseMatrix.from_dense(dense)
-    for name in ("col_ptr", "col_rows", "col_vals"):
+    for name in ("col_ptr", "col_rows", "col_vals", "row_sq_norms", "col_sq_norms"):
         got, want = getattr(compiled, name), getattr(fallback, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.float64(compiled.frob_sq).tobytes() == np.float64(fallback.frob_sq).tobytes()
+
+
+def test_norms_are_bincounts_of_the_squares_where_these_underflow_or_overflow(kernels):
+    rng = np.random.default_rng(11)
+    dense = random_sparse_dense(rng, 12, 9, 0.5)
+    dense[0] = 0.0
+    dense[0, :3] = [5e-324, -2e-310, 1e-160]  # squares 0, 0 and subnormal
+    dense[1, 2] = 2e154  # squares to inf
+    dense[4, 5] = -1e300
+    a = DualSparseMatrix.from_dense(dense)
+    rows, cols = np.nonzero(dense)
+    with np.errstate(over="ignore"):
+        squares = dense[rows, cols] ** 2
+    for got, line, size in ((a.row_sq_norms, rows, 12), (a.col_sq_norms, cols, 9)):
+        want = np.bincount(line, weights=squares, minlength=size)
+        assert got.tobytes() == want.tobytes()
+    assert np.isinf(a.row_sq_norms[[1, 4]]).all() and np.isinf(a.col_sq_norms[[2, 5]]).all()
+    assert 0.0 < a.row_sq_norms[0] < np.finfo(np.float64).tiny
 
 
 def test_csc_order_skips_empty_rows_and_columns(kernels):
@@ -377,3 +415,24 @@ def test_csc_order_skips_empty_rows_and_columns(kernels):
     np.testing.assert_array_equal(a.col_ptr, [0, 1, 1, 1, 4, 4])
     np.testing.assert_array_equal(a.col_rows, [4, 1, 4, 5])
     np.testing.assert_array_equal(a.col_vals, [2.0, 1.0, 3.0, 4.0])
+
+
+def test_reading_or_generating_a_matrix_needs_little_more_memory_than_it_stores(tmp_path):
+    # 200k entries: the row-major arrays in hand plus a transient per-entry
+    # array come to the 32 B per entry stored; a second transient (the
+    # reader's row array, a squares temporary or copies of the arrays kept)
+    # would add 8 B, a quarter
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: the fallback's argsort needs the rows")
+    spec = InstanceSpec("sparse", 4000, 500, density=0.1, seed=5)
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, generate(spec)[0])
+    for build in (lambda: generate(spec)[0], lambda: read_matrix_market(path)):
+        tracemalloc.start()
+        try:
+            a = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(getattr(a, name).nbytes for name in STORED)
+        assert a.nnz > 190_000 and peak <= 1.15 * stored

@@ -26,7 +26,6 @@ from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.mmio import (
     format_float,
-    read_csv,
     read_matrix_market,
     read_vector,
     write_csv,
@@ -34,6 +33,8 @@ from kaczmarz.mmio import (
     write_vector,
 )
 from kaczmarz.solvers import SolverConfig, solve
+
+from helpers import read_csv
 
 
 def per_line_bytes(obj, comment=None):

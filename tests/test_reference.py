@@ -17,9 +17,10 @@ from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.reference import (
     MAX_DENSE_ENTRIES,
     min_norm_solve,
-    projector_residual,
     svd_decompose,
 )
+
+from helpers import projector_residual
 
 EPS = np.finfo(np.float64).eps
 

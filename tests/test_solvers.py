@@ -25,7 +25,7 @@ from kaczmarz import _blocks
 from kaczmarz.errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
 from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
-from kaczmarz.reference import min_norm_solve, projector_residual
+from kaczmarz.reference import min_norm_solve
 from kaczmarz.sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
@@ -55,6 +55,8 @@ from kaczmarz.solvers import (
     trajectory,
 )
 from kaczmarz.verify import rek_checkpoint_errors, rk_checkpoint_errors, rop_checkpoint_errors
+
+from helpers import projector_residual
 
 try:
     from numpy._core import _internal as np_internal
