@@ -23,10 +23,12 @@ So RK is REK without z, aimed at b, and ROP is REK without x, and all three
 run through one driver, trajectory(): it draws each block of row indices
 (when there is an x) and column indices (when there is a z) from the seeded
 streams, runs the block with block_steps and yields the iterates at the
-iteration counts it is given. run_rek / run_rk / run_rop (and `solve`, which
-picks one) stop it every check interval for the solver's termination check;
-verify's checkpoint drivers stop it at their checkpoints and measure the
-error instead. block_steps runs a whole block in one call of the compiled
+iteration counts it is given. checked_trajectory stops it every check
+interval for the solver's termination check, until the check says stop:
+run_rek / run_rk / run_rop (and `solve`, which picks one) run on it, and so
+does verify's rek_walk, which adds stops of its own. verify's checkpoint
+drivers stop trajectory at their checkpoints only and measure the error
+instead. block_steps runs a whole block in one call of the compiled
 block_steps in _blocks.c; where that cannot be built, it runs the same loop
 over rop_step and rk_step instead. The compiled dots sum left to right, so
 their iterates differ from the per-step path's BLAS dots only by rounding
@@ -405,24 +407,55 @@ def trajectory(a, b, solver, seed, stops):
         yield iters, x, z, flops, sums
 
 
-def _run(a, b, config, solver):
-    """Run `solver` until its termination check says stop, checking every interval."""
-    config = config or SolverConfig(solver=solver)
+def checked_trajectory(a, b, solver, config, marks=(), checks=True):
+    """trajectory() as the runners walk it, stopping for the termination check.
+
+    The check runs every check interval and at the cap, until it first gives
+    an outcome (CONVERGED or OVERFLOW); with checks False it never runs. The
+    run also stops at each count in `marks` (non-decreasing), and once the
+    check is done it goes on only as far as the marks ahead. Yields (iters,
+    x, z, flops, checked) at each distinct stop in order, where checked is
+    the check's (outcome, residual_norm, atz_norm, flops) at a check stop and
+    None at a stop that is only a mark. The seed is config.seed, and the
+    iterates at a count do not depend on the other stops (see trajectory).
+    """
     eps, cap, interval = config.resolved(a.m, a.n)
     # looked up per run, so a wrapper bound to the module-level name is used
     check = {REK: rek_termination_check, RK: rk_termination_check,
              ROP: rop_termination_check}[solver]
+    schedule = itertools.chain(range(interval, cap, interval), (cap,))
+    due = next(schedule) if checks else None  # the next check stop; None when done
+
+    # trajectory asks for its next stop only after the loop below has run the
+    # check at the last one, so stops() reads `due` as that check left it
+    def stops():
+        last = -1
+        for mark in itertools.chain(marks, (math.inf,)):
+            while due is not None and due <= mark:
+                last = due
+                yield due
+            if last < mark < math.inf:
+                last = mark
+                yield mark
+
+    for iters, x, z, flops, sums in trajectory(a, b, solver, config.seed, stops()):
+        checked = None
+        if iters == due:
+            checked = check(a, sums, eps)
+            due = None if checked[0] else next(schedule, None)
+        yield iters, x, z, flops, checked
+
+
+def _run(a, b, config, solver):
+    """Run `solver` until its termination check says stop, checking every interval."""
+    config = config or SolverConfig(solver=solver)
     check_flops = 0
     reason = MAX_ITERS
-    resid = atz = None
     start = time.perf_counter()
-    stops = itertools.chain(range(interval, cap, interval), (cap,))
-    for iters, x, z, flops, sums in trajectory(a, b, solver, config.seed, stops):
-        outcome, resid, atz, cost = check(a, sums, eps)
+    for iters, x, z, flops, (outcome, resid, atz, cost) in checked_trajectory(
+            a, b, solver, config):
         check_flops += cost
-        if outcome:
-            reason = outcome
-            break
+        reason = outcome or reason
     return SolveReport(
         x=x,
         z=z,

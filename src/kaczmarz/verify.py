@@ -7,12 +7,22 @@ check battery compares empirical means across seeds with the closed-form
 envelopes, inflated by a statistical slack factor (SLACK) that absorbs
 Monte-Carlo noise; the envelopes themselves come only from the reference
 oracle, never from the solvers.
+
+rek-envelope, rop-rate and iteration-bound run on the same seeds, and share
+one REK run per seed (rek_walk, on solvers.checked_trajectory): x at
+rek-envelope's checkpoints, z at rop-rate's (REK's z is ROP's), and the
+termination check every check interval up to T*, as run_rek stops. A run
+only stops where a selected check reads it, so each subset of the three runs
+no more iterations than its checks would alone; rop-rate on its own walks
+ROP. rk-envelope walks RK, and flop-model and forward-error call run_rek.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,10 +30,13 @@ from .errors import InvalidRangeError
 from .reference import min_norm_solve
 from .sampling import sample_block  # noqa: F401  (the benchmark's tracer patches this name)
 from .solvers import (
+    CONVERGED,
+    MAX_ITERS,
     REK,
     RK,
     ROP,
     SolverConfig,
+    checked_trajectory,
     rk_step,
     rop_step,
     run_rek,
@@ -49,12 +62,15 @@ class CheckResult:
 
 
 def _checkpoint_errors(a, b, solver, ref, checkpoints, seed):
-    """||v_t - ref||^2 at each checkpoint t of one seeded run; v is z for ROP, else x."""
-    out = []
-    for _, x, z, _, _ in trajectory(a, b, solver, seed, sorted(int(t) for t in checkpoints)):
+    """||v_t - ref||^2 at each checkpoint t of one seeded run, in the caller's order.
+
+    v is z for ROP, else x. A repeated checkpoint repeats its error.
+    """
+    at = {}
+    for t, x, z, _, _ in trajectory(a, b, solver, seed, sorted({int(t) for t in checkpoints})):
         diff = (z if solver == ROP else x) - ref
-        out.append(float(diff @ diff))
-    return out
+        at[t] = float(diff @ diff)
+    return [at[int(t)] for t in checkpoints]
 
 
 def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed):
@@ -105,68 +121,150 @@ def rop_one_step_expectation(a, z, target):
 
 
 # ----------------------------------------------------------------------
+# one seeded REK walk, read by three checks
+
+
+class Walk(NamedTuple):
+    """What rek_walk reads off one seeded REK run."""
+
+    x_errors: list
+    z_errors: list
+    termination: Optional[str]
+    iters: Optional[int]
+
+
+def rek_walk(a, b, ref, config, x_marks=(), z_marks=(), checks=True):
+    """One seeded REK run, read as three separate runs would read it.
+
+    x_errors are ||x_t - x_ls||^2 at each of x_marks, as rek_checkpoint_errors
+    gives them. z_errors are ||z_t - b_perp||^2 at each of z_marks, as
+    rop_checkpoint_errors gives them: REK's z half is ROP, on the same column
+    stream, so its z is ROP's bit for bit. With checks, termination and iters
+    are those of run_rek(a, b, config), whose termination check runs every
+    check interval up to the cap; the run goes on past its stop only as far
+    as the marks beyond it. Without checks they are None and the run ends at
+    the last mark.
+    """
+    x_at, z_at = {}, {}
+    termination = stopped = None
+    for t, x, z, _, checked in checked_trajectory(
+            a, b, REK, config, sorted({*x_marks, *z_marks}), checks):
+        if checked:
+            termination, stopped = checked[0] or MAX_ITERS, t
+        if t in x_marks:
+            diff = x - ref.x_ls
+            x_at[t] = float(diff @ diff)
+        if t in z_marks:
+            diff = z - ref.b_perp
+            z_at[t] = float(diff @ diff)
+    return Walk([x_at[t] for t in x_marks], [z_at[t] for t in z_marks], termination, stopped)
+
+
+# ----------------------------------------------------------------------
 # the check battery behind `kaczmarz verify`
 
+REK_T = (2, 4, 8)  # rek-envelope's checkpoints, in multiples of kappa_F^2
+RK_K = (2, 4, 8)  # rk-envelope's
+ROP_K = (2, 4)  # rop-rate's
+BOUND_EPS, BOUND_DELTA = 1e-6, 0.1  # iteration-bound's tolerance and failure probability
 
-def _envelope_check(name, label, multipliers, envelope, errors, ref, reps, seed):
-    """Mean of `errors(checkpoints, seed)` over `reps` seeds against SLACK * envelope(t).
 
-    The checkpoints are round(c * kappa_F^2) for each multiplier c; `label`
-    names them in the detail line.
+@dataclass
+class Battery:
+    """One instance, its oracle solution, the seeds seed .. seed+reps-1 and the checks that run."""
+
+    a: object
+    b: np.ndarray
+    ref: object
+    reps: int
+    seed: int
+    names: tuple
+
+    @property
+    def seeds(self):
+        return range(self.seed, self.seed + self.reps)
+
+    def checkpoints(self, multipliers):
+        return [round(c * self.ref.kappa_f_sq) for c in multipliers]
+
+    @functools.cached_property
+    def bound_cap(self):
+        """iteration-bound's cap, ceil(T*)."""
+        return math.ceil(theory_bounds(self.ref, eps=BOUND_EPS, delta=BOUND_DELTA).t_star)
+
+    @functools.cached_property
+    def rek_walks(self):
+        """One rek_walk per seed, with the marks and checks of the selected checks."""
+        x_marks = self.checkpoints(REK_T) if "rek-envelope" in self.names else ()
+        z_marks = self.checkpoints(ROP_K) if "rop-rate" in self.names else ()
+        return [rek_walk(self.a, self.b, self.ref,
+                         SolverConfig(eps=BOUND_EPS, max_iters=self.bound_cap, seed=s),
+                         x_marks, z_marks, checks="iteration-bound" in self.names)
+                for s in self.seeds]
+
+
+def _envelope_check(name, label, checkpoints, envelope, runs):
+    """Mean errors over `runs` against SLACK * envelope(t) at each checkpoint t.
+
+    runs holds one list of errors at the checkpoints per seed; `label` names
+    the checkpoints in the detail line.
     """
-    checkpoints = [round(c * ref.kappa_f_sq) for c in multipliers]
     acc = None
-    for r in range(reps):
-        errs = errors(checkpoints, seed + r)
+    for errs in runs:
         acc = errs if acc is None else [s + e for s, e in zip(acc, errs)]
     worst = 0.0
     for t, total in zip(checkpoints, acc):
-        mean = total / reps
+        mean = total / len(runs)
         env = envelope(t)
         worst = max(worst, mean / (SLACK * env) if env > 0 else float(mean > 0))
     return CheckResult(
         name,
         worst <= 1.0,
-        "max mean/bound ratio %.3g over %s=%s (%d runs)" % (worst, label, checkpoints, reps),
+        "max mean/bound ratio %.3g over %s=%s (%d runs)" % (worst, label, checkpoints, len(runs)),
     )
 
 
-def check_rek_envelope(a, b, ref, reps, seed):
+def check_rek_envelope(bat):
     return _envelope_check(
-        "rek-envelope", "T", (2, 4, 8), theory_bounds(ref, eps=1e-6).rek_envelope,
-        lambda ts, s: rek_checkpoint_errors(a, b, ref.x_ls, ts, s), ref, reps, seed,
+        "rek-envelope", "T", bat.checkpoints(REK_T),
+        theory_bounds(bat.ref, eps=1e-6).rek_envelope, [w.x_errors for w in bat.rek_walks],
     )
 
 
-def check_rk_envelope(a, b, ref, reps, seed):
+def check_rk_envelope(bat):
     """Noisy-RK bound: rate^k ||x_ls||^2 + ||b_perp||^2 / sigma_min^2.
 
     Valid for any rhs; the noise term vanishes on consistent systems.
     """
+    ref = bat.ref
     rate = 1.0 - 1.0 / ref.kappa_f_sq
     sigma_min_sq = ref.singular_values[ref.rank - 1] ** 2
     floor = float(ref.b_perp @ ref.b_perp) / sigma_min_sq
     x_ls_sq = float(ref.x_ls @ ref.x_ls)
+    ks = bat.checkpoints(RK_K)
     return _envelope_check(
-        "rk-envelope", "k", (2, 4, 8), lambda t: rate**t * x_ls_sq + floor,
-        lambda ts, s: rk_checkpoint_errors(a, b, ref.x_ls, ts, s), ref, reps, seed,
+        "rk-envelope", "k", ks, lambda t: rate**t * x_ls_sq + floor,
+        [rk_checkpoint_errors(bat.a, bat.b, ref.x_ls, ks, s) for s in bat.seeds],
     )
 
 
-def check_rop_rate(a, b, ref, reps, seed):
+def check_rop_rate(bat):
+    ref = bat.ref
     rate = 1.0 - 1.0 / ref.kappa_f_sq
     b_range_sq = float(ref.b_range @ ref.b_range)
-    return _envelope_check(
-        "rop-rate", "k", (2, 4), lambda t: rate**t * b_range_sq,
-        lambda ts, s: rop_checkpoint_errors(a, b, ref.b_perp, ts, s), ref, reps, seed,
-    )
+    ks = bat.checkpoints(ROP_K)
+    if "rek-envelope" in bat.names or "iteration-bound" in bat.names:
+        runs = [w.z_errors for w in bat.rek_walks]  # REK runs anyway, and its z is ROP's
+    else:
+        runs = [rop_checkpoint_errors(bat.a, bat.b, ref.b_perp, ks, s) for s in bat.seeds]
+    return _envelope_check("rop-rate", "k", ks, lambda t: rate**t * b_range_sq, runs)
 
 
-def check_one_step(a, b, ref, reps, seed):
+def check_one_step(bat):
     """Exact conditional-expectation contractions, enumerated, zero slack."""
-    del reps  # deterministic check
+    a, ref = bat.a, bat.ref
     rate = 1.0 - 1.0 / ref.kappa_f_sq
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(bat.seed)
     ok = True
     details = []
     # RK expected error reduction needs a consistent system; use b_range.
@@ -188,26 +286,21 @@ def check_one_step(a, b, ref, reps, seed):
     return CheckResult("one-step-contraction", ok, "; ".join(details[:2]) + " ...")
 
 
-def check_iteration_bound(a, b, ref, reps, seed):
-    eps, delta = 1e-6, 0.1
-    cap = math.ceil(theory_bounds(ref, eps=eps, delta=delta).t_star)
-    hits = 0
-    for r in range(reps):
-        report = run_rek(a, b, SolverConfig(eps=eps, max_iters=cap, seed=seed + r))
-        hits += report.converged
-    need = math.ceil((1.0 - delta) * reps)
+def check_iteration_bound(bat):
+    hits = sum(w.termination == CONVERGED for w in bat.rek_walks)
+    need = math.ceil((1.0 - BOUND_DELTA) * bat.reps)
     return CheckResult(
         "iteration-bound",
         hits >= need,
-        "%d/%d runs terminated within T*=%d (need %d)" % (hits, reps, cap, need),
+        "%d/%d runs terminated within T*=%d (need %d)" % (hits, bat.reps, bat.bound_cap, need),
     )
 
 
-def check_flop_model(a, b, ref, reps, seed):
-    del ref, reps
+def check_flop_model(bat):
+    a = bat.a
     iters = 2000
-    config = SolverConfig(eps=1e-300, max_iters=iters, seed=seed)
-    report = run_rek(a, b, config)
+    config = SolverConfig(eps=1e-300, max_iters=iters, seed=bat.seed)
+    report = run_rek(a, bat.b, config)
     model = 4.0 * (a.nnz / a.m + a.nnz / a.n) + 2.0
     per_iter = report.flops / report.iters
     if a.nnz == a.m * a.n:
@@ -219,16 +312,15 @@ def check_flop_model(a, b, ref, reps, seed):
     return CheckResult("flop-model", ok, detail)
 
 
-def check_forward_error(a, b, ref, reps, seed):
-    del reps
+def check_forward_error(bat):
     eps = 1e-10
-    bounds = theory_bounds(ref, eps=eps)
-    config = SolverConfig(eps=eps, seed=seed)
-    report = run_rek(a, b, config)
+    bounds = theory_bounds(bat.ref, eps=eps)
+    config = SolverConfig(eps=eps, seed=bat.seed)
+    report = run_rek(bat.a, bat.b, config)
     if not report.converged:
         return CheckResult("forward-error", False, "run failed to converge")
     x_norm = float(np.linalg.norm(report.x))
-    err = float(np.linalg.norm(report.x - ref.x_ls))
+    err = float(np.linalg.norm(report.x - bat.ref.x_ls))
     rel = err / x_norm if x_norm > 0 else err
     limit = bounds.forward_err_bound * (1.0 + 1e-6)
     return CheckResult(
@@ -264,6 +356,6 @@ def run_all_checks(a, b, reps=100, seed=0, names=None):
             raise InvalidRangeError("%s; the checks are %s" % (
                 "unknown check " + ", ".join(map(repr, unknown)) if unknown
                 else "no check selected", ", ".join(known)))
-    ref = min_norm_solve(a, b)
-    return [fn(a, b, ref, reps, seed) for name, fn in ALL_CHECKS
-            if names is None or name in names]
+    selected = [(name, fn) for name, fn in ALL_CHECKS if names is None or name in names]
+    bat = Battery(a, b, min_norm_solve(a, b), reps, seed, tuple(name for name, _ in selected))
+    return [fn(bat) for _, fn in selected]
