@@ -9,26 +9,28 @@
  * bit for bit: the same SplitMix64 counter-mode stream, the same conversion
  * to uniform doubles and the same cell and coin arithmetic.
  *
- * block_steps runs a block of already-sampled line indices through the steps
- * of REK, one after the other: a column step on z (rop_step), then a row step
- * on x (rk_step) toward b_i - z_i. RK and ROP are the same function with the
- * other half left out: a NULL z aims the row steps at b_i, a NULL x leaves
- * only the column steps. The operations and their order are those of the
- * per-step path in kaczmarz.solvers: for each k, read the row target, then
- * rop_step, then rk_step. Each step's axpy is held back and done just before
- * the next step's dot on the same vector, and after the last step, which
- * changes no operation's inputs: z_i is read once the column step before it
- * has finished. When the held-back line and the next line on a vector are
- * both full (as many stored entries as the vector has), their indices are
+ * block_steps runs a block of steps of REK, one after the other: a column
+ * step on z (rop_step), then a row step on x (rk_step) toward b_i - z_i. It
+ * draws each step's indices as it goes, by alias_draws' arithmetic, unless
+ * the caller passes them. RK and ROP are the same function with the other
+ * half left out: a NULL z aims the row steps at b_i, a NULL x leaves only
+ * the column steps. The operations and their order are those of the per-step
+ * path in kaczmarz.solvers: for each k, read the row target, then rop_step,
+ * then rk_step. Each step's axpy is held back and done just before the next
+ * step's dot on the same vector, and after the last step, which changes no
+ * operation's inputs: z_i is read once the column step before it has
+ * finished. When the held-back line and the next line on a vector are both
+ * full (as many stored entries as the vector has), their indices are
  * 0 .. size-1 in order, so the axpy and the dot run as one loop over v[q]
  * with no index gather; any other pair runs the gathered axpy, then the dot.
  * Only the dot products can round differently from the Python steps, whose
- * dots go through BLAS: here they sum left to right over the stored
- * entries, and the file is compiled with -ffp-contract=off, so the iterates
- * do not depend on which BLAS kernel the host would pick.
- * Every index of a half that runs is checked before any vector is touched:
- * block_steps returns the number of stored entries its steps visited, or -1,
- * with x and z unchanged, when an index lies outside its range.
+ * dots go through BLAS: here they sum left to right over the stored entries,
+ * and the file is compiled with -ffp-contract=off, so the iterates do not
+ * depend on which BLAS kernel the host would pick. Every given index of a
+ * half that runs is checked before any vector is touched: block_steps
+ * returns the number of stored entries its steps visited, or -1, with x and
+ * z unchanged, when an index lies outside its range. Drawn indices are in
+ * range when every alias entry is, which sampling checks once per table.
  *
  * check_sums forms each entry of A x and A^T z in the order the numpy
  * products do (each row's entries left to right, each column's top to
@@ -47,11 +49,12 @@
  * rounds correctly. parse_entries reads only a strict grammar and returns -1
  * ("not mine") on anything else, so that mmio's numpy reader, with its own
  * error messages, sees every other file; its values are those of strtod and
- * numpy, which also round correctly. Indices are converted by hand. A value
- * is converted by one long double product or quotient with an exact power of
- * ten where that decides the correctly rounded result (a value from 1e-11 to
- * 1e17 to print, or a decimal of at most 19 digits times 10^-27 .. 10^27 to
- * read, unless it lies next to a tie); snprintf and strtod convert the rest.
+ * numpy, which also round correctly. Indices are converted by hand, two
+ * digits at a time. A value from 1e-11 to 1e17 is printed from its 17
+ * digits, formed exactly in 128-bit integers; a decimal of at most 19 digits
+ * times 10^-27 .. 10^27 is read by one long double product or quotient with
+ * an exact power of ten, unless it lies next to a tie. snprintf and strtod
+ * convert the rest.
  * Both functions return -1 when the C locale's decimal point is not ".",
  * since snprintf and strtod follow LC_NUMERIC.
  */
@@ -66,9 +69,9 @@
 
 #define GOLDEN 0x9E3779B97F4A7C15u
 
-/* Decimal conversions by long double arithmetic need the x87 format: a
- * 64-bit significand, stored in the first 8 bytes. Elsewhere snprintf and
- * strtod do all of them. */
+/* The reader's decimal conversions by long double arithmetic need the x87
+ * format: a 64-bit significand, stored in the first 8 bytes. Elsewhere
+ * strtod does all of them. */
 #if LDBL_MANT_DIG == 64 && defined(__x86_64__)
 #define FAST_DECIMAL 1
 #else
@@ -88,21 +91,44 @@ static double uniform(uint64_t seed, uint64_t k)
     return (double)(mix64(seed + k * GOLDEN) >> 11) * 0x1p-53;
 }
 
-/* `count` draws from an alias table of `size` >= 1 cells, taking draws
- * counter+1 .. counter+2*count of the stream: one uniform picks the cell, the
- * next flips the accept/alias coin. */
+/* Alias-table draws from stream `seed`, whose first `counter` draws are used. */
+struct draws {
+    uint64_t seed, counter;
+    const double *prob;
+    const int64_t *alias;
+};
+
+/* Draw k of a block: one uniform picks one of `size` cells, the next its coin. */
+static int64_t alias_draw(const struct draws *d, int64_t k, int64_t size)
+{
+    uint64_t draw = d->counter + 2 * (uint64_t)k;
+    int64_t cell = (int64_t)(uniform(d->seed, draw + 1) * (double)size);
+    if (cell > size - 1) /* guard the top rounding edge */
+        cell = size - 1;
+    return uniform(d->seed, draw + 2) < d->prob[cell] ? cell : d->alias[cell];
+}
+
+/* `count` draws, taking draws counter+1 .. counter+2*count of the stream. */
 void alias_draws(uint64_t seed, uint64_t counter, int64_t size,
                  const double *prob, const int64_t *alias, int64_t count,
                  int64_t *out)
 {
-    for (int64_t k = 0; k < count; k++) {
-        uint64_t draw = counter + 2 * (uint64_t)k;
-        int64_t cell = (int64_t)(uniform(seed, draw + 1) * (double)size);
-        if (cell > size - 1) /* guard the top rounding edge */
-            cell = size - 1;
-        out[k] = uniform(seed, draw + 2) < prob[cell] ? cell : alias[cell];
-    }
+    struct draws d = {seed, counter, prob, alias};
+    for (int64_t k = 0; k < count; k++)
+        out[k] = alias_draw(&d, k, size);
 }
+
+/* One run's m x n matrix, line norms, b, x and z, and index draws. */
+struct run {
+    int64_t m, n;
+    const int64_t *row_ptr, *row_cols;
+    const double *row_vals, *row_sq;
+    const int64_t *col_ptr, *col_rows;
+    const double *col_vals, *col_sq;
+    const double *b;
+    double *x, *z;
+    struct draws row_draws, col_draws;
+};
 
 /* The dot of the stored entries lo .. hi-1 with v, left to right. A line of
  * a matrix with `size` rows (a column) or `size` columns (a row) that stores
@@ -152,7 +178,7 @@ static double axpy_dot(const int64_t *idx, const double *vals, int64_t size,
 
 static int in_range(const int64_t *ids, int64_t count, int64_t size)
 {
-    for (int64_t k = 0; k < count; k++)
+    for (int64_t k = 0; ids != NULL && k < count; k++)
         if (ids[k] < 0 || ids[k] >= size)
             return 0;
     return 1;
@@ -168,18 +194,17 @@ static double sum_sq(const double *v, int64_t size)
 
 /* For k < count: the column step on z with column cols[k], then the row step
  * on x with row rows[k] toward b_i - z_i, z_i read before the column step.
- * A NULL z leaves out the column steps and aims at b_i; a NULL x leaves out
- * the row steps, and rows and b are not read. The axpy of step k on either
- * vector runs inside step k+1's dot on it (axpy_dot), so z_i is read after
- * the column loop of step k, which finishes step k-1 on z; the last axpys
- * run before the return. */
-int64_t block_steps(int64_t m, int64_t n, const int64_t *row_ptr,
-                    const int64_t *row_cols, const double *row_vals,
-                    const double *row_sq, const int64_t *col_ptr,
-                    const int64_t *col_rows, const double *col_vals,
-                    const double *col_sq, const double *b, double *x, double *z,
-                    const int64_t *rows, const int64_t *cols, int64_t count)
+ * A NULL rows or cols draws those indices from the run's stream instead,
+ * which moves on by 2*count. A NULL z leaves out the column steps and aims at
+ * b_i; a NULL x leaves out the row steps, and rows and b are not read. The
+ * axpy of step k on either vector runs inside step k+1's dot on it
+ * (axpy_dot), so z_i is read after the column loop of step k, which
+ * finishes step k-1 on z; the last axpys run before the return. */
+int64_t block_steps(struct run *run, const int64_t *rows, const int64_t *cols,
+                    int64_t count)
 {
+    int64_t m = run->m, n = run->n;
+    double *x = run->x, *z = run->z;
     if ((x != NULL && !in_range(rows, count, m)) || (z != NULL && !in_range(cols, count, n)))
         return -1;
     int64_t touched = 0;
@@ -189,28 +214,35 @@ int64_t block_steps(int64_t m, int64_t n, const int64_t *row_ptr,
     double z_alpha = 0.0, x_alpha = 0.0;
     for (int64_t k = 0; k < count; k++) {
         if (z != NULL) {
-            int64_t j = cols[k], lo = col_ptr[j], hi = col_ptr[j + 1];
-            double scale = axpy_dot(col_rows, col_vals, m, z_lo, z_hi, z_alpha, lo, hi, z)
-                           / col_sq[j];
+            int64_t j = cols != NULL ? cols[k] : alias_draw(&run->col_draws, k, n);
+            int64_t lo = run->col_ptr[j], hi = run->col_ptr[j + 1];
+            double scale = axpy_dot(run->col_rows, run->col_vals, m, z_lo, z_hi, z_alpha, lo,
+                                    hi, z) / run->col_sq[j];
             z_lo = lo;
             z_hi = hi;
             z_alpha = -scale;
             touched += hi - lo;
         }
         if (x != NULL) {
-            int64_t i = rows[k], lo = row_ptr[i], hi = row_ptr[i + 1];
-            double target = z != NULL ? b[i] - z[i] : b[i];
-            double dot = axpy_dot(row_cols, row_vals, n, x_lo, x_hi, x_alpha, lo, hi, x);
+            int64_t i = rows != NULL ? rows[k] : alias_draw(&run->row_draws, k, m);
+            int64_t lo = run->row_ptr[i], hi = run->row_ptr[i + 1];
+            double target = z != NULL ? run->b[i] - z[i] : run->b[i];
+            double dot = axpy_dot(run->row_cols, run->row_vals, n, x_lo, x_hi, x_alpha, lo,
+                                  hi, x);
             x_lo = lo;
             x_hi = hi;
-            x_alpha = (target - dot) / row_sq[i];
+            x_alpha = (target - dot) / run->row_sq[i];
             touched += hi - lo;
         }
     }
     if (z != NULL)
-        line_axpy(col_rows, col_vals, z_lo, z_hi, z_alpha, z);
+        line_axpy(run->col_rows, run->col_vals, z_lo, z_hi, z_alpha, z);
     if (x != NULL)
-        line_axpy(row_cols, row_vals, x_lo, x_hi, x_alpha, x);
+        line_axpy(run->row_cols, run->row_vals, x_lo, x_hi, x_alpha, x);
+    if (cols == NULL)
+        run->col_draws.counter += 2 * (uint64_t)count;
+    if (rows == NULL)
+        run->row_draws.counter += 2 * (uint64_t)count;
     return touched;
 }
 
@@ -218,16 +250,15 @@ int64_t block_steps(int64_t m, int64_t n, const int64_t *row_ptr,
  * out[0..4]: A x - (b - z) (A x - b when z is NULL), A^T z, x, z and b. A
  * NULL x leaves out slots 0, 2 and 4 and b is not read; a NULL z leaves out
  * slots 1 and 3. Left-out slots are 0. */
-void check_sums(int64_t m, int64_t n, const int64_t *row_ptr,
-                const int64_t *row_cols, const double *row_vals,
-                const int64_t *col_ptr, const int64_t *col_rows,
-                const double *col_vals, const double *b, const double *x,
-                const double *z, double *out)
+void check_sums(const struct run *run, double *out)
 {
+    int64_t m = run->m, n = run->n;
+    const double *b = run->b, *x = run->x, *z = run->z;
     double resid = 0.0, atz = 0.0, x_sq = 0.0, z_sq = 0.0, b_sq = 0.0;
     if (x != NULL) {
         for (int64_t i = 0; i < m; i++) {
-            double ax = line_dot(row_cols, row_vals, row_ptr[i], row_ptr[i + 1], n, x);
+            double ax = line_dot(run->row_cols, run->row_vals, run->row_ptr[i],
+                                 run->row_ptr[i + 1], n, x);
             double r = ax - (z != NULL ? b[i] - z[i] : b[i]);
             resid += r * r;
         }
@@ -236,7 +267,8 @@ void check_sums(int64_t m, int64_t n, const int64_t *row_ptr,
     }
     if (z != NULL) {
         for (int64_t j = 0; j < n; j++) {
-            double p = line_dot(col_rows, col_vals, col_ptr[j], col_ptr[j + 1], m, z);
+            double p = line_dot(run->col_rows, run->col_vals, run->col_ptr[j],
+                                run->col_ptr[j + 1], m, z);
             atz += p * p;
         }
         z_sq = sum_sq(z, m);
@@ -278,18 +310,37 @@ static int decimal_point_is_dot(void)
     return strcmp(localeconv()->decimal_point, ".") == 0;
 }
 
+/* "00" .. "99": the digits of each number below 100, to write two at once. */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+/* Writes the decimal digits of v to end just before `end`; returns their start. */
+static char *digits_before(char *end, uint64_t v)
+{
+    for (; v >= 100; v /= 100) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * (v % 100), 2);
+    }
+    if (v >= 10) {
+        end -= 2;
+        memcpy(end, DIGIT_PAIRS + 2 * v, 2);
+    } else {
+        *--end = (char)('0' + v);
+    }
+    return end;
+}
+
 /* Writes v in decimal at p and returns the end. */
 static char *put_index(char *p, uint64_t v)
 {
     char digits[20];
-    int len = 0;
-    do {
-        digits[len++] = (char)('0' + v % 10);
-        v /= 10;
-    } while (v != 0);
-    while (len > 0)
-        *p++ = digits[--len];
-    return p;
+    char *start = digits_before(digits + sizeof digits, v);
+    size_t len = (size_t)(digits + sizeof digits - start);
+    memcpy(p, start, len);
+    return p + len;
 }
 
 /* 10^k for k <= 27: 5^27 < 2^63, so each is exact in a long double. */
@@ -298,44 +349,62 @@ static const long double POW10[28] = {
     1e11L, 1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L, 1e20L,
     1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
 
-/* The 17 significant digits of |v|, for 1e-11 <= |v| < 1e17: digits[] and
- * the decimal exponent *x. Returns 0 when the rounding cannot be told apart
- * from a tie or from a carry into another exponent. */
+/* The 17 significant digits of |v|, for 1e-11 <= |v| < 1e17, rounded half to
+ * even as snprintf and Python round them: digits[] and the decimal exponent
+ * *x. |v| is M 2^E for an integer M < 2^53, so |v| 10^k = M 5^k 2^(E+k):
+ * M 5^k < 2^117 for k <= 27, and shifting it by E+k in 128-bit integers
+ * gives the integer part and the bits dropped, exactly. Returns 0 where that
+ * needs another k, or where the compiler has no 128-bit integers. */
 static int digits17(double v, char *digits, int *x)
 {
+#ifdef __SIZEOF_INT128__
+    static const uint64_t POW5[28] = {
+        1, 5, 25, 125, 625, 3125, 15625, 78125, 390625, 1953125, 9765625, 48828125,
+        244140625, 1220703125, 6103515625, 30517578125, 152587890625, 762939453125,
+        3814697265625, 19073486328125, 95367431640625, 476837158203125,
+        2384185791015625, 11920928955078125, 59604644775390625, 298023223876953125,
+        1490116119384765625, 7450580596923828125u};
+    const uint64_t lo = UINT64_C(10000000000000000), hi = 10 * lo; /* 10^16, 10^17 */
     double a = v < 0 ? -v : v;
     if (!(a >= 1e-11 && a < 1e17))
         return 0;
     uint64_t bits;
     memcpy(&bits, &a, sizeof bits);
-    int k = 16 - ((int)(bits >> 52) - 1023) * 1233 / 4096; /* about 16 - log10 a */
-    long double scaled;
-    for (;;) {
+    int biased = (int)(bits >> 52); /* a is normal: M 2^E with M's top bit set */
+    uint64_t mant = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    /* 16 - floor(log10 2^e) for a = 1.f 2^e; 1233 / 4096 is just above log10 2,
+     * and the added 16 * 4096 keeps the quotient's floor positive */
+    int k = 32 - ((biased - 1023) * 1233 + 16 * 4096) / 4096;
+    unsigned __int128 scaled, q;
+    int shift;
+    for (;;) { /* the k with floor(a 10^k) in [10^16, 10^17) */
         if (k < 0 || k > 27)
             return 0;
-        /* below 1e17 < 2^57, one rounding to 64 bits errs by 2^-8 at most */
-        scaled = (long double)a * POW10[k];
-        if (scaled < 1e16L)
+        scaled = (unsigned __int128)mant * POW5[k];
+        shift = 1075 - biased - k; /* -(E+k) */
+        q = shift > 0 ? scaled >> shift : scaled << -shift;
+        if (q < lo)
             k++;
-        else if (scaled >= 1e17L)
+        else if (q >= hi)
             k--;
         else
             break;
     }
-    if (scaled < 1e16L + 1 || scaled >= 1e17L - 1)
-        return 0;
-    uint64_t d = (uint64_t)scaled;
-    long double frac = scaled - (long double)d;
-    /* a tie, or a fraction within four times that error of one */
-    if (frac > 0.5L - 1.0L / 64 && frac < 0.5L + 1.0L / 64)
-        return 0;
-    d += frac > 0.5L;
-    for (int i = 16; i >= 0; i--) {
-        digits[i] = (char)('0' + d % 10);
-        d /= 10;
+    if (shift > 0) { /* round what the shift dropped, half to even */
+        unsigned __int128 rest = scaled - (q << shift), half = (unsigned __int128)1 << (shift - 1);
+        q += rest > half || (rest == half && (q & 1) != 0);
     }
+    if (q == hi) { /* rounded up into the next decade */
+        q = lo;
+        k--;
+    }
+    digits_before(digits + 17, (uint64_t)q);
     *x = 16 - k;
     return 1;
+#else
+    (void)v, (void)digits, (void)x;
+    return 0;
+#endif
 }
 
 /* "%.17g" of v at p, the bytes snprintf writes; returns their number. */
@@ -343,7 +412,7 @@ static int put_value(char *p, double v)
 {
     char digits[17];
     int x;
-    if (FAST_DECIMAL && digits17(v, digits, &x)) {
+    if (digits17(v, digits, &x)) {
         int n = 17; /* significant digits left when trailing zeros go */
         while (digits[n - 1] == '0')
             n--;

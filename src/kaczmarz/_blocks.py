@@ -46,12 +46,26 @@ _PTR = ctypes.c_void_p
 # raw addresses.
 _SIGNATURES = {
     "alias_draws": (None, (_U64, _U64, _I64, _PTR, _PTR, _I64, _PTR)),
-    "block_steps": (_I64, (_I64, _I64) + (_PTR,) * 13 + (_I64,)),
-    "check_sums": (None, (_I64, _I64) + (_PTR,) * 10),
+    "block_steps": (_I64, (_PTR, _PTR, _PTR, _I64)),
+    "check_sums": (None, (_PTR, _PTR)),
     "csc_scatter": (None, (_I64,) + (_PTR,) * 8),
     "format_lines": (_I64, (_PTR,) * 3 + (_I64,) * 3 + (_PTR,)),
     "parse_entries": (_I64, (_PTR, _I64, _I64, _PTR, _PTR, _PTR)),
 }
+
+
+class Draws(ctypes.Structure):
+    """struct draws: a stream of alias-table draws."""
+
+    _fields_ = [("seed", _U64), ("counter", _U64), ("prob", _PTR), ("alias", _PTR)]
+
+
+class Run(ctypes.Structure):
+    """struct run: what block_steps and check_sums read of one run."""
+
+    _fields_ = [("m", _I64), ("n", _I64)] + [(name, _PTR) for name in (
+        "row_ptr row_cols row_vals row_sq col_ptr col_rows col_vals col_sq b x z".split())] + [
+        ("row_draws", Draws), ("col_draws", Draws)]
 
 
 def _cache_dir():

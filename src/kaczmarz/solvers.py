@@ -20,28 +20,25 @@ The REK x-update uses the z entry from *before* this iteration's column
 projection (the two projections commute in expectation but not pathwise).
 
 So RK is REK without z, aimed at b, and ROP is REK without x, and all three
-run through one driver, trajectory(): it draws each block of row indices
-(when there is an x) and column indices (when there is a z) from the seeded
-streams, runs the block with block_steps and yields the iterates at the
-iteration counts it is given. checked_trajectory stops it every check
-interval for the solver's termination check, until the check says stop:
-run_rek / run_rk / run_rop (and `solve`, which picks one) run on it, and so
-does verify's rek_walk, which adds stops of its own. verify's checkpoint
-drivers stop trajectory at their checkpoints only and measure the error
-instead. block_steps runs a whole block in one call of the compiled
-block_steps in _blocks.c; where that cannot be built, it runs the same loop
-over rop_step and rk_step instead. The compiled dots sum left to right, so
-their iterates differ from the per-step path's BLAS dots only by rounding
+run through one driver, trajectory(): it runs each block of steps, on row
+indices (when there is an x) and column indices (when there is a z) drawn
+from the seeded streams, and yields the iterates at the iteration counts it
+is given. checked_trajectory stops it every check interval for the solver's
+termination check, until the check says stop: run_rek / run_rk / run_rop
+(and `solve`, which picks one) run on it, and so does verify's rek_walk,
+which adds stops of its own. verify's checkpoint drivers stop trajectory at
+their checkpoints only and measure the error instead. A block is one call of
+the compiled block_steps in _blocks.c, which draws each step's indices as it
+goes; where that cannot be built, sample_block draws them and the same loop
+runs over rop_step and rk_step instead. The compiled dots sum left to right,
+so their iterates differ from the per-step path's BLAS dots only by rounding
 (about 1e-14 relative) and do not depend on the BLAS kernel the host picks.
 
 A run is bound once, not once per block or check: when trajectory starts,
-_bind checks b, x and z, takes their addresses and binds both the compiled
-block_steps and the compiled check_sums to them (or, where the kernels are
-unavailable, closes the per-step loop and the numpy sums over them). The
-row and column indices are drawn into two reusable int64 buffers that grow
-only when a block is larger than any before it (8*min(m, n) entries each at
-the solvers' default check interval). So a block costs one alias_draws call
-per stream and one block_steps call, with no array allocated or re-checked.
+_bind checks b, x and z and binds their addresses, the matrix's line arrays
+and each half's stream and alias table into one C struct that the compiled
+block_steps and check_sums both take (or, where the kernels are unavailable,
+closes the per-step loop and the numpy sums over them).
 
 The termination checks take their norms from one call of the compiled
 check_sums: the products A x and A^T z come out bit-identical to the numpy
@@ -81,8 +78,8 @@ from .errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
 from .sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
-    IndexBuffer,
     RngStream,
+    _table_addrs,
     col_sampler,
     row_sampler,
     sample_block,
@@ -198,15 +195,15 @@ def _line_nnz(ptr, ids):
     return int((ptr[ids + 1] - ptr[ids]).sum())
 
 
-def _bind(a, b, x, z):
+def _bind(a, b, x, z, seed=None):
     """block_steps and the check sums for a run on the same b, x and z.
 
     b, x and z are checked, and their addresses taken, once here. Returns
-    (steps, sums). steps(rows, cols, row_addr, col_addr) runs one block as
-    block_steps does, given the int64 index arrays and their addresses (the
-    compiled kernel reads the addresses, the per-step path the arrays).
-    sums() gives the sums of squares of A x - (b - z), A^T z, x, z and b, in
-    that order, for the current contents of x and z. A None z makes the first
+    (steps, sums). steps(count, rows, cols) runs one block as block_steps
+    does, on int64 index arrays; given a seed, steps(count) draws the indices
+    instead, from the streams derived from it, as sample_block does. sums()
+    gives the sums of squares of A x - (b - z), A^T z, x, z and b, in that
+    order, for the current contents of x and z. A None z makes the first
     A x - b and leaves out A^T z and z; a None x leaves out A x - (b - z), x
     and b. Left-out sums are 0.0.
     """
@@ -214,9 +211,17 @@ def _bind(a, b, x, z):
     scalar_flops = 2 if has_x else 1
     vecs = (_addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
             _addr(z, a.m) if has_z else None)
+    if seed is not None and has_x:
+        row_rng, row_table = RngStream.derived(seed, ROW_STREAM_SALT), row_sampler(a)
+    if seed is not None and has_z:
+        col_rng, col_table = RngStream.derived(seed, COL_STREAM_SALT), col_sampler(a)
     lib = _blocks.load()
     if lib is None:
-        def steps(rows, cols, row_addr, col_addr):
+        def steps(count, rows=None, cols=None):
+            if has_x and rows is None:
+                rows = sample_block(row_table, row_rng, count)
+            if has_z and cols is None:
+                cols = sample_block(col_table, col_rng, count)
             # the compiled kernel's loop: the row target with z_i from before
             # the column step, then the column step, then the row step
             row_ids = rows.tolist() if has_x else itertools.repeat(None)
@@ -230,7 +235,7 @@ def _bind(a, b, x, z):
                     rk_step(a, x, i, target)
             touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
                        + (_line_nnz(a.col_ptr, cols) if has_z else 0))
-            return 4 * touched + scalar_flops * (rows.size if has_x else cols.size)
+            return 4 * touched + scalar_flops * count
 
         def sums():
             # v.dot(v) is the sum np.linalg.norm takes the root of
@@ -244,15 +249,18 @@ def _bind(a, b, x, z):
             return resid_sq, atz_sq, x_sq, z_sq, b_sq
         return steps, sums
 
-    kernel = functools.partial(
-        lib.block_steps, a.m, a.n, *a._line_addrs[0], *a._line_addrs[1], *vecs)
+    run = _blocks.Run(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1], *vecs)
+    if seed is not None and has_x:
+        run.row_draws = _blocks.Draws(row_rng.seed, 0, *_table_addrs(row_table))
+    if seed is not None and has_z:
+        run.col_draws = _blocks.Draws(col_rng.seed, 0, *_table_addrs(col_table))
+    ref = ctypes.byref(run)  # keeps the struct alive while steps and sums live
     out = (ctypes.c_double * 5)()
-    check = functools.partial(
-        lib.check_sums, a.m, a.n, *a._line_addrs[0][:3], *a._line_addrs[1][:3], *vecs, out)
+    check = functools.partial(lib.check_sums, ref, out)
 
-    def steps(rows, cols, row_addr, col_addr):
-        count = rows.size if has_x else cols.size
-        touched = kernel(row_addr, col_addr, count)
+    def steps(count, rows=None, cols=None):
+        touched = lib.block_steps(ref, None if rows is None else rows.ctypes.data,
+                                  None if cols is None else cols.ctypes.data, count)
         if touched < 0:
             raise IndexError("sampled row or column index out of range")
         return 4 * touched + scalar_flops * count
@@ -277,8 +285,7 @@ def block_steps(a, b, x, z, rows, cols):
     if has_x and has_z and rows.shape != cols.shape:
         raise DimensionMismatchError("need as many column picks as row picks")
     steps, _ = _bind(a, b, x, z)
-    return steps(rows, cols, rows.ctypes.data if has_x else None,
-                 cols.ctypes.data if has_z else None)
+    return steps(rows.size if has_x else cols.size, rows, cols)
 
 
 # ----------------------------------------------------------------------
@@ -388,21 +395,14 @@ def trajectory(a, b, solver, seed, stops):
     b = np.ascontiguousarray(b)
     x = None if solver == ROP else np.zeros(a.n)
     z = None if solver == RK else b.copy()
-    if x is not None:
-        row_rng, row_table = RngStream.derived(seed, ROW_STREAM_SALT), row_sampler(a)
-    if z is not None:
-        col_rng, col_table = RngStream.derived(seed, COL_STREAM_SALT), col_sampler(a)
-    row_buf, col_buf = IndexBuffer(), IndexBuffer()
-    steps, sums = _bind(a, b, x, z)
+    steps, sums = _bind(a, b, x, z, seed)
     iters = flops = 0
     for stop in stops:
         block = stop - iters
         if block < 0:
             raise ValueError("stops must not decrease from 0, got %d after %d" % (stop, iters))
         if block:
-            rows = sample_block(row_table, row_rng, block, row_buf) if x is not None else None
-            cols = sample_block(col_table, col_rng, block, col_buf) if z is not None else None
-            flops += steps(rows, cols, row_buf.address, col_buf.address)
+            flops += steps(block)
             iters = stop
         yield iters, x, z, flops, sums
 

@@ -68,13 +68,35 @@ def _exported_functions(source):
     return found
 
 
+def _structs(source):
+    """{name: [(field, type)]} of the structs defined in C source, pointers as c_void_p."""
+    source = re.sub(r"/\*.*?\*/", " ", source, flags=re.S)
+    nested = {"struct draws": _blocks.Draws}
+    found = {}
+    for name, body in re.findall(r"^struct (\w+) \{(.*?)\};", source, flags=re.M | re.S):
+        fields = []
+        for decl in body.split(";")[:-1]:
+            first, *more = decl.split(",")
+            base, head = re.match(r"\s*(?:const\s+)?(struct \w+|\w+)\s+(.*)", first,
+                                  flags=re.S).groups()
+            for declarator in [head] + more:
+                kind = (ctypes.c_void_p if "*" in declarator
+                        else nested.get(base) or _CTYPES[base])
+                fields.append((declarator.strip(" *\n"), kind))
+        found[name] = fields
+    return found
+
+
 def test_signatures_name_exactly_the_exported_functions():
-    # ctypes trusts argtypes blindly: a stale entry corrupts memory without an error
+    # ctypes trusts argtypes and struct fields blindly: a stale entry corrupts
+    # memory without an error
     with open(_blocks.SOURCE) as fh:
-        exported = _exported_functions(fh.read())
+        source = fh.read()
+    exported = _exported_functions(source)
     assert exported == _blocks._SIGNATURES
     assert set(exported) == {"alias_draws", "block_steps", "check_sums", "csc_scatter",
                              "format_lines", "parse_entries"}
+    assert _structs(source) == {"draws": _blocks.Draws._fields_, "run": _blocks.Run._fields_}
 
 
 def test_signature_parser_reads_declarations_it_must_not_miss():
@@ -138,8 +160,8 @@ def _block_steps(lib, a, b, x, z, rows, cols, count):
     def addr(v):
         return None if v is None else v.ctypes.data
 
-    return lib.block_steps(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1], addr(b), addr(x),
-                           addr(z), addr(rows), addr(cols), count)
+    run = _blocks.Run(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1], addr(b), addr(x), addr(z))
+    return lib.block_steps(ctypes.byref(run), addr(rows), addr(cols), count)
 
 
 @pytest.mark.parametrize("halves", ["both", "x only", "z only"])
@@ -288,6 +310,35 @@ def test_format_lines_writes_what_python_formats(lib, vals, data):
     assert _format_lines(lib, vals, row_ptr, row_cols, lo) == "".join(
         "%d %d %.17g\n" % (i + 1, j + 1, v)
         for i, j, v in zip(rows[lo:], row_cols[lo:], vals[lo:]))
+
+
+def _exact_ties(rng, per_k):
+    """Doubles halfway between two 17-digit decimals, which round to the even one."""
+    ties = []
+    for k in range(1, 24):
+        # N 2^-(k+1) 10^k = N 5^k / 2, an odd number of halves for odd N
+        lo, hi = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        if lo < hi:
+            ties += [math.ldexp(int(n) | 1, -(k + 1)) for n in rng.integers(lo, hi, per_k)]
+    return ties
+
+
+def test_format_lines_rounds_ties_edges_and_powers_of_two_as_python(lib):
+    rng = np.random.default_rng(7)
+    vals = _exact_ties(rng, 200)
+    vals += [math.ldexp(1.0, e) for e in range(-1074, 1024)]  # every power of two
+    for decade in range(-12, 19):  # either side of each 10^d, 1e-11 and 1e17 among them
+        edge = float("1e%d" % decade)
+        below = above = edge
+        for _ in range(20):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            vals += [below, above]
+        vals += [edge, float("9" * 17 + "e%d" % (decade - 17))]  # rounds up to 10^d
+    bits = rng.integers(0, 2**63, 20000, dtype=np.int64).view(np.float64)
+    vals += bits[np.isfinite(bits)].tolist()  # every exponent, mostly outside 1e-11 .. 1e17
+    vals += (10 ** rng.uniform(-11, 17, 20000)).tolist()
+    vals = np.array(vals + [-v for v in vals])
+    assert _format_lines(lib, vals) == "".join("%.17g\n" % v for v in vals)
 
 
 def test_format_lines_writes_indices_of_every_width(lib):

@@ -23,7 +23,6 @@ from kaczmarz.sampling import (
     GOLDEN,
     MASK64,
     AliasTable,
-    IndexBuffer,
     RngStream,
     build_alias_table,
     col_sampler,
@@ -253,6 +252,8 @@ def test_malformed_alias_tables_are_refused_before_the_kernel_runs(monkeypatch):
         AliasTable(3, good.prob, good.alias[:2]),
         AliasTable(0, good.prob[:0], good.alias[:0]),  # no cell to draw
         AliasTable(3, good.prob.tolist(), good.alias),  # not an array
+        AliasTable(3, good.prob, np.array([0, 3, 2])),  # an alias outside [0, size)
+        AliasTable(3, good.prob, np.array([-1, 1, 2])),
     ]
     for table in malformed:
         rng = RngStream(5, 7)
@@ -262,19 +263,6 @@ def test_malformed_alias_tables_are_refused_before_the_kernel_runs(monkeypatch):
     assert calls == []
     sample_block(good, RngStream(5, 7), 4)
     assert len(calls) == 1 and calls[0][:3] == (5, 7, 3)
-
-
-def test_draws_into_a_reused_buffer_equal_fresh_draws(kernels):
-    table = build_alias_table(np.array([0.0, 1.0, 2.0, 3.0, 0.0, 5.0]))
-    buf = IndexBuffer()
-    reused, fresh = RngStream(11, 3), RngStream(11, 3)
-    for count in (1, 40, 3, 0, 41, 2):
-        got = sample_block(table, reused, count, buf)
-        np.testing.assert_array_equal(got, sample_block(table, fresh, count))
-        assert got.dtype == np.int64 and np.shares_memory(got, buf.array) == (count > 0)
-        assert reused.counter == fresh.counter
-    # grown to the largest block only, never per block
-    assert buf.array.size == 41
 
 
 @pytest.mark.parametrize("spec", [

@@ -29,6 +29,7 @@ from kaczmarz.reference import min_norm_solve
 from kaczmarz.sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
+    AliasTable,
     RngStream,
     col_sampler,
     row_sampler,
@@ -703,8 +704,8 @@ def _ctypes_constructions(monkeypatch, run):
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
 def test_trajectory_takes_no_addresses_per_block(solver, compiled, monkeypatch):
-    # addresses are taken when a run starts, on a table's first draw and when
-    # an index buffer grows, so 50 blocks take as many as 5
+    # addresses are taken when a run starts and on a table's first use, so 50
+    # blocks take as many as 5
     counts = []
     for blocks in (5, 50):
         a, b, _ = generate(BLOCK_SPECS["sparse"])  # a fresh matrix: its tables unbound
@@ -725,25 +726,36 @@ def test_trajectory_refuses_decreasing_stops(solver, kernels):
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
-def test_reused_index_buffers_leak_nothing_between_blocks(solver, kernels):
-    # blocks of 1, 1, 298, 1 and 899 steps: the buffers grow, then serve
-    # smaller blocks than they hold, then grow again
-    a, b, _ = generate(BLOCK_SPECS["sparse"])
-
-    def end_of_run(stops):
-        *_, (iters, x, z, flops, _) = trajectory(a, b, solver, 9, stops)
-        return iters, _digest(x), _digest(z), flops
-
+@pytest.mark.parametrize("spec", [InstanceSpec(kind="dense", m=100, n=30, seed=3),
+                                  InstanceSpec(kind="sparse", m=200, n=50, density=0.1, seed=6)],
+                         ids=["dense-100x30", "sparse-200x50"])
+def test_trajectory_steps_on_the_indices_sample_block_draws(spec, solver, kernels):
+    # blocks of 1, 7, 240, none and 1 steps: the compiled kernel draws each
+    # block's indices itself, so its stream counters must carry across blocks
+    a, b, _ = generate(spec)
+    stops = [1, 8, 248, 248, 249]
+    got = [(iters, _digest(x), _digest(z), flops)
+           for iters, x, z, flops, _ in trajectory(a, b, solver, 9, stops)]
     x = None if solver == ROP else np.zeros(a.n)
     z = None if solver == RK else b.copy()
-    rows = None if x is None else sample_block(
-        row_sampler(a), RngStream.derived(9, ROW_STREAM_SALT), 1200)
-    cols = None if z is None else sample_block(
-        col_sampler(a), RngStream.derived(9, COL_STREAM_SALT), 1200)
-    flops = block_steps(a, b, x, z, rows, cols)
-    want = (1200, _digest(x), _digest(z), flops)
-    assert end_of_run((1, 2, 300, 301, 1200)) == want
-    assert end_of_run((1200,)) == want
+    row_rng, col_rng = RngStream.derived(9, ROW_STREAM_SALT), RngStream.derived(9, COL_STREAM_SALT)
+    want, flops, iters = [], 0, 0
+    for stop in stops:
+        rows = None if x is None else sample_block(row_sampler(a), row_rng, stop - iters)
+        cols = None if z is None else sample_block(col_sampler(a), col_rng, stop - iters)
+        flops += block_steps(a, b, x, z, rows, cols)
+        iters = stop
+        want.append((iters, _digest(x), _digest(z), flops))
+    assert got == want
+
+
+def test_trajectory_refuses_an_alias_entry_out_of_range_before_any_step(compiled):
+    a, b, _ = generate(BLOCK_SPECS["dense"])
+    good = row_sampler(a)
+    a._alias_tables["row"] = AliasTable(good.size, good.prob,
+                                        np.where(np.arange(a.m) == 3, a.m, good.alias))
+    with pytest.raises(ValueError, match=r"^alias table entries must lie in \[0, 60\)$"):
+        next(trajectory(a, b, REK, 0, [10]))
 
 
 def test_package_exports_resolve():
