@@ -1,29 +1,27 @@
 /* The compiled inner loops of the package, over the CSR/CSC arrays of a
- * DualSparseMatrix and the entry lines of Matrix Market files: alias-table
- * draws, whole blocks of solver steps, the sums of squares of the
+ * DualSparseMatrix and the entry lines of Matrix Market files: whole blocks
+ * of solver steps with their index draws, the sums of squares of the
  * termination checks, the CSC order of a matrix, and the formatting and
  * parsing of entry lines. Each has a numpy twin that runs when this file
  * cannot be built.
  *
- * alias_draws emits the same indices as sampling.sample_block's numpy path,
- * bit for bit: the same SplitMix64 counter-mode stream, the same conversion
- * to uniform doubles and the same cell and coin arithmetic.
- *
  * block_steps runs a block of steps of REK, one after the other: a column
- * step on z (rop_step), then a row step on x (rk_step) toward b_i - z_i. It
- * draws each step's indices as it goes, by alias_draws' arithmetic, unless
- * the caller passes them. RK and ROP are the same function with the other
- * half left out: a NULL z aims the row steps at b_i, a NULL x leaves only
- * the column steps. The operations and their order are those of the per-step
- * path in kaczmarz.solvers: for each k, read the row target, then rop_step,
- * then rk_step. Each step's axpy is held back and done just before the next
- * step's dot on the same vector, and after the last step, which changes no
- * operation's inputs: z_i is read once the column step before it has
+ * step on z, then a row step on x toward b_i - z_i. It draws each step's
+ * indices as it goes, unless the caller passes them, with the same indices
+ * as sampling.sample_block, bit for bit: the same SplitMix64 counter-mode
+ * stream, the same conversion to uniform doubles and the same cell and coin
+ * arithmetic. RK and ROP are the same function with the other half left
+ * out: a NULL z aims the row steps at b_i, a NULL x leaves only the column
+ * steps. The operations and their order are those of the numpy loop in
+ * kaczmarz.solvers: for each k, read the row target, then the column step,
+ * then the row step. Each step's axpy is held back and done just before the
+ * next step's dot on the same vector, and after the last step, which changes
+ * no operation's inputs: z_i is read once the column step before it has
  * finished. When the held-back line and the next line on a vector are both
  * full (as many stored entries as the vector has), their indices are
  * 0 .. size-1 in order, so the axpy and the dot run as one loop over v[q]
  * with no index gather; any other pair runs the gathered axpy, then the dot.
- * Only the dot products can round differently from the Python steps, whose
+ * Only the dot products can round differently from the numpy loop, whose
  * dots go through BLAS: here they sum left to right over the stored entries,
  * and the file is compiled with -ffp-contract=off, so the iterates do not
  * depend on which BLAS kernel the host would pick. Every given index of a
@@ -106,16 +104,6 @@ static int64_t alias_draw(const struct draws *d, int64_t k, int64_t size)
     if (cell > size - 1) /* guard the top rounding edge */
         cell = size - 1;
     return uniform(d->seed, draw + 2) < d->prob[cell] ? cell : d->alias[cell];
-}
-
-/* `count` draws, taking draws counter+1 .. counter+2*count of the stream. */
-void alias_draws(uint64_t seed, uint64_t counter, int64_t size,
-                 const double *prob, const int64_t *alias, int64_t count,
-                 int64_t *out)
-{
-    struct draws d = {seed, counter, prob, alias};
-    for (int64_t k = 0; k < count; k++)
-        out[k] = alias_draw(&d, k, size);
 }
 
 /* One run's m x n matrix, line norms, b, x and z, and index draws. */

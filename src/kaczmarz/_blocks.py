@@ -1,6 +1,6 @@
 """Build and load the compiled kernels in _blocks.c.
 
-The kernels are the sampler's alias draws, the solvers' block steps and
+The kernels are the solvers' block steps, which draw their own indices, and
 termination-check sums, DualSparseMatrix's CSC scatter and line norms, and
 the Matrix Market entry formatter and parser of kaczmarz.mmio.
 
@@ -17,9 +17,9 @@ starts every loop on a cache line, so the speed of the hot dot and axpy
 loops does not hinge on where the compiler happens to place them (left to
 gcc 12, the RK row loop ran 20% slower on dense rows of 400 entries on an
 AMD EPYC). If the compiler is missing, the build fails or the library cannot
-be loaded, load() logs why once and returns None, and the sampler, the
-solvers, their checks, the matrix constructor and the file reader and writer
-run their numpy paths instead.
+be loaded, load() logs why once and returns None, and the solvers (drawing
+through sampling.sample_block), their checks, the matrix constructor and the
+file reader and writer run their numpy paths instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ _PTR = ctypes.c_void_p
 # (result type, argument types) of the C functions; pointers are passed as
 # raw addresses.
 _SIGNATURES = {
-    "alias_draws": (None, (_U64, _U64, _I64, _PTR, _PTR, _I64, _PTR)),
     "block_steps": (_I64, (_PTR, _PTR, _PTR, _I64)),
     "check_sums": (None, (_PTR, _PTR)),
     "csc_scatter": (None, (_I64,) + (_PTR,) * 8),

@@ -1,9 +1,10 @@
-"""Dual-layout sparse storage and the per-line kernels the solvers touch.
+"""Dual-layout sparse storage for the solvers' row and column steps.
 
 A DualSparseMatrix keeps the same nonzero set twice, row-major (CSR) and
 column-major (CSC), so that single rows and single columns are both O(nnz of
-that line) to read. These six numpy arrays are the only copy of the matrix:
-the whole-matrix products and to_dense are computed from them too.
+that line) to read; the solvers' steps read them straight from the arrays.
+These six numpy arrays are the only copy of the matrix: the whole-matrix
+products and to_dense are computed from them too.
 Construction canonicalizes triplets (duplicates summed in input order,
 entries that sum to exactly zero dropped) and caches the squared row norms,
 squared column norms and the squared Frobenius norm, which the samplers and
@@ -20,12 +21,12 @@ arrays (csc_scatter in _blocks.c); where the kernels are not built, the rows
 are spelled out again for an argsort and two bincounts.
 
 All arrays are frozen after construction. A matrix can be shared between
-solver runs without defensive copies; the kernels mutate only the vectors
-they are handed.
+solver runs without defensive copies; the solvers mutate only their own
+vectors.
 
 Flop convention: a dot or an axpy over k stored entries costs 2k flops, and
-a whole-matrix product 2*nnz. The kernels count nothing themselves; the
-solvers book each block and each termination check by formula (see
+a whole-matrix product 2*nnz. The matrix counts nothing itself; the solvers
+book each block and each termination check by formula (see
 kaczmarz.solvers).
 """
 
@@ -193,37 +194,6 @@ class DualSparseMatrix:
         return dense
 
     # ------------------------------------------------------------------
-    # per-line kernels
-
-    def row_dot(self, i, x):
-        """<a_i, x>, touching only the stored entries of row i."""
-        self._check_row(i)
-        lo = self.row_ptr[i]
-        hi = self.row_ptr[i + 1]
-        return float(self.row_vals[lo:hi] @ x[self.row_cols[lo:hi]])
-
-    def col_dot(self, j, z):
-        """<a^(j), z> for column j."""
-        self._check_col(j)
-        lo = self.col_ptr[j]
-        hi = self.col_ptr[j + 1]
-        return float(self.col_vals[lo:hi] @ z[self.col_rows[lo:hi]])
-
-    def row_axpy(self, i, alpha, x):
-        """x += alpha * a_i, in place, touching only stored entries."""
-        self._check_row(i)
-        lo = self.row_ptr[i]
-        hi = self.row_ptr[i + 1]
-        x[self.row_cols[lo:hi]] += alpha * self.row_vals[lo:hi]
-
-    def col_axpy(self, j, alpha, z):
-        """z += alpha * a^(j), in place."""
-        self._check_col(j)
-        lo = self.col_ptr[j]
-        hi = self.col_ptr[j + 1]
-        z[self.col_rows[lo:hi]] += alpha * self.col_vals[lo:hi]
-
-    # ------------------------------------------------------------------
     # whole-matrix products (used by termination checks and reports)
 
     def matvec(self, x):
@@ -250,16 +220,6 @@ class DualSparseMatrix:
     def entry_rows(self):
         """Row of each stored entry, in row-major order."""
         return _entry_rows(self.row_ptr)
-
-    # ------------------------------------------------------------------
-
-    def _check_row(self, i):
-        if not 0 <= i < self.m:
-            raise IndexError("row index %d out of range [0, %d)" % (i, self.m))
-
-    def _check_col(self, j):
-        if not 0 <= j < self.n:
-            raise IndexError("column index %d out of range [0, %d)" % (j, self.n))
 
     def __repr__(self):
         return "DualSparseMatrix(%dx%d, nnz=%d)" % (self.m, self.n, self.nnz)

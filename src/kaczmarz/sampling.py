@@ -12,16 +12,15 @@ Alias tables give O(1) draws from a fixed discrete distribution: one uniform
 picks the cell, one uniform flips the accept/alias coin. Zero-weight indices
 keep their cell but carry acceptance probability 0 and are never returned.
 
-sample_block draws a whole block in one call of alias_draws in the compiled
-_blocks.c. Where that cannot be built it runs the same arithmetic on numpy
-arrays instead. Both emit the sequence of one draw at a time (cell uniform,
-then coin uniform, per index), which the tests restate as a scalar
-reference. The solvers' compiled block kernel draws by the same arithmetic
-itself; on the numpy path the solvers' indices come from sample_block.
+sample_block draws a whole block on numpy arrays, in the sequence of one
+draw at a time (cell uniform, then coin uniform, per index), which the tests
+restate as a scalar reference. The solvers' compiled block kernel in
+_blocks.c draws by the same arithmetic itself, inside its step loop; where
+that cannot be built, the solvers' indices come from sample_block.
 
-A table is checked, and the addresses of its prob and alias arrays are
-taken, on its first compiled use; both are kept on the table. The check
-covers every alias entry, as the block kernel does not range-check draws.
+A table is checked on its first use, by sample_block or by a compiled run,
+and the addresses of its prob and alias arrays are kept on it. The check
+covers every alias entry, as neither path range-checks its draws.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _blocks
 from .errors import DegenerateWeightsError
 
 MASK64 = (1 << 64) - 1
@@ -88,7 +86,7 @@ class AliasTable:
     size: int
     prob: np.ndarray  # acceptance probability of each cell
     alias: np.ndarray  # fallback index of each cell
-    # (prob address, alias address), set by the first compiled draw
+    # (prob address, alias address), set when the table is first checked
     _addrs: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -151,7 +149,12 @@ def build_alias_table(weights):
 
 
 def _table_addrs(table):
-    """(prob, alias) addresses of a table the kernel may read `size` cells of."""
+    """(prob, alias) addresses of a table whose `size` cells may be drawn from.
+
+    Checks the table on its first call and refuses it (ValueError) unless
+    both arrays are C-contiguous of its size and every alias entry lies in
+    [0, size).
+    """
     if table._addrs is None:
         size = table.size
         for arr, dtype in ((table.prob, np.float64), (table.alias, np.int64)):
@@ -168,17 +171,11 @@ def _table_addrs(table):
 
 def sample_block(table, rng, count):
     """`count` draws, each from one uniform for the cell and the next for the coin."""
-    lib = _blocks.load()
-    if lib is None:
-        u = rng.uniform_block(2 * count)
-        cells = (u[0::2] * table.size).astype(np.int64)
-        np.minimum(cells, table.size - 1, out=cells)
-        return np.where(u[1::2] < table.prob[cells], cells, table.alias[cells])
-    draws = np.empty(count, dtype=np.int64)
-    lib.alias_draws(rng.seed, rng.counter, table.size, *_table_addrs(table), count,
-                    draws.ctypes.data)
-    rng.counter += 2 * count
-    return draws
+    _table_addrs(table)  # refuses a malformed table before the stream moves
+    u = rng.uniform_block(2 * count)
+    cells = (u[0::2] * table.size).astype(np.int64)
+    np.minimum(cells, table.size - 1, out=cells)
+    return np.where(u[1::2] < table.prob[cells], cells, table.alias[cells])
 
 
 def reconstructed_mass(table):

@@ -29,16 +29,17 @@ termination check, until the check says stop: run_rek / run_rk / run_rop
 which adds stops of its own. verify's checkpoint drivers stop trajectory at
 their checkpoints only and measure the error instead. A block is one call of
 the compiled block_steps in _blocks.c, which draws each step's indices as it
-goes; where that cannot be built, sample_block draws them and the same loop
-runs over rop_step and rk_step instead. The compiled dots sum left to right,
-so their iterates differ from the per-step path's BLAS dots only by rounding
-(about 1e-14 relative) and do not depend on the BLAS kernel the host picks.
+goes; where that cannot be built, sample_block draws them and one numpy loop
+runs the same steps, each a BLAS dot and a numpy axpy over the stored entries
+of one line. The compiled dots sum left to right, so their iterates differ
+from the numpy loop's only by rounding (about 1e-14 relative) and do not
+depend on the BLAS kernel the host picks.
 
 A run is bound once, not once per block or check: when trajectory starts,
 _bind checks b, x and z and binds their addresses, the matrix's line arrays
 and each half's stream and alias table into one C struct that the compiled
 block_steps and check_sums both take (or, where the kernels are unavailable,
-closes the per-step loop and the numpy sums over them).
+closes the numpy loop and the numpy sums over them).
 
 The termination checks take their norms from one call of the compiled
 check_sums: the products A x and A^T z come out bit-identical to the numpy
@@ -53,8 +54,8 @@ Flops are booked by formula where the work runs; one dot or axpy over k
 stored entries costs 2k. block_steps returns 4 per stored entry its steps
 visit (a dot and an axpy) plus 2 per REK or RK step (one subtract, one
 divide) or 1 per ROP step (one divide): 4(m+n)+2 per REK iteration on dense
-instances. The compiled kernel reports the entries it visited; the per-step
-path counts them from the index arrays. Each termination check returns its
+instances. The compiled kernel reports the entries it visited; the numpy
+loop counts them from the index arrays. Each termination check returns its
 own cost, which the runners book apart from the iterations so that the
 per-iteration tally stays exactly the model the bounds are stated in:
 ROP 2nnz+2m+2n, RK 2nnz+3m+2n, REK 4nnz+4m+4n, and at x = 0 RK adds 2m and
@@ -150,35 +151,14 @@ class SolveReport:
 
 
 # ----------------------------------------------------------------------
-# single steps
-
-
-def rop_step(a, z, j):
-    """Project z off column j: z -= (<a_col_j, z> / ||a_col_j||^2) a_col_j."""
-    sq = a.col_sq_norms[j]
-    if sq == 0.0:
-        raise ZeroDivisionError("column %d has zero norm" % j)
-    scale = a.col_dot(j, z) / sq
-    a.col_axpy(j, -scale, z)
-
-
-def rk_step(a, x, i, beta):
-    """Project x onto the hyperplane <a_row_i, x> = beta."""
-    sq = a.row_sq_norms[i]
-    if sq == 0.0:
-        raise ZeroDivisionError("row %d has zero norm" % i)
-    resid = (beta - a.row_dot(i, x)) / sq
-    a.row_axpy(i, resid, x)
-
-
-# ----------------------------------------------------------------------
-# blocks of steps: one compiled call, or the per-step loop as the fallback
+# blocks of steps: one compiled call, or one numpy loop as the fallback
 #
 # block_steps updates x / z in place and returns the flops booked: 4 per
 # stored entry its steps visited, counted by the kernel (or from the index
-# arrays on the per-step path), plus the scalar flops of each step. The
+# arrays by the numpy loop), plus the scalar flops of each step. Drawn
 # indices come from the norm-weighted samplers, which never pick a zero-norm
-# line, so the compiled kernel divides without the per-step zero-norm check.
+# line, and block_steps refuses a given one, so neither path checks a step's
+# divisor.
 
 
 def _addr(v, size):
@@ -217,6 +197,9 @@ def _bind(a, b, x, z, seed=None):
         col_rng, col_table = RngStream.derived(seed, COL_STREAM_SALT), col_sampler(a)
     lib = _blocks.load()
     if lib is None:
+        row_ptr, row_cols, row_vals, row_sq = a.row_ptr, a.row_cols, a.row_vals, a.row_sq_norms
+        col_ptr, col_rows, col_vals, col_sq = a.col_ptr, a.col_rows, a.col_vals, a.col_sq_norms
+
         def steps(count, rows=None, cols=None):
             if has_x and rows is None:
                 rows = sample_block(row_table, row_rng, count)
@@ -230,9 +213,14 @@ def _bind(a, b, x, z, seed=None):
                 if has_x:
                     target = b[i] - z[i] if has_z else b[i]
                 if has_z:
-                    rop_step(a, z, j)
+                    lo, hi = col_ptr[j], col_ptr[j + 1]
+                    line, vals = col_rows[lo:hi], col_vals[lo:hi]
+                    scale = float(vals @ z[line]) / col_sq[j]
+                    z[line] += -scale * vals
                 if has_x:
-                    rk_step(a, x, i, target)
+                    lo, hi = row_ptr[i], row_ptr[i + 1]
+                    line, vals = row_cols[lo:hi], row_vals[lo:hi]
+                    x[line] += (target - float(vals @ x[line])) / row_sq[i] * vals
             touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
                        + (_line_nnz(a.col_ptr, cols) if has_z else 0))
             return 4 * touched + scalar_flops * count
@@ -274,16 +262,27 @@ def _bind(a, b, x, z, seed=None):
 def block_steps(a, b, x, z, rows, cols):
     """One block of steps, in index order, on whichever of x and z is not None.
 
-    For each k: rop_step on column cols[k] (unless z is None), then rk_step
-    on row i = rows[k] (unless x is None) toward b[i] - z[i], with z[i] read
-    before the column step, or toward b[i] when z is None. The indices of a
-    half left out, and b when x is None, are not read.
+    For each k, first the column step (unless z is None) projects z off
+    column j = cols[k]: z -= (<a^(j), z> / ||a^(j)||^2) a^(j). Then the row
+    step (unless x is None) projects x onto the hyperplane <a_i, x> = beta of
+    row i = rows[k]: x += ((beta - <a_i, x>) / ||a_i||^2) a_i, with
+    beta = b[i] - z[i], z[i] read before the column step, or beta = b[i]
+    when z is None. The indices of a half left out, and b when x is None,
+    are not read. An index out of range (IndexError) or of a zero-norm line
+    (ZeroDivisionError) is refused before any step.
     """
     has_x, has_z = x is not None, z is not None
     rows = np.ascontiguousarray(rows, dtype=np.int64) if has_x else None
     cols = np.ascontiguousarray(cols, dtype=np.int64) if has_z else None
     if has_x and has_z and rows.shape != cols.shape:
         raise DimensionMismatchError("need as many column picks as row picks")
+    for ids, sq, line in ((rows, a.row_sq_norms, "row"), (cols, a.col_sq_norms, "column")):
+        if ids is not None and ids.size:
+            if ids.min() < 0 or ids.max() >= sq.size:
+                raise IndexError("%s index out of range [0, %d)" % (line, sq.size))
+            zero = ids[sq[ids] == 0.0]
+            if zero.size:
+                raise ZeroDivisionError("%s %d has zero norm" % (line, zero[0]))
     steps, _ = _bind(a, b, x, z)
     return steps(rows.size if has_x else cols.size, rows, cols)
 

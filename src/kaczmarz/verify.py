@@ -8,6 +8,11 @@ envelopes, inflated by a statistical slack factor (SLACK) that absorbs
 Monte-Carlo noise; the envelopes themselves come only from the reference
 oracle, never from the solvers.
 
+one-step-contraction takes the expected error after one step exactly, over
+every row (column) with its probability. Each is a one-index block of the
+solvers' own bound steps (solvers._bind), so the check reads the step that
+runs: the compiled block_steps where it is built, else the numpy loop.
+
 rek-envelope, rop-rate and iteration-bound run on the same seeds, and share
 one REK run per seed (rek_walk, on solvers.checked_trajectory): x at
 rek-envelope's checkpoints, z at rop-rate's (REK's z is ROP's), and the
@@ -36,9 +41,8 @@ from .solvers import (
     RK,
     ROP,
     SolverConfig,
+    _bind,
     checked_trajectory,
-    rk_step,
-    rop_step,
     run_rek,
     theory_bounds,
     trajectory,
@@ -92,32 +96,35 @@ def rop_checkpoint_errors(a, b, z_ref, checkpoints, seed):
 # exact one-step expectations (enumerate every row / column choice)
 
 
-def rk_one_step_expectation(a, b, x, target):
-    """E ||x' - target||^2 over the row distribution, by enumeration."""
+def _one_step_expectation(step, trial, start, target, weights):
+    """The sum over k of weights[k] ||v_k - target||^2, by enumeration.
+
+    v_k is the work vector `trial` after step(k) from `start`; indices of
+    zero weight are skipped.
+    """
     total = 0.0
-    for i in range(a.m):
-        q = a.row_sq_norms[i] / a.frob_sq
-        if q == 0.0:
-            continue
-        trial = x.copy()
-        rk_step(a, trial, i, b[i])
+    for k in np.flatnonzero(weights):
+        trial[:] = start
+        step(k)
         diff = trial - target
-        total += q * float(diff @ diff)
+        total += weights[k] * float(diff @ diff)
     return total
+
+
+def rk_one_step_expectation(a, b, x, target):
+    """E ||x' - target||^2 over the row distribution, one row step of block_steps each."""
+    trial = np.empty(a.n)
+    steps, _ = _bind(a, np.ascontiguousarray(b, dtype=np.float64), trial, None)
+    return _one_step_expectation(lambda i: steps(1, np.array([i], dtype=np.int64)),
+                                 trial, x, target, a.row_sq_norms / a.frob_sq)
 
 
 def rop_one_step_expectation(a, z, target):
-    """E ||z' - target||^2 over the column distribution, by enumeration."""
-    total = 0.0
-    for j in range(a.n):
-        p = a.col_sq_norms[j] / a.frob_sq
-        if p == 0.0:
-            continue
-        trial = z.copy()
-        rop_step(a, trial, j)
-        diff = trial - target
-        total += p * float(diff @ diff)
-    return total
+    """E ||z' - target||^2 over the column distribution, one column step of block_steps each."""
+    trial = np.empty(a.m)
+    steps, _ = _bind(a, None, None, trial)
+    return _one_step_expectation(lambda j: steps(1, None, np.array([j], dtype=np.int64)),
+                                 trial, z, target, a.col_sq_norms / a.frob_sq)
 
 
 # ----------------------------------------------------------------------

@@ -240,7 +240,8 @@ def test_criterion_06_one_step_expected_contraction():
 def test_criterion_07_step_orthogonality_and_pythagoras():
     """Each row projection step is orthogonal to the remaining error.
 
-    The step vector is formed as alpha * a_i, the update exactly as applied;
+    The steps are restated in dense numpy on the solvers' row draws. The
+    step vector is formed as alpha * a_i, the update exactly as applied;
     differencing stored iterates instead would measure nothing but rounding
     noise whenever a row repeats immediately. The instance is built so the
     run neither converges nor lets row norms skew the sampled directions.
@@ -263,9 +264,9 @@ def test_criterion_07_step_orthogonality_and_pythagoras():
     for i in rows.tolist():
         diff_prev = x - planted
         prev_sq = float(diff_prev @ diff_prev)
-        alpha = (b[i] - a.row_dot(i, x)) / float(a.row_sq_norms[i])
+        alpha = (b[i] - dense[i] @ x) / float(a.row_sq_norms[i])
         step = alpha * dense[i]
-        a.row_axpy(i, alpha, x)
+        x += step
         d1 = x - planted
         n1_sq = float(d1 @ d1)
         n2_sq = float(step @ step)

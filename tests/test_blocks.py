@@ -94,8 +94,8 @@ def test_signatures_name_exactly_the_exported_functions():
         source = fh.read()
     exported = _exported_functions(source)
     assert exported == _blocks._SIGNATURES
-    assert set(exported) == {"alias_draws", "block_steps", "check_sums", "csc_scatter",
-                             "format_lines", "parse_entries"}
+    assert set(exported) == {"block_steps", "check_sums", "csc_scatter", "format_lines",
+                             "parse_entries"}
     assert _structs(source) == {"draws": _blocks.Draws._fields_, "run": _blocks.Run._fields_}
 
 

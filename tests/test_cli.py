@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kaczmarz
-from kaczmarz import cli, verify
+from kaczmarz import _blocks, cli, verify
 from kaczmarz.cli import BENCH_FIELDS, main
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.mmio import (
@@ -335,6 +335,28 @@ def test_readme_verify_example_prints_its_pinned_lines(capsys):
                     "--seed", "3", "--reps", "100"])
     assert code == 0
     assert capsys.readouterr().out.splitlines() == README_VERIFY_LINES
+
+
+# the README instance with 10 seeds on the numpy fallback, which prints the
+# same checks from its own loop, draws and sums
+README_FALLBACK_VERIFY_LINES = [
+    "PASS rek-envelope: max mean/bound ratio 0.00848 over T=[250, 500, 999] (10 runs)",
+    "PASS rk-envelope: max mean/bound ratio 0.189 over k=[250, 500, 999] (10 runs)",
+    "PASS rop-rate: max mean/bound ratio 0.0334 over k=[250, 500] (10 runs)",
+    "PASS one-step-contraction: rk 37.1<=38.4; rop 29.7<=30.7 ...",
+    "PASS iteration-bound: 10/10 runs terminated within T*=9067 (need 9)",
+    "PASS flop-model: dense: 1044000 flops == (4(m+n)+2)*2000: True",
+    "PASS forward-error: rel err 2.51e-10 <= bound 1.36e-08 (3120 iters)",
+]
+
+
+def test_readme_verify_example_on_the_numpy_fallback_prints_its_pinned_lines(
+        capsys, monkeypatch):
+    monkeypatch.setattr(_blocks, "load", lambda: None)
+    code = run_cli(["verify", "--kind", "dense", "--m", "100", "--n", "30",
+                    "--seed", "3", "--reps", "10"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == README_FALLBACK_VERIFY_LINES
 
 
 def test_verify_subset_and_failure_exit_code(capsys, monkeypatch):

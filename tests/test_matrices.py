@@ -260,40 +260,6 @@ def test_cached_norms_match_dense():
     assert abs(a.row_sq_norms.sum() - a.col_sq_norms.sum()) <= tol
 
 
-def test_dot_kernels_match_dense():
-    rng = np.random.default_rng(3)
-    dense = random_sparse_dense(rng, 10, 7, 0.5)
-    a = DualSparseMatrix.from_dense(dense)
-    x = rng.standard_normal(7)
-    z = rng.standard_normal(10)
-    row_nnz, col_nnz = np.diff(a.row_ptr), np.diff(a.col_ptr)
-    for i in range(10):
-        want = float(dense[i] @ x)
-        tol = 4.0 * max(row_nnz[i], 1) * EPS * max(abs(want), np.abs(dense[i] * x).sum())
-        assert abs(a.row_dot(i, x) - want) <= tol
-    for j in range(7):
-        want = float(dense[:, j] @ z)
-        tol = 4.0 * max(col_nnz[j], 1) * EPS * max(abs(want), np.abs(dense[:, j] * z).sum())
-        assert abs(a.col_dot(j, z) - want) <= tol
-
-
-def test_axpy_kernels_match_dense_exactly():
-    # axpy touches entries elementwise, no reductions: results are bit-exact
-    rng = np.random.default_rng(5)
-    dense = random_sparse_dense(rng, 8, 5, 0.6)
-    a = DualSparseMatrix.from_dense(dense)
-    x = rng.standard_normal(5)
-    want = x + 0.37 * dense[4]
-    got = x.copy()
-    a.row_axpy(4, 0.37, got)
-    np.testing.assert_array_equal(got, want)
-    z = rng.standard_normal(8)
-    want_z = z + (-1.25) * dense[:, 2]
-    got_z = z.copy()
-    a.col_axpy(2, -1.25, got_z)
-    np.testing.assert_array_equal(got_z, want_z)
-
-
 def test_matvec_rmatvec_and_adjointness():
     rng = np.random.default_rng(11)
     dense = random_sparse_dense(rng, 14, 9, 0.3)
@@ -316,20 +282,6 @@ def test_matvec_shape_checks():
         a.matvec(np.ones(3))
     with pytest.raises(DimensionMismatchError):
         a.rmatvec(np.ones(2))
-
-
-def test_line_index_bounds():
-    a = DualSparseMatrix.from_dense(np.ones((3, 2)))
-    x = np.zeros(2)
-    z = np.zeros(3)
-    with pytest.raises(IndexError):
-        a.row_dot(3, x)
-    with pytest.raises(IndexError):
-        a.row_dot(-1, x)
-    with pytest.raises(IndexError):
-        a.col_axpy(2, 1.0, z)
-    with pytest.raises(IndexError):
-        a.row_axpy(3, 1.0, x)
 
 
 def test_storage_is_immutable():

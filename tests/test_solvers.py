@@ -1,9 +1,10 @@
 """Projection kernels, runners, and closed-form bound evaluation.
 
-Single steps are compared against a plain dense-numpy restatement of the
-same projection. Runner behavior (termination bookkeeping, flop counts,
-determinism) is pinned exactly. The compiled block kernels are compared
-against the per-step loop they replace, which is also their fallback.
+Single steps, one-index blocks of block_steps on either path, are compared
+against a plain dense-numpy restatement of the same projection. Runner
+behavior (termination bookkeeping, flop counts, determinism) is pinned
+exactly. The compiled block kernel is compared against the numpy loop that
+is its fallback.
 """
 
 import dataclasses
@@ -46,9 +47,7 @@ from kaczmarz.solvers import (
     _bind,
     block_steps,
     rek_termination_check,
-    rk_step,
     rk_termination_check,
-    rop_step,
     rop_termination_check,
     run_rek,
     solve,
@@ -74,7 +73,7 @@ def small_instance():
     return dense, DualSparseMatrix.from_dense(dense), rng.standard_normal(7)
 
 
-def test_rop_step_matches_dense_projection(small_instance):
+def test_rop_step_matches_dense_projection(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(1)
     z = rng.standard_normal(7)
@@ -82,13 +81,13 @@ def test_rop_step_matches_dense_projection(small_instance):
         col = dense[:, j]
         want = z - (col @ z) / (col @ col) * col
         got = z.copy()
-        rop_step(a, got, j)
+        block_steps(a, None, None, got, None, [j])
         np.testing.assert_allclose(got, want, atol=32 * EPS * np.linalg.norm(z), rtol=0)
         # the projected coordinate direction is annihilated
         assert abs(col @ got) <= 32 * EPS * np.linalg.norm(col) * np.linalg.norm(z)
 
 
-def test_rk_step_matches_dense_projection(small_instance):
+def test_rk_step_matches_dense_projection(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(2)
     x = rng.standard_normal(4)
@@ -96,10 +95,10 @@ def test_rk_step_matches_dense_projection(small_instance):
         row = dense[i]
         want = x + (b[i] - row @ x) / (row @ row) * row
         got = x.copy()
-        rk_step(a, got, i, b[i])
+        block_steps(a, b, got, None, [i], None)
         np.testing.assert_allclose(got, want, atol=32 * EPS * max(np.linalg.norm(x), 1), rtol=0)
         # after the step the hyperplane constraint holds
-        assert abs(a.row_dot(i, got) - b[i]) <= 64 * EPS * np.linalg.norm(row) * np.linalg.norm(got)
+        assert abs(row @ got - b[i]) <= 64 * EPS * np.linalg.norm(row) * np.linalg.norm(got)
 
 
 def test_rek_step_uses_pre_update_z(small_instance, kernels):
@@ -122,13 +121,19 @@ def test_rek_step_uses_pre_update_z(small_instance, kernels):
     np.testing.assert_allclose(x, x_want, atol=32 * EPS * max(np.linalg.norm(x0), 1), rtol=0)
 
 
-def test_zero_norm_lines_raise():
+def test_zero_norm_lines_raise(kernels):
+    # a given index of an empty line is refused before any step of the block
     a = DualSparseMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    with pytest.raises(ZeroDivisionError):
-        rk_step(a, np.zeros(2), 1, 1.0)
+    b, x = np.array([1.0, 1.0]), np.zeros(2)
+    with pytest.raises(ZeroDivisionError, match="^row 1 has zero norm$"):
+        block_steps(a, b, x, None, [0, 1], None)
+    np.testing.assert_array_equal(x, np.zeros(2))
     at = DualSparseMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    with pytest.raises(ZeroDivisionError):
-        rop_step(at, np.zeros(2), 1)
+    x, z = np.zeros(2), np.ones(2)
+    with pytest.raises(ZeroDivisionError, match="^column 1 has zero norm$"):
+        block_steps(at, np.ones(2), x, z, [0, 0], [0, 1])
+    np.testing.assert_array_equal(x, np.zeros(2))
+    np.testing.assert_array_equal(z, np.ones(2))
 
 
 _CHECK_A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
@@ -457,7 +462,7 @@ def test_theory_bounds_argument_ranges():
 
 
 # ----------------------------------------------------------------------
-# compiled block kernels against the per-step loop they replace
+# the compiled block kernel against its numpy fallback and dense numpy
 
 BLOCK_SPECS = {
     "dense": InstanceSpec(kind="dense", m=60, n=20, seed=21),
@@ -469,7 +474,7 @@ BLOCK_SPECS = {
 @pytest.fixture
 def compiled():
     if _blocks.load() is None:
-        pytest.skip("no C compiler: only the per-step path runs here")
+        pytest.skip("no C compiler: only the numpy loop runs here")
 
 
 def _estimate(report):
@@ -484,7 +489,7 @@ def test_compiled_blocks_match_the_per_step_loop(kind, solver, compiled, monkeyp
     a, b, _ = generate(dataclasses.replace(spec, consistent=solver == RK))
     config = SolverConfig(solver=solver, eps=1e-10, seed=3)
     fast = solve(a, b, config)
-    monkeypatch.setattr(_blocks, "load", lambda: None)  # the per-step loop
+    monkeypatch.setattr(_blocks, "load", lambda: None)  # the numpy loop
     slow = solve(a, b, config)
     assert fast.termination == slow.termination == CONVERGED
     assert (fast.iters, fast.flops, fast.check_flops) == (slow.iters, slow.flops, slow.check_flops)
@@ -504,19 +509,20 @@ def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
     x_blk, z_blk = np.zeros(a.n), b.copy()
     assert block_steps(a, b, x_blk, z_blk, rows, cols) == (
         4 * row_entries + 4 * col_entries + 2 * 500)
-    # the iterates of the same draws, one REK step at a time
+    # the iterates of the same draws, one dense REK step at a time
+    dense = a.to_dense()
     x, z = np.zeros(a.n), b.copy()
     for i, j in zip(rows.tolist(), cols.tolist()):
         target = b[i] - z[i]
-        rop_step(a, z, j)
-        rk_step(a, x, i, target)
+        z -= (dense[:, j] @ z) / a.col_sq_norms[j] * dense[:, j]
+        x += (target - dense[i] @ x) / a.row_sq_norms[i] * dense[i]
     np.testing.assert_allclose(x_blk, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
     np.testing.assert_allclose(z_blk, z, rtol=0, atol=1e-12 * np.linalg.norm(z))
     assert block_steps(a, b, np.zeros(a.n), None, rows, None) == 4 * row_entries + 2 * 500
     assert block_steps(a, None, None, b.copy(), None, cols) == 4 * col_entries + 500
 
 
-def test_block_steps_refuse_out_of_range_indices(compiled):
+def test_block_steps_refuse_out_of_range_indices(kernels):
     a, b, _ = generate(BLOCK_SPECS["dense"])
     x, z = np.zeros(a.n), b.copy()
     for rows, cols in (([0, a.m], [0, 0]), ([0, 0], [-1, 0])):
@@ -727,11 +733,13 @@ def test_trajectory_refuses_decreasing_stops(solver, kernels):
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
 @pytest.mark.parametrize("spec", [InstanceSpec(kind="dense", m=100, n=30, seed=3),
-                                  InstanceSpec(kind="sparse", m=200, n=50, density=0.1, seed=6)],
-                         ids=["dense-100x30", "sparse-200x50"])
+                                  InstanceSpec(kind="sparse", m=200, n=50, density=0.1, seed=6),
+                                  InstanceSpec(kind="sparse", m=40, n=25, density=0.05, seed=5)],
+                         ids=["dense-100x30", "sparse-200x50", "sparse-empty-lines"])
 def test_trajectory_steps_on_the_indices_sample_block_draws(spec, solver, kernels):
     # blocks of 1, 7, 240, none and 1 steps: the compiled kernel draws each
-    # block's indices itself, so its stream counters must carry across blocks
+    # block's indices itself, so its stream counters must carry across blocks;
+    # with empty lines (the last spec), some of its cells have zero weight
     a, b, _ = generate(spec)
     stops = [1, 8, 248, 248, 249]
     got = [(iters, _digest(x), _digest(z), flops)
@@ -749,7 +757,7 @@ def test_trajectory_steps_on_the_indices_sample_block_draws(spec, solver, kernel
     assert got == want
 
 
-def test_trajectory_refuses_an_alias_entry_out_of_range_before_any_step(compiled):
+def test_trajectory_refuses_an_alias_entry_out_of_range_before_any_step(kernels):
     a, b, _ = generate(BLOCK_SPECS["dense"])
     good = row_sampler(a)
     a._alias_tables["row"] = AliasTable(good.size, good.prob,
