@@ -160,9 +160,21 @@ def _instance_from_args(args, seed):
         return a, b
     if not args.kind or args.m is None:
         raise KaczmarzError("either --matrix/--rhs or --kind/--m/--n is required")
-    spec = _spec_from_args(args, int(args.m), seed)
+    spec = _spec_from_args(args, _row_counts(args.m)[0], seed)
     a, b, _ = generate(spec)
     return a, b
+
+
+def _row_counts(text, sweep=False):
+    """The row counts in --m: one integer, or with `sweep` a comma-separated list."""
+    try:
+        counts = [int(tok) for tok in (_names(text) if sweep else [text])]
+    except ValueError:
+        raise KaczmarzError("--m takes %s, got %r" % (
+            "comma-separated integers" if sweep else "one integer", text)) from None
+    if not counts:
+        raise KaczmarzError("--m names no row count")
+    return counts
 
 
 def _spec_from_args(args, m, seed):
@@ -187,7 +199,7 @@ def _spec_from_args(args, m, seed):
 def cmd_gen(args):
     if not args.kind or args.m is None:
         raise KaczmarzError("gen requires --kind, --m and --n")
-    spec = _spec_from_args(args, int(args.m), args.seed)
+    spec = _spec_from_args(args, _row_counts(args.m)[0], args.seed)
     a, b, _ = generate(spec)
     write_matrix_market(args.matrix, a, comment="kind=%s seed=%d" % (spec.kind, spec.seed))
     write_vector(args.rhs, b, comment="kind=%s seed=%d" % (spec.kind, spec.seed))
@@ -246,7 +258,7 @@ def _bench_instances(args):
         return
     if not args.kind or args.m is None:
         raise KaczmarzError("bench needs --kind/--m/--n or --matrix/--rhs")
-    for point in [int(tok) for tok in str(args.m).split(",") if tok.strip()]:
+    for point in _row_counts(args.m, sweep=True):
         for rep in range(args.reps):
             spec = _spec_from_args(args, point, args.seed + rep)
             a, b, _ = generate(spec)

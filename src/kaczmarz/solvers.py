@@ -20,20 +20,19 @@ The REK x-update uses the z entry from *before* this iteration's column
 projection (the two projections commute in expectation but not pathwise).
 
 So RK is REK without z, aimed at b, and ROP is REK without x, and all three
-run through one driver, trajectory(): it runs each block of steps, on row
+run through one generator, trajectory(): it runs each block of steps, on row
 indices (when there is an x) and column indices (when there is a z) drawn
-from the seeded streams, and yields the iterates at the iteration counts it
-is given. checked_trajectory stops it every check interval for the solver's
-termination check, until the check says stop: run_rek / run_rk / run_rop
-(and `solve`, which picks one) run on it, and so does verify's rek_walk,
-which adds stops of its own. verify's checkpoint drivers stop trajectory at
-their checkpoints only and measure the error instead. A block is one call of
-the compiled block_steps in _blocks.c, which draws each step's indices as it
-goes; where that cannot be built, sample_block draws them and one numpy loop
-runs the same steps, each a BLAS dot and a numpy axpy over the stored entries
-of one line. The compiled dots sum left to right, so their iterates differ
-from the numpy loop's only by rounding (about 1e-14 relative) and do not
-depend on the BLAS kernel the host picks.
+from the seeded streams, and yields the iterates at each stop. It stops for
+the solver's termination check every check interval, until the check says
+stop, and at any iteration counts (marks) its caller adds. run_rek / run_rk /
+run_rop (and `solve`, which picks one) walk it with the checks alone;
+verify's walk reads the iterates at its marks, with or without the checks.
+A block is one call of the compiled block_steps in _blocks.c, which draws
+each step's indices as it goes; where that cannot be built, sample_block
+draws them and one numpy loop runs the same steps, each a BLAS dot and a
+numpy axpy over the stored entries of one line. The compiled dots sum left
+to right, so their iterates differ from the numpy loop's only by rounding
+(about 1e-14 relative) and do not depend on the BLAS kernel the host picks.
 
 A run is bound once, not once per block or check: when trajectory starts,
 _bind checks b, x and z and binds their addresses, the matrix's line arrays
@@ -365,17 +364,23 @@ def rek_termination_check(a, sums, eps):
 # the seeded trajectory, and the runners built on it
 
 
-def trajectory(a, b, solver, seed, stops):
-    """Yield (iters, x, z, flops, sums) of one seeded run after each count in `stops`.
+def trajectory(a, b, solver, config, marks=(), checks=True):
+    """Yield (iters, x, z, flops, checked) of one seeded run at each distinct stop.
 
     The run starts from x = 0 (REK, RK) and z = b (REK, ROP); x is None for
     ROP and z is None for RK. Rows and columns come from two streams derived
-    from `seed`, so the iterate after t steps depends on the seed and t only,
-    not on how `stops` splits the run into blocks. x and z are updated in
-    place between yields and flops is the running total. sums is the run's
-    bound check sums (see _bind), the same function at every yield. `stops`
-    must not decrease and may be lazy.
+    from config.seed, so the iterate after t steps depends on the seed and t
+    only, not on where the run stops. x and z are updated in place between
+    yields and flops is the running total.
+
+    The run stops at each count in `marks`, which must not decrease and may
+    be lazy. With checks, it also stops for the solver's termination check
+    every check interval and at the cap, until the check first gives an
+    outcome (CONVERGED or OVERFLOW); after that it goes on only as far as the
+    marks ahead. checked is the check's (outcome, residual_norm, atz_norm,
+    flops) at a check stop and None at a stop that is only a mark.
     """
+    eps, cap, interval = config.resolved(a.m, a.n)
     if not 0.0 < a.frob_sq < math.inf:
         # Line norms would overflow or vanish in the samplers and the
         # stopping rule would compare against eps * inf or eps * 0.
@@ -394,54 +399,28 @@ def trajectory(a, b, solver, seed, stops):
     b = np.ascontiguousarray(b)
     x = None if solver == ROP else np.zeros(a.n)
     z = None if solver == RK else b.copy()
-    steps, sums = _bind(a, b, x, z, seed)
-    iters = flops = 0
-    for stop in stops:
-        block = stop - iters
-        if block < 0:
-            raise ValueError("stops must not decrease from 0, got %d after %d" % (stop, iters))
-        if block:
-            flops += steps(block)
-            iters = stop
-        yield iters, x, z, flops, sums
-
-
-def checked_trajectory(a, b, solver, config, marks=(), checks=True):
-    """trajectory() as the runners walk it, stopping for the termination check.
-
-    The check runs every check interval and at the cap, until it first gives
-    an outcome (CONVERGED or OVERFLOW); with checks False it never runs. The
-    run also stops at each count in `marks` (non-decreasing), and once the
-    check is done it goes on only as far as the marks ahead. Yields (iters,
-    x, z, flops, checked) at each distinct stop in order, where checked is
-    the check's (outcome, residual_norm, atz_norm, flops) at a check stop and
-    None at a stop that is only a mark. The seed is config.seed, and the
-    iterates at a count do not depend on the other stops (see trajectory).
-    """
-    eps, cap, interval = config.resolved(a.m, a.n)
+    steps, sums = _bind(a, b, x, z, config.seed)
     # looked up per run, so a wrapper bound to the module-level name is used
     check = {REK: rek_termination_check, RK: rk_termination_check,
              ROP: rop_termination_check}[solver]
     schedule = itertools.chain(range(interval, cap, interval), (cap,))
     due = next(schedule) if checks else None  # the next check stop; None when done
-
-    # trajectory asks for its next stop only after the loop below has run the
-    # check at the last one, so stops() reads `due` as that check left it
-    def stops():
-        last = -1
-        for mark in itertools.chain(marks, (math.inf,)):
-            while due is not None and due <= mark:
-                last = due
-                yield due
-            if last < mark < math.inf:
-                last = mark
-                yield mark
-
-    for iters, x, z, flops, sums in trajectory(a, b, solver, config.seed, stops()):
+    marks = iter(marks)
+    mark = next(marks, None)  # the next mark; None when there is none
+    iters = flops = 0
+    while due is not None or mark is not None:
+        stop = min(s for s in (due, mark) if s is not None)
+        if stop < iters:
+            raise ValueError("marks must not decrease from 0, got %d after %d" % (stop, iters))
+        if stop > iters:
+            flops += steps(stop - iters)
+            iters = stop
         checked = None
-        if iters == due:
+        if stop == due:
             checked = check(a, sums, eps)
             due = None if checked[0] else next(schedule, None)
+        while mark == stop:
+            mark = next(marks, None)
         yield iters, x, z, flops, checked
 
 
@@ -451,8 +430,7 @@ def _run(a, b, config, solver):
     check_flops = 0
     reason = MAX_ITERS
     start = time.perf_counter()
-    for iters, x, z, flops, (outcome, resid, atz, cost) in checked_trajectory(
-            a, b, solver, config):
+    for iters, x, z, flops, (outcome, resid, atz, cost) in trajectory(a, b, solver, config):
         check_flops += cost
         reason = outcome or reason
     return SolveReport(

@@ -1,12 +1,12 @@
 """Statistical verification: do the solvers obey their own convergence theory?
 
-The checkpoint drivers walk the same seeded trajectories as the solvers
-(solvers.trajectory), but stop at chosen iteration counts to measure the
-error against an oracle quantity instead of running termination checks. The
-check battery compares empirical means across seeds with the closed-form
-envelopes, inflated by a statistical slack factor (SLACK) that absorbs
-Monte-Carlo noise; the envelopes themselves come only from the reference
-oracle, never from the solvers.
+walk() reads the solvers' own seeded runs (solvers.trajectory) at chosen
+iteration counts (marks), measuring the error of x and z against oracle
+quantities there, with or without the termination checks; the checkpoint
+drivers are walk() without them. The check battery compares empirical means
+across seeds with the closed-form envelopes, inflated by a statistical slack
+factor (SLACK) that absorbs Monte-Carlo noise; the envelopes themselves come
+only from the reference oracle, never from the solvers.
 
 one-step-contraction takes the expected error after one step exactly, over
 every row (column) with its probability. Each is a one-index block of the
@@ -14,12 +14,13 @@ solvers' own bound steps (solvers._bind), so the check reads the step that
 runs: the compiled block_steps where it is built, else the numpy loop.
 
 rek-envelope, rop-rate and iteration-bound run on the same seeds, and share
-one REK run per seed (rek_walk, on solvers.checked_trajectory): x at
-rek-envelope's checkpoints, z at rop-rate's (REK's z is ROP's), and the
-termination check every check interval up to T*, as run_rek stops. A run
+one walk per seed (Battery.walks): x at rek-envelope's checkpoints, z at
+rop-rate's, and the termination check every check interval up to T*, as
+run_rek stops. The walk runs REK when rek-envelope or iteration-bound is
+selected, and ROP for rop-rate alone; REK's z is ROP's, bit for bit. A run
 only stops where a selected check reads it, so each subset of the three runs
-no more iterations than its checks would alone; rop-rate on its own walks
-ROP. rk-envelope walks RK, and flop-model and forward-error call run_rek.
+no more iterations than its checks would alone. rk-envelope walks RK, and
+flop-model and forward-error call run_rek.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .solvers import (
     ROP,
     SolverConfig,
     _bind,
-    checked_trajectory,
     run_rek,
     theory_bounds,
     trajectory,
@@ -62,34 +62,57 @@ class CheckResult:
 
 
 # ----------------------------------------------------------------------
-# checkpoint drivers (no termination checks; errors at given iterations)
+# the seeded runs, read at their marks
 
 
-def _checkpoint_errors(a, b, solver, ref, checkpoints, seed):
-    """||v_t - ref||^2 at each checkpoint t of one seeded run, in the caller's order.
+class Walk(NamedTuple):
+    """What walk reads off one seeded run."""
 
-    v is z for ROP, else x. A repeated checkpoint repeats its error.
+    x_errors: list
+    z_errors: list
+    termination: Optional[str]
+    iters: Optional[int]
+
+
+def walk(a, b, solver, config, x_ref, x_marks, z_ref, z_marks, checks):
+    """One seeded run of `solver`, read at its marks.
+
+    x_errors are ||x_t - x_ref||^2 at each t in x_marks, and z_errors are
+    ||z_t - z_ref||^2 at each t in z_marks, in the caller's order; a repeated
+    mark repeats its error. With checks, termination and iters are those of
+    the solver's runner on `config`, and the run goes on past its stop only
+    as far as the marks beyond it. Without checks they are None and the run
+    ends at the last mark.
     """
-    at = {}
-    for t, x, z, _, _ in trajectory(a, b, solver, seed, sorted({int(t) for t in checkpoints})):
-        diff = (z if solver == ROP else x) - ref
-        at[t] = float(diff @ diff)
-    return [at[int(t)] for t in checkpoints]
+    x_marks, z_marks = [int(t) for t in x_marks], [int(t) for t in z_marks]
+    x_at, z_at = {}, {}
+    termination = stopped = None
+    for t, x, z, _, checked in trajectory(
+            a, b, solver, config, sorted({*x_marks, *z_marks}), checks):
+        if checked:
+            termination, stopped = checked[0] or MAX_ITERS, t
+        if t in x_marks:
+            diff = x - x_ref
+            x_at[t] = float(diff @ diff)
+        if t in z_marks:
+            diff = z - z_ref
+            z_at[t] = float(diff @ diff)
+    return Walk([x_at[t] for t in x_marks], [z_at[t] for t in z_marks], termination, stopped)
 
 
 def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_t - x_ref||^2 at each checkpoint, one seeded REK run."""
-    return _checkpoint_errors(a, b, REK, x_ref, checkpoints, seed)
+    return walk(a, b, REK, SolverConfig(seed=seed), x_ref, checkpoints, None, (), False).x_errors
 
 
 def rk_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_k - x_ref||^2 at each checkpoint, one seeded RK run from x = 0."""
-    return _checkpoint_errors(a, b, RK, x_ref, checkpoints, seed)
+    return walk(a, b, RK, SolverConfig(seed=seed), x_ref, checkpoints, None, (), False).x_errors
 
 
 def rop_checkpoint_errors(a, b, z_ref, checkpoints, seed):
     """||z_k - z_ref||^2 at each checkpoint, one seeded ROP run from z = b."""
-    return _checkpoint_errors(a, b, ROP, z_ref, checkpoints, seed)
+    return walk(a, b, ROP, SolverConfig(seed=seed), None, (), z_ref, checkpoints, False).z_errors
 
 
 # ----------------------------------------------------------------------
@@ -128,46 +151,6 @@ def rop_one_step_expectation(a, z, target):
 
 
 # ----------------------------------------------------------------------
-# one seeded REK walk, read by three checks
-
-
-class Walk(NamedTuple):
-    """What rek_walk reads off one seeded REK run."""
-
-    x_errors: list
-    z_errors: list
-    termination: Optional[str]
-    iters: Optional[int]
-
-
-def rek_walk(a, b, ref, config, x_marks=(), z_marks=(), checks=True):
-    """One seeded REK run, read as three separate runs would read it.
-
-    x_errors are ||x_t - x_ls||^2 at each of x_marks, as rek_checkpoint_errors
-    gives them. z_errors are ||z_t - b_perp||^2 at each of z_marks, as
-    rop_checkpoint_errors gives them: REK's z half is ROP, on the same column
-    stream, so its z is ROP's bit for bit. With checks, termination and iters
-    are those of run_rek(a, b, config), whose termination check runs every
-    check interval up to the cap; the run goes on past its stop only as far
-    as the marks beyond it. Without checks they are None and the run ends at
-    the last mark.
-    """
-    x_at, z_at = {}, {}
-    termination = stopped = None
-    for t, x, z, _, checked in checked_trajectory(
-            a, b, REK, config, sorted({*x_marks, *z_marks}), checks):
-        if checked:
-            termination, stopped = checked[0] or MAX_ITERS, t
-        if t in x_marks:
-            diff = x - ref.x_ls
-            x_at[t] = float(diff @ diff)
-        if t in z_marks:
-            diff = z - ref.b_perp
-            z_at[t] = float(diff @ diff)
-    return Walk([x_at[t] for t in x_marks], [z_at[t] for t in z_marks], termination, stopped)
-
-
-# ----------------------------------------------------------------------
 # the check battery behind `kaczmarz verify`
 
 REK_T = (2, 4, 8)  # rek-envelope's checkpoints, in multiples of kappa_F^2
@@ -200,13 +183,15 @@ class Battery:
         return math.ceil(theory_bounds(self.ref, eps=BOUND_EPS, delta=BOUND_DELTA).t_star)
 
     @functools.cached_property
-    def rek_walks(self):
-        """One rek_walk per seed, with the marks and checks of the selected checks."""
-        x_marks = self.checkpoints(REK_T) if "rek-envelope" in self.names else ()
-        z_marks = self.checkpoints(ROP_K) if "rop-rate" in self.names else ()
-        return [rek_walk(self.a, self.b, self.ref,
-                         SolverConfig(eps=BOUND_EPS, max_iters=self.bound_cap, seed=s),
-                         x_marks, z_marks, checks="iteration-bound" in self.names)
+    def walks(self):
+        """One walk per seed for the selected checks: of REK, or of ROP for rop-rate alone."""
+        names, ref = self.names, self.ref
+        solver = REK if "rek-envelope" in names or "iteration-bound" in names else ROP
+        x_marks = self.checkpoints(REK_T) if "rek-envelope" in names else ()
+        z_marks = self.checkpoints(ROP_K) if "rop-rate" in names else ()
+        return [walk(self.a, self.b, solver,
+                     SolverConfig(eps=BOUND_EPS, max_iters=self.bound_cap, seed=s),
+                     ref.x_ls, x_marks, ref.b_perp, z_marks, "iteration-bound" in names)
                 for s in self.seeds]
 
 
@@ -234,7 +219,7 @@ def _envelope_check(name, label, checkpoints, envelope, runs):
 def check_rek_envelope(bat):
     return _envelope_check(
         "rek-envelope", "T", bat.checkpoints(REK_T),
-        theory_bounds(bat.ref, eps=1e-6).rek_envelope, [w.x_errors for w in bat.rek_walks],
+        theory_bounds(bat.ref, eps=1e-6).rek_envelope, [w.x_errors for w in bat.walks],
     )
 
 
@@ -259,12 +244,8 @@ def check_rop_rate(bat):
     ref = bat.ref
     rate = 1.0 - 1.0 / ref.kappa_f_sq
     b_range_sq = float(ref.b_range @ ref.b_range)
-    ks = bat.checkpoints(ROP_K)
-    if "rek-envelope" in bat.names or "iteration-bound" in bat.names:
-        runs = [w.z_errors for w in bat.rek_walks]  # REK runs anyway, and its z is ROP's
-    else:
-        runs = [rop_checkpoint_errors(bat.a, bat.b, ref.b_perp, ks, s) for s in bat.seeds]
-    return _envelope_check("rop-rate", "k", ks, lambda t: rate**t * b_range_sq, runs)
+    return _envelope_check("rop-rate", "k", bat.checkpoints(ROP_K),
+                           lambda t: rate**t * b_range_sq, [w.z_errors for w in bat.walks])
 
 
 def check_one_step(bat):
@@ -294,7 +275,7 @@ def check_one_step(bat):
 
 
 def check_iteration_bound(bat):
-    hits = sum(w.termination == CONVERGED for w in bat.rek_walks)
+    hits = sum(w.termination == CONVERGED for w in bat.walks)
     need = math.ceil((1.0 - BOUND_DELTA) * bat.reps)
     return CheckResult(
         "iteration-bound",

@@ -280,6 +280,8 @@ def test_bench_reads_and_solves_a_fixed_instance_once(tmp_path, monkeypatch):
     (["--reps", "0"], "--reps must be >= 1, got 0"),
     (["--reps", "-3"], "--reps must be >= 1, got -3"),
     (["--solver", ","], "--solver names no solver"),
+    (["--m", ","], "--m names no row count"),
+    (["--m", "20,x"], "--m takes comma-separated integers, got '20,x'"),
 ])
 def test_bench_refuses_no_reps_and_no_solvers(tmp_path, capsys, monkeypatch, flags, message):
     generated = []
@@ -290,6 +292,15 @@ def test_bench_refuses_no_reps_and_no_solvers(tmp_path, capsys, monkeypatch, fla
     assert code == 1
     assert capsys.readouterr().err == "error: %s\n" % message
     assert not generated and not csv_path.exists()
+
+
+def test_gen_refuses_an_m_that_is_not_one_integer(tmp_path, capsys):
+    matrix = tmp_path / "a.mtx"
+    code = run_cli(["gen", "--kind", "dense", "--m", "20,30", "--n", "5",
+                    "--matrix", str(matrix), "--rhs", str(tmp_path / "b.mtx")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --m takes one integer, got '20,30'\n"
+    assert not matrix.exists()
 
 
 def test_log_level_does_not_change_outputs(tmp_path, monkeypatch):

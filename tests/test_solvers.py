@@ -717,17 +717,20 @@ def test_trajectory_takes_no_addresses_per_block(solver, compiled, monkeypatch):
         a, b, _ = generate(BLOCK_SPECS["sparse"])  # a fresh matrix: its tables unbound
         stops = range(40, 40 * blocks + 1, 40)
         counts.append(_ctypes_constructions(
-            monkeypatch, lambda: list(trajectory(a, b, solver, 4, stops))))
+            monkeypatch,
+            lambda: list(trajectory(a, b, solver, SolverConfig(seed=4), stops, checks=False))))
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("checks", [True, False])
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
-def test_trajectory_refuses_decreasing_stops(solver, kernels):
+def test_trajectory_refuses_decreasing_stops(solver, checks, kernels):
+    # the first check is due at 160, so the run stops at the mark 10 first
     a, b, _ = generate(BLOCK_SPECS["dense"])
-    run = trajectory(a, b, solver, 0, [10, 5])
+    run = trajectory(a, b, solver, SolverConfig(seed=0), [10, 5], checks)
     iters, *_ = next(run)
     assert iters == 10
-    with pytest.raises(ValueError, match="^stops must not decrease from 0, got 5 after 10$"):
+    with pytest.raises(ValueError, match="^marks must not decrease from 0, got 5 after 10$"):
         next(run)
 
 
@@ -737,18 +740,19 @@ def test_trajectory_refuses_decreasing_stops(solver, kernels):
                                   InstanceSpec(kind="sparse", m=40, n=25, density=0.05, seed=5)],
                          ids=["dense-100x30", "sparse-200x50", "sparse-empty-lines"])
 def test_trajectory_steps_on_the_indices_sample_block_draws(spec, solver, kernels):
-    # blocks of 1, 7, 240, none and 1 steps: the compiled kernel draws each
-    # block's indices itself, so its stream counters must carry across blocks;
-    # with empty lines (the last spec), some of its cells have zero weight
+    # blocks of 1, 7, 240 and 1 steps, and a repeated stop that yields once:
+    # the compiled kernel draws each block's indices itself, so its stream
+    # counters must carry across blocks; with empty lines (the last spec),
+    # some of its cells have zero weight
     a, b, _ = generate(spec)
     stops = [1, 8, 248, 248, 249]
-    got = [(iters, _digest(x), _digest(z), flops)
-           for iters, x, z, flops, _ in trajectory(a, b, solver, 9, stops)]
+    got = [(iters, _digest(x), _digest(z), flops) for iters, x, z, flops, _ in trajectory(
+        a, b, solver, SolverConfig(seed=9), stops, checks=False)]
     x = None if solver == ROP else np.zeros(a.n)
     z = None if solver == RK else b.copy()
     row_rng, col_rng = RngStream.derived(9, ROW_STREAM_SALT), RngStream.derived(9, COL_STREAM_SALT)
     want, flops, iters = [], 0, 0
-    for stop in stops:
+    for stop in dict.fromkeys(stops):
         rows = None if x is None else sample_block(row_sampler(a), row_rng, stop - iters)
         cols = None if z is None else sample_block(col_sampler(a), col_rng, stop - iters)
         flops += block_steps(a, b, x, z, rows, cols)
@@ -763,7 +767,7 @@ def test_trajectory_refuses_an_alias_entry_out_of_range_before_any_step(kernels)
     a._alias_tables["row"] = AliasTable(good.size, good.prob,
                                         np.where(np.arange(a.m) == 3, a.m, good.alias))
     with pytest.raises(ValueError, match=r"^alias table entries must lie in \[0, 60\)$"):
-        next(trajectory(a, b, REK, 0, [10]))
+        next(trajectory(a, b, REK, SolverConfig(seed=0), [10], checks=False))
 
 
 def test_package_exports_resolve():

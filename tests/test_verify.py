@@ -1,7 +1,7 @@
 """The verify battery's runs: checkpoint drivers and the shared REK walk.
 
 rek-envelope, rop-rate and iteration-bound read one seeded REK run per seed
-(verify.rek_walk). These tests pin what that rests on: REK's z is ROP's z,
+(verify.walk). These tests pin what that rests on: REK's z is ROP's z,
 the walk stops where run_rek stops, and each subset of the three checks
 prints what the full battery prints while running no more iterations than
 its checks would alone.
@@ -26,16 +26,15 @@ from kaczmarz.solvers import (
     RK,
     ROP,
     SolverConfig,
-    checked_trajectory,
     run_rek,
     theory_bounds,
     trajectory,
 )
 from kaczmarz.verify import (
     rek_checkpoint_errors,
-    rek_walk,
     rk_checkpoint_errors,
     rop_checkpoint_errors,
+    walk,
 )
 
 SMALL = InstanceSpec(kind="dense", m=20, n=6, seed=8)
@@ -78,7 +77,8 @@ def test_checkpoint_errors_come_in_the_callers_order(solver):
 
 
 def _z_at(a, b, solver, seed, stops):
-    return {t: z.tobytes() for t, _, z, _, _ in trajectory(a, b, solver, seed, stops)}
+    return {t: z.tobytes() for t, _, z, _, _ in trajectory(
+        a, b, solver, SolverConfig(seed=seed), stops, checks=False)}
 
 
 @pytest.mark.parametrize("kind", sorted(INSTANCES))
@@ -112,13 +112,13 @@ def test_the_walk_reads_what_the_separate_runs_read(eps, cap):
     stops = []
     for seed in range(4):
         config = SolverConfig(eps=eps, max_iters=cap, seed=seed)
-        walk = rek_walk(a, b, ref, config, x_marks, z_marks)
+        read = walk(a, b, REK, config, ref.x_ls, x_marks, ref.b_perp, z_marks, True)
         report = run_rek(a, b, config)
-        assert (walk.termination, walk.iters) == (report.termination, report.iters)
-        assert walk.x_errors == rek_checkpoint_errors(a, b, ref.x_ls, x_marks, seed)
-        assert walk.z_errors == rop_checkpoint_errors(a, b, ref.b_perp, z_marks, seed)
-        unchecked = rek_walk(a, b, ref, config, x_marks, z_marks, checks=False)
-        assert unchecked == (walk.x_errors, walk.z_errors, None, None)
+        assert (read.termination, read.iters) == (report.termination, report.iters)
+        assert read.x_errors == rek_checkpoint_errors(a, b, ref.x_ls, x_marks, seed)
+        assert read.z_errors == rop_checkpoint_errors(a, b, ref.b_perp, z_marks, seed)
+        unchecked = walk(a, b, REK, config, ref.x_ls, x_marks, ref.b_perp, z_marks, False)
+        assert unchecked == (read.x_errors, read.z_errors, None, None)
         stops.append((report.termination, report.iters))
     last = x_marks[-1]
     if eps == 1e-2:  # every run stops before the last envelope checkpoint
@@ -129,10 +129,10 @@ def test_the_walk_reads_what_the_separate_runs_read(eps, cap):
         assert all(t == CONVERGED and it > last for t, it in stops)
 
 
-def test_checked_trajectory_stops_once_at_each_count():
+def test_trajectory_stops_once_at_each_count():
     a, b, _ = generate(SMALL)
     config = SolverConfig(eps=1e-2, max_iters=1000, check_interval=50, seed=1)
-    seen = [(t, checked is not None) for t, _, _, _, checked in checked_trajectory(
+    seen = [(t, checked is not None) for t, _, _, _, checked in trajectory(
         a, b, REK, config, [0, 50, 50, 75, 180, 180, 400])]
     # checks at 50, 100, ... until the first outcome; then only the marks ahead
     stop = run_rek(a, b, config).iters
@@ -154,10 +154,10 @@ def _verify_counting(monkeypatch, names):
     """(lines, iterations per solver, runs per solver, checks) of one verify run."""
     runs, checks = [], []
 
-    def recording(a, b, solver, seed, stops):
+    def recording(a, b, solver, *rest):
         run = [solver, 0]
         runs.append(run)
-        for item in trajectory(a, b, solver, seed, stops):
+        for item in trajectory(a, b, solver, *rest):
             run[1] = item[0]
             yield item
 
