@@ -35,10 +35,11 @@ to right, so their iterates differ from the numpy loop's only by rounding
 (about 1e-14 relative) and do not depend on the BLAS kernel the host picks.
 
 A run is bound once, not once per block or check: when trajectory starts,
-_bind checks b, x and z and binds their addresses, the matrix's line arrays
-and each half's stream and alias table into one C struct that the compiled
-block_steps and check_sums both take (or, where the kernels are unavailable,
-closes the numpy loop and the numpy sums over them).
+_bind checks A and b, allocates the run's own x and z, and binds their
+addresses, the matrix's line arrays and each half's stream and alias table
+into one C struct that the compiled block_steps and check_sums both take (or,
+where the kernels are unavailable, closes the numpy loop and the numpy sums
+over them).
 
 The termination checks take their norms from one call of the compiled
 check_sums: the products A x and A^T z come out bit-identical to the numpy
@@ -152,47 +153,56 @@ class SolveReport:
 # ----------------------------------------------------------------------
 # blocks of steps: one compiled call, or one numpy loop as the fallback
 #
-# block_steps updates x / z in place and returns the flops booked: 4 per
-# stored entry its steps visited, counted by the kernel (or from the index
-# arrays by the numpy loop), plus the scalar flops of each step. Drawn
-# indices come from the norm-weighted samplers, which never pick a zero-norm
-# line, and block_steps refuses a given one, so neither path checks a step's
-# divisor.
-
-
-def _addr(v, size):
-    """Address of a float64 vector the kernels may read or write `size` entries of."""
-    if v.dtype != np.float64 or v.shape != (size,) or not v.flags.c_contiguous:
-        raise DimensionMismatchError(
-            "expected a contiguous float64 vector of length %d, got %s%r"
-            % (size, v.dtype, v.shape)
-        )
-    return v.ctypes.data
+# A bound run's steps update its x and z in place and return the flops
+# booked: 4 per stored entry the steps visited, counted by the kernel (or
+# from the index arrays by the numpy loop), plus the scalar flops of each
+# step. Drawn indices come from the norm-weighted samplers, which never pick
+# a zero-norm line, so neither path checks a step's divisor.
 
 
 def _line_nnz(ptr, ids):
     return int((ptr[ids + 1] - ptr[ids]).sum())
 
 
-def _bind(a, b, x, z, seed=None):
-    """block_steps and the check sums for a run on the same b, x and z.
+def _bind(a, b, solver, seed):
+    """One seeded run of `solver` on A and b, bound once: (x, z, steps, sums).
 
-    b, x and z are checked, and their addresses taken, once here. Returns
-    (steps, sums). steps(count, rows, cols) runs one block as block_steps
-    does, on int64 index arrays; given a seed, steps(count) draws the indices
-    instead, from the streams derived from it, as sample_block does. sums()
-    gives the sums of squares of A x - (b - z), A^T z, x, z and b, in that
-    order, for the current contents of x and z. A None z makes the first
-    A x - b and leaves out A^T z and z; a None x leaves out A x - (b - z), x
-    and b. Left-out sums are 0.0.
+    A and b are checked first: A's sum of squares must be positive and finite
+    and b a finite vector of length m. x starts at 0 (None for ROP) and z at
+    a copy of b (None for RK); the run owns both. steps(count) runs `count`
+    steps on x and z in place, on row and column indices drawn from the
+    streams derived from `seed`, as sample_block draws them, and returns the
+    flops booked. steps(count, rows, cols) runs them on the given int64 index
+    arrays instead (rows unread for ROP, cols for RK) and leaves the streams
+    where they are; the compiled kernel refuses an index out of range with
+    IndexError before any step. sums() gives the sums of squares of
+    A x - (b - z), A^T z, x, z and b, in that order, for the current contents
+    of x and z. RK's first sum is of A x - b and it leaves out A^T z and z;
+    ROP leaves out A x - (b - z), x and b. Left-out sums are 0.0.
     """
-    has_x, has_z = x is not None, z is not None
+    if not 0.0 < a.frob_sq < math.inf:
+        # Line norms would overflow or vanish in the samplers and the
+        # stopping rule would compare against eps * inf or eps * 0.
+        what = ("sum of squares of A's entries overflows" if a.frob_sq
+                else "squares of A's entries all underflow")
+        raise InvalidRangeError("the %s float64 (largest |entry| %.3g); rescale A and b"
+                                % (what, float(np.abs(a.row_vals).max())))
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (a.m,):
+        raise DimensionMismatchError(
+            "rhs must have length %d, got shape %r" % (a.m, b.shape)
+        )
+    if not np.isfinite(b).all():
+        raise NonFiniteError("rhs entries must be finite")
+    # the compiled kernels read b through a raw pointer
+    b = np.ascontiguousarray(b)
+    has_x, has_z = solver != ROP, solver != RK
+    x = np.zeros(a.n) if has_x else None
+    z = b.copy() if has_z else None
     scalar_flops = 2 if has_x else 1
-    vecs = (_addr(b, a.m) if has_x else None, _addr(x, a.n) if has_x else None,
-            _addr(z, a.m) if has_z else None)
-    if seed is not None and has_x:
+    if has_x:
         row_rng, row_table = RngStream.derived(seed, ROW_STREAM_SALT), row_sampler(a)
-    if seed is not None and has_z:
+    if has_z:
         col_rng, col_table = RngStream.derived(seed, COL_STREAM_SALT), col_sampler(a)
     lib = _blocks.load()
     if lib is None:
@@ -234,12 +244,14 @@ def _bind(a, b, x, z, seed=None):
                 atz = a.rmatvec(z)
                 atz_sq, z_sq = float(atz.dot(atz)), float(z.dot(z))
             return resid_sq, atz_sq, x_sq, z_sq, b_sq
-        return steps, sums
+        return x, z, steps, sums
 
-    run = _blocks.Run(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1], *vecs)
-    if seed is not None and has_x:
+    run = _blocks.Run(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
+                      b.ctypes.data if has_x else None, x.ctypes.data if has_x else None,
+                      z.ctypes.data if has_z else None)
+    if has_x:
         run.row_draws = _blocks.Draws(row_rng.seed, 0, *_table_addrs(row_table))
-    if seed is not None and has_z:
+    if has_z:
         run.col_draws = _blocks.Draws(col_rng.seed, 0, *_table_addrs(col_table))
     ref = ctypes.byref(run)  # keeps the struct alive while steps and sums live
     out = (ctypes.c_double * 5)()
@@ -255,35 +267,7 @@ def _bind(a, b, x, z, seed=None):
     def sums():
         check()
         return tuple(out)
-    return steps, sums
-
-
-def block_steps(a, b, x, z, rows, cols):
-    """One block of steps, in index order, on whichever of x and z is not None.
-
-    For each k, first the column step (unless z is None) projects z off
-    column j = cols[k]: z -= (<a^(j), z> / ||a^(j)||^2) a^(j). Then the row
-    step (unless x is None) projects x onto the hyperplane <a_i, x> = beta of
-    row i = rows[k]: x += ((beta - <a_i, x>) / ||a_i||^2) a_i, with
-    beta = b[i] - z[i], z[i] read before the column step, or beta = b[i]
-    when z is None. The indices of a half left out, and b when x is None,
-    are not read. An index out of range (IndexError) or of a zero-norm line
-    (ZeroDivisionError) is refused before any step.
-    """
-    has_x, has_z = x is not None, z is not None
-    rows = np.ascontiguousarray(rows, dtype=np.int64) if has_x else None
-    cols = np.ascontiguousarray(cols, dtype=np.int64) if has_z else None
-    if has_x and has_z and rows.shape != cols.shape:
-        raise DimensionMismatchError("need as many column picks as row picks")
-    for ids, sq, line in ((rows, a.row_sq_norms, "row"), (cols, a.col_sq_norms, "column")):
-        if ids is not None and ids.size:
-            if ids.min() < 0 or ids.max() >= sq.size:
-                raise IndexError("%s index out of range [0, %d)" % (line, sq.size))
-            zero = ids[sq[ids] == 0.0]
-            if zero.size:
-                raise ZeroDivisionError("%s %d has zero norm" % (line, zero[0]))
-    steps, _ = _bind(a, b, x, z)
-    return steps(rows.size if has_x else cols.size, rows, cols)
+    return x, z, steps, sums
 
 
 # ----------------------------------------------------------------------
@@ -381,25 +365,7 @@ def trajectory(a, b, solver, config, marks=(), checks=True):
     flops) at a check stop and None at a stop that is only a mark.
     """
     eps, cap, interval = config.resolved(a.m, a.n)
-    if not 0.0 < a.frob_sq < math.inf:
-        # Line norms would overflow or vanish in the samplers and the
-        # stopping rule would compare against eps * inf or eps * 0.
-        what = ("sum of squares of A's entries overflows" if a.frob_sq
-                else "squares of A's entries all underflow")
-        raise InvalidRangeError("the %s float64 (largest |entry| %.3g); rescale A and b"
-                                % (what, float(np.abs(a.row_vals).max())))
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (a.m,):
-        raise DimensionMismatchError(
-            "rhs must have length %d, got shape %r" % (a.m, b.shape)
-        )
-    if not np.isfinite(b).all():
-        raise NonFiniteError("rhs entries must be finite")
-    # the compiled kernels read b through a raw pointer
-    b = np.ascontiguousarray(b)
-    x = None if solver == ROP else np.zeros(a.n)
-    z = None if solver == RK else b.copy()
-    steps, sums = _bind(a, b, x, z, config.seed)
+    x, z, steps, sums = _bind(a, b, solver, config.seed)
     # looked up per run, so a wrapper bound to the module-level name is used
     check = {REK: rek_termination_check, RK: rk_termination_check,
              ROP: rop_termination_check}[solver]
@@ -479,10 +445,11 @@ def solve(a, b, config=None):
 class TheoryBounds:
     """Closed-form bounds evaluated for one instance at one (eps, delta).
 
-    Rates are per-iteration expected decay factors; t_star is the iteration
-    count after which the REK error envelope drops below eps^2-level with
-    probability at least 1 - delta; the two flop figures are the worst-case
-    and expected total-work bounds at t_star.
+    rk_rate, 1 - 1/kappa_F^2, is the per-iteration expected decay factor of
+    RK and ROP alike; t_star is the iteration count after which the REK error
+    envelope drops below eps^2-level with probability at least 1 - delta; the
+    two flop figures are the worst-case and expected total-work bounds at
+    t_star.
     """
 
     eps: float
@@ -490,7 +457,6 @@ class TheoryBounds:
     kappa_f_sq: float
     cond_sq: float
     rank: int
-    rop_rate: float
     rk_rate: float
     x_ls_norm_sq: float
     t_star: float
@@ -513,7 +479,6 @@ def theory_bounds(ref, eps, delta=0.1):
         raise InvalidRangeError("delta must lie in (0, 1), got %r" % (delta,))
     kappa_f_sq = ref.kappa_f_sq
     cond_sq = ref.cond_sq
-    rate = 1.0 - 1.0 / kappa_f_sq
     log_term = math.log(32.0 * (1.0 + 2.0 * cond_sq) / (delta * eps * eps))
     t_star = 2.0 * kappa_f_sq * log_term
     kappa_f = math.sqrt(kappa_f_sq)
@@ -523,8 +488,7 @@ def theory_bounds(ref, eps, delta=0.1):
         kappa_f_sq=kappa_f_sq,
         cond_sq=cond_sq,
         rank=ref.rank,
-        rop_rate=rate,
-        rk_rate=rate,
+        rk_rate=1.0 - 1.0 / kappa_f_sq,
         x_ls_norm_sq=float(ref.x_ls @ ref.x_ls),
         t_star=t_star,
         forward_err_bound=eps * kappa_f * (1.0 + kappa_f),

@@ -9,9 +9,10 @@ factor (SLACK) that absorbs Monte-Carlo noise; the envelopes themselves come
 only from the reference oracle, never from the solvers.
 
 one-step-contraction takes the expected error after one step exactly, over
-every row (column) with its probability. Each is a one-index block of the
-solvers' own bound steps (solvers._bind), so the check reads the step that
-runs: the compiled block_steps where it is built, else the numpy loop.
+every row (column) with its probability. Each is a one-index block of one
+RK (ROP) run bound by the solvers (solvers._bind), its x (z) set to the
+start before each step, so the check reads the step that runs: the compiled
+block_steps where it is built, else the numpy loop.
 
 rek-envelope, rop-rate and iteration-bound run on the same seeds, and share
 one walk per seed (Battery.walks): x at rek-envelope's checkpoints, z at
@@ -119,35 +120,37 @@ def rop_checkpoint_errors(a, b, z_ref, checkpoints, seed):
 # exact one-step expectations (enumerate every row / column choice)
 
 
-def _one_step_expectation(step, trial, start, target, weights):
-    """The sum over k of weights[k] ||v_k - target||^2, by enumeration.
+def _one_step_expectation(a, b, solver, start, target, sq_norms):
+    """The sum over lines k of p_k ||v_k - target||^2, by enumeration.
 
-    v_k is the work vector `trial` after step(k) from `start`; indices of
-    zero weight are skipped.
+    p_k = sq_norms[k] / ||A||_F^2 is the probability of line k, and v_k the
+    work vector of one bound run of `solver` on b (x for RK, z for ROP) after
+    one step on line k from `start`; lines of zero norm are skipped. The
+    enumeration gives every step its index, so the run's streams are never
+    drawn from and its seed does not matter.
     """
+    x, z, steps, _ = _bind(a, b, solver, 0)
+    trial = z if x is None else x
+    weights = sq_norms / a.frob_sq
     total = 0.0
     for k in np.flatnonzero(weights):
         trial[:] = start
-        step(k)
+        line = np.array([k], dtype=np.int64)
+        steps(1, line, line)  # RK reads only the row, ROP only the column
         diff = trial - target
         total += weights[k] * float(diff @ diff)
     return total
 
 
 def rk_one_step_expectation(a, b, x, target):
-    """E ||x' - target||^2 over the row distribution, one row step of block_steps each."""
-    trial = np.empty(a.n)
-    steps, _ = _bind(a, np.ascontiguousarray(b, dtype=np.float64), trial, None)
-    return _one_step_expectation(lambda i: steps(1, np.array([i], dtype=np.int64)),
-                                 trial, x, target, a.row_sq_norms / a.frob_sq)
+    """E ||x' - target||^2 over the row distribution, one bound RK step each."""
+    return _one_step_expectation(a, b, RK, x, target, a.row_sq_norms)
 
 
 def rop_one_step_expectation(a, z, target):
-    """E ||z' - target||^2 over the column distribution, one column step of block_steps each."""
-    trial = np.empty(a.m)
-    steps, _ = _bind(a, None, None, trial)
-    return _one_step_expectation(lambda j: steps(1, None, np.array([j], dtype=np.int64)),
-                                 trial, z, target, a.col_sq_norms / a.frob_sq)
+    """E ||z' - target||^2 over the column distribution, one bound ROP step each."""
+    # a bound ROP run starts from z = b
+    return _one_step_expectation(a, z, ROP, z, target, a.col_sq_norms)
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +181,14 @@ class Battery:
         return [round(c * self.ref.kappa_f_sq) for c in multipliers]
 
     @functools.cached_property
+    def bounds(self):
+        """The instance's theory bounds at iteration-bound's (eps, delta)."""
+        return theory_bounds(self.ref, eps=BOUND_EPS, delta=BOUND_DELTA)
+
+    @functools.cached_property
     def bound_cap(self):
         """iteration-bound's cap, ceil(T*)."""
-        return math.ceil(theory_bounds(self.ref, eps=BOUND_EPS, delta=BOUND_DELTA).t_star)
+        return math.ceil(self.bounds.t_star)
 
     @functools.cached_property
     def walks(self):
@@ -219,7 +227,7 @@ def _envelope_check(name, label, checkpoints, envelope, runs):
 def check_rek_envelope(bat):
     return _envelope_check(
         "rek-envelope", "T", bat.checkpoints(REK_T),
-        theory_bounds(bat.ref, eps=1e-6).rek_envelope, [w.x_errors for w in bat.walks],
+        bat.bounds.rek_envelope, [w.x_errors for w in bat.walks],
     )
 
 
@@ -229,7 +237,7 @@ def check_rk_envelope(bat):
     Valid for any rhs; the noise term vanishes on consistent systems.
     """
     ref = bat.ref
-    rate = 1.0 - 1.0 / ref.kappa_f_sq
+    rate = bat.bounds.rk_rate
     sigma_min_sq = ref.singular_values[ref.rank - 1] ** 2
     floor = float(ref.b_perp @ ref.b_perp) / sigma_min_sq
     x_ls_sq = float(ref.x_ls @ ref.x_ls)
@@ -242,7 +250,7 @@ def check_rk_envelope(bat):
 
 def check_rop_rate(bat):
     ref = bat.ref
-    rate = 1.0 - 1.0 / ref.kappa_f_sq
+    rate = bat.bounds.rk_rate
     b_range_sq = float(ref.b_range @ ref.b_range)
     return _envelope_check("rop-rate", "k", bat.checkpoints(ROP_K),
                            lambda t: rate**t * b_range_sq, [w.z_errors for w in bat.walks])
@@ -251,7 +259,7 @@ def check_rop_rate(bat):
 def check_one_step(bat):
     """Exact conditional-expectation contractions, enumerated, zero slack."""
     a, ref = bat.a, bat.ref
-    rate = 1.0 - 1.0 / ref.kappa_f_sq
+    rate = bat.bounds.rk_rate
     rng = np.random.default_rng(bat.seed)
     ok = True
     details = []

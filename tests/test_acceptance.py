@@ -200,7 +200,7 @@ def test_criterion_05_rop_rate():
     means = acc / reps
     ratios = []
     for t, mean in zip(checkpoints, means):
-        bound = tb.rop_rate**t * b_range_sq
+        bound = tb.rk_rate**t * b_range_sq
         assert mean <= ENVELOPE_SLACK * bound
         ratios.append(mean / bound)
     print("criterion 05 PASS: range-kill ratios %s" % (["%.4f" % r for r in ratios],))

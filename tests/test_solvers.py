@@ -1,7 +1,7 @@
 """Projection kernels, runners, and closed-form bound evaluation.
 
-Single steps, one-index blocks of block_steps on either path, are compared
-against a plain dense-numpy restatement of the same projection. Runner
+Single steps, one-index blocks of a bound run's steps on either path, are
+compared against a plain dense-numpy restatement of the same projection. Runner
 behavior (termination bookkeeping, flop counts, determinism) is pinned
 exactly. The compiled block kernel is compared against the numpy loop that
 is its fallback.
@@ -45,7 +45,6 @@ from kaczmarz.solvers import (
     ROP,
     SolverConfig,
     _bind,
-    block_steps,
     rek_termination_check,
     rk_termination_check,
     rop_termination_check,
@@ -54,7 +53,12 @@ from kaczmarz.solvers import (
     theory_bounds,
     trajectory,
 )
-from kaczmarz.verify import rek_checkpoint_errors, rk_checkpoint_errors, rop_checkpoint_errors
+from kaczmarz.verify import (
+    rek_checkpoint_errors,
+    rk_checkpoint_errors,
+    rk_one_step_expectation,
+    rop_checkpoint_errors,
+)
 
 from helpers import projector_residual
 
@@ -64,6 +68,11 @@ except ImportError:  # numpy < 2
     from numpy.core import _internal as np_internal
 
 EPS = np.finfo(np.float64).eps
+
+
+def _ids(*k):
+    """An index array as the bound steps take it."""
+    return np.array(k, dtype=np.int64)
 
 
 @pytest.fixture
@@ -77,11 +86,12 @@ def test_rop_step_matches_dense_projection(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(1)
     z = rng.standard_normal(7)
+    _, got, steps, _ = _bind(a, z, ROP, 0)
     for j in range(4):
         col = dense[:, j]
         want = z - (col @ z) / (col @ col) * col
-        got = z.copy()
-        block_steps(a, None, None, got, None, [j])
+        got[:] = z
+        steps(1, None, _ids(j))
         np.testing.assert_allclose(got, want, atol=32 * EPS * np.linalg.norm(z), rtol=0)
         # the projected coordinate direction is annihilated
         assert abs(col @ got) <= 32 * EPS * np.linalg.norm(col) * np.linalg.norm(z)
@@ -91,11 +101,12 @@ def test_rk_step_matches_dense_projection(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(2)
     x = rng.standard_normal(4)
+    got, _, steps, _ = _bind(a, b, RK, 0)
     for i in range(7):
         row = dense[i]
         want = x + (b[i] - row @ x) / (row @ row) * row
-        got = x.copy()
-        block_steps(a, b, got, None, [i], None)
+        got[:] = x
+        steps(1, _ids(i))
         np.testing.assert_allclose(got, want, atol=32 * EPS * max(np.linalg.norm(x), 1), rtol=0)
         # after the step the hyperplane constraint holds
         assert abs(row @ got - b[i]) <= 64 * EPS * np.linalg.norm(row) * np.linalg.norm(got)
@@ -115,40 +126,31 @@ def test_rek_step_uses_pre_update_z(small_instance, kernels):
     # default: the row target uses z_i from before the column step
     x_want = x0 + (b[i] - z0[i] - row @ x0) / (row @ row) * row
 
-    x, z = x0.copy(), z0.copy()
-    block_steps(a, b, x, z, [i], [j])
+    x, z, steps, _ = _bind(a, b, REK, 0)
+    x[:], z[:] = x0, z0
+    steps(1, _ids(i), _ids(j))
     np.testing.assert_allclose(z, z_want, atol=32 * EPS * np.linalg.norm(z0), rtol=0)
     np.testing.assert_allclose(x, x_want, atol=32 * EPS * max(np.linalg.norm(x0), 1), rtol=0)
-
-
-def test_zero_norm_lines_raise(kernels):
-    # a given index of an empty line is refused before any step of the block
-    a = DualSparseMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 0.0]]))
-    b, x = np.array([1.0, 1.0]), np.zeros(2)
-    with pytest.raises(ZeroDivisionError, match="^row 1 has zero norm$"):
-        block_steps(a, b, x, None, [0, 1], None)
-    np.testing.assert_array_equal(x, np.zeros(2))
-    at = DualSparseMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 0.0]]))
-    x, z = np.zeros(2), np.ones(2)
-    with pytest.raises(ZeroDivisionError, match="^column 1 has zero norm$"):
-        block_steps(at, np.ones(2), x, z, [0, 0], [0, 1])
-    np.testing.assert_array_equal(x, np.zeros(2))
-    np.testing.assert_array_equal(z, np.ones(2))
 
 
 _CHECK_A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
 
 
 def _rek_check(a, b, x, z, eps):
-    return rek_termination_check(a, _bind(a, b, x, z)[1], eps)
+    run_x, run_z, _, sums = _bind(a, b, REK, 0)
+    run_x[:], run_z[:] = x, z
+    return rek_termination_check(a, sums, eps)
 
 
 def _rk_check(a, b, x, eps):
-    return rk_termination_check(a, _bind(a, b, x, None)[1], eps)
+    run_x, _, _, sums = _bind(a, b, RK, 0)
+    run_x[:] = x
+    return rk_termination_check(a, sums, eps)
 
 
 def _rop_check(a, z, eps):
-    return rop_termination_check(a, _bind(a, None, None, z)[1], eps)
+    # a bound ROP run starts from z = b
+    return rop_termination_check(a, _bind(a, z, ROP, 0)[3], eps)
 
 
 def test_termination_check_degenerate_rules():
@@ -197,13 +199,13 @@ def test_termination_checks_book_their_flops_in_every_branch(kernels):
 def test_bound_checks_follow_in_place_updates(kernels):
     # the runners bind the check sums once and keep updating x and z in place
     a, b, _ = generate(InstanceSpec(kind="sparse", m=40, n=12, density=0.3, seed=4))
-    x, z = np.zeros(a.n), b.copy()
-    rek_sums, rk_sums = _bind(a, b, x, z)[1], _bind(a, b, x, None)[1]
-    rop_sums = _bind(a, b, None, z)[1]
+    rek_x, rek_z, _, rek_sums = _bind(a, b, REK, 0)
+    rk_x, _, _, rk_sums = _bind(a, b, RK, 0)
+    _, rop_z, _, rop_sums = _bind(a, b, ROP, 0)
     rng = np.random.default_rng(1)
     for _ in range(3):
-        x[:] = rng.standard_normal(a.n)
-        z[:] = rng.standard_normal(a.m)
+        x = rek_x[:] = rk_x[:] = rng.standard_normal(a.n)
+        z = rek_z[:] = rop_z[:] = rng.standard_normal(a.m)
         for eps in (1e-8, 10.0):
             # sums bound before the updates read what freshly bound ones do
             assert rek_termination_check(a, rek_sums, eps) == _rek_check(a, b, x, z, eps)
@@ -506,9 +508,8 @@ def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
     # 4 flops per stored entry visited, plus 2 per row step and 1 per ROP step
     row_entries = int(np.diff(a.row_ptr)[rows].sum())
     col_entries = int(np.diff(a.col_ptr)[cols].sum())
-    x_blk, z_blk = np.zeros(a.n), b.copy()
-    assert block_steps(a, b, x_blk, z_blk, rows, cols) == (
-        4 * row_entries + 4 * col_entries + 2 * 500)
+    x_blk, z_blk, steps, _ = _bind(a, b, REK, 0)
+    assert steps(500, rows, cols) == 4 * row_entries + 4 * col_entries + 2 * 500
     # the iterates of the same draws, one dense REK step at a time
     dense = a.to_dense()
     x, z = np.zeros(a.n), b.copy()
@@ -518,25 +519,48 @@ def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
         x += (target - dense[i] @ x) / a.row_sq_norms[i] * dense[i]
     np.testing.assert_allclose(x_blk, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
     np.testing.assert_allclose(z_blk, z, rtol=0, atol=1e-12 * np.linalg.norm(z))
-    assert block_steps(a, b, np.zeros(a.n), None, rows, None) == 4 * row_entries + 2 * 500
-    assert block_steps(a, None, None, b.copy(), None, cols) == 4 * col_entries + 500
+    assert _bind(a, b, RK, 0)[2](500, rows) == 4 * row_entries + 2 * 500
+    assert _bind(a, b, ROP, 0)[2](500, None, cols) == 4 * col_entries + 500
 
 
-def test_block_steps_refuse_out_of_range_indices(kernels):
+def test_block_steps_refuse_out_of_range_indices(compiled):
     a, b, _ = generate(BLOCK_SPECS["dense"])
-    x, z = np.zeros(a.n), b.copy()
+    x, z, steps, _ = _bind(a, b, REK, 0)
     for rows, cols in (([0, a.m], [0, 0]), ([0, 0], [-1, 0])):
         with pytest.raises(IndexError):
-            block_steps(a, b, x, z, np.array(rows), np.array(cols))
+            steps(2, _ids(*rows), _ids(*cols))
+    rk_x, _, rk_steps, _ = _bind(a, b, RK, 0)
     for bad in (-1, a.m):
         with pytest.raises(IndexError):
-            block_steps(a, b, x, None, np.array([0, bad]), None)
+            rk_steps(2, _ids(0, bad))
+    _, rop_z, rop_steps, _ = _bind(a, b, ROP, 0)
     for bad in (-1, a.n):
         with pytest.raises(IndexError):
-            block_steps(a, None, None, z, None, np.array([0, bad]))
+            rop_steps(2, None, _ids(0, bad))
     # a refused block leaves the iterates untouched
-    np.testing.assert_array_equal(x, np.zeros(a.n))
-    np.testing.assert_array_equal(z, b)
+    for v in (x, rk_x):
+        np.testing.assert_array_equal(v, np.zeros(a.n))
+    for v in (z, rop_z):
+        np.testing.assert_array_equal(v, b)
+
+
+@pytest.mark.parametrize("scale, b, error, message", [
+    (1.0, np.ones(5), DimensionMismatchError, r"^rhs must have length 6, got shape \(5,\)$"),
+    (1.0, np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0]), NonFiniteError,
+     "^rhs entries must be finite$"),
+    (1e200, np.ones(6), InvalidRangeError, r"^the sum of squares of A's entries overflows "
+     r"float64 \(largest \|entry\| .*\); rescale A and b$"),
+], ids=["short b", "non-finite b", "overflowing A"])
+def test_bind_refuses_bad_inputs_before_any_step_or_table_build(scale, b, error, message,
+                                                                 kernels):
+    # a fresh matrix has no alias table yet, and the checks must build none
+    a = DualSparseMatrix.from_dense(np.random.default_rng(7).standard_normal((6, 4)) * scale)
+    for solver in (REK, RK, ROP):
+        with pytest.raises(error, match=message):
+            _bind(a, b, solver, 0)
+    with pytest.raises(error, match=message):
+        rk_one_step_expectation(a, b, np.ones(a.n), np.zeros(a.n))
+    assert a._alias_tables == {}
 
 
 def test_strided_rhs_gives_the_same_report_as_its_contiguous_copy():
@@ -748,14 +772,14 @@ def test_trajectory_steps_on_the_indices_sample_block_draws(spec, solver, kernel
     stops = [1, 8, 248, 248, 249]
     got = [(iters, _digest(x), _digest(z), flops) for iters, x, z, flops, _ in trajectory(
         a, b, solver, SolverConfig(seed=9), stops, checks=False)]
-    x = None if solver == ROP else np.zeros(a.n)
-    z = None if solver == RK else b.copy()
+    # the same run, stepped on indices drawn here instead of by the kernel
+    x, z, steps, _ = _bind(a, b, solver, 9)
     row_rng, col_rng = RngStream.derived(9, ROW_STREAM_SALT), RngStream.derived(9, COL_STREAM_SALT)
     want, flops, iters = [], 0, 0
     for stop in dict.fromkeys(stops):
         rows = None if x is None else sample_block(row_sampler(a), row_rng, stop - iters)
         cols = None if z is None else sample_block(col_sampler(a), col_rng, stop - iters)
-        flops += block_steps(a, b, x, z, rows, cols)
+        flops += steps(stop - iters, rows, cols)
         iters = stop
         want.append((iters, _digest(x), _digest(z), flops))
     assert got == want
