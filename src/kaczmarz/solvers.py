@@ -169,8 +169,9 @@ def _bind(a, b, solver, seed):
 
     A and b are checked first: A's sum of squares must be positive and finite
     and b a finite vector of length m. x starts at 0 (None for ROP) and z at
-    a copy of b (None for RK); the run owns both. steps(count) runs `count`
-    steps on x and z in place, on row and column indices drawn from the
+    a copy of b (None for RK); the run owns both and keeps them, b and A
+    alive while steps or sums lives. steps(count) runs `count` steps on x
+    and z in place, on row and column indices drawn from the
     streams derived from `seed`, as sample_block draws them, and returns the
     flops booked. steps(count, rows, cols) runs them on the given int64 index
     arrays instead (rows unread for ROP, cols for RK) and leaves the streams
@@ -253,6 +254,9 @@ def _bind(a, b, solver, seed):
         run.row_draws = _blocks.Draws(row_rng.seed, 0, *_table_addrs(row_table))
     if has_z:
         run.col_draws = _blocks.Draws(col_rng.seed, 0, *_table_addrs(col_table))
+    # the struct holds raw addresses only: it keeps what they point into
+    # (the matrix's lines and alias tables, b, x and z) alive itself
+    run.owners = (a, b, x, z)
     ref = ctypes.byref(run)  # keeps the struct alive while steps and sums live
     out = (ctypes.c_double * 5)()
     check = functools.partial(lib.check_sums, ref, out)

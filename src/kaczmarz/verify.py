@@ -127,7 +127,9 @@ def _one_step_expectation(a, b, solver, start, target, sq_norms):
     work vector of one bound run of `solver` on b (x for RK, z for ROP) after
     one step on line k from `start`; lines of zero norm are skipped. The
     enumeration gives every step its index, so the run's streams are never
-    drawn from and its seed does not matter.
+    drawn from and its seed does not matter. Binding still derives them and
+    builds the matrix's alias table if no run has yet, and it checks b as a
+    run's rhs: for ROP that is `start`, so a bad z is refused as a bad rhs.
     """
     x, z, steps, _ = _bind(a, b, solver, 0)
     trial = z if x is None else x

@@ -698,6 +698,26 @@ def test_fixed_seed_runs_keep_their_pinned_results(kind, solver, compiled):
     assert got == GOLDEN_RUNS[kind, solver]
 
 
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_a_bound_run_keeps_the_vectors_it_reads_alive(solver, compiled):
+    # The compiled run reads b, x and z through raw addresses, and b is its
+    # own contiguous copy when the caller's is strided or a list. At m = 300
+    # they are past numpy's small-allocation cache, so freed ones would be
+    # handed out again at once: here to arrays of NaN.
+    a, b, _ = generate(GOLDEN_SPECS["sparse"])
+    strided = np.column_stack([b, -b])[:, 0]
+    rep = solve(a, strided, SolverConfig(solver=solver, eps=1e-10, seed=1, max_iters=20000))
+    got = (rep.iters, rep.flops, rep.check_flops, rep.termination, _digest(rep.x), _digest(rep.z))
+    assert got == GOLDEN_RUNS["sparse", solver]
+    steps, sums = _bind(a, b.tolist(), solver, 1)[2:]
+    reused = [np.full(size, np.nan) for size in (a.m, a.n) for _ in range(4)]
+    steps(500)
+    want_steps, want_sums = _bind(a, b, solver, 1)[2:]
+    want_steps(500)
+    assert sums() == want_sums()
+    assert all(np.isnan(v).all() for v in reused)
+
+
 @pytest.mark.parametrize("t", [10, 50, 400])
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
 def test_checkpoint_drivers_walk_the_runners_trajectory(solver, t):
