@@ -5,8 +5,9 @@
  * parsing of entry lines. Each has a numpy twin that runs when this file
  * cannot be built.
  *
- * block_steps runs a block of steps of REK, one after the other: a column
- * step on z, then a row step on x toward b_i - z_i. It draws each step's
+ * block_steps runs a block of steps of REK on each run of a batch, one run
+ * after the other, each run a struct run with its own x, z and streams: a
+ * column step on z, then a row step on x toward b_i - z_i. It draws each step's
  * indices as it goes, unless the caller passes them, with the same indices
  * as sampling.sample_block, bit for bit: the same SplitMix64 counter-mode
  * stream, the same conversion to uniform doubles and the same cell and coin
@@ -25,15 +26,16 @@
  * dots go through BLAS: here they sum left to right over the stored entries,
  * and the file is compiled with -ffp-contract=off, so the iterates do not
  * depend on which BLAS kernel the host would pick. Every given index of a
- * half that runs is checked before any vector is touched: block_steps
- * returns the number of stored entries its steps visited, or -1, with x and
- * z unchanged, when an index lies outside its range. Drawn indices are in
- * range when every alias entry is, which sampling checks once per table.
+ * half that runs is checked before any vector is touched: block_steps gives
+ * each run the number of stored entries its steps visited, or returns -1,
+ * with every x and z unchanged, when an index lies outside its range. Drawn
+ * indices are in range when every alias entry is, which sampling checks once
+ * per table.
  *
- * check_sums forms each entry of A x and A^T z in the order the numpy
- * products do (each row's entries left to right, each column's top to
- * bottom), so those vectors are the same bits, and sums every sum of squares
- * left to right.
+ * check_sums forms, for each run of a batch, each entry of A x and A^T z in
+ * the order the numpy products do (each row's entries left to right, each
+ * column's top to bottom), so those vectors are the same bits, and sums every
+ * sum of squares left to right.
  *
  * csc_scatter builds the column-major arrays by one counting pass over the
  * row-major ones, the same arrays as DualSparseMatrix's argsort, and in the
@@ -106,7 +108,8 @@ static int64_t alias_draw(const struct draws *d, int64_t k, int64_t size)
     return uniform(d->seed, draw + 2) < d->prob[cell] ? cell : d->alias[cell];
 }
 
-/* One run's m x n matrix, line norms, b, x and z, and index draws. */
+/* One run's m x n matrix, line norms, b, x and z, and index draws. A batch
+ * of runs is an array of them, on the same matrix and b. */
 struct run {
     int64_t m, n;
     const int64_t *row_ptr, *row_cols;
@@ -187,14 +190,13 @@ static double sum_sq(const double *v, int64_t size)
  * b_i; a NULL x leaves out the row steps, and rows and b are not read. The
  * axpy of step k on either vector runs inside step k+1's dot on it
  * (axpy_dot), so z_i is read after the column loop of step k, which
- * finishes step k-1 on z; the last axpys run before the return. */
-int64_t block_steps(struct run *run, const int64_t *rows, const int64_t *cols,
-                    int64_t count)
+ * finishes step k-1 on z; the last axpys run before the return. Returns the
+ * number of stored entries the steps visited. */
+static int64_t run_steps(struct run *run, const int64_t *rows, const int64_t *cols,
+                         int64_t count)
 {
     int64_t m = run->m, n = run->n;
     double *x = run->x, *z = run->z;
-    if ((x != NULL && !in_range(rows, count, m)) || (z != NULL && !in_range(cols, count, n)))
-        return -1;
     int64_t touched = 0;
     /* the held-back axpys: z += z_alpha * entries z_lo .. z_hi-1 of the
      * column layout, x += x_alpha * entries x_lo .. x_hi-1 of the row one */
@@ -234,11 +236,39 @@ int64_t block_steps(struct run *run, const int64_t *rows, const int64_t *cols,
     return touched;
 }
 
+/* The count indices of listed run r in rows or cols, which hold count per
+ * listed run in the order listed; NULL when the run draws its own. */
+static const int64_t *run_ids(const int64_t *ids, int64_t r, int64_t count)
+{
+    return ids != NULL ? ids + r * count : NULL;
+}
+
+/* count steps of each run runs[listed[r]], r < nlisted, one run after the
+ * other (run_steps), with its stored entries visited in touched[r]. Given
+ * rows or cols hold count indices per listed run (run_ids). Every given index
+ * of a half that runs is checked before any run steps: returns 0, or -1, with
+ * every run unchanged, when one lies outside its range. */
+int64_t block_steps(struct run *runs, const int64_t *listed, int64_t nlisted,
+                    const int64_t *rows, const int64_t *cols, int64_t count,
+                    int64_t *touched)
+{
+    for (int64_t r = 0; r < nlisted; r++) {
+        const struct run *run = &runs[listed[r]];
+        if ((run->x != NULL && !in_range(run_ids(rows, r, count), count, run->m))
+            || (run->z != NULL && !in_range(run_ids(cols, r, count), count, run->n)))
+            return -1;
+    }
+    for (int64_t r = 0; r < nlisted; r++)
+        touched[r] = run_steps(&runs[listed[r]], run_ids(rows, r, count),
+                               run_ids(cols, r, count), count);
+    return 0;
+}
+
 /* The sums of squares of the termination checks, each left to right, into
  * out[0..4]: A x - (b - z) (A x - b when z is NULL), A^T z, x, z and b. A
  * NULL x leaves out slots 0, 2 and 4 and b is not read; a NULL z leaves out
  * slots 1 and 3. Left-out slots are 0. */
-void check_sums(const struct run *run, double *out)
+static void run_sums(const struct run *run, double *out)
 {
     int64_t m = run->m, n = run->n;
     const double *b = run->b, *x = run->x, *z = run->z;
@@ -266,6 +296,13 @@ void check_sums(const struct run *run, double *out)
     out[2] = x_sq;
     out[3] = z_sq;
     out[4] = b_sq;
+}
+
+/* The sums of run runs[listed[r]] into out[5r .. 5r+4], for r < nlisted. */
+void check_sums(const struct run *runs, const int64_t *listed, int64_t nlisted, double *out)
+{
+    for (int64_t r = 0; r < nlisted; r++)
+        run_sums(&runs[listed[r]], out + 5 * r);
 }
 
 /* The column-major arrays of an m-row CSR matrix: each row's entries, rows

@@ -45,8 +45,8 @@ _PTR = ctypes.c_void_p
 # (result type, argument types) of the C functions; pointers are passed as
 # raw addresses.
 _SIGNATURES = {
-    "block_steps": (_I64, (_PTR, _PTR, _PTR, _I64)),
-    "check_sums": (None, (_PTR, _PTR)),
+    "block_steps": (_I64, (_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR)),
+    "check_sums": (None, (_PTR, _PTR, _I64, _PTR)),
     "csc_scatter": (None, (_I64,) + (_PTR,) * 8),
     "format_lines": (_I64, (_PTR,) * 3 + (_I64,) * 3 + (_PTR,)),
     "parse_entries": (_I64, (_PTR, _I64, _I64, _PTR, _PTR, _PTR)),
@@ -60,7 +60,7 @@ class Draws(ctypes.Structure):
 
 
 class Run(ctypes.Structure):
-    """struct run: what block_steps and check_sums read of one run."""
+    """struct run: what block_steps and check_sums read of one run of a batch."""
 
     _fields_ = [("m", _I64), ("n", _I64)] + [(name, _PTR) for name in (
         "row_ptr row_cols row_vals row_sq col_ptr col_rows col_vals col_sq b x z".split())] + [

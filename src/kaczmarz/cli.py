@@ -14,6 +14,7 @@ reproduces the file byte for byte except that column.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -93,7 +94,9 @@ def _add_solver_flags(p, multi_solver=False):
     p.add_argument("--check-interval", type=int, default=None)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no state between calls."""
     parser = _Parser(prog="kaczmarz", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version="kaczmarz %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)

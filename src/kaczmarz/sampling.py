@@ -51,6 +51,18 @@ def mix64(z):
     return z ^ (z >> 31)
 
 
+def _mix64_array(z):
+    """mix64 of each entry of a uint64 array, which wraps mod 2^64 as mix64 masks."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
+
+
+def derived_seeds(seeds, salt):
+    """The seeds of RngStream.derived(s, salt) for each s in `seeds`, as a uint64 array."""
+    return _mix64_array(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(salt))
+
+
 class RngStream:
     """A SplitMix64 stream identified by (seed, draws consumed so far)."""
 
@@ -69,10 +81,7 @@ class RngStream:
         """The next `count` uniforms, (mix64(seed + k*GOLDEN) >> 11) * 2^-53 for each k."""
         ks = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
         self.counter += int(count)
-        z = np.uint64(self.seed) + ks * np.uint64(GOLDEN)  # wraps mod 2^64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        z ^= z >> np.uint64(31)
+        z = _mix64_array(np.uint64(self.seed) + ks * np.uint64(GOLDEN))  # wraps mod 2^64
         return (z >> np.uint64(11)) * 2.0**-53
 
     def __repr__(self):

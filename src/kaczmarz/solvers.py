@@ -20,35 +20,39 @@ The REK x-update uses the z entry from *before* this iteration's column
 projection (the two projections commute in expectation but not pathwise).
 
 So RK is REK without z, aimed at b, and ROP is REK without x, and all three
-run through one generator, trajectory(): it runs each block of steps, on row
-indices (when there is an x) and column indices (when there is a z) drawn
-from the seeded streams, and yields the iterates at each stop. It stops for
-the solver's termination check every check interval, until the check says
-stop, and at any iteration counts (marks) its caller adds. run_rek / run_rk /
-run_rop (and `solve`, which picks one) walk it with the checks alone;
-verify's walk reads the iterates at its marks, with or without the checks.
-A block is one call of the compiled block_steps in _blocks.c, which draws
-each step's indices as it goes; where that cannot be built, sample_block
-draws them and one numpy loop runs the same steps, each a BLAS dot and a
-numpy axpy over the stored entries of one line. The compiled dots sum left
-to right, so their iterates differ from the numpy loop's only by rounding
-(about 1e-14 relative) and do not depend on the BLAS kernel the host picks.
+run through one generator, trajectory(): it runs a batch of seeded runs,
+one per seed, each block of steps on row indices (when there is an x) and
+column indices (when there is a z) drawn from each run's seeded streams, and
+yields the iterates at each stop. The runs stop together: for the solver's
+termination check every check interval, until a run's check says stop, and
+at any iteration counts (marks) its caller adds. run_rek / run_rk / run_rop
+(and `solve`, which picks one) walk a batch of one with the checks alone;
+verify's walk reads the iterates of every seed of a check at its marks,
+with or without the checks. A block is one call of the compiled block_steps
+in _blocks.c, which moves every run of the batch in turn and draws each
+step's indices as it goes; where that cannot be built, sample_block draws
+them and one numpy loop runs the same steps, a run at a time, each step a
+BLAS dot and a numpy axpy over the stored entries of one line. The compiled
+dots sum left to right, so their iterates differ from the numpy loop's only
+by rounding (about 1e-14 relative) and do not depend on the BLAS kernel the
+host picks, nor on the other runs of the batch.
 
-A run is bound once, not once per block or check: when trajectory starts,
-_bind checks A and b, allocates the run's own x and z, and binds their
-addresses, the matrix's line arrays and each half's stream and alias table
-into one C struct that the compiled block_steps and check_sums both take (or,
-where the kernels are unavailable, closes the numpy loop and the numpy sums
-over them).
+A batch is bound once, not once per block or check: when trajectory starts,
+_bind checks A and b, allocates the runs' x and z as the rows of one array
+each, and fills one array of C structs, a struct per run, with their
+addresses, the matrix's line arrays and each half's stream and alias table;
+the compiled block_steps and check_sums both take that array and the runs
+to move (or, where the kernels are unavailable, it closes the numpy loop
+and the numpy sums over the rows). Long lists of seeds are bound in
+consecutive batches whose vectors stay within BATCH_BYTES.
 
-The termination checks take their norms from one call of the compiled
-check_sums: the products A x and A^T z come out bit-identical to the numpy
-ones, and every sum of squares runs left to right. So on the compiled path
-the stopping decision and the reported residual_norm / atz_norm do not
-depend on the BLAS kernel either. Where the kernels are unavailable, the
-checks use the numpy products and BLAS dots, as np.linalg.norm does.
-trajectory yields the bound sums with each stop, and the runners hand them
-to every check.
+The termination checks take their norms from the compiled check_sums, one
+call for every run checked at a stop: the products A x and A^T z come out
+bit-identical to the numpy ones, and every sum of squares runs left to
+right. So on the compiled path the stopping decision and the reported
+residual_norm / atz_norm do not depend on the BLAS kernel either. Where the
+kernels are unavailable, the checks use the numpy products and BLAS dots, as
+np.linalg.norm does. trajectory hands each checked run its own sums.
 
 Flops are booked by formula where the work runs; one dot or axpy over k
 stored entries costs 2k. block_steps returns 4 per stored entry its steps
@@ -64,8 +68,6 @@ REK 4m (2m when ||b|| overflows).
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import itertools
 import math
 import time
@@ -82,6 +84,7 @@ from .sampling import (
     RngStream,
     _table_addrs,
     col_sampler,
+    derived_seeds,
     row_sampler,
     sample_block,
 )
@@ -153,33 +156,36 @@ class SolveReport:
 # ----------------------------------------------------------------------
 # blocks of steps: one compiled call, or one numpy loop as the fallback
 #
-# A bound run's steps update its x and z in place and return the flops
-# booked: 4 per stored entry the steps visited, counted by the kernel (or
-# from the index arrays by the numpy loop), plus the scalar flops of each
-# step. Drawn indices come from the norm-weighted samplers, which never pick
-# a zero-norm line, so neither path checks a step's divisor.
+# A bound batch of runs steps each listed run's x and z in place and returns
+# the flops booked per run: 4 per stored entry its steps visited, counted by
+# the kernel (or from the index arrays by the numpy loop), plus the scalar
+# flops of each step. One compiled call steps every listed run, one after
+# the other, each on its own struct run; the numpy loop takes them in turn.
+# Drawn indices come from the norm-weighted samplers, which never pick a
+# zero-norm line, so neither path checks a step's divisor.
+
+# The most bytes of vectors and run structs one batch holds: a longer list of
+# seeds (or enumerated lines) goes through _bind in consecutive batches.
+BATCH_BYTES = 8 << 20
+_RUN = np.dtype(_blocks.Run)
 
 
 def _line_nnz(ptr, ids):
     return int((ptr[ids + 1] - ptr[ids]).sum())
 
 
-def _bind(a, b, solver, seed):
-    """One seeded run of `solver` on A and b, bound once: (x, z, steps, sums).
+def _batches(a, solver, items):
+    """Consecutive slices of `items`, one per batch of runs of `solver` on A within BATCH_BYTES."""
+    per_run = 8 * ((a.n if solver != ROP else 0) + (a.m if solver != RK else 0)) + _RUN.itemsize
+    size = max(1, BATCH_BYTES // per_run)
+    return [items[lo:lo + size] for lo in range(0, len(items), size)]
 
-    A and b are checked first: A's sum of squares must be positive and finite
-    and b a finite vector of length m. x starts at 0 (None for ROP) and z at
-    a copy of b (None for RK); the run owns both and keeps them, b and A
-    alive while steps or sums lives. steps(count) runs `count` steps on x
-    and z in place, on row and column indices drawn from the
-    streams derived from `seed`, as sample_block draws them, and returns the
-    flops booked. steps(count, rows, cols) runs them on the given int64 index
-    arrays instead (rows unread for ROP, cols for RK) and leaves the streams
-    where they are; the compiled kernel refuses an index out of range with
-    IndexError before any step. sums() gives the sums of squares of
-    A x - (b - z), A^T z, x, z and b, in that order, for the current contents
-    of x and z. RK's first sum is of A x - b and it leaves out A^T z and z;
-    ROP leaves out A x - (b - z), x and b. Left-out sums are 0.0.
+
+def _checked_rhs(a, b):
+    """b as a contiguous float64 array, once A and b pass the checks of a run.
+
+    A's sum of squares must be positive and finite and b a finite vector of
+    length m.
     """
     if not 0.0 < a.frob_sq < math.inf:
         # Line norms would overflow or vanish in the samplers and the
@@ -196,95 +202,162 @@ def _bind(a, b, solver, seed):
     if not np.isfinite(b).all():
         raise NonFiniteError("rhs entries must be finite")
     # the compiled kernels read b through a raw pointer
-    b = np.ascontiguousarray(b)
+    return np.ascontiguousarray(b)
+
+
+def _bind(a, b, solver, seeds):
+    """A batch of seeded runs of `solver` on A and b, bound once: (x, z, steps, sums).
+
+    A and b are checked first (_checked_rhs), then each seed must fit in 64
+    bits. There is one run per seed: row r of x (a len(seeds) x n array, None for
+    ROP) and of z (len(seeds) x m, None for RK) are run r's iterates, x
+    starting at 0 and z at a copy of b. steps and sums keep x, z, b and A
+    alive. steps(count, rows, cols, runs) runs `count` steps of each run in
+    `runs` (every run when None), in place, on row and column indices drawn
+    from the two streams derived from its seed, as sample_block draws them,
+    and returns the flops booked per listed run (an int64 array). Given
+    int64 index arrays rows and cols hold `count` indices per listed run, in
+    the order listed, which the runs step on instead (rows unread for ROP,
+    cols for RK), leaving their streams where they are; the compiled kernel
+    refuses an index out of range with IndexError before any step. sums(runs)
+    gives, per listed run, the sums of squares of A x - (b - z), A^T z, x, z
+    and b, in that order, for the current contents of its x and z. RK's first
+    sum is of A x - b and it leaves out A^T z and z; ROP leaves out
+    A x - (b - z), x and b. Left-out sums are 0.0.
+    """
+    b = _checked_rhs(a, b)
+    if len(seeds) and not (0 <= min(seeds) and max(seeds) < 2**64):
+        raise InvalidRangeError("seed must fit in 64 bits")
+    count_runs = len(seeds)
+    every = np.arange(count_runs, dtype=np.int64)
     has_x, has_z = solver != ROP, solver != RK
-    x = np.zeros(a.n) if has_x else None
-    z = b.copy() if has_z else None
+    x = np.zeros((count_runs, a.n)) if has_x else None
+    z = np.tile(b, (count_runs, 1)) if has_z else None
     scalar_flops = 2 if has_x else 1
-    if has_x:
-        row_rng, row_table = RngStream.derived(seed, ROW_STREAM_SALT), row_sampler(a)
-    if has_z:
-        col_rng, col_table = RngStream.derived(seed, COL_STREAM_SALT), col_sampler(a)
+    row_table = row_sampler(a) if has_x else None
+    col_table = col_sampler(a) if has_z else None
     lib = _blocks.load()
     if lib is None:
         row_ptr, row_cols, row_vals, row_sq = a.row_ptr, a.row_cols, a.row_vals, a.row_sq_norms
         col_ptr, col_rows, col_vals, col_sq = a.col_ptr, a.col_rows, a.col_vals, a.col_sq_norms
+        row_rngs = [RngStream.derived(s, ROW_STREAM_SALT) for s in seeds]
+        col_rngs = [RngStream.derived(s, COL_STREAM_SALT) for s in seeds]
 
-        def steps(count, rows=None, cols=None):
+        def run_steps(r, count, rows, cols):
+            run_x = x[r] if has_x else None
+            run_z = z[r] if has_z else None
             if has_x and rows is None:
-                rows = sample_block(row_table, row_rng, count)
+                rows = sample_block(row_table, row_rngs[r], count)
             if has_z and cols is None:
-                cols = sample_block(col_table, col_rng, count)
+                cols = sample_block(col_table, col_rngs[r], count)
             # the compiled kernel's loop: the row target with z_i from before
             # the column step, then the column step, then the row step
             row_ids = rows.tolist() if has_x else itertools.repeat(None)
             col_ids = cols.tolist() if has_z else itertools.repeat(None)
             for i, j in zip(row_ids, col_ids):
                 if has_x:
-                    target = b[i] - z[i] if has_z else b[i]
+                    target = b[i] - run_z[i] if has_z else b[i]
                 if has_z:
                     lo, hi = col_ptr[j], col_ptr[j + 1]
                     line, vals = col_rows[lo:hi], col_vals[lo:hi]
-                    scale = float(vals @ z[line]) / col_sq[j]
-                    z[line] += -scale * vals
+                    scale = float(vals @ run_z[line]) / col_sq[j]
+                    run_z[line] += -scale * vals
                 if has_x:
                     lo, hi = row_ptr[i], row_ptr[i + 1]
                     line, vals = row_cols[lo:hi], row_vals[lo:hi]
-                    x[line] += (target - float(vals @ x[line])) / row_sq[i] * vals
+                    run_x[line] += (target - float(vals @ run_x[line])) / row_sq[i] * vals
             touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
                        + (_line_nnz(a.col_ptr, cols) if has_z else 0))
             return 4 * touched + scalar_flops * count
 
-        def sums():
+        def steps(count, rows=None, cols=None, runs=None):
+            listed = (every if runs is None else runs).tolist()
+            return np.array([run_steps(
+                r, count, None if rows is None else rows[k * count:(k + 1) * count],
+                None if cols is None else cols[k * count:(k + 1) * count])
+                for k, r in enumerate(listed)], dtype=np.int64)
+
+        def run_sums(r):
             # v.dot(v) is the sum np.linalg.norm takes the root of
             resid_sq = atz_sq = x_sq = z_sq = b_sq = 0.0
             if has_x:
-                resid = a.matvec(x) - (b if z is None else b - z)
-                resid_sq, x_sq, b_sq = float(resid.dot(resid)), float(x.dot(x)), float(b.dot(b))
+                run_x = x[r]
+                resid = a.matvec(run_x) - (b if z is None else b - z[r])
+                resid_sq, x_sq, b_sq = (float(resid.dot(resid)), float(run_x.dot(run_x)),
+                                        float(b.dot(b)))
             if has_z:
-                atz = a.rmatvec(z)
-                atz_sq, z_sq = float(atz.dot(atz)), float(z.dot(z))
+                run_z = z[r]
+                atz = a.rmatvec(run_z)
+                atz_sq, z_sq = float(atz.dot(atz)), float(run_z.dot(run_z))
             return resid_sq, atz_sq, x_sq, z_sq, b_sq
+
+        def sums(runs=None):
+            return [run_sums(r) for r in (every if runs is None else runs).tolist()]
         return x, z, steps, sums
 
-    run = _blocks.Run(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1],
-                      b.ctypes.data if has_x else None, x.ctypes.data if has_x else None,
-                      z.ctypes.data if has_z else None)
+    # one struct run per seed, filled a field at a time for the whole batch
+    batch = np.zeros(count_runs, dtype=_RUN)
+    batch["m"], batch["n"] = a.m, a.n
+    for name, addr in zip(("row_ptr", "row_cols", "row_vals", "row_sq",
+                           "col_ptr", "col_rows", "col_vals", "col_sq"),
+                          a._line_addrs[0] + a._line_addrs[1]):
+        batch[name] = addr
+    for has, name, v, draws, salt, table in (
+            (has_x, "x", x, "row_draws", ROW_STREAM_SALT, row_table),
+            (has_z, "z", z, "col_draws", COL_STREAM_SALT, col_table)):
+        if has:
+            batch[name] = v.ctypes.data + v.strides[0] * np.arange(count_runs, dtype=np.uint64)
+            batch[draws]["seed"] = derived_seeds(seeds, salt)
+            batch[draws]["prob"], batch[draws]["alias"] = _table_addrs(table)
     if has_x:
-        run.row_draws = _blocks.Draws(row_rng.seed, 0, *_table_addrs(row_table))
-    if has_z:
-        run.col_draws = _blocks.Draws(col_rng.seed, 0, *_table_addrs(col_table))
-    # the struct holds raw addresses only: it keeps what they point into
-    # (the matrix's lines and alias tables, b, x and z) alive itself
-    run.owners = (a, b, x, z)
-    ref = ctypes.byref(run)  # keeps the struct alive while steps and sums live
-    out = (ctypes.c_double * 5)()
-    check = functools.partial(lib.check_sums, ref, out)
+        batch["b"] = b.ctypes.data
+    listed = np.empty(count_runs, dtype=np.int64)  # the runs a call steps or sums
+    touched = np.empty(count_runs, dtype=np.int64)
+    out = np.empty((count_runs, 5))
+    addrs = batch.ctypes.data, listed.ctypes.data
+    touched_addr, out_addr = touched.ctypes.data, out.ctypes.data
 
-    def steps(count, rows=None, cols=None):
-        touched = lib.block_steps(ref, None if rows is None else rows.ctypes.data,
-                                  None if cols is None else cols.ctypes.data, count)
-        if touched < 0:
+    def list_runs(runs):
+        if runs is None:
+            runs = every
+        listed[:len(runs)] = runs
+        return len(runs)
+
+    def steps(count, rows=None, cols=None, runs=None):
+        k = list_runs(runs)
+        for given in (rows, cols):
+            # the kernel reads count indices per listed run through a raw pointer
+            if given is not None and not (given.dtype == np.int64 and given.flags.c_contiguous
+                                          and given.size == k * count):
+                raise ValueError("given indices must be a C-contiguous int64 array of %d"
+                                 % (k * count))
+        if lib.block_steps(*addrs, k, None if rows is None else rows.ctypes.data,
+                           None if cols is None else cols.ctypes.data, count, touched_addr) < 0:
             raise IndexError("sampled row or column index out of range")
-        return 4 * touched + scalar_flops * count
+        return 4 * touched[:k] + scalar_flops * count
 
-    def sums():
-        check()
-        return tuple(out)
+    def sums(runs=None):
+        k = list_runs(runs)
+        lib.check_sums(*addrs, k, out_addr)
+        return list(map(tuple, out[:k].tolist()))
+    # the structs hold raw addresses only: steps and sums keep what they
+    # point into (the matrix's lines and alias tables, b, x and z) alive
+    steps.owners = sums.owners = (a, b, x, z, batch)
     return x, z, steps, sums
 
 
 # ----------------------------------------------------------------------
 # termination checks
 #
-# Each takes the matrix, the run's sums (bound by _bind, alongside its block
-# steps) and eps, and returns (outcome, residual_norm, atz_norm, flops), with
-# None for the norm its solver lacks (atz_norm for RK, residual_norm for ROP).
-# The outcome is CONVERGED, OVERFLOW (a norm it compares is inf or nan, where
-# `inf <= eps * inf` would otherwise read as converged), or None to keep
-# iterating. The flops are for the runner's separate check tally. The sums of
-# squares behind the norms come from one call of the compiled check_sums, or
-# from numpy products and BLAS dots where the kernels are unavailable.
+# Each takes the matrix, one run's sums (from the sums bound by _bind,
+# alongside its block steps) and eps, and returns (outcome, residual_norm,
+# atz_norm, flops), with None for the norm its solver lacks (atz_norm for RK,
+# residual_norm for ROP). The outcome is CONVERGED, OVERFLOW (a norm it
+# compares is inf or nan, where `inf <= eps * inf` would otherwise read as
+# converged), or None to keep iterating. The flops are for the runner's
+# separate check tally. The sums of squares behind the norms come from one
+# call of the compiled check_sums for the whole batch, or from numpy products
+# and BLAS dots where the kernels are unavailable.
 
 
 def _overflowed(*norms):
@@ -293,7 +366,7 @@ def _overflowed(*norms):
 
 def rop_termination_check(a, sums, eps):
     """||A^T z|| <= eps * ||A||_F * ||z||; an exactly-zero z is the limit itself."""
-    _, atz_sq, _, z_sq, _ = sums()
+    _, atz_sq, _, z_sq, _ = sums
     flops = 2 * (a.nnz + a.m + a.n)  # A^T z, then the sums of squares of z and A^T z
     z_norm, atz = math.sqrt(z_sq), math.sqrt(atz_sq)
     if _overflowed(z_norm, atz):
@@ -306,7 +379,7 @@ def rop_termination_check(a, sums, eps):
 
 def rk_termination_check(a, sums, eps):
     """||A x - b|| <= eps * ||A||_F * ||x||, with the zero-x degenerate rule."""
-    resid_sq, _, x_sq, _, b_sq = sums()
+    resid_sq, _, x_sq, _, b_sq = sums
     # A x, then - b, then the sums of squares of the residual and x
     flops = 2 * a.nnz + 3 * a.m + 2 * a.n
     resid, x_norm = math.sqrt(resid_sq), math.sqrt(x_sq)
@@ -326,7 +399,7 @@ def rek_termination_check(a, sums, eps):
     Residual is measured against b - z, the running estimate of the range
     component of b; A^T z measures how far z still is from b_perp.
     """
-    resid_sq, atz_sq, x_sq, _, b_sq = sums()
+    resid_sq, atz_sq, x_sq, _, b_sq = sums
     # b - z, A x and their difference, A^T z, then the sums of squares of the
     # residual, A^T z and x
     flops = 4 * (a.nnz + a.m + a.n)
@@ -352,43 +425,56 @@ def rek_termination_check(a, sums, eps):
 # the seeded trajectory, and the runners built on it
 
 
-def trajectory(a, b, solver, config, marks=(), checks=True):
-    """Yield (iters, x, z, flops, checked) of one seeded run at each distinct stop.
+def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
+    """Yield (iters, x, z, flops, checked) of a batch of seeded runs at each distinct stop.
 
-    The run starts from x = 0 (REK, RK) and z = b (REK, ROP); x is None for
-    ROP and z is None for RK. Rows and columns come from two streams derived
-    from config.seed, so the iterate after t steps depends on the seed and t
-    only, not on where the run stops. x and z are updated in place between
-    yields and flops is the running total.
+    There is one run per seed, all bound once by _bind: row r of x (None for
+    ROP) and of z (None for RK) is the iterate of the run of seeds[r], which
+    starts from x = 0 and z = b. Its rows and columns come from two streams
+    derived from its seed, so its iterate after t steps depends on the seed
+    and t only, not on where it stops. config gives eps, the cap and the
+    check interval; its seed is not read. x and z are updated in place
+    between yields, and flops holds each run's running total.
 
-    The run stops at each count in `marks`, which must not decrease and may
-    be lazy. With checks, it also stops for the solver's termination check
-    every check interval and at the cap, until the check first gives an
+    Every run stops at each count in `marks`, which must not decrease and may
+    be lazy. With checks, a run also stops for the solver's termination check
+    every check interval and at the cap, until its check first gives an
     outcome (CONVERGED or OVERFLOW); after that it goes on only as far as the
-    marks ahead. checked is the check's (outcome, residual_norm, atz_norm,
-    flops) at a check stop and None at a stop that is only a mark.
+    marks ahead, and with none ahead it leaves the batch, its rows left as
+    they are. checked holds, per run, the check's (outcome, residual_norm,
+    atz_norm, flops) where the run was checked at this stop, else None.
     """
     eps, cap, interval = config.resolved(a.m, a.n)
-    x, z, steps, sums = _bind(a, b, solver, config.seed)
-    # looked up per run, so a wrapper bound to the module-level name is used
+    x, z, steps, sums = _bind(a, b, solver, seeds)
+    # looked up per batch, so a wrapper bound to the module-level name sees
+    # every checked run
     check = {REK: rek_termination_check, RK: rk_termination_check,
              ROP: rop_termination_check}[solver]
     schedule = itertools.chain(range(interval, cap, interval), (cap,))
     due = next(schedule) if checks else None  # the next check stop; None when done
     marks = iter(marks)
     mark = next(marks, None)  # the next mark; None when there is none
-    iters = flops = 0
+    every = np.arange(len(seeds), dtype=np.int64)
+    checking = every if checks else every[:0]  # the runs whose checks go on
+    iters = 0
+    flops = np.zeros(len(seeds), dtype=np.int64)
     while due is not None or mark is not None:
         stop = min(s for s in (due, mark) if s is not None)
         if stop < iters:
             raise ValueError("marks must not decrease from 0, got %d after %d" % (stop, iters))
         if stop > iters:
-            flops += steps(stop - iters)
+            stepping = every if mark is not None else checking
+            flops[stepping] += steps(stop - iters, runs=stepping)
             iters = stop
-        checked = None
+        checked = [None] * len(seeds)
         if stop == due:
-            checked = check(a, sums, eps)
-            due = None if checked[0] else next(schedule, None)
+            going_on = []
+            for r, run_sums in zip(checking.tolist(), sums(checking)):
+                checked[r] = check(a, run_sums, eps)
+                if not checked[r][0]:
+                    going_on.append(r)
+            due = next(schedule, None) if going_on else None
+            checking = every[going_on] if due is not None else every[:0]
         while mark == stop:
             mark = next(marks, None)
         yield iters, x, z, flops, checked
@@ -400,14 +486,15 @@ def _run(a, b, config, solver):
     check_flops = 0
     reason = MAX_ITERS
     start = time.perf_counter()
-    for iters, x, z, flops, (outcome, resid, atz, cost) in trajectory(a, b, solver, config):
+    for iters, x, z, flops, (checked,) in trajectory(a, b, solver, config, [config.seed]):
+        outcome, resid, atz, cost = checked
         check_flops += cost
         reason = outcome or reason
     return SolveReport(
-        x=x,
-        z=z,
+        x=None if x is None else x[0],
+        z=None if z is None else z[0],
         iters=iters,
-        flops=flops,
+        flops=int(flops[0]),
         check_flops=check_flops,
         termination=reason,
         residual_norm=resid,

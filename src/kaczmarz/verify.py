@@ -2,26 +2,29 @@
 
 walk() reads the solvers' own seeded runs (solvers.trajectory) at chosen
 iteration counts (marks), measuring the error of x and z against oracle
-quantities there, with or without the termination checks; the checkpoint
-drivers are walk() without them. The check battery compares empirical means
-across seeds with the closed-form envelopes, inflated by a statistical slack
-factor (SLACK) that absorbs Monte-Carlo noise; the envelopes themselves come
-only from the reference oracle, never from the solvers.
+quantities there, with or without the termination checks. It takes every
+seed of a check at once: the runs go through trajectory as one batch (or
+consecutive batches within solvers.BATCH_BYTES), so one kernel call moves
+them all to their next stop. The checkpoint drivers are walk() of one seed
+without the checks. The check battery compares empirical means across seeds
+with the closed-form envelopes, inflated by a statistical slack factor
+(SLACK) that absorbs Monte-Carlo noise; the envelopes themselves come only
+from the reference oracle, never from the solvers.
 
 one-step-contraction takes the expected error after one step exactly, over
-every row (column) with its probability. Each is a one-index block of one
-RK (ROP) run bound by the solvers (solvers._bind), its x (z) set to the
-start before each step, so the check reads the step that runs: the compiled
+every row (column) with its probability. Each line is the one-index block of
+its own RK (ROP) run from the start, bound in batches by the solvers
+(solvers._bind), so the check reads the step that runs: the compiled
 block_steps where it is built, else the numpy loop.
 
 rek-envelope, rop-rate and iteration-bound run on the same seeds, and share
-one walk per seed (Battery.walks): x at rek-envelope's checkpoints, z at
+one walk of them (Battery.walks): x at rek-envelope's checkpoints, z at
 rop-rate's, and the termination check every check interval up to T*, as
 run_rek stops. The walk runs REK when rek-envelope or iteration-bound is
 selected, and ROP for rop-rate alone; REK's z is ROP's, bit for bit. A run
 only stops where a selected check reads it, so each subset of the three runs
-no more iterations than its checks would alone. rk-envelope walks RK, and
-flop-model and forward-error call run_rek.
+no more iterations than its checks would alone. rk-envelope walks RK on the
+same seeds, and flop-model and forward-error call run_rek.
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ from .solvers import (
     RK,
     ROP,
     SolverConfig,
+    _batches,
     _bind,
+    _checked_rhs,
     run_rek,
     theory_bounds,
     trajectory,
@@ -75,45 +80,55 @@ class Walk(NamedTuple):
     iters: Optional[int]
 
 
-def walk(a, b, solver, config, x_ref, x_marks, z_ref, z_marks, checks):
-    """One seeded run of `solver`, read at its marks.
+def walk(a, b, solver, config, seeds, x_ref, x_marks, z_ref, z_marks, checks):
+    """The seeded runs of `solver`, one per seed, read at their marks: one Walk each.
 
-    x_errors are ||x_t - x_ref||^2 at each t in x_marks, and z_errors are
-    ||z_t - z_ref||^2 at each t in z_marks, in the caller's order; a repeated
-    mark repeats its error. With checks, termination and iters are those of
-    the solver's runner on `config`, and the run goes on past its stop only
-    as far as the marks beyond it. Without checks they are None and the run
-    ends at the last mark.
+    The runs go through trajectory in consecutive batches (solvers._batches),
+    all of a batch stopping together. x_errors are ||x_t - x_ref||^2 at each t
+    in x_marks, and z_errors are ||z_t - z_ref||^2 at each t in z_marks, in
+    the caller's order; a repeated mark repeats its error. With checks,
+    termination and iters are those of the solver's runner on `config` and
+    the run's seed, and the run goes on past its stop only as far as the
+    marks beyond it. Without checks they are None and the run ends at the
+    last mark.
     """
     x_marks, z_marks = [int(t) for t in x_marks], [int(t) for t in z_marks]
-    x_at, z_at = {}, {}
-    termination = stopped = None
-    for t, x, z, _, checked in trajectory(
-            a, b, solver, config, sorted({*x_marks, *z_marks}), checks):
-        if checked:
-            termination, stopped = checked[0] or MAX_ITERS, t
-        if t in x_marks:
-            diff = x - x_ref
-            x_at[t] = float(diff @ diff)
-        if t in z_marks:
-            diff = z - z_ref
-            z_at[t] = float(diff @ diff)
-    return Walk([x_at[t] for t in x_marks], [z_at[t] for t in z_marks], termination, stopped)
+    walks = []
+    for batch in _batches(a, solver, seeds):
+        runs = range(len(batch))
+        x_at, z_at = [{} for _ in runs], [{} for _ in runs]
+        termination, stopped = [None for _ in runs], [None for _ in runs]
+        for t, x, z, _, checked in trajectory(
+                a, b, solver, config, batch, sorted({*x_marks, *z_marks}), checks):
+            for r, result in enumerate(checked):
+                if result:
+                    termination[r], stopped[r] = result[0] or MAX_ITERS, t
+            if t in x_marks:
+                for r in runs:
+                    diff = x[r] - x_ref
+                    x_at[r][t] = float(diff @ diff)
+            if t in z_marks:
+                for r in runs:
+                    diff = z[r] - z_ref
+                    z_at[r][t] = float(diff @ diff)
+        walks += [Walk([x_at[r][t] for t in x_marks], [z_at[r][t] for t in z_marks],
+                       termination[r], stopped[r]) for r in runs]
+    return walks
 
 
 def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_t - x_ref||^2 at each checkpoint, one seeded REK run."""
-    return walk(a, b, REK, SolverConfig(seed=seed), x_ref, checkpoints, None, (), False).x_errors
+    return walk(a, b, REK, SolverConfig(), [seed], x_ref, checkpoints, None, (), False)[0].x_errors
 
 
 def rk_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_k - x_ref||^2 at each checkpoint, one seeded RK run from x = 0."""
-    return walk(a, b, RK, SolverConfig(seed=seed), x_ref, checkpoints, None, (), False).x_errors
+    return walk(a, b, RK, SolverConfig(), [seed], x_ref, checkpoints, None, (), False)[0].x_errors
 
 
 def rop_checkpoint_errors(a, b, z_ref, checkpoints, seed):
     """||z_k - z_ref||^2 at each checkpoint, one seeded ROP run from z = b."""
-    return walk(a, b, ROP, SolverConfig(seed=seed), None, (), z_ref, checkpoints, False).z_errors
+    return walk(a, b, ROP, SolverConfig(), [seed], None, (), z_ref, checkpoints, False)[0].z_errors
 
 
 # ----------------------------------------------------------------------
@@ -124,23 +139,26 @@ def _one_step_expectation(a, b, solver, start, target, sq_norms):
     """The sum over lines k of p_k ||v_k - target||^2, by enumeration.
 
     p_k = sq_norms[k] / ||A||_F^2 is the probability of line k, and v_k the
-    work vector of one bound run of `solver` on b (x for RK, z for ROP) after
-    one step on line k from `start`; lines of zero norm are skipped. The
-    enumeration gives every step its index, so the run's streams are never
-    drawn from and its seed does not matter. Binding still derives them and
+    work vector (x for RK, z for ROP) of a bound run of `solver` on b after
+    one step on line k from `start`; lines of zero norm are skipped. Each
+    line has its own run, and the lines go in consecutive batches
+    (solvers._batches), each bound once and stepped by one call. The
+    enumeration gives every step its index, so the runs' streams are never
+    drawn from and their seeds do not matter. Binding still derives them and
     builds the matrix's alias table if no run has yet, and it checks b as a
     run's rhs: for ROP that is `start`, so a bad z is refused as a bad rhs.
     """
-    x, z, steps, _ = _bind(a, b, solver, 0)
-    trial = z if x is None else x
+    b = _checked_rhs(a, b)  # before the weights divide by ||A||_F^2
     weights = sq_norms / a.frob_sq
     total = 0.0
-    for k in np.flatnonzero(weights):
+    for lines in _batches(a, solver, np.flatnonzero(weights).astype(np.int64)):
+        x, z, steps, _ = _bind(a, b, solver, [0] * len(lines))
+        trial = z if x is None else x
         trial[:] = start
-        line = np.array([k], dtype=np.int64)
-        steps(1, line, line)  # RK reads only the row, ROP only the column
-        diff = trial - target
-        total += weights[k] * float(diff @ diff)
+        steps(1, lines, lines)  # RK reads only the rows, ROP only the columns
+        for k, v in zip(lines.tolist(), trial):
+            diff = v - target
+            total += weights[k] * float(diff @ diff)
     return total
 
 
@@ -194,15 +212,13 @@ class Battery:
 
     @functools.cached_property
     def walks(self):
-        """One walk per seed for the selected checks: of REK, or of ROP for rop-rate alone."""
+        """The walks of the seeds for the selected checks: of REK, or of ROP for rop-rate alone."""
         names, ref = self.names, self.ref
         solver = REK if "rek-envelope" in names or "iteration-bound" in names else ROP
         x_marks = self.checkpoints(REK_T) if "rek-envelope" in names else ()
         z_marks = self.checkpoints(ROP_K) if "rop-rate" in names else ()
-        return [walk(self.a, self.b, solver,
-                     SolverConfig(eps=BOUND_EPS, max_iters=self.bound_cap, seed=s),
-                     ref.x_ls, x_marks, ref.b_perp, z_marks, "iteration-bound" in names)
-                for s in self.seeds]
+        return walk(self.a, self.b, solver, SolverConfig(eps=BOUND_EPS, max_iters=self.bound_cap),
+                    self.seeds, ref.x_ls, x_marks, ref.b_perp, z_marks, "iteration-bound" in names)
 
 
 def _envelope_check(name, label, checkpoints, envelope, runs):
@@ -246,7 +262,8 @@ def check_rk_envelope(bat):
     ks = bat.checkpoints(RK_K)
     return _envelope_check(
         "rk-envelope", "k", ks, lambda t: rate**t * x_ls_sq + floor,
-        [rk_checkpoint_errors(bat.a, bat.b, ref.x_ls, ks, s) for s in bat.seeds],
+        [w.x_errors for w in walk(bat.a, bat.b, RK, SolverConfig(), bat.seeds,
+                                  ref.x_ls, ks, None, (), False)],
     )
 
 

@@ -145,12 +145,12 @@ def test_check_sums_are_sequential_sums_over_the_numpy_products(lib, halves, mat
     b = rng.standard_normal(a.m)
     x = None if halves == "z only" else rng.standard_normal(a.n)
     z = None if halves == "x only" else rng.standard_normal(a.m)
-    run_x, run_z, _, sums = _bind(a, b, {"both": REK, "x only": RK, "z only": ROP}[halves], 0)
+    run_x, run_z, _, sums = _bind(a, b, {"both": REK, "x only": RK, "z only": ROP}[halves], [0])
     if x is not None:
-        run_x[:] = x
+        run_x[0] = x
     if z is not None:
-        run_z[:] = z
-    got = sums()
+        run_z[0] = z
+    (got,) = sums()
     want = [0.0] * 5
     if x is not None:
         resid = a.matvec(x) - (b if z is None else b - z)
@@ -162,11 +162,15 @@ def test_check_sums_are_sequential_sums_over_the_numpy_products(lib, halves, mat
 
 
 def _block_steps(lib, a, b, x, z, rows, cols, count):
+    """block_steps on a batch of one run: the entries it visited, or -1."""
     def addr(v):
         return None if v is None else v.ctypes.data
 
     run = _blocks.Run(a.m, a.n, *a._line_addrs[0], *a._line_addrs[1], addr(b), addr(x), addr(z))
-    return lib.block_steps(ctypes.byref(run), addr(rows), addr(cols), count)
+    listed, touched = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    status = lib.block_steps(ctypes.byref(run), addr(listed), 1, addr(rows), addr(cols), count,
+                             addr(touched))
+    return int(touched[0]) if status == 0 else status
 
 
 @pytest.mark.parametrize("halves", ["both", "x only", "z only"])

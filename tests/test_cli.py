@@ -425,6 +425,22 @@ def test_verify_refuses_empty_runs_before_the_oracle(capsys, monkeypatch, flags,
     assert not solved
 
 
+def test_successive_calls_in_one_process_parse_independently(tmp_path, capsys):
+    # the parser is built once per process; no call may leave a flag behind
+    argv = ["verify", "--kind", "dense", "--m", "20", "--n", "6", "--seed", "8", "--reps", "5"]
+    assert run_cli(argv + ["--checks", "flop-model"]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "PASS flop-model"]
+    assert run_cli(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 7
+    csv_path = tmp_path / "r.csv"
+    bench = ["bench", "--kind", "dense", "--m", "20", "--n", "5", "--csv", str(csv_path)]
+    assert run_cli(bench + ["--reps", "0"]) == 1
+    assert capsys.readouterr().err == "error: --reps must be >= 1, got 0\n"
+    assert run_cli(bench) == 0
+    assert len(read_csv(csv_path)) == 10  # the default --reps
+
+
 def test_verify_matrix_needs_its_rhs(capsys):
     assert run_cli(["verify", "--matrix", "A.mtx"]) == 1
     assert capsys.readouterr().err == "error: --rhs is required when --matrix is given\n"

@@ -86,7 +86,7 @@ def test_rop_step_matches_dense_projection(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(1)
     z = rng.standard_normal(7)
-    _, got, steps, _ = _bind(a, z, ROP, 0)
+    _, (got,), steps, _ = _bind(a, z, ROP, [0])
     for j in range(4):
         col = dense[:, j]
         want = z - (col @ z) / (col @ col) * col
@@ -101,7 +101,7 @@ def test_rk_step_matches_dense_projection(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(2)
     x = rng.standard_normal(4)
-    got, _, steps, _ = _bind(a, b, RK, 0)
+    (got,), _, steps, _ = _bind(a, b, RK, [0])
     for i in range(7):
         row = dense[i]
         want = x + (b[i] - row @ x) / (row @ row) * row
@@ -126,7 +126,7 @@ def test_rek_step_uses_pre_update_z(small_instance, kernels):
     # default: the row target uses z_i from before the column step
     x_want = x0 + (b[i] - z0[i] - row @ x0) / (row @ row) * row
 
-    x, z, steps, _ = _bind(a, b, REK, 0)
+    (x,), (z,), steps, _ = _bind(a, b, REK, [0])
     x[:], z[:] = x0, z0
     steps(1, _ids(i), _ids(j))
     np.testing.assert_allclose(z, z_want, atol=32 * EPS * np.linalg.norm(z0), rtol=0)
@@ -137,20 +137,20 @@ _CHECK_A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
 
 
 def _rek_check(a, b, x, z, eps):
-    run_x, run_z, _, sums = _bind(a, b, REK, 0)
-    run_x[:], run_z[:] = x, z
-    return rek_termination_check(a, sums, eps)
+    run_x, run_z, _, sums = _bind(a, b, REK, [0])
+    run_x[0], run_z[0] = x, z
+    return rek_termination_check(a, sums()[0], eps)
 
 
 def _rk_check(a, b, x, eps):
-    run_x, _, _, sums = _bind(a, b, RK, 0)
-    run_x[:] = x
-    return rk_termination_check(a, sums, eps)
+    run_x, _, _, sums = _bind(a, b, RK, [0])
+    run_x[0] = x
+    return rk_termination_check(a, sums()[0], eps)
 
 
 def _rop_check(a, z, eps):
     # a bound ROP run starts from z = b
-    return rop_termination_check(a, _bind(a, z, ROP, 0)[3], eps)
+    return rop_termination_check(a, _bind(a, z, ROP, [0])[3]()[0], eps)
 
 
 def test_termination_check_degenerate_rules():
@@ -199,18 +199,18 @@ def test_termination_checks_book_their_flops_in_every_branch(kernels):
 def test_bound_checks_follow_in_place_updates(kernels):
     # the runners bind the check sums once and keep updating x and z in place
     a, b, _ = generate(InstanceSpec(kind="sparse", m=40, n=12, density=0.3, seed=4))
-    rek_x, rek_z, _, rek_sums = _bind(a, b, REK, 0)
-    rk_x, _, _, rk_sums = _bind(a, b, RK, 0)
-    _, rop_z, _, rop_sums = _bind(a, b, ROP, 0)
+    (rek_x,), (rek_z,), _, rek_sums = _bind(a, b, REK, [0])
+    (rk_x,), _, _, rk_sums = _bind(a, b, RK, [0])
+    _, (rop_z,), _, rop_sums = _bind(a, b, ROP, [0])
     rng = np.random.default_rng(1)
     for _ in range(3):
         x = rek_x[:] = rk_x[:] = rng.standard_normal(a.n)
         z = rek_z[:] = rop_z[:] = rng.standard_normal(a.m)
         for eps in (1e-8, 10.0):
             # sums bound before the updates read what freshly bound ones do
-            assert rek_termination_check(a, rek_sums, eps) == _rek_check(a, b, x, z, eps)
-            assert rk_termination_check(a, rk_sums, eps) == _rk_check(a, b, x, eps)
-            assert rop_termination_check(a, rop_sums, eps) == _rop_check(a, z, eps)
+            assert rek_termination_check(a, rek_sums()[0], eps) == _rek_check(a, b, x, z, eps)
+            assert rk_termination_check(a, rk_sums()[0], eps) == _rk_check(a, b, x, eps)
+            assert rop_termination_check(a, rop_sums()[0], eps) == _rop_check(a, z, eps)
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
@@ -508,8 +508,8 @@ def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
     # 4 flops per stored entry visited, plus 2 per row step and 1 per ROP step
     row_entries = int(np.diff(a.row_ptr)[rows].sum())
     col_entries = int(np.diff(a.col_ptr)[cols].sum())
-    x_blk, z_blk, steps, _ = _bind(a, b, REK, 0)
-    assert steps(500, rows, cols) == 4 * row_entries + 4 * col_entries + 2 * 500
+    (x_blk,), (z_blk,), steps, _ = _bind(a, b, REK, [0])
+    assert steps(500, rows, cols).tolist() == [4 * row_entries + 4 * col_entries + 2 * 500]
     # the iterates of the same draws, one dense REK step at a time
     dense = a.to_dense()
     x, z = np.zeros(a.n), b.copy()
@@ -519,29 +519,57 @@ def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
         x += (target - dense[i] @ x) / a.row_sq_norms[i] * dense[i]
     np.testing.assert_allclose(x_blk, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
     np.testing.assert_allclose(z_blk, z, rtol=0, atol=1e-12 * np.linalg.norm(z))
-    assert _bind(a, b, RK, 0)[2](500, rows) == 4 * row_entries + 2 * 500
-    assert _bind(a, b, ROP, 0)[2](500, None, cols) == 4 * col_entries + 500
+    assert _bind(a, b, RK, [0])[2](500, rows).tolist() == [4 * row_entries + 2 * 500]
+    assert _bind(a, b, ROP, [0])[2](500, None, cols).tolist() == [4 * col_entries + 500]
 
 
 def test_block_steps_refuse_out_of_range_indices(compiled):
     a, b, _ = generate(BLOCK_SPECS["dense"])
-    x, z, steps, _ = _bind(a, b, REK, 0)
+    (x,), (z,), steps, _ = _bind(a, b, REK, [0])
     for rows, cols in (([0, a.m], [0, 0]), ([0, 0], [-1, 0])):
         with pytest.raises(IndexError):
             steps(2, _ids(*rows), _ids(*cols))
-    rk_x, _, rk_steps, _ = _bind(a, b, RK, 0)
+    (rk_x,), _, rk_steps, _ = _bind(a, b, RK, [0])
     for bad in (-1, a.m):
         with pytest.raises(IndexError):
             rk_steps(2, _ids(0, bad))
-    _, rop_z, rop_steps, _ = _bind(a, b, ROP, 0)
+    _, (rop_z,), rop_steps, _ = _bind(a, b, ROP, [0])
     for bad in (-1, a.n):
         with pytest.raises(IndexError):
             rop_steps(2, None, _ids(0, bad))
+    # the kernel reads count indices per listed run: fewer, or another type, are refused
+    for rows in (_ids(0), _ids(0, 1).astype(np.int32), np.zeros((2, 2), dtype=np.int64)[:, 0]):
+        with pytest.raises(ValueError, match="^given indices must be a C-contiguous int64 "
+                                             "array of 2$"):
+            steps(2, rows, _ids(0, 1))
+    # in a batch, a bad index of the last run listed refuses every run's block
+    batch_x, batch_z, batch_steps, _ = _bind(a, b, REK, [0, 1, 2])
+    with pytest.raises(IndexError):
+        batch_steps(2, _ids(0, 1, 2, 3), _ids(0, 1, 2, a.n), _ids(2, 0))
     # a refused block leaves the iterates untouched
-    for v in (x, rk_x):
+    for v in (x, rk_x, *batch_x):
         np.testing.assert_array_equal(v, np.zeros(a.n))
-    for v in (z, rop_z):
+    for v in (z, rop_z, *batch_z):
         np.testing.assert_array_equal(v, b)
+
+
+def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(kernels):
+    a, b, _ = generate(BLOCK_SPECS["sparse"])
+    rng = np.random.default_rng(25)
+    rows, cols = rng.integers(0, a.m, (2, 30)), rng.integers(0, a.n, (2, 30))
+    x, z, steps, sums = _bind(a, b, REK, [7, 8, 9])
+    # runs 2 and 0 step on the given indices, listed in that order; run 1 draws
+    flops = steps(30, rows.ravel(), cols.ravel(), _ids(2, 0)).tolist()
+    drawn = steps(10, runs=_ids(1)).tolist()
+    for k, r in enumerate((2, 0)):
+        (want_x,), (want_z,), want_steps, want_sums = _bind(a, b, REK, [7 + r])
+        assert flops[k] == want_steps(30, rows[k], cols[k])[0]
+        assert (x[r].tobytes(), z[r].tobytes()) == (want_x.tobytes(), want_z.tobytes())
+        assert sums(_ids(r)) == want_sums()
+    (want_x,), (want_z,), want_steps, want_sums = _bind(a, b, REK, [8])
+    assert drawn == want_steps(10).tolist()
+    assert (x[1].tobytes(), z[1].tobytes()) == (want_x.tobytes(), want_z.tobytes())
+    assert sums() == [sums(_ids(r))[0] for r in range(3)]
 
 
 @pytest.mark.parametrize("scale, b, error, message", [
@@ -557,7 +585,7 @@ def test_bind_refuses_bad_inputs_before_any_step_or_table_build(scale, b, error,
     a = DualSparseMatrix.from_dense(np.random.default_rng(7).standard_normal((6, 4)) * scale)
     for solver in (REK, RK, ROP):
         with pytest.raises(error, match=message):
-            _bind(a, b, solver, 0)
+            _bind(a, b, solver, [0])
     with pytest.raises(error, match=message):
         rk_one_step_expectation(a, b, np.ones(a.n), np.zeros(a.n))
     assert a._alias_tables == {}
@@ -709,10 +737,10 @@ def test_a_bound_run_keeps_the_vectors_it_reads_alive(solver, compiled):
     rep = solve(a, strided, SolverConfig(solver=solver, eps=1e-10, seed=1, max_iters=20000))
     got = (rep.iters, rep.flops, rep.check_flops, rep.termination, _digest(rep.x), _digest(rep.z))
     assert got == GOLDEN_RUNS["sparse", solver]
-    steps, sums = _bind(a, b.tolist(), solver, 1)[2:]
+    steps, sums = _bind(a, b.tolist(), solver, [1])[2:]
     reused = [np.full(size, np.nan) for size in (a.m, a.n) for _ in range(4)]
     steps(500)
-    want_steps, want_sums = _bind(a, b, solver, 1)[2:]
+    want_steps, want_sums = _bind(a, b, solver, [1])[2:]
     want_steps(500)
     assert sums() == want_sums()
     assert all(np.isnan(v).all() for v in reused)
@@ -733,7 +761,7 @@ def test_checkpoint_drivers_walk_the_runners_trajectory(solver, t):
 
 
 # ----------------------------------------------------------------------
-# trajectory binds the compiled calls once per run
+# trajectory binds the compiled calls once per batch
 
 
 def _ctypes_constructions(monkeypatch, run):
@@ -762,7 +790,7 @@ def test_trajectory_takes_no_addresses_per_block(solver, compiled, monkeypatch):
         stops = range(40, 40 * blocks + 1, 40)
         counts.append(_ctypes_constructions(
             monkeypatch,
-            lambda: list(trajectory(a, b, solver, SolverConfig(seed=4), stops, checks=False))))
+            lambda: list(trajectory(a, b, solver, SolverConfig(), [4], stops, checks=False))))
     assert counts[0] == counts[1]
 
 
@@ -771,7 +799,7 @@ def test_trajectory_takes_no_addresses_per_block(solver, compiled, monkeypatch):
 def test_trajectory_refuses_decreasing_stops(solver, checks, kernels):
     # the first check is due at 160, so the run stops at the mark 10 first
     a, b, _ = generate(BLOCK_SPECS["dense"])
-    run = trajectory(a, b, solver, SolverConfig(seed=0), [10, 5], checks)
+    run = trajectory(a, b, solver, SolverConfig(), [0], [10, 5], checks)
     iters, *_ = next(run)
     assert iters == 10
     with pytest.raises(ValueError, match="^marks must not decrease from 0, got 5 after 10$"):
@@ -790,18 +818,18 @@ def test_trajectory_steps_on_the_indices_sample_block_draws(spec, solver, kernel
     # some of its cells have zero weight
     a, b, _ = generate(spec)
     stops = [1, 8, 248, 248, 249]
-    got = [(iters, _digest(x), _digest(z), flops) for iters, x, z, flops, _ in trajectory(
-        a, b, solver, SolverConfig(seed=9), stops, checks=False)]
+    got = [(iters, _digest(x), _digest(z), flops.tolist()) for iters, x, z, flops, _ in trajectory(
+        a, b, solver, SolverConfig(), [9], stops, checks=False)]
     # the same run, stepped on indices drawn here instead of by the kernel
-    x, z, steps, _ = _bind(a, b, solver, 9)
+    x, z, steps, _ = _bind(a, b, solver, [9])
     row_rng, col_rng = RngStream.derived(9, ROW_STREAM_SALT), RngStream.derived(9, COL_STREAM_SALT)
     want, flops, iters = [], 0, 0
     for stop in dict.fromkeys(stops):
         rows = None if x is None else sample_block(row_sampler(a), row_rng, stop - iters)
         cols = None if z is None else sample_block(col_sampler(a), col_rng, stop - iters)
-        flops += steps(stop - iters, rows, cols)
+        flops += int(steps(stop - iters, rows, cols)[0])
         iters = stop
-        want.append((iters, _digest(x), _digest(z), flops))
+        want.append((iters, _digest(x), _digest(z), [flops]))
     assert got == want
 
 
@@ -811,7 +839,7 @@ def test_trajectory_refuses_an_alias_entry_out_of_range_before_any_step(kernels)
     a._alias_tables["row"] = AliasTable(good.size, good.prob,
                                         np.where(np.arange(a.m) == 3, a.m, good.alias))
     with pytest.raises(ValueError, match=r"^alias table entries must lie in \[0, 60\)$"):
-        next(trajectory(a, b, REK, SolverConfig(seed=0), [10], checks=False))
+        next(trajectory(a, b, REK, SolverConfig(), [0], [10], checks=False))
 
 
 def test_package_exports_resolve():

@@ -1,10 +1,12 @@
-"""The verify battery's runs: checkpoint drivers and the shared REK walk.
+"""The verify battery's runs: checkpoint drivers, batches and the shared REK walk.
 
-rek-envelope, rop-rate and iteration-bound read one seeded REK run per seed
-(verify.walk). These tests pin what that rests on: REK's z is ROP's z,
-the walk stops where run_rek stops, and each subset of the three checks
-prints what the full battery prints while running no more iterations than
-its checks would alone.
+rek-envelope, rop-rate and iteration-bound read one batch of seeded REK runs
+(verify.walk). These tests pin what that rests on: REK's z is ROP's z, the
+walk stops where run_rek stops, a batch reads each seed as that seed's own
+batch of one, bit for bit, and each subset of the three checks prints what
+the full battery prints while running no more iterations than its checks
+would alone. The batched one-step enumeration is held to the enumeration a
+line at a time.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from kaczmarz import cli, solvers, verify
+from kaczmarz import _blocks, cli, solvers, verify
 from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.reference import min_norm_solve
@@ -33,7 +35,9 @@ from kaczmarz.solvers import (
 from kaczmarz.verify import (
     rek_checkpoint_errors,
     rk_checkpoint_errors,
+    rk_one_step_expectation,
     rop_checkpoint_errors,
+    rop_one_step_expectation,
     walk,
 )
 
@@ -54,6 +58,8 @@ def _sparse_with_empty_lines():
 INSTANCES = {
     "dense": lambda: generate(InstanceSpec(kind="dense", m=60, n=20, seed=21))[:2],
     "sparse": _sparse_with_empty_lines,
+    "illcond": lambda: generate(InstanceSpec(kind="illcond", m=40, n=15, cond_target=100,
+                                             seed=7))[:2],
 }
 
 
@@ -78,7 +84,7 @@ def test_checkpoint_errors_come_in_the_callers_order(solver):
 
 def _z_at(a, b, solver, seed, stops):
     return {t: z.tobytes() for t, _, z, _, _ in trajectory(
-        a, b, solver, SolverConfig(seed=seed), stops, checks=False)}
+        a, b, solver, SolverConfig(), [seed], stops, checks=False)}
 
 
 @pytest.mark.parametrize("kind", sorted(INSTANCES))
@@ -112,13 +118,13 @@ def test_the_walk_reads_what_the_separate_runs_read(eps, cap):
     stops = []
     for seed in range(4):
         config = SolverConfig(eps=eps, max_iters=cap, seed=seed)
-        read = walk(a, b, REK, config, ref.x_ls, x_marks, ref.b_perp, z_marks, True)
+        (read,) = walk(a, b, REK, config, [seed], ref.x_ls, x_marks, ref.b_perp, z_marks, True)
         report = run_rek(a, b, config)
         assert (read.termination, read.iters) == (report.termination, report.iters)
         assert read.x_errors == rek_checkpoint_errors(a, b, ref.x_ls, x_marks, seed)
         assert read.z_errors == rop_checkpoint_errors(a, b, ref.b_perp, z_marks, seed)
-        unchecked = walk(a, b, REK, config, ref.x_ls, x_marks, ref.b_perp, z_marks, False)
-        assert unchecked == (read.x_errors, read.z_errors, None, None)
+        unchecked = walk(a, b, REK, config, [seed], ref.x_ls, x_marks, ref.b_perp, z_marks, False)
+        assert unchecked == [(read.x_errors, read.z_errors, None, None)]
         stops.append((report.termination, report.iters))
     last = x_marks[-1]
     if eps == 1e-2:  # every run stops before the last envelope checkpoint
@@ -129,11 +135,102 @@ def test_the_walk_reads_what_the_separate_runs_read(eps, cap):
         assert all(t == CONVERGED and it > last for t, it in stops)
 
 
+def _hexed(w):
+    """A Walk with its errors as float.hex strings, to compare bit for bit."""
+    return ([e.hex() for e in w.x_errors], [e.hex() for e in w.z_errors], w.termination, w.iters)
+
+
+@pytest.mark.parametrize("eps, cap", [(1e-6, None), (1e-2, None), (1e-12, 100)])
+@pytest.mark.parametrize("kind", sorted(INSTANCES))
+def test_a_batch_walks_each_seed_as_its_own_batch_of_one(kind, eps, cap, kernels):
+    # the runs of a batch stop together, each at its own checks or at the cap,
+    # and go on as far as the marks: none may move another's bits
+    a, b = INSTANCES[kind]()
+    ref = min_norm_solve(a, b)
+    x_marks, z_marks = _marks(ref)
+    config = SolverConfig(eps=eps, max_iters=cap or math.ceil(
+        theory_bounds(ref, eps=1e-6, delta=0.1).t_star))
+    # the battery's checked walks of REK (or ROP), and rk-envelope's of RK
+    for solver, marks, checks in ((REK, (x_marks, z_marks), True), (ROP, ((), z_marks), True),
+                                  (RK, (x_marks, ()), False)):
+        def read(seeds):
+            return walk(a, b, solver, config, seeds, ref.x_ls, marks[0], ref.b_perp, marks[1],
+                        checks)
+        batch = read(range(8))
+        assert [_hexed(w) for w in batch] == [_hexed(read([s])[0]) for s in range(8)]
+        stops = {(w.termination, w.iters) for w in batch}
+        if cap == 100 and checks:
+            assert stops == {(MAX_ITERS, 100)}
+        elif solver == REK:
+            assert len(stops) > 1 and {t for t, _ in stops} == {CONVERGED}
+
+
+def test_a_batch_over_the_byte_budget_walks_in_batches_as_its_seeds_alone(kernels):
+    # 100 REK runs of 20000 + 10 doubles each come to 16 MB: two batches
+    a, b, _ = generate(InstanceSpec(kind="sparse", m=20000, n=10, density=0.1, seed=3))
+    assert len(solvers._batches(a, REK, range(100))) == 2
+    config = SolverConfig(eps=1e-3, max_iters=60, check_interval=20)
+    x_ref, z_ref = np.zeros(a.n), np.zeros(a.m)
+
+    def read(seeds):
+        return walk(a, b, REK, config, seeds, x_ref, [5, 40], z_ref, [40, 80], True)
+    assert [_hexed(w) for w in read(range(100))] == [_hexed(read([s])[0]) for s in range(100)]
+
+
+def _one_step_reference(a, b, solver, start, target, sq_norms):
+    """The enumeration a line at a time: one bound run, set to `start` before each step."""
+    x, z, steps, _ = solvers._bind(a, b, solver, [0])
+    trial = (z if x is None else x)[0]
+    weights = sq_norms / a.frob_sq
+    total = 0.0
+    for k in np.flatnonzero(weights):
+        trial[:] = start
+        line = np.array([k], dtype=np.int64)
+        steps(1, line, line)  # RK reads only the row, ROP only the column
+        diff = trial - target
+        total += weights[k] * float(diff @ diff)
+    return total
+
+
+def _empty_lines_6x5():
+    # rows 0, 2 and 3 and columns 1, 2 and 4 hold no entry
+    dense = np.zeros((6, 5))
+    dense[[1, 4, 4, 5], [3, 0, 3, 3]] = [1.0, 2.0, 3.0, 4.0]
+    return DualSparseMatrix.from_dense(dense)
+
+
+ONE_STEP_MATRICES = {
+    "dense-100x30": lambda: generate(InstanceSpec(kind="dense", m=100, n=30, seed=3))[0],
+    "sparse-60x20": lambda: generate(InstanceSpec(kind="sparse", m=60, n=20, density=0.2,
+                                                  seed=5))[0],
+    "illcond-40x15": lambda: INSTANCES["illcond"]()[0],
+    "empty-lines-6x5": _empty_lines_6x5,
+}
+
+
+@pytest.mark.parametrize("budget", [None, 2000], ids=["one-batch", "batches-of-a-few"])
+@pytest.mark.parametrize("name", sorted(ONE_STEP_MATRICES))
+def test_the_batched_enumeration_sums_what_one_line_at_a_time_sums(name, budget, kernels,
+                                                                   monkeypatch):
+    if budget:
+        monkeypatch.setattr(solvers, "BATCH_BYTES", budget)
+    a = ONE_STEP_MATRICES[name]()
+    rng = np.random.default_rng(12)
+    b, x, x_target = rng.standard_normal(a.m), rng.standard_normal(a.n), rng.standard_normal(a.n)
+    z, z_target = rng.standard_normal(a.m), rng.standard_normal(a.m)
+    got = rk_one_step_expectation(a, b, x, x_target)
+    assert float(got).hex() == float(
+        _one_step_reference(a, b, RK, x, x_target, a.row_sq_norms)).hex()
+    got = rop_one_step_expectation(a, z, z_target)
+    assert float(got).hex() == float(
+        _one_step_reference(a, z, ROP, z, z_target, a.col_sq_norms)).hex()
+
+
 def test_trajectory_stops_once_at_each_count():
     a, b, _ = generate(SMALL)
     config = SolverConfig(eps=1e-2, max_iters=1000, check_interval=50, seed=1)
-    seen = [(t, checked is not None) for t, _, _, _, checked in trajectory(
-        a, b, REK, config, [0, 50, 50, 75, 180, 180, 400])]
+    seen = [(t, checked is not None) for t, _, _, _, (checked,) in trajectory(
+        a, b, REK, config, [config.seed], [0, 50, 50, 75, 180, 180, 400])]
     # checks at 50, 100, ... until the first outcome; then only the marks ahead
     stop = run_rek(a, b, config).iters
     assert stop < 180
@@ -154,11 +251,15 @@ def _verify_counting(monkeypatch, names):
     """(lines, iterations per solver, runs per solver, checks) of one verify run."""
     runs, checks = [], []
 
-    def recording(a, b, solver, *rest):
-        run = [solver, 0]
-        runs.append(run)
-        for item in trajectory(a, b, solver, *rest):
-            run[1] = item[0]
+    def recording(a, b, solver, config, seeds, *rest):
+        # a run's last iteration is the last stop at which its flops grew
+        ends = [0] * len(seeds)
+        runs.extend([solver, ends, r] for r in range(len(seeds)))
+        last = [0] * len(seeds)
+        for item in trajectory(a, b, solver, config, seeds, *rest):
+            for r, flops in enumerate(item[3].tolist()):
+                if flops != last[r]:
+                    ends[r], last[r] = item[0], flops
             yield item
 
     def counting(*args):
@@ -173,9 +274,24 @@ def _verify_counting(monkeypatch, names):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(ARGV + ["--checks", ",".join(names)]) == 0
-    iters = {s: sum(it for solver, it in runs if solver == s) for s in (REK, ROP)}
-    ends = {s: [it for solver, it in runs if solver == s] for s in (REK, ROP)}
+    iters = {s: sum(ends[r] for solver, ends, r in runs if solver == s) for s in (REK, ROP)}
+    ends = {s: [ends[r] for solver, ends, r in runs if solver == s] for s in (REK, ROP)}
     return out.getvalue().splitlines(), iters, ends, len(checks)
+
+
+def test_the_readme_battery_moves_its_100_seeds_in_fewer_than_100_kernel_calls(monkeypatch):
+    # one block_steps call moves every seed of a check to its next stop: the
+    # shared walk, rk-envelope, the two enumerations and the two solves
+    lib = _blocks.load()
+    if lib is None:
+        pytest.skip("no C compiler: only the numpy fallback runs here")
+    calls = []
+    block_steps = lib.block_steps
+    monkeypatch.setattr(lib, "block_steps", lambda *args: calls.append(args) or block_steps(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--kind", "dense", "--m", "100", "--n", "30", "--seed", "3",
+                         "--reps", "100"]) == 0
+    assert 0 < len(calls) < 100
 
 
 def test_each_subset_prints_the_full_batterys_lines_and_runs_no_more(monkeypatch):
