@@ -25,12 +25,10 @@
  * Only the dot products can round differently from the numpy loop, whose
  * dots go through BLAS: here they sum left to right over the stored entries,
  * and the file is compiled with -ffp-contract=off, so the iterates do not
- * depend on which BLAS kernel the host would pick. Every given index of a
- * half that runs is checked before any vector is touched: block_steps gives
- * each run the number of stored entries its steps visited, or returns -1,
- * with every x and z unchanged, when an index lies outside its range. Drawn
- * indices are in range when every alias entry is, which sampling checks once
- * per table.
+ * depend on which BLAS kernel the host would pick. block_steps gives each
+ * run the number of stored entries its steps visited. It trusts its caller:
+ * kaczmarz.solvers range-checks given indices before the call, and drawn
+ * ones are in range when every alias entry is, which sampling checks.
  *
  * check_sums forms, for each run of a batch, each entry of A x and A^T z in
  * the order the numpy products do (each row's entries left to right, each
@@ -167,14 +165,6 @@ static double axpy_dot(const int64_t *idx, const double *vals, int64_t size,
     return line_dot(idx, vals, lo, hi, size, v);
 }
 
-static int in_range(const int64_t *ids, int64_t count, int64_t size)
-{
-    for (int64_t k = 0; ids != NULL && k < count; k++)
-        if (ids[k] < 0 || ids[k] >= size)
-            return 0;
-    return 1;
-}
-
 static double sum_sq(const double *v, int64_t size)
 {
     double s = 0.0;
@@ -245,23 +235,13 @@ static const int64_t *run_ids(const int64_t *ids, int64_t r, int64_t count)
 
 /* count steps of each run runs[listed[r]], r < nlisted, one run after the
  * other (run_steps), with its stored entries visited in touched[r]. Given
- * rows or cols hold count indices per listed run (run_ids). Every given index
- * of a half that runs is checked before any run steps: returns 0, or -1, with
- * every run unchanged, when one lies outside its range. */
-int64_t block_steps(struct run *runs, const int64_t *listed, int64_t nlisted,
-                    const int64_t *rows, const int64_t *cols, int64_t count,
-                    int64_t *touched)
+ * rows or cols hold count indices per listed run (run_ids), each in range. */
+void block_steps(struct run *runs, const int64_t *listed, int64_t nlisted,
+                 const int64_t *rows, const int64_t *cols, int64_t count, int64_t *touched)
 {
-    for (int64_t r = 0; r < nlisted; r++) {
-        const struct run *run = &runs[listed[r]];
-        if ((run->x != NULL && !in_range(run_ids(rows, r, count), count, run->m))
-            || (run->z != NULL && !in_range(run_ids(cols, r, count), count, run->n)))
-            return -1;
-    }
     for (int64_t r = 0; r < nlisted; r++)
         touched[r] = run_steps(&runs[listed[r]], run_ids(rows, r, count),
                                run_ids(cols, r, count), count);
-    return 0;
 }
 
 /* The sums of squares of the termination checks, each left to right, into

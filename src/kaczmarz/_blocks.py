@@ -45,7 +45,7 @@ _PTR = ctypes.c_void_p
 # (result type, argument types) of the C functions; pointers are passed as
 # raw addresses.
 _SIGNATURES = {
-    "block_steps": (_I64, (_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR)),
+    "block_steps": (None, (_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR)),
     "check_sums": (None, (_PTR, _PTR, _I64, _PTR)),
     "csc_scatter": (None, (_I64,) + (_PTR,) * 8),
     "format_lines": (_I64, (_PTR,) * 3 + (_I64,) * 3 + (_PTR,)),

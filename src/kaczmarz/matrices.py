@@ -59,7 +59,6 @@ class DualSparseMatrix:
         "row_sq_norms",
         "col_sq_norms",
         "frob_sq",
-        "_line_addrs",
         "_alias_tables",
     )
 
@@ -95,17 +94,9 @@ class DualSparseMatrix:
             self.frob_sq = float(vals @ vals)
         # Filled on first use by sampling.row_sampler / col_sampler.
         self._alias_tables = {}
-
-        # Addresses of the frozen row and column arrays, in the order the
-        # compiled block kernels take them; valid while this matrix lives.
-        row_arrays = (self.row_ptr, self.row_cols, self.row_vals, self.row_sq_norms)
-        col_arrays = (self.col_ptr, self.col_rows, self.col_vals, self.col_sq_norms)
-        for arr in row_arrays + col_arrays:
+        for arr in (self.row_ptr, self.row_cols, self.row_vals, self.row_sq_norms,
+                    self.col_ptr, self.col_rows, self.col_vals, self.col_sq_norms):
             arr.setflags(write=False)
-        self._line_addrs = (
-            tuple(arr.ctypes.data for arr in row_arrays),
-            tuple(arr.ctypes.data for arr in col_arrays),
-        )
 
     # ------------------------------------------------------------------
     # construction

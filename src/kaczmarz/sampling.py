@@ -18,15 +18,16 @@ restate as a scalar reference. The solvers' compiled block kernel in
 _blocks.c draws by the same arithmetic itself, inside its step loop; where
 that cannot be built, the solvers' indices come from sample_block.
 
-A table is checked on its first use, by sample_block or by a compiled run,
-and the addresses of its prob and alias arrays are kept on it. The check
-covers every alias entry, as neither path range-checks its draws.
+A table is checked on every use: by each sample_block call, and when a
+compiled batch is bound, which takes the addresses of its prob and alias
+arrays then. The check covers every alias entry, as neither path
+range-checks its draws.
 """
 
 from __future__ import annotations
 
 import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,8 +96,6 @@ class AliasTable:
     size: int
     prob: np.ndarray  # acceptance probability of each cell
     alias: np.ndarray  # fallback index of each cell
-    # (prob address, alias address), set when the table is first checked
-    _addrs: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 def build_alias_table(weights):
@@ -160,22 +159,19 @@ def build_alias_table(weights):
 def _table_addrs(table):
     """(prob, alias) addresses of a table whose `size` cells may be drawn from.
 
-    Checks the table on its first call and refuses it (ValueError) unless
-    both arrays are C-contiguous of its size and every alias entry lies in
+    Checks the table on every call and refuses it (ValueError) unless both
+    arrays are C-contiguous of its size and every alias entry lies in
     [0, size).
     """
-    if table._addrs is None:
-        size = table.size
-        for arr, dtype in ((table.prob, np.float64), (table.alias, np.int64)):
-            if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
-                    and arr.shape == (size,) and arr.flags.c_contiguous and size >= 1):
-                raise ValueError("alias table needs C-contiguous %s arrays of its size %r"
-                                 % (np.dtype(dtype).name, size))
-        if not (0 <= table.alias.min() and table.alias.max() < size):
-            raise ValueError("alias table entries must lie in [0, %d)" % size)
-        # a frozen table keeps its arrays, and an array keeps its address
-        object.__setattr__(table, "_addrs", (table.prob.ctypes.data, table.alias.ctypes.data))
-    return table._addrs
+    size = table.size
+    for arr, dtype in ((table.prob, np.float64), (table.alias, np.int64)):
+        if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+                and arr.shape == (size,) and arr.flags.c_contiguous and size >= 1):
+            raise ValueError("alias table needs C-contiguous %s arrays of its size %r"
+                             % (np.dtype(dtype).name, size))
+    if not (0 <= table.alias.min() and table.alias.max() < size):
+        raise ValueError("alias table entries must lie in [0, %d)" % size)
+    return table.prob.ctypes.data, table.alias.ctypes.data
 
 
 def sample_block(table, rng, count):

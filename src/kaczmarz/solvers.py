@@ -38,13 +38,14 @@ by rounding (about 1e-14 relative) and do not depend on the BLAS kernel the
 host picks, nor on the other runs of the batch.
 
 A batch is bound once, not once per block or check: when trajectory starts,
-_bind checks A and b, allocates the runs' x and z as the rows of one array
-each, and fills one array of C structs, a struct per run, with their
-addresses, the matrix's line arrays and each half's stream and alias table;
-the compiled block_steps and check_sums both take that array and the runs
-to move (or, where the kernels are unavailable, it closes the numpy loop
-and the numpy sums over the rows). Long lists of seeds are bound in
-consecutive batches whose vectors stay within BATCH_BYTES.
+_bind checks A and b and allocates the runs' x and z as the rows of one
+array each. Its steps and sums are one front for both paths: they list the
+runs to move, check any given indices and book the flops, and call
+block_steps and check_sums, the compiled kernels on one array of C structs
+(a struct per run, with its x and z, the matrix's line arrays and each
+half's stream and alias table, whose addresses are taken at binding) or
+their numpy twins. Long lists of seeds are bound in consecutive batches
+whose vectors stay within BATCH_BYTES.
 
 The termination checks take their norms from the compiled check_sums, one
 call for every run checked at a stop: the products A x and A^T z come out
@@ -158,10 +159,10 @@ class SolveReport:
 #
 # A bound batch of runs steps each listed run's x and z in place and returns
 # the flops booked per run: 4 per stored entry its steps visited, counted by
-# the kernel (or from the index arrays by the numpy loop), plus the scalar
-# flops of each step. One compiled call steps every listed run, one after
-# the other, each on its own struct run; the numpy loop takes them in turn.
-# Drawn indices come from the norm-weighted samplers, which never pick a
+# block_steps (the kernel, or its numpy twin from the index arrays), plus
+# the scalar flops of each step. Both take the listed runs one after the
+# other. Given indices are range-checked by the front, before either runs;
+# drawn ones come from the norm-weighted samplers, which never pick a
 # zero-norm line, so neither path checks a step's divisor.
 
 # The most bytes of vectors and run structs one batch holds: a longer list of
@@ -216,106 +217,30 @@ def _bind(a, b, solver, seeds):
     `runs` (every run when None), in place, on row and column indices drawn
     from the two streams derived from its seed, as sample_block draws them,
     and returns the flops booked per listed run (an int64 array). Given
-    int64 index arrays rows and cols hold `count` indices per listed run, in
-    the order listed, which the runs step on instead (rows unread for ROP,
-    cols for RK), leaving their streams where they are; the compiled kernel
-    refuses an index out of range with IndexError before any step. sums(runs)
-    gives, per listed run, the sums of squares of A x - (b - z), A^T z, x, z
-    and b, in that order, for the current contents of its x and z. RK's first
-    sum is of A x - b and it leaves out A^T z and z; ROP leaves out
-    A x - (b - z), x and b. Left-out sums are 0.0.
+    index arrays rows and cols hold `count` indices per listed run, in the
+    order listed, which the runs step on instead (rows unread for ROP, cols
+    for RK), leaving their streams where they are. A given array of a half
+    that runs must be a C-contiguous int64 array of that length (else
+    ValueError) with every index in range (else IndexError), checked before
+    any run steps. sums(runs) gives, per listed run, the sums of squares of
+    A x - (b - z), A^T z, x, z and b, in that order, for the current contents
+    of its x and z. RK's first sum is of A x - b and it leaves out A^T z and
+    z; ROP leaves out A x - (b - z), x and b. Left-out sums are 0.0.
     """
     b = _checked_rhs(a, b)
     if len(seeds) and not (0 <= min(seeds) and max(seeds) < 2**64):
         raise InvalidRangeError("seed must fit in 64 bits")
-    count_runs = len(seeds)
-    every = np.arange(count_runs, dtype=np.int64)
+    every = np.arange(len(seeds), dtype=np.int64)
     has_x, has_z = solver != ROP, solver != RK
-    x = np.zeros((count_runs, a.n)) if has_x else None
-    z = np.tile(b, (count_runs, 1)) if has_z else None
+    x = np.zeros((len(seeds), a.n)) if has_x else None
+    z = np.tile(b, (len(seeds), 1)) if has_z else None
     scalar_flops = 2 if has_x else 1
-    row_table = row_sampler(a) if has_x else None
-    col_table = col_sampler(a) if has_z else None
+    tables = row_sampler(a) if has_x else None, col_sampler(a) if has_z else None
+    listed = np.empty(len(seeds), dtype=np.int64)  # the runs a call steps or sums
     lib = _blocks.load()
-    if lib is None:
-        row_ptr, row_cols, row_vals, row_sq = a.row_ptr, a.row_cols, a.row_vals, a.row_sq_norms
-        col_ptr, col_rows, col_vals, col_sq = a.col_ptr, a.col_rows, a.col_vals, a.col_sq_norms
-        row_rngs = [RngStream.derived(s, ROW_STREAM_SALT) for s in seeds]
-        col_rngs = [RngStream.derived(s, COL_STREAM_SALT) for s in seeds]
-
-        def run_steps(r, count, rows, cols):
-            run_x = x[r] if has_x else None
-            run_z = z[r] if has_z else None
-            if has_x and rows is None:
-                rows = sample_block(row_table, row_rngs[r], count)
-            if has_z and cols is None:
-                cols = sample_block(col_table, col_rngs[r], count)
-            # the compiled kernel's loop: the row target with z_i from before
-            # the column step, then the column step, then the row step
-            row_ids = rows.tolist() if has_x else itertools.repeat(None)
-            col_ids = cols.tolist() if has_z else itertools.repeat(None)
-            for i, j in zip(row_ids, col_ids):
-                if has_x:
-                    target = b[i] - run_z[i] if has_z else b[i]
-                if has_z:
-                    lo, hi = col_ptr[j], col_ptr[j + 1]
-                    line, vals = col_rows[lo:hi], col_vals[lo:hi]
-                    scale = float(vals @ run_z[line]) / col_sq[j]
-                    run_z[line] += -scale * vals
-                if has_x:
-                    lo, hi = row_ptr[i], row_ptr[i + 1]
-                    line, vals = row_cols[lo:hi], row_vals[lo:hi]
-                    run_x[line] += (target - float(vals @ run_x[line])) / row_sq[i] * vals
-            touched = ((_line_nnz(a.row_ptr, rows) if has_x else 0)
-                       + (_line_nnz(a.col_ptr, cols) if has_z else 0))
-            return 4 * touched + scalar_flops * count
-
-        def steps(count, rows=None, cols=None, runs=None):
-            listed = (every if runs is None else runs).tolist()
-            return np.array([run_steps(
-                r, count, None if rows is None else rows[k * count:(k + 1) * count],
-                None if cols is None else cols[k * count:(k + 1) * count])
-                for k, r in enumerate(listed)], dtype=np.int64)
-
-        def run_sums(r):
-            # v.dot(v) is the sum np.linalg.norm takes the root of
-            resid_sq = atz_sq = x_sq = z_sq = b_sq = 0.0
-            if has_x:
-                run_x = x[r]
-                resid = a.matvec(run_x) - (b if z is None else b - z[r])
-                resid_sq, x_sq, b_sq = (float(resid.dot(resid)), float(run_x.dot(run_x)),
-                                        float(b.dot(b)))
-            if has_z:
-                run_z = z[r]
-                atz = a.rmatvec(run_z)
-                atz_sq, z_sq = float(atz.dot(atz)), float(run_z.dot(run_z))
-            return resid_sq, atz_sq, x_sq, z_sq, b_sq
-
-        def sums(runs=None):
-            return [run_sums(r) for r in (every if runs is None else runs).tolist()]
-        return x, z, steps, sums
-
-    # one struct run per seed, filled a field at a time for the whole batch
-    batch = np.zeros(count_runs, dtype=_RUN)
-    batch["m"], batch["n"] = a.m, a.n
-    for name, addr in zip(("row_ptr", "row_cols", "row_vals", "row_sq",
-                           "col_ptr", "col_rows", "col_vals", "col_sq"),
-                          a._line_addrs[0] + a._line_addrs[1]):
-        batch[name] = addr
-    for has, name, v, draws, salt, table in (
-            (has_x, "x", x, "row_draws", ROW_STREAM_SALT, row_table),
-            (has_z, "z", z, "col_draws", COL_STREAM_SALT, col_table)):
-        if has:
-            batch[name] = v.ctypes.data + v.strides[0] * np.arange(count_runs, dtype=np.uint64)
-            batch[draws]["seed"] = derived_seeds(seeds, salt)
-            batch[draws]["prob"], batch[draws]["alias"] = _table_addrs(table)
-    if has_x:
-        batch["b"] = b.ctypes.data
-    listed = np.empty(count_runs, dtype=np.int64)  # the runs a call steps or sums
-    touched = np.empty(count_runs, dtype=np.int64)
-    out = np.empty((count_runs, 5))
-    addrs = batch.ctypes.data, listed.ctypes.data
-    touched_addr, out_addr = touched.ctypes.data, out.ctypes.data
+    # block_steps(k, rows, cols, count) and check_sums(k) take the first k runs in listed
+    block_steps, check_sums = (_numpy_batch(a, b, x, z, seeds, tables, listed) if lib is None
+                               else _compiled_batch(lib, a, b, x, z, seeds, tables, listed))
 
     def list_runs(runs):
         if runs is None:
@@ -325,25 +250,104 @@ def _bind(a, b, solver, seeds):
 
     def steps(count, rows=None, cols=None, runs=None):
         k = list_runs(runs)
-        for given in (rows, cols):
+        rows, cols = rows if has_x else None, cols if has_z else None
+        for given, size in ((rows, a.m), (cols, a.n)):
             # the kernel reads count indices per listed run through a raw pointer
             if given is not None and not (given.dtype == np.int64 and given.flags.c_contiguous
                                           and given.size == k * count):
                 raise ValueError("given indices must be a C-contiguous int64 array of %d"
                                  % (k * count))
-        if lib.block_steps(*addrs, k, None if rows is None else rows.ctypes.data,
-                           None if cols is None else cols.ctypes.data, count, touched_addr) < 0:
-            raise IndexError("sampled row or column index out of range")
-        return 4 * touched[:k] + scalar_flops * count
+            if given is not None and given.size and not (0 <= given.min() and given.max() < size):
+                raise IndexError("sampled row or column index out of range")
+        return 4 * block_steps(k, rows, cols, count) + scalar_flops * count
 
     def sums(runs=None):
-        k = list_runs(runs)
-        lib.check_sums(*addrs, k, out_addr)
-        return list(map(tuple, out[:k].tolist()))
-    # the structs hold raw addresses only: steps and sums keep what they
-    # point into (the matrix's lines and alias tables, b, x and z) alive
-    steps.owners = sums.owners = (a, b, x, z, batch)
+        return list(map(tuple, check_sums(list_runs(runs)).tolist()))
     return x, z, steps, sums
+
+
+def _compiled_batch(lib, a, b, x, z, seeds, tables, listed):
+    """The kernels' block_steps and check_sums on one array of struct runs, one per seed."""
+    batch = np.zeros(len(seeds), dtype=_RUN)
+    batch["m"], batch["n"] = a.m, a.n
+    for name, arr in zip(("row_ptr", "row_cols", "row_vals", "row_sq",
+                          "col_ptr", "col_rows", "col_vals", "col_sq"),
+                         (a.row_ptr, a.row_cols, a.row_vals, a.row_sq_norms,
+                          a.col_ptr, a.col_rows, a.col_vals, a.col_sq_norms)):
+        batch[name] = arr.ctypes.data
+    for name, v, draws, salt, table in (("x", x, "row_draws", ROW_STREAM_SALT, tables[0]),
+                                        ("z", z, "col_draws", COL_STREAM_SALT, tables[1])):
+        if v is not None:
+            batch[name] = v.ctypes.data + v.strides[0] * np.arange(len(seeds), dtype=np.uint64)
+            batch[draws]["seed"] = derived_seeds(seeds, salt)
+            batch[draws]["prob"], batch[draws]["alias"] = _table_addrs(table)
+    if x is not None:
+        batch["b"] = b.ctypes.data
+    touched, out = np.empty(len(seeds), dtype=np.int64), np.empty((len(seeds), 5))
+    addrs = batch.ctypes.data, listed.ctypes.data
+    touched_addr, out_addr = touched.ctypes.data, out.ctypes.data
+
+    def block_steps(k, rows, cols, count):
+        lib.block_steps(*addrs, k, None if rows is None else rows.ctypes.data,
+                        None if cols is None else cols.ctypes.data, count, touched_addr)
+        return touched[:k]
+
+    def check_sums(k):
+        lib.check_sums(*addrs, k, out_addr)
+        return out[:k]
+    # the structs hold raw addresses only: the calls keep what they point
+    # into (the matrix's lines and alias tables, b, x and z) alive
+    block_steps.owners = check_sums.owners = (a, b, x, z, batch)
+    return block_steps, check_sums
+
+
+def _numpy_batch(a, b, x, z, seeds, tables, listed):
+    """Numpy twins of the kernels' block_steps and check_sums, a run and a step at a time."""
+    row_rngs = [RngStream.derived(s, ROW_STREAM_SALT) for s in seeds]
+    col_rngs = [RngStream.derived(s, COL_STREAM_SALT) for s in seeds]
+
+    def run_steps(r, rows, cols, count):
+        run_x = None if x is None else x[r]
+        run_z = None if z is None else z[r]
+        if run_x is not None and rows is None:
+            rows = sample_block(tables[0], row_rngs[r], count)
+        if run_z is not None and cols is None:
+            cols = sample_block(tables[1], col_rngs[r], count)
+        # the compiled kernel's loop: the row target with z_i from before
+        # the column step, then the column step, then the row step
+        for i, j in zip(itertools.repeat(None) if run_x is None else rows.tolist(),
+                        itertools.repeat(None) if run_z is None else cols.tolist()):
+            if run_x is not None:
+                target = b[i] if run_z is None else b[i] - run_z[i]
+            if run_z is not None:
+                lo, hi = a.col_ptr[j], a.col_ptr[j + 1]
+                line, vals = a.col_rows[lo:hi], a.col_vals[lo:hi]
+                scale = float(vals @ run_z[line]) / a.col_sq_norms[j]
+                run_z[line] += -scale * vals
+            if run_x is not None:
+                lo, hi = a.row_ptr[i], a.row_ptr[i + 1]
+                line, vals = a.row_cols[lo:hi], a.row_vals[lo:hi]
+                run_x[line] += (target - float(vals @ run_x[line])) / a.row_sq_norms[i] * vals
+        return ((0 if run_x is None else _line_nnz(a.row_ptr, rows))
+                + (0 if run_z is None else _line_nnz(a.col_ptr, cols)))
+
+    def block_steps(k, rows, cols, count):
+        return np.array([run_steps(r, None if rows is None else rows[n * count:(n + 1) * count],
+                                   None if cols is None else cols[n * count:(n + 1) * count], count)
+                         for n, r in enumerate(listed[:k].tolist())], dtype=np.int64)
+
+    def check_sums(k):
+        # v.dot(v) is the sum np.linalg.norm takes the root of
+        out = np.zeros((k, 5))
+        for n, r in enumerate(listed[:k].tolist()):
+            if x is not None:
+                resid = a.matvec(x[r]) - (b if z is None else b - z[r])
+                out[n, [0, 2, 4]] = resid.dot(resid), x[r].dot(x[r]), b.dot(b)
+            if z is not None:
+                atz = a.rmatvec(z[r])
+                out[n, [1, 3]] = atz.dot(atz), z[r].dot(z[r])
+        return out
+    return block_steps, check_sums
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +365,8 @@ def _bind(a, b, solver, seeds):
 
 
 def _overflowed(*norms):
-    return not all(math.isfinite(v) for v in norms)
+    # a norm is nan, inf or below 1.4e154: a sum of three is finite when each is
+    return not math.isfinite(sum(norms))
 
 
 def rop_termination_check(a, sums, eps):
@@ -433,8 +438,9 @@ def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
     starts from x = 0 and z = b. Its rows and columns come from two streams
     derived from its seed, so its iterate after t steps depends on the seed
     and t only, not on where it stops. config gives eps, the cap and the
-    check interval; its seed is not read. x and z are updated in place
-    between yields, and flops holds each run's running total.
+    check interval; its seed and solver are not read (the solver is
+    `solver`). x and z are updated in place between yields, and flops holds
+    each run's running total.
 
     Every run stops at each count in `marks`, which must not decrease and may
     be lazy. With checks, a run also stops for the solver's termination check

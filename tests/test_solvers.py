@@ -523,52 +523,72 @@ def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
     assert _bind(a, b, ROP, [0])[2](500, None, cols).tolist() == [4 * col_entries + 500]
 
 
-def test_block_steps_refuse_out_of_range_indices(compiled):
+def test_block_steps_refuse_out_of_range_indices(kernels):
+    # one front for both paths: given indices a kernel would read out of
+    # bounds are refused before any run steps, by type and by message
     a, b, _ = generate(BLOCK_SPECS["dense"])
+    out_of_range = "^sampled row or column index out of range$"
+    malformed = "^given indices must be a C-contiguous int64 array of 2$"
     (x,), (z,), steps, _ = _bind(a, b, REK, [0])
-    for rows, cols in (([0, a.m], [0, 0]), ([0, 0], [-1, 0])):
-        with pytest.raises(IndexError):
+    for rows, cols in (([0, a.m], [0, 0]), ([-1, 0], [0, 0]), ([0, 0], [-1, 0]),
+                       ([0, 0], [0, a.n])):
+        with pytest.raises(IndexError, match=out_of_range):
             steps(2, _ids(*rows), _ids(*cols))
     (rk_x,), _, rk_steps, _ = _bind(a, b, RK, [0])
     for bad in (-1, a.m):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=out_of_range):
             rk_steps(2, _ids(0, bad))
     _, (rop_z,), rop_steps, _ = _bind(a, b, ROP, [0])
     for bad in (-1, a.n):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=out_of_range):
             rop_steps(2, None, _ids(0, bad))
-    # the kernel reads count indices per listed run: fewer, or another type, are refused
-    for rows in (_ids(0), _ids(0, 1).astype(np.int32), np.zeros((2, 2), dtype=np.int64)[:, 0]):
-        with pytest.raises(ValueError, match="^given indices must be a C-contiguous int64 "
-                                             "array of 2$"):
-            steps(2, rows, _ids(0, 1))
+    # count indices per listed run, int64 and contiguous: fewer, another
+    # type or a strided view are refused, in either half
+    for given in (_ids(0), _ids(0, 1).astype(np.int32), np.zeros((2, 2), dtype=np.int64)[:, 0]):
+        with pytest.raises(ValueError, match=malformed):
+            steps(2, given, _ids(0, 1))
+        with pytest.raises(ValueError, match=malformed):
+            steps(2, _ids(0, 1), given)
     # in a batch, a bad index of the last run listed refuses every run's block
     batch_x, batch_z, batch_steps, _ = _bind(a, b, REK, [0, 1, 2])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=out_of_range):
         batch_steps(2, _ids(0, 1, 2, 3), _ids(0, 1, 2, a.n), _ids(2, 0))
     # a refused block leaves the iterates untouched
     for v in (x, rk_x, *batch_x):
         np.testing.assert_array_equal(v, np.zeros(a.n))
     for v in (z, rop_z, *batch_z):
         np.testing.assert_array_equal(v, b)
+    # a half left out ignores its index array, out of range or malformed
+    for bad in (_ids(-1, a.m + a.n), _ids(0).astype(np.int32)):
+        for solver, rows, cols in ((RK, _ids(0, 1), bad), (ROP, bad, _ids(0, 1))):
+            got_x, got_z, got_steps, _ = _bind(a, b, solver, [0])
+            want_x, want_z, want_steps, _ = _bind(a, b, solver, [0])
+            want = want_steps(2, _ids(0, 1), _ids(0, 1)).tolist()
+            assert got_steps(2, rows, cols).tolist() == want
+            assert _run_bytes(got_x, got_z, 0) == _run_bytes(want_x, want_z, 0)
 
 
-def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(kernels):
+def _run_bytes(x, z, r):
+    return tuple(None if v is None else v[r].tobytes() for v in (x, z))
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(solver, kernels):
     a, b, _ = generate(BLOCK_SPECS["sparse"])
     rng = np.random.default_rng(25)
     rows, cols = rng.integers(0, a.m, (2, 30)), rng.integers(0, a.n, (2, 30))
-    x, z, steps, sums = _bind(a, b, REK, [7, 8, 9])
+    x, z, steps, sums = _bind(a, b, solver, [7, 8, 9])
     # runs 2 and 0 step on the given indices, listed in that order; run 1 draws
     flops = steps(30, rows.ravel(), cols.ravel(), _ids(2, 0)).tolist()
     drawn = steps(10, runs=_ids(1)).tolist()
     for k, r in enumerate((2, 0)):
-        (want_x,), (want_z,), want_steps, want_sums = _bind(a, b, REK, [7 + r])
+        want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [7 + r])
         assert flops[k] == want_steps(30, rows[k], cols[k])[0]
-        assert (x[r].tobytes(), z[r].tobytes()) == (want_x.tobytes(), want_z.tobytes())
+        assert _run_bytes(x, z, r) == _run_bytes(want_x, want_z, 0)
         assert sums(_ids(r)) == want_sums()
-    (want_x,), (want_z,), want_steps, want_sums = _bind(a, b, REK, [8])
+    want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [8])
     assert drawn == want_steps(10).tolist()
-    assert (x[1].tobytes(), z[1].tobytes()) == (want_x.tobytes(), want_z.tobytes())
+    assert _run_bytes(x, z, 1) == _run_bytes(want_x, want_z, 0)
     assert sums() == [sums(_ids(r))[0] for r in range(3)]
 
 
@@ -782,8 +802,8 @@ def _ctypes_constructions(monkeypatch, run):
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
 def test_trajectory_takes_no_addresses_per_block(solver, compiled, monkeypatch):
-    # addresses are taken when a run starts and on a table's first use, so 50
-    # blocks take as many as 5
+    # addresses are taken once, when the batch is bound, so 50 blocks take as
+    # many as 5
     counts = []
     for blocks in (5, 50):
         a, b, _ = generate(BLOCK_SPECS["sparse"])  # a fresh matrix: its tables unbound
