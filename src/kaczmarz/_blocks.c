@@ -5,11 +5,11 @@
  * parsing of entry lines. Each has a numpy twin that runs when this file
  * cannot be built.
  *
- * block_steps runs a block of steps of REK on each run of a batch, one run
- * after the other, each run a struct run with its own x, z and streams: a
- * column step on z, then a row step on x toward b_i - z_i. It draws each step's
- * indices as it goes, unless the caller passes them, with the same indices
- * as sampling.sample_block, bit for bit: the same SplitMix64 counter-mode
+ * block_steps runs a block of steps of REK on each run of a struct batch,
+ * one run after the other: a column step on z, then a row step on x toward
+ * b_i - z_i. It draws each step's indices as it goes from the run's streams,
+ * unless the caller passes them, with the same indices as
+ * sampling.sample_block, bit for bit: the same SplitMix64 counter-mode
  * stream, the same conversion to uniform doubles and the same cell and coin
  * arithmetic. RK and ROP are the same function with the other half left
  * out: a NULL z aims the row steps at b_i, a NULL x leaves only the column
@@ -33,7 +33,7 @@
  * check_sums forms, for each run of a batch, each entry of A x and A^T z in
  * the order the numpy products do (each row's entries left to right, each
  * column's top to bottom), so those vectors are the same bits, and sums every
- * sum of squares left to right.
+ * sum of squares left to right, b's once per call.
  *
  * csc_scatter builds the column-major arrays by one counting pass over the
  * row-major ones, the same arrays as DualSparseMatrix's argsort, and in the
@@ -89,35 +89,31 @@ static double uniform(uint64_t seed, uint64_t k)
     return (double)(mix64(seed + k * GOLDEN) >> 11) * 0x1p-53;
 }
 
-/* Alias-table draws from stream `seed`, whose first `counter` draws are used. */
-struct draws {
-    uint64_t seed, counter;
-    const double *prob;
-    const int64_t *alias;
+/* A batch of runs: what they share (the m x n matrix's lines and norms, b,
+ * the row and column alias tables) and what each owns, row r of x, z and
+ * streams being run r's: its iterates (a NULL x or z leaves out that half)
+ * and its row and then column stream, (seed, draws used) each. */
+struct batch {
+    int64_t m, n;
+    const int64_t *row_ptr, *row_cols, *col_ptr, *col_rows;
+    const double *row_vals, *row_sq, *col_vals, *col_sq, *b;
+    const double *row_prob, *col_prob;
+    const int64_t *row_alias, *col_alias;
+    double *x, *z;
+    uint64_t *streams;
 };
 
-/* Draw k of a block: one uniform picks one of `size` cells, the next its coin. */
-static int64_t alias_draw(const struct draws *d, int64_t k, int64_t size)
+/* Draw k of a block from the stream (seed, draws used) in stream[0..1]: one
+ * uniform picks one of `size` cells, the next its coin. */
+static int64_t alias_draw(const uint64_t *stream, const double *prob, const int64_t *alias,
+                          int64_t k, int64_t size)
 {
-    uint64_t draw = d->counter + 2 * (uint64_t)k;
-    int64_t cell = (int64_t)(uniform(d->seed, draw + 1) * (double)size);
+    uint64_t draw = stream[1] + 2 * (uint64_t)k;
+    int64_t cell = (int64_t)(uniform(stream[0], draw + 1) * (double)size);
     if (cell > size - 1) /* guard the top rounding edge */
         cell = size - 1;
-    return uniform(d->seed, draw + 2) < d->prob[cell] ? cell : d->alias[cell];
+    return uniform(stream[0], draw + 2) < prob[cell] ? cell : alias[cell];
 }
-
-/* One run's m x n matrix, line norms, b, x and z, and index draws. A batch
- * of runs is an array of them, on the same matrix and b. */
-struct run {
-    int64_t m, n;
-    const int64_t *row_ptr, *row_cols;
-    const double *row_vals, *row_sq;
-    const int64_t *col_ptr, *col_rows;
-    const double *col_vals, *col_sq;
-    const double *b;
-    double *x, *z;
-    struct draws row_draws, col_draws;
-};
 
 /* The dot of the stored entries lo .. hi-1 with v, left to right. A line of
  * a matrix with `size` rows (a column) or `size` columns (a row) that stores
@@ -173,20 +169,22 @@ static double sum_sq(const double *v, int64_t size)
     return s;
 }
 
-/* For k < count: the column step on z with column cols[k], then the row step
- * on x with row rows[k] toward b_i - z_i, z_i read before the column step.
- * A NULL rows or cols draws those indices from the run's stream instead,
- * which moves on by 2*count. A NULL z leaves out the column steps and aims at
- * b_i; a NULL x leaves out the row steps, and rows and b are not read. The
- * axpy of step k on either vector runs inside step k+1's dot on it
- * (axpy_dot), so z_i is read after the column loop of step k, which
- * finishes step k-1 on z; the last axpys run before the return. Returns the
- * number of stored entries the steps visited. */
-static int64_t run_steps(struct run *run, const int64_t *rows, const int64_t *cols,
-                         int64_t count)
+/* For k < count, on run r of the batch: the column step on z with column
+ * cols[k], then the row step on x with row rows[k] toward b_i - z_i, z_i read
+ * before the column step. A NULL rows or cols draws those indices from the
+ * run's row or column stream instead, which moves on by 2*count. A NULL z
+ * leaves out the column steps and aims at b_i; a NULL x leaves out the row
+ * steps, and rows and b are not read. The axpy of step k on either vector
+ * runs inside step k+1's dot on it (axpy_dot), so z_i is read after the
+ * column loop of step k, which finishes step k-1 on z; the last axpys run
+ * before the return. Returns the number of stored entries the steps visited. */
+static int64_t run_steps(const struct batch *bt, int64_t r, const int64_t *rows,
+                         const int64_t *cols, int64_t count)
 {
-    int64_t m = run->m, n = run->n;
-    double *x = run->x, *z = run->z;
+    int64_t m = bt->m, n = bt->n;
+    uint64_t *stream = bt->streams + 4 * r;
+    double *x = bt->x != NULL ? bt->x + r * n : NULL;
+    double *z = bt->z != NULL ? bt->z + r * m : NULL;
     int64_t touched = 0;
     /* the held-back axpys: z += z_alpha * entries z_lo .. z_hi-1 of the
      * column layout, x += x_alpha * entries x_lo .. x_hi-1 of the row one */
@@ -194,35 +192,35 @@ static int64_t run_steps(struct run *run, const int64_t *rows, const int64_t *co
     double z_alpha = 0.0, x_alpha = 0.0;
     for (int64_t k = 0; k < count; k++) {
         if (z != NULL) {
-            int64_t j = cols != NULL ? cols[k] : alias_draw(&run->col_draws, k, n);
-            int64_t lo = run->col_ptr[j], hi = run->col_ptr[j + 1];
-            double scale = axpy_dot(run->col_rows, run->col_vals, m, z_lo, z_hi, z_alpha, lo,
-                                    hi, z) / run->col_sq[j];
+            int64_t j = cols != NULL ? cols[k]
+                                     : alias_draw(stream + 2, bt->col_prob, bt->col_alias, k, n);
+            int64_t lo = bt->col_ptr[j], hi = bt->col_ptr[j + 1];
+            double scale = axpy_dot(bt->col_rows, bt->col_vals, m, z_lo, z_hi, z_alpha, lo,
+                                    hi, z) / bt->col_sq[j];
             z_lo = lo;
             z_hi = hi;
             z_alpha = -scale;
             touched += hi - lo;
         }
         if (x != NULL) {
-            int64_t i = rows != NULL ? rows[k] : alias_draw(&run->row_draws, k, m);
-            int64_t lo = run->row_ptr[i], hi = run->row_ptr[i + 1];
-            double target = z != NULL ? run->b[i] - z[i] : run->b[i];
-            double dot = axpy_dot(run->row_cols, run->row_vals, n, x_lo, x_hi, x_alpha, lo,
+            int64_t i = rows != NULL ? rows[k]
+                                     : alias_draw(stream, bt->row_prob, bt->row_alias, k, m);
+            int64_t lo = bt->row_ptr[i], hi = bt->row_ptr[i + 1];
+            double target = z != NULL ? bt->b[i] - z[i] : bt->b[i];
+            double dot = axpy_dot(bt->row_cols, bt->row_vals, n, x_lo, x_hi, x_alpha, lo,
                                   hi, x);
             x_lo = lo;
             x_hi = hi;
-            x_alpha = (target - dot) / run->row_sq[i];
+            x_alpha = (target - dot) / bt->row_sq[i];
             touched += hi - lo;
         }
     }
     if (z != NULL)
-        line_axpy(run->col_rows, run->col_vals, z_lo, z_hi, z_alpha, z);
+        line_axpy(bt->col_rows, bt->col_vals, z_lo, z_hi, z_alpha, z);
     if (x != NULL)
-        line_axpy(run->row_cols, run->row_vals, x_lo, x_hi, x_alpha, x);
-    if (cols == NULL)
-        run->col_draws.counter += 2 * (uint64_t)count;
-    if (rows == NULL)
-        run->row_draws.counter += 2 * (uint64_t)count;
+        line_axpy(bt->row_cols, bt->row_vals, x_lo, x_hi, x_alpha, x);
+    stream[3] += z != NULL && cols == NULL ? 2 * (uint64_t)count : 0;
+    stream[1] += x != NULL && rows == NULL ? 2 * (uint64_t)count : 0;
     return touched;
 }
 
@@ -233,40 +231,42 @@ static const int64_t *run_ids(const int64_t *ids, int64_t r, int64_t count)
     return ids != NULL ? ids + r * count : NULL;
 }
 
-/* count steps of each run runs[listed[r]], r < nlisted, one run after the
- * other (run_steps), with its stored entries visited in touched[r]. Given
- * rows or cols hold count indices per listed run (run_ids), each in range. */
-void block_steps(struct run *runs, const int64_t *listed, int64_t nlisted,
+/* count steps of each run listed[r], r < nlisted, one run after the other
+ * (run_steps), with its stored entries visited in touched[r]. Given rows or
+ * cols hold count indices per listed run (run_ids), each in range. */
+void block_steps(const struct batch *batch, const int64_t *listed, int64_t nlisted,
                  const int64_t *rows, const int64_t *cols, int64_t count, int64_t *touched)
 {
     for (int64_t r = 0; r < nlisted; r++)
-        touched[r] = run_steps(&runs[listed[r]], run_ids(rows, r, count),
+        touched[r] = run_steps(batch, listed[r], run_ids(rows, r, count),
                                run_ids(cols, r, count), count);
 }
 
-/* The sums of squares of the termination checks, each left to right, into
- * out[0..4]: A x - (b - z) (A x - b when z is NULL), A^T z, x, z and b. A
- * NULL x leaves out slots 0, 2 and 4 and b is not read; a NULL z leaves out
- * slots 1 and 3. Left-out slots are 0. */
-static void run_sums(const struct run *run, double *out)
+/* The sums of squares of the termination checks of run r, each left to
+ * right, into out[0..4]: A x - (b - z) (A x - b when z is NULL), A^T z, x,
+ * z and b, whose sum b_sq the caller forms (0 when x is NULL). A NULL x
+ * leaves out slots 0 and 2 and b is not read; a NULL z leaves out slots 1
+ * and 3. Left-out slots are 0. */
+static void run_sums(const struct batch *bt, int64_t r, double b_sq, double *out)
 {
-    int64_t m = run->m, n = run->n;
-    const double *b = run->b, *x = run->x, *z = run->z;
-    double resid = 0.0, atz = 0.0, x_sq = 0.0, z_sq = 0.0, b_sq = 0.0;
+    int64_t m = bt->m, n = bt->n;
+    const double *b = bt->b;
+    const double *x = bt->x != NULL ? bt->x + r * n : NULL;
+    const double *z = bt->z != NULL ? bt->z + r * m : NULL;
+    double resid = 0.0, atz = 0.0, x_sq = 0.0, z_sq = 0.0;
     if (x != NULL) {
         for (int64_t i = 0; i < m; i++) {
-            double ax = line_dot(run->row_cols, run->row_vals, run->row_ptr[i],
-                                 run->row_ptr[i + 1], n, x);
-            double r = ax - (z != NULL ? b[i] - z[i] : b[i]);
-            resid += r * r;
+            double ax = line_dot(bt->row_cols, bt->row_vals, bt->row_ptr[i],
+                                 bt->row_ptr[i + 1], n, x);
+            double d = ax - (z != NULL ? b[i] - z[i] : b[i]);
+            resid += d * d;
         }
         x_sq = sum_sq(x, n);
-        b_sq = sum_sq(b, m);
     }
     if (z != NULL) {
         for (int64_t j = 0; j < n; j++) {
-            double p = line_dot(run->col_rows, run->col_vals, run->col_ptr[j],
-                                run->col_ptr[j + 1], m, z);
+            double p = line_dot(bt->col_rows, bt->col_vals, bt->col_ptr[j],
+                                bt->col_ptr[j + 1], m, z);
             atz += p * p;
         }
         z_sq = sum_sq(z, m);
@@ -278,11 +278,13 @@ static void run_sums(const struct run *run, double *out)
     out[4] = b_sq;
 }
 
-/* The sums of run runs[listed[r]] into out[5r .. 5r+4], for r < nlisted. */
-void check_sums(const struct run *runs, const int64_t *listed, int64_t nlisted, double *out)
+/* The sums of run listed[r] into out[5r .. 5r+4], for r < nlisted; b's sum
+ * of squares, the same for every run, is formed once. */
+void check_sums(const struct batch *batch, const int64_t *listed, int64_t nlisted, double *out)
 {
+    double b_sq = batch->x != NULL ? sum_sq(batch->b, batch->m) : 0.0;
     for (int64_t r = 0; r < nlisted; r++)
-        run_sums(&runs[listed[r]], out + 5 * r);
+        run_sums(batch, listed[r], b_sq, out + 5 * r);
 }
 
 /* The column-major arrays of an m-row CSR matrix: each row's entries, rows

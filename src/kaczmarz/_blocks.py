@@ -40,7 +40,6 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_blocks.c")
 log = logging.getLogger(__name__)
 
 _I64 = ctypes.c_int64
-_U64 = ctypes.c_uint64
 _PTR = ctypes.c_void_p
 # (result type, argument types) of the C functions; pointers are passed as
 # raw addresses.
@@ -53,18 +52,12 @@ _SIGNATURES = {
 }
 
 
-class Draws(ctypes.Structure):
-    """struct draws: a stream of alias-table draws."""
-
-    _fields_ = [("seed", _U64), ("counter", _U64), ("prob", _PTR), ("alias", _PTR)]
-
-
-class Run(ctypes.Structure):
-    """struct run: what block_steps and check_sums read of one run of a batch."""
+class Batch(ctypes.Structure):
+    """struct batch: what block_steps and check_sums read of a batch's runs."""
 
     _fields_ = [("m", _I64), ("n", _I64)] + [(name, _PTR) for name in (
-        "row_ptr row_cols row_vals row_sq col_ptr col_rows col_vals col_sq b x z".split())] + [
-        ("row_draws", Draws), ("col_draws", Draws)]
+        "row_ptr row_cols col_ptr col_rows row_vals row_sq col_vals col_sq b "
+        "row_prob col_prob row_alias col_alias x z streams".split())]
 
 
 def _cache_dir():

@@ -18,10 +18,10 @@ restate as a scalar reference. The solvers' compiled block kernel in
 _blocks.c draws by the same arithmetic itself, inside its step loop; where
 that cannot be built, the solvers' indices come from sample_block.
 
-A table is checked on every use: by each sample_block call, and when a
-compiled batch is bound, which takes the addresses of its prob and alias
-arrays then. The check covers every alias entry, as neither path
-range-checks its draws.
+A table is checked (_check_table) on every use: by each sample_block call,
+and once when a compiled batch is bound, which is when the addresses of its
+prob and alias arrays are taken. The check covers every alias entry, as
+neither path range-checks its draws.
 """
 
 from __future__ import annotations
@@ -156,12 +156,11 @@ def build_alias_table(weights):
     return AliasTable(size=size, prob=prob, alias=alias)
 
 
-def _table_addrs(table):
-    """(prob, alias) addresses of a table whose `size` cells may be drawn from.
+def _check_table(table):
+    """Refuse (ValueError) a table whose `size` cells could not all be drawn from.
 
-    Checks the table on every call and refuses it (ValueError) unless both
-    arrays are C-contiguous of its size and every alias entry lies in
-    [0, size).
+    Both arrays must be C-contiguous of its size, and every alias entry must
+    lie in [0, size).
     """
     size = table.size
     for arr, dtype in ((table.prob, np.float64), (table.alias, np.int64)):
@@ -171,12 +170,11 @@ def _table_addrs(table):
                              % (np.dtype(dtype).name, size))
     if not (0 <= table.alias.min() and table.alias.max() < size):
         raise ValueError("alias table entries must lie in [0, %d)" % size)
-    return table.prob.ctypes.data, table.alias.ctypes.data
 
 
 def sample_block(table, rng, count):
     """`count` draws, each from one uniform for the cell and the next for the coin."""
-    _table_addrs(table)  # refuses a malformed table before the stream moves
+    _check_table(table)  # refuses a malformed table before the stream moves
     u = rng.uniform_block(2 * count)
     cells = (u[0::2] * table.size).astype(np.int64)
     np.minimum(cells, table.size - 1, out=cells)

@@ -38,12 +38,12 @@ by rounding (about 1e-14 relative) and do not depend on the BLAS kernel the
 host picks, nor on the other runs of the batch.
 
 A batch is bound once, not once per block or check: when trajectory starts,
-_bind checks A and b and allocates the runs' x and z as the rows of one
-array each. Its steps and sums are one front for both paths: they list the
-runs to move, check any given indices and book the flops, and call
-block_steps and check_sums, the compiled kernels on one array of C structs
-(a struct per run, with its x and z, the matrix's line arrays and each
-half's stream and alias table, whose addresses are taken at binding) or
+_bind checks A and b and allocates a row of three arrays per run: its x, its
+z, and its row and column streams, (seed, draws used) each, which both paths
+move. Its steps and sums are one front for both paths: they list the runs to
+move, check any given indices and book the flops, and call block_steps and
+check_sums, the compiled kernels on one struct batch (the addresses of A's
+line arrays, b, the alias tables and the three arrays, taken at binding) or
 their numpy twins. Long lists of seeds are bound in consecutive batches
 whose vectors stay within BATCH_BYTES.
 
@@ -69,6 +69,7 @@ REK 4m (2m when ||b|| overflows).
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import time
@@ -83,7 +84,7 @@ from .sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
     RngStream,
-    _table_addrs,
+    _check_table,
     col_sampler,
     derived_seeds,
     row_sampler,
@@ -161,14 +162,14 @@ class SolveReport:
 # the flops booked per run: 4 per stored entry its steps visited, counted by
 # block_steps (the kernel, or its numpy twin from the index arrays), plus
 # the scalar flops of each step. Both take the listed runs one after the
-# other. Given indices are range-checked by the front, before either runs;
-# drawn ones come from the norm-weighted samplers, which never pick a
-# zero-norm line, so neither path checks a step's divisor.
+# other, each drawing from its own row of the streams. Given indices are
+# range-checked by the front, before either runs; drawn ones come from the
+# norm-weighted samplers, which never pick a zero-norm line, so neither path
+# checks a step's divisor.
 
-# The most bytes of vectors and run structs one batch holds: a longer list of
+# The most bytes of vectors and streams one batch holds: a longer list of
 # seeds (or enumerated lines) goes through _bind in consecutive batches.
 BATCH_BYTES = 8 << 20
-_RUN = np.dtype(_blocks.Run)
 
 
 def _line_nnz(ptr, ids):
@@ -177,7 +178,8 @@ def _line_nnz(ptr, ids):
 
 def _batches(a, solver, items):
     """Consecutive slices of `items`, one per batch of runs of `solver` on A within BATCH_BYTES."""
-    per_run = 8 * ((a.n if solver != ROP else 0) + (a.m if solver != RK else 0)) + _RUN.itemsize
+    # a run's x and z, and its streams' two (seed, draws used) pairs
+    per_run = 8 * ((a.n if solver != ROP else 0) + (a.m if solver != RK else 0) + 4)
     size = max(1, BATCH_BYTES // per_run)
     return [items[lo:lo + size] for lo in range(0, len(items), size)]
 
@@ -236,11 +238,15 @@ def _bind(a, b, solver, seeds):
     z = np.tile(b, (len(seeds), 1)) if has_z else None
     scalar_flops = 2 if has_x else 1
     tables = row_sampler(a) if has_x else None, col_sampler(a) if has_z else None
+    # run r's row and column streams, (seed, draws used) each, which both paths move
+    streams = np.zeros((len(seeds), 2, 2), dtype=np.uint64)
+    streams[:, 0, 0] = derived_seeds(seeds, ROW_STREAM_SALT)
+    streams[:, 1, 0] = derived_seeds(seeds, COL_STREAM_SALT)
     listed = np.empty(len(seeds), dtype=np.int64)  # the runs a call steps or sums
     lib = _blocks.load()
     # block_steps(k, rows, cols, count) and check_sums(k) take the first k runs in listed
-    block_steps, check_sums = (_numpy_batch(a, b, x, z, seeds, tables, listed) if lib is None
-                               else _compiled_batch(lib, a, b, x, z, seeds, tables, listed))
+    block_steps, check_sums = (_numpy_batch(a, b, x, z, streams, tables, listed) if lib is None
+                               else _compiled_batch(lib, a, b, x, z, streams, tables, listed))
 
     def list_runs(runs):
         if runs is None:
@@ -266,25 +272,17 @@ def _bind(a, b, solver, seeds):
     return x, z, steps, sums
 
 
-def _compiled_batch(lib, a, b, x, z, seeds, tables, listed):
-    """The kernels' block_steps and check_sums on one array of struct runs, one per seed."""
-    batch = np.zeros(len(seeds), dtype=_RUN)
-    batch["m"], batch["n"] = a.m, a.n
-    for name, arr in zip(("row_ptr", "row_cols", "row_vals", "row_sq",
-                          "col_ptr", "col_rows", "col_vals", "col_sq"),
-                         (a.row_ptr, a.row_cols, a.row_vals, a.row_sq_norms,
-                          a.col_ptr, a.col_rows, a.col_vals, a.col_sq_norms)):
-        batch[name] = arr.ctypes.data
-    for name, v, draws, salt, table in (("x", x, "row_draws", ROW_STREAM_SALT, tables[0]),
-                                        ("z", z, "col_draws", COL_STREAM_SALT, tables[1])):
-        if v is not None:
-            batch[name] = v.ctypes.data + v.strides[0] * np.arange(len(seeds), dtype=np.uint64)
-            batch[draws]["seed"] = derived_seeds(seeds, salt)
-            batch[draws]["prob"], batch[draws]["alias"] = _table_addrs(table)
-    if x is not None:
-        batch["b"] = b.ctypes.data
-    touched, out = np.empty(len(seeds), dtype=np.int64), np.empty((len(seeds), 5))
-    addrs = batch.ctypes.data, listed.ctypes.data
+def _compiled_batch(lib, a, b, x, z, streams, tables, listed):
+    """The kernels' block_steps and check_sums on one struct batch of the runs."""
+    for table in tables:
+        if table is not None:
+            _check_table(table)
+    arrays = [a.row_ptr, a.row_cols, a.col_ptr, a.col_rows, a.row_vals, a.row_sq_norms,
+              a.col_vals, a.col_sq_norms, b, *(t and t.prob for t in tables),
+              *(t and t.alias for t in tables), x, z, streams]
+    batch = _blocks.Batch(a.m, a.n, *(None if v is None else v.ctypes.data for v in arrays))
+    touched, out = np.empty(len(streams), dtype=np.int64), np.empty((len(streams), 5))
+    addrs = ctypes.addressof(batch), listed.ctypes.data
     touched_addr, out_addr = touched.ctypes.data, out.ctypes.data
 
     def block_steps(k, rows, cols, count):
@@ -295,24 +293,29 @@ def _compiled_batch(lib, a, b, x, z, seeds, tables, listed):
     def check_sums(k):
         lib.check_sums(*addrs, k, out_addr)
         return out[:k]
-    # the structs hold raw addresses only: the calls keep what they point
-    # into (the matrix's lines and alias tables, b, x and z) alive
-    block_steps.owners = check_sums.owners = (a, b, x, z, batch)
+    # the header holds raw addresses only: the calls keep what they point
+    # into (the matrix's lines, b, the alias tables, x, z and streams) alive
+    block_steps.owners = check_sums.owners = (a, b, tables, x, z, streams, batch)
     return block_steps, check_sums
 
 
-def _numpy_batch(a, b, x, z, seeds, tables, listed):
+def _numpy_batch(a, b, x, z, streams, tables, listed):
     """Numpy twins of the kernels' block_steps and check_sums, a run and a step at a time."""
-    row_rngs = [RngStream.derived(s, ROW_STREAM_SALT) for s in seeds]
-    col_rngs = [RngStream.derived(s, COL_STREAM_SALT) for s in seeds]
+
+    def draw(r, half, count):
+        # from the run's stream where the last block left it, which moves on
+        rng = RngStream(*streams[r, half].tolist())
+        ids = sample_block(tables[half], rng, count)
+        streams[r, half, 1] = rng.counter
+        return ids
 
     def run_steps(r, rows, cols, count):
         run_x = None if x is None else x[r]
         run_z = None if z is None else z[r]
         if run_x is not None and rows is None:
-            rows = sample_block(tables[0], row_rngs[r], count)
+            rows = draw(r, 0, count)
         if run_z is not None and cols is None:
-            cols = sample_block(tables[1], col_rngs[r], count)
+            cols = draw(r, 1, count)
         # the compiled kernel's loop: the row target with z_i from before
         # the column step, then the column step, then the row step
         for i, j in zip(itertools.repeat(None) if run_x is None else rows.tolist(),
@@ -337,12 +340,14 @@ def _numpy_batch(a, b, x, z, seeds, tables, listed):
                          for n, r in enumerate(listed[:k].tolist())], dtype=np.int64)
 
     def check_sums(k):
-        # v.dot(v) is the sum np.linalg.norm takes the root of
+        # v.dot(v) is the sum np.linalg.norm takes the root of; b's is the
+        # same for every run
         out = np.zeros((k, 5))
+        b_sq = b.dot(b) if x is not None else 0.0
         for n, r in enumerate(listed[:k].tolist()):
             if x is not None:
                 resid = a.matvec(x[r]) - (b if z is None else b - z[r])
-                out[n, [0, 2, 4]] = resid.dot(resid), x[r].dot(x[r]), b.dot(b)
+                out[n, [0, 2, 4]] = resid.dot(resid), x[r].dot(x[r]), b_sq
             if z is not None:
                 atz = a.rmatvec(z[r])
                 out[n, [1, 3]] = atz.dot(atz), z[r].dot(z[r])

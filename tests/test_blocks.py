@@ -71,17 +71,14 @@ def _exported_functions(source):
 def _structs(source):
     """{name: [(field, type)]} of the structs defined in C source, pointers as c_void_p."""
     source = re.sub(r"/\*.*?\*/", " ", source, flags=re.S)
-    nested = {"struct draws": _blocks.Draws}
     found = {}
     for name, body in re.findall(r"^struct (\w+) \{(.*?)\};", source, flags=re.M | re.S):
         fields = []
         for decl in body.split(";")[:-1]:
             first, *more = decl.split(",")
-            base, head = re.match(r"\s*(?:const\s+)?(struct \w+|\w+)\s+(.*)", first,
-                                  flags=re.S).groups()
+            base, head = re.match(r"\s*(?:const\s+)?(\w+)\s+(.*)", first, flags=re.S).groups()
             for declarator in [head] + more:
-                kind = (ctypes.c_void_p if "*" in declarator
-                        else nested.get(base) or _CTYPES[base])
+                kind = ctypes.c_void_p if "*" in declarator else _CTYPES[base]
                 fields.append((declarator.strip(" *\n"), kind))
         found[name] = fields
     return found
@@ -96,7 +93,7 @@ def test_signatures_name_exactly_the_exported_functions():
     assert exported == _blocks._SIGNATURES
     assert set(exported) == {"block_steps", "check_sums", "csc_scatter", "format_lines",
                              "parse_entries"}
-    assert _structs(source) == {"draws": _blocks.Draws._fields_, "run": _blocks.Run._fields_}
+    assert _structs(source) == {"batch": _blocks.Batch._fields_}
 
 
 def test_signature_parser_reads_declarations_it_must_not_miss():
@@ -162,16 +159,20 @@ def test_check_sums_are_sequential_sums_over_the_numpy_products(lib, halves, mat
 
 
 def _block_steps(lib, a, b, x, z, rows, cols, count):
-    """block_steps on a batch of one run: the entries it visited."""
+    """block_steps on a batch of one run, x and z its only rows: the entries it visited."""
     def addr(v):
         return None if v is None else v.ctypes.data
 
-    lines = (a.row_ptr, a.row_cols, a.row_vals, a.row_sq_norms,
-             a.col_ptr, a.col_rows, a.col_vals, a.col_sq_norms)
-    run = _blocks.Run(a.m, a.n, *map(addr, lines), addr(b), addr(x), addr(z))
+    lines = (a.row_ptr, a.row_cols, a.col_ptr, a.col_rows,
+             a.row_vals, a.row_sq_norms, a.col_vals, a.col_sq_norms, b)
+    # given indices only: the alias tables are not read, nor the streams moved
+    streams = np.zeros((1, 2, 2), dtype=np.uint64)
+    batch = _blocks.Batch(a.m, a.n, *map(addr, lines), None, None, None, None, addr(x), addr(z),
+                          addr(streams))
     listed, touched = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    lib.block_steps(ctypes.byref(run), addr(listed), 1, addr(rows), addr(cols), count,
+    lib.block_steps(ctypes.byref(batch), addr(listed), 1, addr(rows), addr(cols), count,
                     addr(touched))
+    assert not streams.any()
     return int(touched[0])
 
 

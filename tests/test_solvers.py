@@ -590,6 +590,25 @@ def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(solver, kern
     assert drawn == want_steps(10).tolist()
     assert _run_bytes(x, z, 1) == _run_bytes(want_x, want_z, 0)
     assert sums() == [sums(_ids(r))[0] for r in range(3)]
+    # then runs 2 and 1 draw, and then every run: each run's streams go on
+    # from its own last draw, so each run is its seed's run stepped on what
+    # sample_block draws from the seed's two streams, given blocks aside
+    blocks = {0: [(30, rows[1], cols[1], flops[1])], 1: [(10, None, None, drawn[0])],
+              2: [(30, rows[0], cols[0], flops[0])]}
+    for count, runs in ((7, (2, 1)), (5, (0, 1, 2))):
+        for r, got in zip(runs, steps(count, runs=_ids(*runs)).tolist()):
+            blocks[r].append((count, None, None, got))
+    for r, run_blocks in blocks.items():
+        want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [7 + r])
+        row_rng = RngStream.derived(7 + r, ROW_STREAM_SALT)
+        col_rng = RngStream.derived(7 + r, COL_STREAM_SALT)
+        for count, given_rows, given_cols, got in run_blocks:
+            if given_rows is None:
+                given_rows = sample_block(row_sampler(a), row_rng, count)
+                given_cols = sample_block(col_sampler(a), col_rng, count)
+            assert want_steps(count, given_rows, given_cols).tolist() == [got]
+        assert _run_bytes(x, z, r) == _run_bytes(want_x, want_z, 0)
+        assert sums(_ids(r)) == want_sums()
 
 
 @pytest.mark.parametrize("scale, b, error, message", [
