@@ -5,9 +5,9 @@
  * parsing of entry lines. Each has a numpy twin that runs when this file
  * cannot be built.
  *
- * block_steps runs a block of steps of REK on each run of a struct batch,
- * one run after the other: a column step on z, then a row step on x toward
- * b_i - z_i. It draws each step's indices as it goes from the run's streams,
+ * block_steps runs a block of steps of REK on each listed run of a struct
+ * batch: a column step on z, then a row step on x toward b_i - z_i.
+ * It draws each step's indices as it goes from the run's streams,
  * unless the caller passes them, with the same indices as
  * sampling.sample_block, bit for bit: the same SplitMix64 counter-mode
  * stream, the same conversion to uniform doubles and the same cell and coin
@@ -35,6 +35,15 @@
  * column's top to bottom), so those vectors are the same bits, and sums every
  * sum of squares left to right, b's once per call.
  *
+ * A run owns its rows of x, z and streams and reads only what the batch
+ * shares, so both split a call's listed runs into contiguous shares, one per
+ * thread (in_shares): as many threads as the CPUs the process may run on
+ * (its affinity mask), the listed runs and MAX_THREADS allow, created and
+ * joined within the call, the calling thread running the first share. A call
+ * whose work is under SERIAL_WORK runs inline. Each run is computed by one
+ * thread, in the order it would be alone, so every result has the same bits
+ * on any number of CPUs.
+ *
  * csc_scatter builds the column-major arrays by one counting pass over the
  * row-major ones, the same arrays as DualSparseMatrix's argsort, and in the
  * same pass the squared row and column norms, the same bits as its numpy
@@ -57,8 +66,11 @@
  * since snprintf and strtod follow LC_NUMERIC.
  */
 
+#define _GNU_SOURCE /* sched_getaffinity and CPU_COUNT */
 #include <float.h>
 #include <locale.h>
+#include <pthread.h>
+#include <sched.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
@@ -231,17 +243,6 @@ static const int64_t *run_ids(const int64_t *ids, int64_t r, int64_t count)
     return ids != NULL ? ids + r * count : NULL;
 }
 
-/* count steps of each run listed[r], r < nlisted, one run after the other
- * (run_steps), with its stored entries visited in touched[r]. Given rows or
- * cols hold count indices per listed run (run_ids), each in range. */
-void block_steps(const struct batch *batch, const int64_t *listed, int64_t nlisted,
-                 const int64_t *rows, const int64_t *cols, int64_t count, int64_t *touched)
-{
-    for (int64_t r = 0; r < nlisted; r++)
-        touched[r] = run_steps(batch, listed[r], run_ids(rows, r, count),
-                               run_ids(cols, r, count), count);
-}
-
 /* The sums of squares of the termination checks of run r, each left to
  * right, into out[0..4]: A x - (b - z) (A x - b when z is NULL), A^T z, x,
  * z and b, whose sum b_sq the caller forms (0 when x is NULL). A NULL x
@@ -278,13 +279,103 @@ static void run_sums(const struct batch *bt, int64_t r, double b_sq, double *out
     out[4] = b_sq;
 }
 
-/* The sums of run listed[r] into out[5r .. 5r+4], for r < nlisted; b's sum
- * of squares, the same for every run, is formed once. */
+/* One thread's share of a block_steps or check_sums call: listed runs lo ..
+ * hi-1. A block_steps share has touched, a check_sums share out and b_sq. */
+struct share {
+    const struct batch *batch;
+    const int64_t *listed, *rows, *cols;
+    int64_t lo, hi, count;
+    int64_t *touched;
+    double *out, b_sq;
+};
+
+static void *run_share(void *arg)
+{
+    const struct share *s = arg;
+    for (int64_t r = s->lo; r < s->hi; r++) {
+        if (s->touched != NULL)
+            s->touched[r] = run_steps(s->batch, s->listed[r], run_ids(s->rows, r, s->count),
+                                      run_ids(s->cols, r, s->count), s->count);
+        else
+            run_sums(s->batch, s->listed[r], s->b_sq, s->out + 5 * r);
+    }
+    return NULL;
+}
+
+/* At most this many threads split one call. */
+#define MAX_THREADS 8
+/* A call of less work runs inline, work counted in multiply-adds: there, a
+ * thread's create and join cost about what its share saves (some 30 us of
+ * one core's work on dense lines, on a 2-CPU AMD EPYC). */
+#define SERIAL_WORK 1e5
+
+static int64_t threads_for(int64_t nlisted, double work)
+{
+    int64_t threads = nlisted < MAX_THREADS ? nlisted : MAX_THREADS;
+    if (threads < 2 || work < SERIAL_WORK)
+        return 1;
+#ifdef CPU_COUNT
+    cpu_set_t cpus;
+    if (sched_getaffinity(0, sizeof cpus, &cpus) != 0)
+        return 1;
+    return CPU_COUNT(&cpus) < threads ? CPU_COUNT(&cpus) : threads;
+#else
+    return 1;
+#endif
+}
+
+/* The runs listed in `call` (its lo and hi unset), nlisted of them, in
+ * contiguous shares, one per thread (threads_for). The calling thread runs
+ * the first share; a share whose thread cannot be created runs inline. */
+static void in_shares(const struct share *call, int64_t nlisted, double work)
+{
+    struct share shares[MAX_THREADS];
+    pthread_t ids[MAX_THREADS];
+    int started[MAX_THREADS];
+    int64_t threads = threads_for(nlisted, work);
+    for (int64_t t = 0; t < threads; t++) {
+        shares[t] = *call;
+        shares[t].lo = nlisted * t / threads;
+        shares[t].hi = nlisted * (t + 1) / threads;
+    }
+    for (int64_t t = 1; t < threads; t++) {
+        started[t] = pthread_create(&ids[t], NULL, run_share, &shares[t]) == 0;
+        if (!started[t])
+            run_share(&shares[t]);
+    }
+    run_share(&shares[0]);
+    for (int64_t t = 1; t < threads; t++)
+        if (started[t])
+            pthread_join(ids[t], NULL);
+}
+
+/* count steps of each run listed[r], r < nlisted (run_steps), with its
+ * stored entries visited in touched[r]. Given rows or cols hold count
+ * indices per listed run (run_ids), each in range; listed holds no run
+ * twice. */
+void block_steps(const struct batch *batch, const int64_t *listed, int64_t nlisted,
+                 const int64_t *rows, const int64_t *cols, int64_t count, int64_t *touched)
+{
+    struct share call = {batch, listed, rows, cols, 0, 0, count, touched, NULL, 0.0};
+    /* a dot and an axpy per entry of a step's lines (a mean row and a mean
+     * column), its draws and scalars */
+    double nnz = (double)batch->row_ptr[batch->m];
+    double step = 8.0 + 2.0 * ((batch->x != NULL ? nnz / (double)batch->m : 0.0)
+                               + (batch->z != NULL ? nnz / (double)batch->n : 0.0));
+    in_shares(&call, nlisted, (double)nlisted * (double)count * step);
+}
+
+/* The sums of run listed[r] into out[5r .. 5r+4], for r < nlisted (run_sums);
+ * listed holds no run twice. b's sum of squares, the same for every run, is
+ * formed once. */
 void check_sums(const struct batch *batch, const int64_t *listed, int64_t nlisted, double *out)
 {
     double b_sq = batch->x != NULL ? sum_sq(batch->b, batch->m) : 0.0;
-    for (int64_t r = 0; r < nlisted; r++)
-        run_sums(batch, listed[r], b_sq, out + 5 * r);
+    struct share call = {batch, listed, NULL, NULL, 0, 0, 0, NULL, out, b_sq};
+    /* a product and two sums of squares per half that runs */
+    double half = (double)(batch->row_ptr[batch->m] + batch->m + batch->n);
+    int halves = (batch->x != NULL) + (batch->z != NULL);
+    in_shares(&call, nlisted, (double)nlisted * half * halves);
 }
 
 /* The column-major arrays of an m-row CSR matrix: each row's entries, rows

@@ -16,10 +16,12 @@ same iterates, draws and check sums. -falign-loops=64 changes no result: it
 starts every loop on a cache line, so the speed of the hot dot and axpy
 loops does not hinge on where the compiler happens to place them (left to
 gcc 12, the RK row loop ran 20% slower on dense rows of 400 entries on an
-AMD EPYC). If the compiler is missing, the build fails or the library cannot
-be loaded, load() logs why once and returns None, and the solvers (drawing
-through sampling.sample_block), their checks, the matrix constructor and the
-file reader and writer run their numpy paths instead.
+AMD EPYC). -pthread links the threads block_steps and check_sums split a
+batch's runs over; each run is computed by one thread, so that changes no
+result either. If the compiler is missing, the build fails or the library
+cannot be loaded, load() logs why once and returns None, and the solvers
+(drawing through sampling.sample_block), their checks, the matrix
+constructor and the file reader and writer run their numpy paths instead.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import subprocess
 import sys
 import tempfile
 
-CFLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=64", "-shared", "-fPIC")
+CFLAGS = ("-O2", "-ffp-contract=off", "-falign-loops=64", "-pthread", "-shared", "-fPIC")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_blocks.c")
 
 log = logging.getLogger(__name__)

@@ -29,13 +29,14 @@ at any iteration counts (marks) its caller adds. run_rek / run_rk / run_rop
 (and `solve`, which picks one) walk a batch of one with the checks alone;
 verify's walk reads the iterates of every seed of a check at its marks,
 with or without the checks. A block is one call of the compiled block_steps
-in _blocks.c, which moves every run of the batch in turn and draws each
-step's indices as it goes; where that cannot be built, sample_block draws
-them and one numpy loop runs the same steps, a run at a time, each step a
-BLAS dot and a numpy axpy over the stored entries of one line. The compiled
-dots sum left to right, so their iterates differ from the numpy loop's only
-by rounding (about 1e-14 relative) and do not depend on the BLAS kernel the
-host picks, nor on the other runs of the batch.
+in _blocks.c, which moves the runs of the batch in shares over the CPUs
+the process may use and draws each step's indices as it goes; where that
+cannot be built, sample_block draws them and one numpy loop runs the same
+steps, a run at a time, each step a BLAS dot and a numpy axpy over the
+stored entries of one line. The compiled dots sum left to right, so their
+iterates differ from the numpy loop's only by rounding (about 1e-14
+relative) and do not depend on the BLAS kernel the host picks, nor on the
+other runs of the batch or the number of CPUs.
 
 A batch is bound once, not once per block or check: when trajectory starts,
 _bind checks A and b and allocates a row of three arrays per run: its x, its
@@ -224,10 +225,15 @@ def _bind(a, b, solver, seeds):
     for RK), leaving their streams where they are. A given array of a half
     that runs must be a C-contiguous int64 array of that length (else
     ValueError) with every index in range (else IndexError), checked before
-    any run steps. sums(runs) gives, per listed run, the sums of squares of
-    A x - (b - z), A^T z, x, z and b, in that order, for the current contents
-    of its x and z. RK's first sum is of A x - b and it leaves out A^T z and
-    z; ROP leaves out A x - (b - z), x and b. Left-out sums are 0.0.
+    any run steps. The compiled kernels split the listed runs over the CPUs
+    the process may use, one thread per share of runs, so a run listed
+    twice would be stepped twice at once: runs must be distinct (else
+    ValueError) and in [0, len(seeds)) (else IndexError), for steps and
+    sums alike and on both paths. sums(runs) gives, per listed run, the sums
+    of squares of A x - (b - z), A^T z, x, z and b, in that order, for the
+    current contents of its x and z. RK's first sum is of A x - b and it
+    leaves out A^T z and z; ROP leaves out A x - (b - z), x and b. Left-out
+    sums are 0.0.
     """
     b = _checked_rhs(a, b)
     if len(seeds) and not (0 <= min(seeds) and max(seeds) < 2**64):
@@ -251,8 +257,15 @@ def _bind(a, b, solver, seeds):
     def list_runs(runs):
         if runs is None:
             runs = every
-        listed[:len(runs)] = runs
-        return len(runs)
+        # each listed run is stepped by one thread: a repeat would be two
+        runs = np.asarray(runs, dtype=np.int64)
+        ids = runs.tolist()
+        if ids and not (0 <= min(ids) and max(ids) < len(seeds)):
+            raise IndexError("runs must lie in [0, %d)" % len(seeds))
+        if len(set(ids)) < len(ids):
+            raise ValueError("runs must not repeat")
+        listed[:runs.size] = runs
+        return runs.size
 
     def steps(count, rows=None, cols=None, runs=None):
         k = list_runs(runs)

@@ -93,7 +93,10 @@ def test_signatures_name_exactly_the_exported_functions():
     assert exported == _blocks._SIGNATURES
     assert set(exported) == {"block_steps", "check_sums", "csc_scatter", "format_lines",
                              "parse_entries"}
-    assert _structs(source) == {"batch": _blocks.Batch._fields_}
+    structs = _structs(source)
+    # struct share, one thread's part of a call, never crosses into Python
+    assert set(structs) == {"batch", "share"}
+    assert structs["batch"] == _blocks.Batch._fields_
 
 
 def test_signature_parser_reads_declarations_it_must_not_miss():

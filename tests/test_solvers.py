@@ -573,6 +573,30 @@ def _run_bytes(x, z, r):
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_bound_steps_and_sums_refuse_runs_out_of_range_or_repeated(solver, kernels):
+    # one front for both paths: a run outside the batch would step or sum
+    # memory outside x and z, and a repeated one would be stepped twice at
+    # once; both are refused before any run steps
+    a, b, _ = generate(BLOCK_SPECS["dense"])
+    x, z, steps, sums = _bind(a, b, solver, [1, 2])
+    for runs in (_ids(-1), _ids(2), _ids(0, 10**7), [1, -2]):
+        with pytest.raises(IndexError, match=r"^runs must lie in \[0, 2\)$"):
+            steps(3, runs=runs)
+        with pytest.raises(IndexError, match=r"^runs must lie in \[0, 2\)$"):
+            sums(runs)
+    for runs in (_ids(0, 0), _ids(1, 0, 1)):
+        with pytest.raises(ValueError, match="^runs must not repeat$"):
+            steps(3, runs=runs)
+        with pytest.raises(ValueError, match="^runs must not repeat$"):
+            sums(runs)
+    assert x is None or not x.any()
+    assert z is None or (z == b).all()
+    # a list of distinct runs in any order, or none, is a run list
+    assert steps(3, runs=[1, 0]).size == 2 and steps(3, runs=_ids()).size == 0
+    assert sums([1, 0]) == sums()[::-1] and sums(_ids()) == []
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
 def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(solver, kernels):
     a, b, _ = generate(BLOCK_SPECS["sparse"])
     rng = np.random.default_rng(25)
@@ -731,6 +755,64 @@ def test_iterates_do_not_depend_on_the_openblas_kernel(compiled):
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 8
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# A batch's bytes on the CPUs the process may use, or pinned to one CPU when
+# argv[1] is "pinned": the compiled kernels split a batch's runs over threads
+# by the affinity mask. Each call does well over the kernels' inline
+# threshold of work, so the unpinned process splits every one of them.
+_BATCH_DIGEST_SCRIPT = """
+import hashlib, os, sys
+import numpy as np
+from kaczmarz import solvers
+from kaczmarz.generate import InstanceSpec, generate
+from kaczmarz.matrices import DualSparseMatrix
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+tasks = len(os.listdir("/proc/self/task"))
+streams = []  # each bound batch's (seed, draws used) pairs, as the kernels move them
+compiled_batch = solvers._compiled_batch
+def capture(lib, a, b, x, z, run_streams, tables, listed):
+    streams.append(run_streams)
+    return compiled_batch(lib, a, b, x, z, run_streams, tables, listed)
+solvers._compiled_batch = capture
+rng = np.random.default_rng(5)
+sparse = np.where(rng.random((200, 50)) < 0.3, rng.standard_normal((200, 50)), 0.0)
+sparse[[3, 7]] = 0.0
+sparse[:, [2, 5]] = 0.0
+instances = {"dense": generate(InstanceSpec(kind="dense", m=100, n=30, seed=3))[:2],
+             "sparse": (DualSparseMatrix.from_dense(sparse), rng.standard_normal(200))}
+for kind, (a, b) in instances.items():
+    for solver in ("rek", "rk", "rop"):
+        x, z, steps, sums = solvers._bind(a, b, solver, list(range(40)))
+        given = (rng.permutation(40)[:32],
+                 rng.choice(np.flatnonzero(a.row_sq_norms), 32 * 300),
+                 rng.choice(np.flatnonzero(a.col_sq_norms), 32 * 300))
+        flops = [steps(400), steps(300, given[1], given[2], given[0]),
+                 steps(400, runs=np.arange(40)[::3])]
+        digest = hashlib.sha256()
+        for v in (x, z, streams[-1], *flops):
+            digest.update(b"-" if v is None else v.tobytes())
+        digest.update(repr(sums()).encode())
+        print(kind, solver, digest.hexdigest())
+assert len(os.listdir("/proc/self/task")) == tasks, "a kernel thread outlived its call"
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare one CPU against several")
+def test_a_batch_has_the_same_bits_on_one_cpu_and_on_several(compiled):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_blocks.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    outputs = []
+    for cpus in ("pinned", "all"):
+        proc = subprocess.run([sys.executable, "-c", _BATCH_DIGEST_SCRIPT, cpus], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 6
+    assert outputs[1] == outputs[0]
 
 
 # ----------------------------------------------------------------------
