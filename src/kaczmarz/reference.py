@@ -43,30 +43,23 @@ class ReferenceSolution:
 
 
 def _as_dense(a):
-    if isinstance(a, DualSparseMatrix):
-        return a.to_dense(), a.nnz
-    dense = np.asarray(a, dtype=np.float64)
-    if dense.ndim != 2:
-        raise DimensionMismatchError("expected a matrix (2-D array)")
-    if not np.isfinite(dense).all():
-        raise NonFiniteError("matrix entries must be finite")
-    return dense, int(np.count_nonzero(dense))
-
-
-def svd_decompose(a):
-    """Thin SVD of a dense view of `a`, with the oracle's input guards.
-
-    Returns (U, s, Vt) with s descending and ||A - U diag(s) Vt|| at the
-    level of a few machine epsilons times ||A||.
-    """
-    dense, _ = _as_dense(a)
-    m, n = dense.shape
+    """`a` as a dense float64 array and its nonzero count, refused by shape past the cap."""
+    sparse = isinstance(a, DualSparseMatrix)
+    if not sparse:
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2:
+            raise DimensionMismatchError("expected a matrix (2-D array)")
+    m, n = (a.m, a.n) if sparse else a.shape
     if m * n > MAX_DENSE_ENTRIES:
         raise TooLargeError(
             "oracle is dense-only; %dx%d exceeds the %d-entry cap"
             % (m, n, MAX_DENSE_ENTRIES)
         )
-    return np.linalg.svd(dense, full_matrices=False)
+    if sparse:
+        return a.to_dense(), a.nnz
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix entries must be finite")
+    return a, int(np.count_nonzero(a))
 
 
 def min_norm_solve(a, b):
@@ -85,7 +78,7 @@ def min_norm_solve(a, b):
     if not np.isfinite(b).all():
         raise NonFiniteError("rhs entries must be finite")
 
-    u, s, vt = svd_decompose(dense)
+    u, s, vt = np.linalg.svd(dense, full_matrices=False)
     rank_tol = 8.0 * max(m, n) * np.finfo(np.float64).eps
     sigma_max = float(s[0]) if s.size else 0.0
     if sigma_max == 0.0:

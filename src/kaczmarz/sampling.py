@@ -45,7 +45,7 @@ COL_STREAM_SALT = 0x0DDBA11CAFEBABE5
 
 
 def mix64(z):
-    """SplitMix64 output finalizer on a 64-bit integer."""
+    """SplitMix64 output finalizer on a 64-bit integer; _mix64_array is its array form."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * _MIX_A) & MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & MASK64
@@ -60,7 +60,7 @@ def _mix64_array(z):
 
 
 def derived_seeds(seeds, salt):
-    """The seeds of RngStream.derived(s, salt) for each s in `seeds`, as a uint64 array."""
+    """mix64(s ^ salt) for each s in `seeds`, as a uint64 array: the seeds of the runs' streams."""
     return _mix64_array(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(salt))
 
 
@@ -72,11 +72,6 @@ class RngStream:
     def __init__(self, seed, counter=0):
         self.seed = int(seed) & MASK64
         self.counter = int(counter)
-
-    @classmethod
-    def derived(cls, seed, salt):
-        """Independent stream obtained from a user seed by a fixed salt."""
-        return cls(mix64((int(seed) ^ int(salt)) & MASK64))
 
     def uniform_block(self, count):
         """The next `count` uniforms, (mix64(seed + k*GOLDEN) >> 11) * 2^-53 for each k."""

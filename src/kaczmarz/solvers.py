@@ -162,8 +162,10 @@ class SolveReport:
 # A bound batch of runs steps each listed run's x and z in place and returns
 # the flops booked per run: 4 per stored entry its steps visited, counted by
 # block_steps (the kernel, or its numpy twin from the index arrays), plus
-# the scalar flops of each step. Both take the listed runs one after the
-# other, each drawing from its own row of the streams. Given indices are
+# the scalar flops of each step. Each listed run draws from its own row of
+# the streams and is stepped whole by one thread: the kernel splits the
+# listed runs over threads, the numpy twin takes them one after the other,
+# and either way a run's bits do not depend on the others. Given indices are
 # range-checked by the front, before either runs; drawn ones come from the
 # norm-weighted samplers, which never pick a zero-norm line, so neither path
 # checks a step's divisor.

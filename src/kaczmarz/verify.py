@@ -5,7 +5,9 @@ iteration counts (marks), measuring the error of x and z against oracle
 quantities there, with or without the termination checks. It takes every
 seed of a check at once: the runs go through trajectory as one batch (or
 consecutive batches within solvers.BATCH_BYTES), so one kernel call moves
-them all to their next stop. The checkpoint drivers are walk() of one seed
+them all to their next stop. It returns one record of them all (Walks): the
+errors as seeds x marks arrays, and each seed's termination and stop, so a
+check reads a column. The checkpoint drivers are row 0 of walk() of one seed
 without the checks. The check battery compares empirical means across seeds
 with the closed-form envelopes, inflated by a statistical slack factor
 (SLACK) that absorbs Monte-Carlo noise; the envelopes themselves come only
@@ -31,8 +33,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,64 +74,62 @@ class CheckResult:
 # the seeded runs, read at their marks
 
 
-class Walk(NamedTuple):
-    """What walk reads off one seeded run."""
+class Walks(NamedTuple):
+    """What walk reads off its runs; row r of each array and item r of each list are seeds[r]'s."""
 
-    x_errors: list
-    z_errors: list
-    termination: Optional[str]
-    iters: Optional[int]
+    x_errors: np.ndarray  # seeds x x_marks
+    z_errors: np.ndarray  # seeds x z_marks
+    termination: list
+    iters: list
 
 
 def walk(a, b, solver, config, seeds, x_ref, x_marks, z_ref, z_marks, checks):
-    """The seeded runs of `solver`, one per seed, read at their marks: one Walk each.
+    """The seeded runs of `solver`, one per seed, read at their marks: one Walks of them all.
 
     The runs go through trajectory in consecutive batches (solvers._batches),
-    all of a batch stopping together. x_errors are ||x_t - x_ref||^2 at each t
-    in x_marks, and z_errors are ||z_t - z_ref||^2 at each t in z_marks, in
-    the caller's order; a repeated mark repeats its error. With checks,
-    termination and iters are those of the solver's runner on `config` and
-    the run's seed, and the run goes on past its stop only as far as the
-    marks beyond it. Without checks they are None and the run ends at the
-    last mark.
+    all of a batch stopping together, and each batch fills its own rows.
+    x_errors[r, j] is ||x_t - x_ref||^2 of the run of seeds[r] at t =
+    x_marks[j], and z_errors[r, j] is ||z_t - z_ref||^2 at t = z_marks[j]; a
+    repeated mark repeats its error. With checks, termination[r] and iters[r]
+    are those of the solver's runner on `config` and seeds[r], and the run
+    goes on past its stop only as far as the marks beyond it. Without checks
+    they are None and the run ends at the last mark.
     """
     x_marks, z_marks = [int(t) for t in x_marks], [int(t) for t in z_marks]
-    walks = []
+    read = Walks(np.empty((len(seeds), len(x_marks))), np.empty((len(seeds), len(z_marks))),
+                 [None] * len(seeds), [None] * len(seeds))
+    lo = 0
     for batch in _batches(a, solver, seeds):
-        runs = range(len(batch))
-        x_at, z_at = [{} for _ in runs], [{} for _ in runs]
-        termination, stopped = [None for _ in runs], [None for _ in runs]
         for t, x, z, _, checked in trajectory(
                 a, b, solver, config, batch, sorted({*x_marks, *z_marks}), checks):
-            for r, result in enumerate(checked):
+            for r, result in enumerate(checked, lo):
                 if result:
-                    termination[r], stopped[r] = result[0] or MAX_ITERS, t
-            if t in x_marks:
-                for r in runs:
-                    diff = x[r] - x_ref
-                    x_at[r][t] = float(diff @ diff)
-            if t in z_marks:
-                for r in runs:
-                    diff = z[r] - z_ref
-                    z_at[r][t] = float(diff @ diff)
-        walks += [Walk([x_at[r][t] for t in x_marks], [z_at[r][t] for t in z_marks],
-                       termination[r], stopped[r]) for r in runs]
-    return walks
+                    read.termination[r], read.iters[r] = result[0] or MAX_ITERS, t
+            for ref, marks, rows, errors in ((x_ref, x_marks, x, read.x_errors),
+                                             (z_ref, z_marks, z, read.z_errors)):
+                if t in marks:  # a repeated mark repeats its error
+                    errors[lo:lo + len(batch), np.equal(marks, t)] = [
+                        [float(diff @ diff)] for diff in (v - ref for v in rows)]
+        lo += len(batch)
+    return read
 
 
 def rek_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_t - x_ref||^2 at each checkpoint, one seeded REK run."""
-    return walk(a, b, REK, SolverConfig(), [seed], x_ref, checkpoints, None, (), False)[0].x_errors
+    read = walk(a, b, REK, SolverConfig(), [seed], x_ref, checkpoints, None, (), False)
+    return read.x_errors[0].tolist()
 
 
 def rk_checkpoint_errors(a, b, x_ref, checkpoints, seed):
     """||x_k - x_ref||^2 at each checkpoint, one seeded RK run from x = 0."""
-    return walk(a, b, RK, SolverConfig(), [seed], x_ref, checkpoints, None, (), False)[0].x_errors
+    read = walk(a, b, RK, SolverConfig(), [seed], x_ref, checkpoints, None, (), False)
+    return read.x_errors[0].tolist()
 
 
 def rop_checkpoint_errors(a, b, z_ref, checkpoints, seed):
     """||z_k - z_ref||^2 at each checkpoint, one seeded ROP run from z = b."""
-    return walk(a, b, ROP, SolverConfig(), [seed], None, (), z_ref, checkpoints, False)[0].z_errors
+    read = walk(a, b, ROP, SolverConfig(), [seed], None, (), z_ref, checkpoints, False)
+    return read.z_errors[0].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -221,31 +222,26 @@ class Battery:
                     self.seeds, ref.x_ls, x_marks, ref.b_perp, z_marks, "iteration-bound" in names)
 
 
-def _envelope_check(name, label, checkpoints, envelope, runs):
-    """Mean errors over `runs` against SLACK * envelope(t) at each checkpoint t.
+def _envelope_check(name, label, checkpoints, envelope, errors):
+    """Mean errors over the seeds against SLACK * envelope(t) at each checkpoint t.
 
-    runs holds one list of errors at the checkpoints per seed; `label` names
-    the checkpoints in the detail line.
+    errors is seeds x checkpoints, a walk's x_errors or z_errors; `label`
+    names the checkpoints in the detail line. Each column is summed in seed
+    order in Python floats (numpy would sum some shapes pairwise).
     """
-    acc = None
-    for errs in runs:
-        acc = errs if acc is None else [s + e for s, e in zip(acc, errs)]
     worst = 0.0
-    for t, total in zip(checkpoints, acc):
-        mean = total / len(runs)
+    for t, column in zip(checkpoints, errors.T.tolist()):
+        mean = functools.reduce(operator.add, column) / len(column)
         env = envelope(t)
         worst = max(worst, mean / (SLACK * env) if env > 0 else float(mean > 0))
-    return CheckResult(
-        name,
-        worst <= 1.0,
-        "max mean/bound ratio %.3g over %s=%s (%d runs)" % (worst, label, checkpoints, len(runs)),
-    )
+    return CheckResult(name, worst <= 1.0, "max mean/bound ratio %.3g over %s=%s (%d runs)"
+                       % (worst, label, checkpoints, len(errors)))
 
 
 def check_rek_envelope(bat):
     return _envelope_check(
         "rek-envelope", "T", bat.checkpoints(REK_T),
-        bat.bounds.rek_envelope, [w.x_errors for w in bat.walks],
+        bat.bounds.rek_envelope, bat.walks.x_errors,
     )
 
 
@@ -262,8 +258,7 @@ def check_rk_envelope(bat):
     ks = bat.checkpoints(RK_K)
     return _envelope_check(
         "rk-envelope", "k", ks, lambda t: rate**t * x_ls_sq + floor,
-        [w.x_errors for w in walk(bat.a, bat.b, RK, SolverConfig(), bat.seeds,
-                                  ref.x_ls, ks, None, (), False)],
+        walk(bat.a, bat.b, RK, SolverConfig(), bat.seeds, ref.x_ls, ks, None, (), False).x_errors,
     )
 
 
@@ -272,7 +267,7 @@ def check_rop_rate(bat):
     rate = bat.bounds.rk_rate
     b_range_sq = float(ref.b_range @ ref.b_range)
     return _envelope_check("rop-rate", "k", bat.checkpoints(ROP_K),
-                           lambda t: rate**t * b_range_sq, [w.z_errors for w in bat.walks])
+                           lambda t: rate**t * b_range_sq, bat.walks.z_errors)
 
 
 def check_one_step(bat):
@@ -302,7 +297,7 @@ def check_one_step(bat):
 
 
 def check_iteration_bound(bat):
-    hits = sum(w.termination == CONVERGED for w in bat.walks)
+    hits = bat.walks.termination.count(CONVERGED)
     need = math.ceil((1.0 - BOUND_DELTA) * bat.reps)
     return CheckResult(
         "iteration-bound",
@@ -316,12 +311,14 @@ def check_flop_model(bat):
     iters = 2000
     config = SolverConfig(eps=1e-300, max_iters=iters, seed=bat.seed)
     report = run_rek(a, bat.b, config)
-    model = 4.0 * (a.nnz / a.m + a.nnz / a.n) + 2.0
-    per_iter = report.flops / report.iters
     if a.nnz == a.m * a.n:
         ok = report.flops == (4 * (a.m + a.n) + 2) * report.iters
         detail = "dense: %d flops == (4(m+n)+2)*%d: %s" % (report.flops, report.iters, ok)
     else:
+        # the expected entries of a row and a column drawn by their squared norms
+        model = 4.0 * float(a.row_sq_norms @ np.diff(a.row_ptr)
+                            + a.col_sq_norms @ np.diff(a.col_ptr)) / a.frob_sq + 2.0
+        per_iter = report.flops / report.iters
         ok = abs(per_iter - model) <= 0.05 * model
         detail = "sparse: %.2f flops/iter vs model %.2f" % (per_iter, model)
     return CheckResult("flop-model", ok, detail)

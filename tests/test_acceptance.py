@@ -21,6 +21,7 @@ from kaczmarz.sampling import (
     ROW_STREAM_SALT,
     RngStream,
     build_alias_table,
+    derived_seeds,
     reconstructed_mass,
     row_sampler,
     sample_block,
@@ -256,7 +257,7 @@ def test_criterion_07_step_orthogonality_and_pythagoras():
     assert float(np.linalg.norm(ref.x_ls - planted)) <= 1e-10  # oracle agrees
 
     steps = 10_000
-    rng = RngStream.derived(5150, ROW_STREAM_SALT)
+    rng = RngStream(derived_seeds([5150], ROW_STREAM_SALT)[0])
     rows = sample_block(row_sampler(a), rng, steps)
     x = np.zeros(a.n)
     worst_orth = 0.0

@@ -387,12 +387,24 @@ def test_verify_subset_and_failure_exit_code(capsys, monkeypatch):
 
 def test_verify_flop_model_on_a_sparse_instance(capsys):
     # the sparse branch compares the mean booked flops per iteration with the
-    # model 4(nnz/m + nnz/n) + 2 within 5%
+    # sampled model 4(sum_i p_i nnz(row i) + sum_j q_j nnz(col j)) + 2 within 5%,
+    # p and q the squared-norm weights of the rows and columns
     code = run_cli(["verify", "--kind", "sparse", "--m", "100", "--n", "30",
                     "--density", "0.3", "--seed", "3", "--checks", "flop-model"])
     assert code == 0
     assert capsys.readouterr().out.splitlines() == [
-        "PASS flop-model: sparse: 167.00 flops/iter vs model 165.63"]
+        "PASS flop-model: sparse: 167.00 flops/iter vs model 167.97"]
+
+
+def test_verify_flop_model_weights_lines_as_they_are_drawn(capsys):
+    # at density 0.02 the line lengths vary widely and the long lines carry
+    # most of the norm: the uniform model 4(nnz/m + nnz/n) + 2 reads 33.79 and
+    # would fail this correct solver
+    code = run_cli(["verify", "--kind", "sparse", "--m", "300", "--n", "80",
+                    "--density", "0.02", "--seed", "5", "--checks", "flop-model"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS flop-model: sparse: 38.13 flops/iter vs model 38.19"]
 
 
 def test_verify_unknown_check_name(capsys):

@@ -26,6 +26,7 @@ from kaczmarz.sampling import (
     RngStream,
     build_alias_table,
     col_sampler,
+    derived_seeds,
     mix64,
     reconstructed_mass,
     row_sampler,
@@ -100,12 +101,13 @@ def test_block_path_equals_scalar_path():
 
 
 def test_derived_streams_are_decorrelated_and_deterministic():
-    row = RngStream.derived(9, ROW_STREAM_SALT)
-    col = RngStream.derived(9, COL_STREAM_SALT)
-    assert row.seed == mix64(9 ^ ROW_STREAM_SALT)
-    assert col.seed == mix64(9 ^ COL_STREAM_SALT)
-    assert row.seed != col.seed
-    again = RngStream.derived(9, ROW_STREAM_SALT)
+    seeds = [0, 9, 2**63, MASK64]
+    row_seeds = derived_seeds(seeds, ROW_STREAM_SALT).tolist()
+    col_seeds = derived_seeds(seeds, COL_STREAM_SALT).tolist()
+    assert row_seeds == [mix64(s ^ ROW_STREAM_SALT) for s in seeds]
+    assert col_seeds == [mix64(s ^ COL_STREAM_SALT) for s in seeds]
+    assert not set(row_seeds) & set(col_seeds)
+    row, again = RngStream(row_seeds[1]), RngStream(derived_seeds([9], ROW_STREAM_SALT)[0])
     assert [next_uint64(row) for _ in range(4)] == [next_uint64(again) for _ in range(4)]
 
 

@@ -33,6 +33,7 @@ from kaczmarz.sampling import (
     AliasTable,
     RngStream,
     col_sampler,
+    derived_seeds,
     row_sampler,
     sample_block,
 )
@@ -73,6 +74,12 @@ EPS = np.finfo(np.float64).eps
 def _ids(*k):
     """An index array as the bound steps take it."""
     return np.array(k, dtype=np.int64)
+
+
+def _streams(seed):
+    """The row and column streams of the run of `seed`, as a binding derives them."""
+    return [RngStream(derived_seeds([seed], salt)[0])
+            for salt in (ROW_STREAM_SALT, COL_STREAM_SALT)]
 
 
 @pytest.fixture
@@ -624,8 +631,7 @@ def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(solver, kern
             blocks[r].append((count, None, None, got))
     for r, run_blocks in blocks.items():
         want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [7 + r])
-        row_rng = RngStream.derived(7 + r, ROW_STREAM_SALT)
-        col_rng = RngStream.derived(7 + r, COL_STREAM_SALT)
+        row_rng, col_rng = _streams(7 + r)
         for count, given_rows, given_cols, got in run_blocks:
             if given_rows is None:
                 given_rows = sample_block(row_sampler(a), row_rng, count)
@@ -943,7 +949,7 @@ def test_trajectory_steps_on_the_indices_sample_block_draws(spec, solver, kernel
         a, b, solver, SolverConfig(), [9], stops, checks=False)]
     # the same run, stepped on indices drawn here instead of by the kernel
     x, z, steps, _ = _bind(a, b, solver, [9])
-    row_rng, col_rng = RngStream.derived(9, ROW_STREAM_SALT), RngStream.derived(9, COL_STREAM_SALT)
+    row_rng, col_rng = _streams(9)
     want, flops, iters = [], 0, 0
     for stop in dict.fromkeys(stops):
         rows = None if x is None else sample_block(row_sampler(a), row_rng, stop - iters)

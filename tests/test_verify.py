@@ -6,13 +6,15 @@ walk stops where run_rek stops, a batch reads each seed as that seed's own
 batch of one, bit for bit, and each subset of the three checks prints what
 the full battery prints while running no more iterations than its checks
 would alone. The batched one-step enumeration is held to the enumeration a
-line at a time.
+line at a time, and an envelope's mean sums the seeds in seed order.
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -118,13 +120,14 @@ def test_the_walk_reads_what_the_separate_runs_read(eps, cap):
     stops = []
     for seed in range(4):
         config = SolverConfig(eps=eps, max_iters=cap, seed=seed)
-        (read,) = walk(a, b, REK, config, [seed], ref.x_ls, x_marks, ref.b_perp, z_marks, True)
+        read = walk(a, b, REK, config, [seed], ref.x_ls, x_marks, ref.b_perp, z_marks, True)
+        (row,) = _rows(read)
         report = run_rek(a, b, config)
-        assert (read.termination, read.iters) == (report.termination, report.iters)
-        assert read.x_errors == rek_checkpoint_errors(a, b, ref.x_ls, x_marks, seed)
-        assert read.z_errors == rop_checkpoint_errors(a, b, ref.b_perp, z_marks, seed)
+        assert row[2:] == (report.termination, report.iters)
+        assert row[0] == _hex(rek_checkpoint_errors(a, b, ref.x_ls, x_marks, seed))
+        assert row[1] == _hex(rop_checkpoint_errors(a, b, ref.b_perp, z_marks, seed))
         unchecked = walk(a, b, REK, config, [seed], ref.x_ls, x_marks, ref.b_perp, z_marks, False)
-        assert unchecked == [(read.x_errors, read.z_errors, None, None)]
+        assert _rows(unchecked) == [(*row[:2], None, None)]
         stops.append((report.termination, report.iters))
     last = x_marks[-1]
     if eps == 1e-2:  # every run stops before the last envelope checkpoint
@@ -135,9 +138,14 @@ def test_the_walk_reads_what_the_separate_runs_read(eps, cap):
         assert all(t == CONVERGED and it > last for t, it in stops)
 
 
-def _hexed(w):
-    """A Walk with its errors as float.hex strings, to compare bit for bit."""
-    return ([e.hex() for e in w.x_errors], [e.hex() for e in w.z_errors], w.termination, w.iters)
+def _hex(errors):
+    return [e.hex() for e in errors]
+
+
+def _rows(read):
+    """Per seed of a walk, its errors as float.hex strings (bit for bit) and its stop."""
+    return [(_hex(x), _hex(z), termination, iters) for x, z, termination, iters in zip(
+        read.x_errors.tolist(), read.z_errors.tolist(), read.termination, read.iters)]
 
 
 @pytest.mark.parametrize("eps, cap", [(1e-6, None), (1e-2, None), (1e-12, 100)])
@@ -157,8 +165,8 @@ def test_a_batch_walks_each_seed_as_its_own_batch_of_one(kind, eps, cap, kernels
             return walk(a, b, solver, config, seeds, ref.x_ls, marks[0], ref.b_perp, marks[1],
                         checks)
         batch = read(range(8))
-        assert [_hexed(w) for w in batch] == [_hexed(read([s])[0]) for s in range(8)]
-        stops = {(w.termination, w.iters) for w in batch}
+        assert _rows(batch) == [row for s in range(8) for row in _rows(read([s]))]
+        stops = set(zip(batch.termination, batch.iters))
         if cap == 100 and checks:
             assert stops == {(MAX_ITERS, 100)}
         elif solver == REK:
@@ -174,7 +182,24 @@ def test_a_batch_over_the_byte_budget_walks_in_batches_as_its_seeds_alone(kernel
 
     def read(seeds):
         return walk(a, b, REK, config, seeds, x_ref, [5, 40], z_ref, [40, 80], True)
-    assert [_hexed(w) for w in read(range(100))] == [_hexed(read([s])[0]) for s in range(100)]
+    assert _rows(read(range(100))) == [row for s in range(100) for row in _rows(read([s]))]
+
+
+def test_an_envelope_mean_sums_the_seeds_in_seed_order():
+    # 100 seeds' errors that sum to exactly 150 in seed order, and to more in
+    # numpy's pairwise order: the mean sits exactly at SLACK times an envelope
+    # of 1, so the check passes at ratio 1
+    def in_order(column):
+        return functools.reduce(operator.add, column.tolist())
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        errors = rng.uniform(0.0, 3.0, (100, 1))
+        errors[-1] += 150.0 - in_order(errors[:, 0])
+        if in_order(errors[:, 0]) == 150.0 < errors.sum(axis=0)[0]:
+            break
+    assert in_order(errors[:, 0]) == 150.0 < errors.sum(axis=0)[0]
+    assert verify._envelope_check("e", "t", [1], lambda t: 1.0, errors) == verify.CheckResult(
+        "e", True, "max mean/bound ratio 1 over t=[1] (100 runs)")
 
 
 def _one_step_reference(a, b, solver, start, target, sq_norms):
