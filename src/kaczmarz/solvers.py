@@ -54,7 +54,9 @@ bit-identical to the numpy ones, and every sum of squares runs left to
 right. So on the compiled path the stopping decision and the reported
 residual_norm / atz_norm do not depend on the BLAS kernel either. Where the
 kernels are unavailable, the checks use the numpy products and BLAS dots, as
-np.linalg.norm does. trajectory hands each checked run its own sums.
+np.linalg.norm does. trajectory hands the stop's sums to one call of the
+solver's check, a row per checked run, and the check decides every row at
+once, each as it would alone.
 
 Flops are booked by formula where the work runs; one dot or axpy over k
 stored entries costs 2k. block_steps returns 4 per stored entry its steps
@@ -231,8 +233,9 @@ def _bind(a, b, solver, seeds):
     the process may use, one thread per share of runs, so a run listed
     twice would be stepped twice at once: runs must be distinct (else
     ValueError) and in [0, len(seeds)) (else IndexError), for steps and
-    sums alike and on both paths. sums(runs) gives, per listed run, the sums
-    of squares of A x - (b - z), A^T z, x, z and b, in that order, for the
+    sums alike and on both paths. sums(runs) gives a new (k, 5) array for
+    the k listed runs: row n holds, for the n-th listed run, the sums of
+    squares of A x - (b - z), A^T z, x, z and b, in that order, for the
     current contents of its x and z. RK's first sum is of A x - b and it
     leaves out A^T z and z; ROP leaves out A x - (b - z), x and b. Left-out
     sums are 0.0.
@@ -283,7 +286,8 @@ def _bind(a, b, solver, seeds):
         return 4 * block_steps(k, rows, cols, count) + scalar_flops * count
 
     def sums(runs=None):
-        return list(map(tuple, check_sums(list_runs(runs)).tolist()))
+        # a copy: the compiled check_sums writes every call into one buffer
+        return check_sums(list_runs(runs)).copy()
     return x, z, steps, sums
 
 
@@ -373,77 +377,64 @@ def _numpy_batch(a, b, x, z, streams, tables, listed):
 # ----------------------------------------------------------------------
 # termination checks
 #
-# Each takes the matrix, one run's sums (from the sums bound by _bind,
-# alongside its block steps) and eps, and returns (outcome, residual_norm,
-# atz_norm, flops), with None for the norm its solver lacks (atz_norm for RK,
-# residual_norm for ROP). The outcome is CONVERGED, OVERFLOW (a norm it
-# compares is inf or nan, where `inf <= eps * inf` would otherwise read as
-# converged), or None to keep iterating. The flops are for the runner's
-# separate check tally. The sums of squares behind the norms come from one
-# call of the compiled check_sums for the whole batch, or from numpy products
-# and BLAS dots where the kernels are unavailable.
+# Each takes the matrix, the (k, 5) sums of the k runs checked at a stop (bound
+# by _bind) and eps, and returns (outcomes, residual_norms, atz_norms, flops),
+# one entry per run: CONVERGED, OVERFLOW (a norm it compares is inf or nan,
+# where `inf <= eps * inf` would read as converged) or None to keep iterating;
+# the norms (None for the one its solver lacks: atz for RK, residual for ROP);
+# and the flops, for the runner's separate check tally. A row's entries are
+# those it gets checked alone: each bound is formed in the order of the scalar
+# rule, and as with Python floats, overflow to inf and nan pass without a
+# warning. A norm is nan, inf or below 1.4e154, so a sum of norms is finite
+# where each is.
+
+_OUTCOMES = np.array([None, CONVERGED, OVERFLOW], dtype=object)  # by np.where(overflow, 2, ok)
 
 
-def _overflowed(*norms):
-    # a norm is nan, inf or below 1.4e154: a sum of three is finite when each is
-    return not math.isfinite(sum(norms))
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def rop_termination_check(a, sums, eps):
     """||A^T z|| <= eps * ||A||_F * ||z||; an exactly-zero z is the limit itself."""
-    _, atz_sq, _, z_sq, _ = sums
-    flops = 2 * (a.nnz + a.m + a.n)  # A^T z, then the sums of squares of z and A^T z
-    z_norm, atz = math.sqrt(z_sq), math.sqrt(atz_sq)
-    if _overflowed(z_norm, atz):
-        return OVERFLOW, None, atz, flops
-    if z_norm == 0.0:
-        return CONVERGED, None, atz, flops
-    ok = atz <= eps * math.sqrt(a.frob_sq) * z_norm
-    return CONVERGED if ok else None, None, atz, flops
+    _, atz, _, z_norm, _ = np.sqrt(sums).T
+    # A^T z, then the sums of squares of z and A^T z
+    flops = np.full(len(sums), 2 * (a.nnz + a.m + a.n))
+    ok = (z_norm == 0.0) | (atz <= eps * math.sqrt(a.frob_sq) * z_norm)
+    return _OUTCOMES[np.where(np.isfinite(atz + z_norm), ok, 2)], None, atz, flops
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rk_termination_check(a, sums, eps):
     """||A x - b|| <= eps * ||A||_F * ||x||, with the zero-x degenerate rule."""
-    resid_sq, _, x_sq, _, b_sq = sums
-    # A x, then - b, then the sums of squares of the residual and x
-    flops = 2 * a.nnz + 3 * a.m + 2 * a.n
-    resid, x_norm = math.sqrt(resid_sq), math.sqrt(x_sq)
-    if _overflowed(resid, x_norm):
-        return OVERFLOW, resid, None, flops
-    if x_norm == 0.0:
-        # Only a zero rhs legitimately stops at the origin (resid is ||b|| here).
-        flops += 2 * a.m  # the sum of squares of b
-        return CONVERGED if resid <= eps * math.sqrt(b_sq) else None, resid, None, flops
-    ok = resid <= eps * math.sqrt(a.frob_sq) * x_norm
-    return CONVERGED if ok else None, resid, None, flops
+    resid, _, x_norm, _, b_norm = np.sqrt(sums).T
+    overflow = ~np.isfinite(resid + x_norm)
+    # Only a zero rhs legitimately stops at the origin (resid is ||b|| here).
+    zero = (x_norm == 0.0) & ~overflow
+    # A x, then - b, then the sums of squares of the residual and x, and of b at x = 0
+    flops = 2 * a.nnz + 3 * a.m + 2 * a.n + 2 * a.m * zero
+    ok = np.where(zero, resid <= eps * b_norm, resid <= eps * math.sqrt(a.frob_sq) * x_norm)
+    return _OUTCOMES[np.where(overflow, 2, ok)], resid, None, flops
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rek_termination_check(a, sums, eps):
     """Both REK inequalities against the current (x, z).
 
     Residual is measured against b - z, the running estimate of the range
     component of b; A^T z measures how far z still is from b_perp.
     """
-    resid_sq, atz_sq, x_sq, _, b_sq = sums
+    resid, atz, x_norm, _, b_norm = np.sqrt(sums).T
+    overflow = ~np.isfinite(resid + atz + x_norm)
+    # Degenerate rule: converged at the origin only if b - z has (relatively)
+    # nothing left for x to explain, and overflow where ||b|| does.
+    zero = (x_norm == 0.0) & ~overflow
+    b_finite = zero & np.isfinite(b_norm)
     # b - z, A x and their difference, A^T z, then the sums of squares of the
-    # residual, A^T z and x
-    flops = 4 * (a.nnz + a.m + a.n)
-    resid, atz, x_norm = math.sqrt(resid_sq), math.sqrt(atz_sq), math.sqrt(x_sq)
-    if _overflowed(resid, atz, x_norm):
-        return OVERFLOW, resid, atz, flops
-    if x_norm == 0.0:
-        # Degenerate rule: converged at the origin only if b - z has
-        # (relatively) nothing left for x to explain.
-        b_norm = math.sqrt(b_sq)
-        flops += 2 * a.m  # the sum of squares of b
-        if _overflowed(b_norm):
-            return OVERFLOW, resid, atz, flops
-        # at x = 0 the residual is b - z itself; book it as the norm of b - z
-        flops += 2 * a.m
-        return CONVERGED if resid <= eps * b_norm else None, resid, atz, flops
+    # residual, A^T z and x; at x = 0 that of b, and (b finite) the residual
+    # is b - z itself, booked as the norm of b - z
+    flops = 4 * (a.nnz + a.m + a.n) + 2 * a.m * zero + 2 * a.m * b_finite
     frob = math.sqrt(a.frob_sq)
-    ok = resid <= eps * frob * x_norm and atz <= eps * a.frob_sq * x_norm
-    return CONVERGED if ok else None, resid, atz, flops
+    ok = np.where(zero, resid <= eps * b_norm,
+                  (resid <= eps * frob * x_norm) & (atz <= eps * a.frob_sq * x_norm))
+    return _OUTCOMES[np.where(overflow | (zero & ~b_finite), 2, ok)], resid, atz, flops
 
 
 # ----------------------------------------------------------------------
@@ -467,13 +458,14 @@ def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
     every check interval and at the cap, until its check first gives an
     outcome (CONVERGED or OVERFLOW); after that it goes on only as far as the
     marks ahead, and with none ahead it leaves the batch, its rows left as
-    they are. checked holds, per run, the check's (outcome, residual_norm,
-    atz_norm, flops) where the run was checked at this stop, else None.
+    they are. checked is None at a stop where no run is checked, else
+    (runs, outcomes, residual_norms, atz_norms, flops): the int64 array of
+    the runs checked there and the check's entries for them, in that order.
     """
     eps, cap, interval = config.resolved(a.m, a.n)
     x, z, steps, sums = _bind(a, b, solver, seeds)
     # looked up per batch, so a wrapper bound to the module-level name sees
-    # every checked run
+    # every check stop
     check = {REK: rek_termination_check, RK: rk_termination_check,
              ROP: rop_termination_check}[solver]
     schedule = itertools.chain(range(interval, cap, interval), (cap,))
@@ -481,7 +473,7 @@ def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
     marks = iter(marks)
     mark = next(marks, None)  # the next mark; None when there is none
     every = np.arange(len(seeds), dtype=np.int64)
-    checking = every if checks else every[:0]  # the runs whose checks go on
+    checking = every  # the runs whose checks go on, while a check is due
     iters = 0
     flops = np.zeros(len(seeds), dtype=np.int64)
     while due is not None or mark is not None:
@@ -492,15 +484,11 @@ def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
             stepping = every if mark is not None else checking
             flops[stepping] += steps(stop - iters, runs=stepping)
             iters = stop
-        checked = [None] * len(seeds)
+        checked = None
         if stop == due:
-            going_on = []
-            for r, run_sums in zip(checking.tolist(), sums(checking)):
-                checked[r] = check(a, run_sums, eps)
-                if not checked[r][0]:
-                    going_on.append(r)
-            due = next(schedule, None) if going_on else None
-            checking = every[going_on] if due is not None else every[:0]
+            checked = (checking, *check(a, sums(checking), eps))
+            checking = checking[np.equal(checked[1], None)]
+            due = next(schedule, None) if checking.size else None
         while mark == stop:
             mark = next(marks, None)
         yield iters, x, z, flops, checked
@@ -512,10 +500,11 @@ def _run(a, b, config, solver):
     check_flops = 0
     reason = MAX_ITERS
     start = time.perf_counter()
-    for iters, x, z, flops, (checked,) in trajectory(a, b, solver, config, [config.seed]):
-        outcome, resid, atz, cost = checked
-        check_flops += cost
-        reason = outcome or reason
+    # every stop is a check stop of the one run
+    for iters, x, z, flops, (_, outcomes, resids, atzs, costs) in trajectory(
+            a, b, solver, config, [config.seed]):
+        check_flops += int(costs[0])
+        reason = outcomes[0] or reason
     return SolveReport(
         x=None if x is None else x[0],
         z=None if z is None else z[0],
@@ -523,8 +512,8 @@ def _run(a, b, config, solver):
         flops=int(flops[0]),
         check_flops=check_flops,
         termination=reason,
-        residual_norm=resid,
-        atz_norm=atz,
+        residual_norm=None if resids is None else float(resids[0]),
+        atz_norm=None if atzs is None else float(atzs[0]),
         wall_time=time.perf_counter() - start,
     )
 

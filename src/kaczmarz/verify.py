@@ -79,8 +79,8 @@ class Walks(NamedTuple):
 
     x_errors: np.ndarray  # seeds x x_marks
     z_errors: np.ndarray  # seeds x z_marks
-    termination: list
-    iters: list
+    termination: np.ndarray  # objects: an outcome, or None without the checks
+    iters: np.ndarray  # objects: an int, or None without the checks
 
 
 def walk(a, b, solver, config, seeds, x_ref, x_marks, z_ref, z_marks, checks):
@@ -97,14 +97,15 @@ def walk(a, b, solver, config, seeds, x_ref, x_marks, z_ref, z_marks, checks):
     """
     x_marks, z_marks = [int(t) for t in x_marks], [int(t) for t in z_marks]
     read = Walks(np.empty((len(seeds), len(x_marks))), np.empty((len(seeds), len(z_marks))),
-                 [None] * len(seeds), [None] * len(seeds))
+                 np.full(len(seeds), None), np.full(len(seeds), None))
     lo = 0
     for batch in _batches(a, solver, seeds):
         for t, x, z, _, checked in trajectory(
                 a, b, solver, config, batch, sorted({*x_marks, *z_marks}), checks):
-            for r, result in enumerate(checked, lo):
-                if result:
-                    read.termination[r], read.iters[r] = result[0] or MAX_ITERS, t
+            if checked:
+                runs, outcomes = lo + checked[0], checked[1]
+                read.termination[runs] = np.where(np.equal(outcomes, None), MAX_ITERS, outcomes)
+                read.iters[runs] = t
             for ref, marks, rows, errors in ((x_ref, x_marks, x, read.x_errors),
                                              (z_ref, z_marks, z, read.z_errors)):
                 if t in marks:  # a repeated mark repeats its error
@@ -297,7 +298,7 @@ def check_one_step(bat):
 
 
 def check_iteration_bound(bat):
-    hits = bat.walks.termination.count(CONVERGED)
+    hits = int(np.count_nonzero(bat.walks.termination == CONVERGED))
     need = math.ceil((1.0 - BOUND_DELTA) * bat.reps)
     return CheckResult(
         "iteration-bound",

@@ -150,14 +150,14 @@ def test_check_sums_are_sequential_sums_over_the_numpy_products(lib, halves, mat
         run_x[0] = x
     if z is not None:
         run_z[0] = z
-    (got,) = sums()
+    (got,) = sums().tolist()
     want = [0.0] * 5
     if x is not None:
         resid = a.matvec(x) - (b if z is None else b - z)
         want[0], want[2], want[4] = (_sequential_sum_sq(v) for v in (resid, x, b))
     if z is not None:
         want[1], want[3] = _sequential_sum_sq(a.rmatvec(z)), _sequential_sum_sq(z)
-    assert got == tuple(want)
+    assert got == want
     assert all(v > 0.0 for v, w in zip(got, want) if w)
 
 

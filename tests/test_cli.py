@@ -5,6 +5,7 @@ without spawning interpreters; only the test of which modules a fresh
 interpreter loads starts one.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from kaczmarz.mmio import (
     write_matrix_market,
     write_vector,
 )
+from kaczmarz.solvers import MAX_ITERS
 
 from helpers import read_csv
 
@@ -383,6 +385,42 @@ def test_verify_subset_and_failure_exit_code(capsys, monkeypatch):
                     "--seed", "8", "--reps", "5", "--checks", "rek-envelope"])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+_SMALL_VERIFY = ["verify", "--kind", "dense", "--m", "20", "--n", "6", "--seed", "8", "--reps", "5"]
+
+
+@pytest.mark.parametrize("name", ["rk_one_step_expectation", "rop_one_step_expectation"])
+def test_verify_one_step_fails_when_either_expectation_does_not_contract(capsys, monkeypatch,
+                                                                         name):
+    # a step that doubled the expected error would break rate * ||e||^2
+    expectation = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: 2.0 * expectation(*args) + 1.0)
+    assert run_cli(_SMALL_VERIFY + ["--checks", "one-step-contraction"]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL one-step-contraction: rk ")
+
+
+def test_verify_forward_error_fails_a_run_that_did_not_converge(capsys, monkeypatch):
+    run_rek = verify.run_rek
+    monkeypatch.setattr(verify, "run_rek", lambda a, b, config: dataclasses.replace(
+        run_rek(a, b, config), termination=MAX_ITERS))
+    assert run_cli(_SMALL_VERIFY + ["--checks", "forward-error"]) == 2
+    assert capsys.readouterr().out.splitlines() == ["FAIL forward-error: run failed to converge"]
+
+
+def test_verify_refuses_seeds_past_64_bits(tmp_path, capsys):
+    # seed .. seed + reps - 1 must each fit; the walks' binding refuses them
+    # before any check prints
+    assert run_cli(["verify", "--kind", "dense", "--m", "20", "--n", "5",
+                    "--seed", str(2**64 - 1), "--reps", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must fit in 64 bits\n")
+    matrix, rhs = str(tmp_path / "A.mtx"), str(tmp_path / "b.mtx")
+    assert run_cli(["gen", "--kind", "dense", "--m", "20", "--n", "5",
+                    "--matrix", matrix, "--rhs", rhs]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "--matrix", matrix, "--rhs", rhs, "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "error: seed must fit in 64 bits\n")
 
 
 def test_verify_flop_model_on_a_sparse_instance(capsys):

@@ -143,21 +143,29 @@ def test_rek_step_uses_pre_update_z(small_instance, kernels):
 _CHECK_A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
 
 
+def _alone(check, a, sums, eps):
+    """(outcome, residual_norm, atz_norm, flops) of a check of the one run of `sums`."""
+    outcomes, resids, atzs, flops = check(a, sums, eps)
+    assert len(outcomes) == len(flops) == 1
+    return (outcomes[0], *(None if v is None else float(v[0]) for v in (resids, atzs)),
+            int(flops[0]))
+
+
 def _rek_check(a, b, x, z, eps):
     run_x, run_z, _, sums = _bind(a, b, REK, [0])
     run_x[0], run_z[0] = x, z
-    return rek_termination_check(a, sums()[0], eps)
+    return _alone(rek_termination_check, a, sums(), eps)
 
 
 def _rk_check(a, b, x, eps):
     run_x, _, _, sums = _bind(a, b, RK, [0])
     run_x[0] = x
-    return rk_termination_check(a, sums()[0], eps)
+    return _alone(rk_termination_check, a, sums(), eps)
 
 
 def _rop_check(a, z, eps):
     # a bound ROP run starts from z = b
-    return rop_termination_check(a, _bind(a, z, ROP, [0])[3]()[0], eps)
+    return _alone(rop_termination_check, a, _bind(a, z, ROP, [0])[3](), eps)
 
 
 def test_termination_check_degenerate_rules():
@@ -215,9 +223,126 @@ def test_bound_checks_follow_in_place_updates(kernels):
         z = rek_z[:] = rop_z[:] = rng.standard_normal(a.m)
         for eps in (1e-8, 10.0):
             # sums bound before the updates read what freshly bound ones do
-            assert rek_termination_check(a, rek_sums()[0], eps) == _rek_check(a, b, x, z, eps)
-            assert rk_termination_check(a, rk_sums()[0], eps) == _rk_check(a, b, x, eps)
-            assert rop_termination_check(a, rop_sums()[0], eps) == _rop_check(a, z, eps)
+            assert _alone(rek_termination_check, a, rek_sums(), eps) == _rek_check(a, b, x, z, eps)
+            assert _alone(rk_termination_check, a, rk_sums(), eps) == _rk_check(a, b, x, eps)
+            assert _alone(rop_termination_check, a, rop_sums(), eps) == _rop_check(a, z, eps)
+
+
+_HUGE = np.array([1.0, 0.5, -1.0]) * 1e200  # orthogonal to _CHECK_A's columns
+_FIT = _CHECK_A @ np.array([1.0, 2.0])  # x = [1, 2] solves A x = _FIT exactly
+_NAN_X = np.array([np.nan, 1.0])
+
+# per solver, (b, x, z, outcome at eps 1e-8) of runs whose checks take every
+# branch of its rule; x or z of None is the bound run's own start
+_CHECK_ROWS = {
+    REK: [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), np.array([0.5, 1.0, 1.5]), None),
+          (_FIT, np.array([1.0, 2.0]), np.zeros(3), CONVERGED),
+          (np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), np.zeros(3), None),  # z = 0
+          (np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([0.5, 1.0, 1.5]), None),
+          (np.array([1.0, 2.0, 3.0]), np.zeros(2), None, CONVERGED),  # x = 0, b - z = 0
+          (_HUGE, np.zeros(2), None, OVERFLOW),  # x = 0, ||b|| overflows
+          (_HUGE, np.zeros(2), _HUGE / 2, OVERFLOW),  # ||b - z|| overflows
+          (np.array([1.0, 2.0, 3.0]), _NAN_X, None, OVERFLOW)],
+    RK: [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), None, None),
+         (_FIT, np.array([1.0, 2.0]), None, CONVERGED),
+         (np.array([1.0, 2.0, 3.0]), None, None, None),  # x = 0, finite ||b||
+         (np.zeros(3), None, None, CONVERGED),  # x = 0, b = 0
+         (_HUGE, None, None, OVERFLOW),  # x = 0, ||b|| overflows
+         (np.array([1.0, 2.0, 3.0]), np.array([1e200, 1e200]), None, OVERFLOW),
+         (np.array([1.0, 2.0, 3.0]), _NAN_X, None, OVERFLOW)],
+    ROP: [(np.array([1.0, 2.0, 3.0]), None, None, None),
+          (_HUGE / 1e200, None, None, CONVERGED),
+          (np.zeros(3), None, None, CONVERGED),  # z = 0
+          (np.full(3, 1e200), None, None, OVERFLOW),
+          (np.array([1.0, 2.0, 3.0]), None, np.array([np.nan, 0.0, 0.0]), OVERFLOW)],
+}
+_CHECKS = {REK: rek_termination_check, RK: rk_termination_check, ROP: rop_termination_check}
+
+
+def _bits(entries):
+    return tuple(v.hex() if isinstance(v, float) else v for v in entries)
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_one_check_of_many_runs_gives_each_what_it_gets_checked_alone(solver, kernels):
+    # overflow, nan, x = 0 with and without an overflowing ||b||, z = 0,
+    # converged and not, in one call: no row's branch may leak into another's
+    a, check = DualSparseMatrix.from_dense(_CHECK_A), _CHECKS[solver]
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the fallback's numpy sums
+        for b, x, z, _ in _CHECK_ROWS[solver]:
+            run_x, run_z, _, sums = _bind(a, b, solver, [0])
+            if x is not None:
+                run_x[0] = x
+            if z is not None:
+                run_z[0] = z
+            rows.append(sums())
+    stacked = np.vstack(rows)
+    for eps in (1e-8, 0.5, 1.9):
+        outcomes, resids, atzs, flops = check(a, stacked, eps)
+        assert len(outcomes) == len(flops) == len(stacked)
+        for r, row in enumerate(rows):
+            together = (outcomes[r], *(None if v is None else float(v[r]) for v in (resids, atzs)),
+                        int(flops[r]))
+            assert _bits(together) == _bits(_alone(check, a, row, eps))
+        if eps == 1e-8:
+            assert list(outcomes) == [want for *_, want in _CHECK_ROWS[solver]]
+
+
+def _scalar_check(solver, a, row, eps):
+    """The stopping rule on one run's sums in Python floats: the checks' reference."""
+    resid, atz, x_norm, z_norm, b_norm = map(math.sqrt, row)
+    if solver == ROP:
+        flops = 2 * (a.nnz + a.m + a.n)
+        if not math.isfinite(atz + z_norm):
+            return OVERFLOW, None, atz, flops
+        ok = z_norm == 0.0 or atz <= eps * math.sqrt(a.frob_sq) * z_norm
+        return CONVERGED if ok else None, None, atz, flops
+    atz = None if solver == RK else atz
+    flops = 2 * a.nnz + 3 * a.m + 2 * a.n if solver == RK else 4 * (a.nnz + a.m + a.n)
+    if not math.isfinite(resid + x_norm + (atz or 0.0)):
+        return OVERFLOW, resid, atz, flops
+    if x_norm == 0.0:
+        flops += 2 * a.m
+        if solver == REK:
+            if not math.isfinite(b_norm):
+                return OVERFLOW, resid, atz, flops
+            flops += 2 * a.m
+        return CONVERGED if resid <= eps * b_norm else None, resid, atz, flops
+    ok = resid <= eps * math.sqrt(a.frob_sq) * x_norm and (
+        atz is None or atz <= eps * a.frob_sq * x_norm)
+    return CONVERGED if ok else None, resid, atz, flops
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_checks_match_the_scalar_rule_on_extreme_sums_bit_for_bit(scale):
+    # zeros, subnormals, near-overflow, inf and nan among ordinary magnitudes,
+    # and bounds eps * ||A||_F * ||x|| that overflow or underflow: no warning
+    a = DualSparseMatrix.from_dense(_CHECK_A * scale)
+    rng = np.random.default_rng(27)
+    pool = np.array([0.0, 5e-324, 1e-310, 1e-20, 1.0, 1e300, 1.7e308, np.inf, np.nan])
+    sums = np.where(rng.random((2000, 5)) < 0.5, rng.choice(pool, (2000, 5)),
+                    rng.random((2000, 5)) * 10.0 ** rng.integers(-300, 300, (2000, 5)))
+    for eps in (1e-300, 1e-14, 1e-6, 1.9):
+        for solver, check in _CHECKS.items():
+            outcomes, resids, atzs, flops = check(a, sums, eps)
+            for r, row in enumerate(sums.tolist()):
+                got = (outcomes[r], *(None if v is None else float(v[r]) for v in (resids, atzs)),
+                       int(flops[r]))
+                assert _bits(got) == _bits(_scalar_check(solver, a, row, eps))
+
+
+def test_sums_taken_earlier_stay_as_they_were(kernels):
+    # the compiled check_sums writes every call into the same buffer
+    a, b, _ = generate(InstanceSpec(kind="sparse", m=40, n=12, density=0.3, seed=4))
+    for solver in (REK, RK, ROP):
+        _, _, steps, sums = _bind(a, b, solver, [0, 1])
+        before = sums()
+        kept = before.copy()
+        steps(50)
+        after = sums()
+        assert before.tobytes() == kept.tobytes() != after.tobytes()
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
@@ -600,7 +725,7 @@ def test_bound_steps_and_sums_refuse_runs_out_of_range_or_repeated(solver, kerne
     assert z is None or (z == b).all()
     # a list of distinct runs in any order, or none, is a run list
     assert steps(3, runs=[1, 0]).size == 2 and steps(3, runs=_ids()).size == 0
-    assert sums([1, 0]) == sums()[::-1] and sums(_ids()) == []
+    assert sums([1, 0]).tolist() == sums()[::-1].tolist() and sums(_ids()).tolist() == []
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
@@ -616,11 +741,11 @@ def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(solver, kern
         want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [7 + r])
         assert flops[k] == want_steps(30, rows[k], cols[k])[0]
         assert _run_bytes(x, z, r) == _run_bytes(want_x, want_z, 0)
-        assert sums(_ids(r)) == want_sums()
+        assert sums(_ids(r)).tolist() == want_sums().tolist()
     want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [8])
     assert drawn == want_steps(10).tolist()
     assert _run_bytes(x, z, 1) == _run_bytes(want_x, want_z, 0)
-    assert sums() == [sums(_ids(r))[0] for r in range(3)]
+    assert sums().tolist() == [sums(_ids(r)).tolist()[0] for r in range(3)]
     # then runs 2 and 1 draw, and then every run: each run's streams go on
     # from its own last draw, so each run is its seed's run stepped on what
     # sample_block draws from the seed's two streams, given blocks aside
@@ -638,7 +763,7 @@ def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(solver, kern
                 given_cols = sample_block(col_sampler(a), col_rng, count)
             assert want_steps(count, given_rows, given_cols).tolist() == [got]
         assert _run_bytes(x, z, r) == _run_bytes(want_x, want_z, 0)
-        assert sums(_ids(r)) == want_sums()
+        assert sums(_ids(r)).tolist() == want_sums().tolist()
 
 
 @pytest.mark.parametrize("scale, b, error, message", [
@@ -799,7 +924,7 @@ for kind, (a, b) in instances.items():
         digest = hashlib.sha256()
         for v in (x, z, streams[-1], *flops):
             digest.update(b"-" if v is None else v.tobytes())
-        digest.update(repr(sums()).encode())
+        digest.update(sums().tobytes())
         print(kind, solver, digest.hexdigest())
 assert len(os.listdir("/proc/self/task")) == tasks, "a kernel thread outlived its call"
 """
@@ -869,7 +994,7 @@ def test_a_bound_run_keeps_the_vectors_it_reads_alive(solver, compiled):
     steps(500)
     want_steps, want_sums = _bind(a, b, solver, [1])[2:]
     want_steps(500)
-    assert sums() == want_sums()
+    assert sums().tolist() == want_sums().tolist()
     assert all(np.isnan(v).all() for v in reused)
 
 

@@ -22,12 +22,19 @@ def test_the_tracer_patches_existing_names_and_restores_them():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    originals = (solvers.run_rek, solvers._RUNNERS, verify.ALL_CHECKS, verify.sample_block)
+    checks = ["%s_termination_check" % solver for solver in ("rek", "rk", "rop")]
+    originals = (solvers.run_rek, solvers._RUNNERS, verify.ALL_CHECKS, verify.sample_block,
+                 *(getattr(solvers, name) for name in checks))
     recorder = tracing.Recorder()
     try:
         recorder.install()
         assert solvers.run_rek is not originals[0]
+        # the termination checks are looked up by name once per batch
+        for name, original in zip(checks, originals[4:]):
+            assert getattr(solvers, name) is not original
+            assert getattr(solvers, name).__wrapped__ is original
     finally:
         recorder.uninstall()
-    restored = (solvers.run_rek, solvers._RUNNERS, verify.ALL_CHECKS, verify.sample_block)
+    restored = (solvers.run_rek, solvers._RUNNERS, verify.ALL_CHECKS, verify.sample_block,
+                *(getattr(solvers, name) for name in checks))
     assert all(got is want for got, want in zip(restored, originals))

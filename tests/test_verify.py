@@ -254,7 +254,7 @@ def test_the_batched_enumeration_sums_what_one_line_at_a_time_sums(name, budget,
 def test_trajectory_stops_once_at_each_count():
     a, b, _ = generate(SMALL)
     config = SolverConfig(eps=1e-2, max_iters=1000, check_interval=50, seed=1)
-    seen = [(t, checked is not None) for t, _, _, _, (checked,) in trajectory(
+    seen = [(t, checked is not None) for t, _, _, _, checked in trajectory(
         a, b, REK, config, [config.seed], [0, 50, 50, 75, 180, 180, 400])]
     # checks at 50, 100, ... until the first outcome; then only the marks ahead
     stop = run_rek(a, b, config).iters
@@ -273,7 +273,7 @@ ARGV = ["verify", "--kind", "dense", "--m", "20", "--n", "6", "--seed", "8", "--
 
 
 def _verify_counting(monkeypatch, names):
-    """(lines, iterations per solver, runs per solver, checks) of one verify run."""
+    """(lines, iterations per solver, runs per solver, runs checked) of one verify run."""
     runs, checks = [], []
 
     def recording(a, b, solver, config, seeds, *rest):
@@ -287,9 +287,9 @@ def _verify_counting(monkeypatch, names):
                     ends[r], last[r] = item[0], flops
             yield item
 
-    def counting(*args):
-        checks.append(args)
-        return rek_check(*args)
+    def counting(a, sums, eps):
+        checks.append(len(sums))  # the runs checked at this stop
+        return rek_check(a, sums, eps)
 
     rek_check = solvers.rek_termination_check
     with monkeypatch.context() as mp:
@@ -301,7 +301,7 @@ def _verify_counting(monkeypatch, names):
             assert cli.main(ARGV + ["--checks", ",".join(names)]) == 0
     iters = {s: sum(ends[r] for solver, ends, r in runs if solver == s) for s in (REK, ROP)}
     ends = {s: [ends[r] for solver, ends, r in runs if solver == s] for s in (REK, ROP)}
-    return out.getvalue().splitlines(), iters, ends, len(checks)
+    return out.getvalue().splitlines(), iters, ends, sum(checks)
 
 
 def test_the_readme_battery_moves_its_100_seeds_in_fewer_than_100_kernel_calls(monkeypatch):
