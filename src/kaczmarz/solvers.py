@@ -380,15 +380,15 @@ def _numpy_batch(a, b, x, z, streams, tables, listed):
 # Each takes the matrix, the (k, 5) sums of the k runs checked at a stop (bound
 # by _bind) and eps, and returns (outcomes, residual_norms, atz_norms, flops),
 # one entry per run: CONVERGED, OVERFLOW (a norm it compares is inf or nan,
-# where `inf <= eps * inf` would read as converged) or None to keep iterating;
-# the norms (None for the one its solver lacks: atz for RK, residual for ROP);
-# and the flops, for the runner's separate check tally. A row's entries are
-# those it gets checked alone: each bound is formed in the order of the scalar
-# rule, and as with Python floats, overflow to inf and nan pass without a
-# warning. A norm is nan, inf or below 1.4e154, so a sum of norms is finite
-# where each is.
+# where `inf <= eps * inf` would read as converged) or, where neither holds,
+# MAX_ITERS, the outcome of a run that goes on until the cap; the norms (None
+# for the one its solver lacks: atz for RK, residual for ROP); and the flops,
+# for the runner's separate check tally. A row's entries are those it gets
+# checked alone: each bound is formed in the order of the scalar rule, and as
+# with Python floats, overflow to inf and nan pass without a warning. A norm
+# is nan, inf or below 1.4e154, so a sum of norms is finite where each is.
 
-_OUTCOMES = np.array([None, CONVERGED, OVERFLOW], dtype=object)  # by np.where(overflow, 2, ok)
+_OUTCOMES = np.array([MAX_ITERS, CONVERGED, OVERFLOW], dtype=object)  # by np.where(finite, ok, 2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -405,13 +405,13 @@ def rop_termination_check(a, sums, eps):
 def rk_termination_check(a, sums, eps):
     """||A x - b|| <= eps * ||A||_F * ||x||, with the zero-x degenerate rule."""
     resid, _, x_norm, _, b_norm = np.sqrt(sums).T
-    overflow = ~np.isfinite(resid + x_norm)
+    finite = np.isfinite(resid + x_norm)
     # Only a zero rhs legitimately stops at the origin (resid is ||b|| here).
-    zero = (x_norm == 0.0) & ~overflow
+    zero = (x_norm == 0.0) & finite
     # A x, then - b, then the sums of squares of the residual and x, and of b at x = 0
     flops = 2 * a.nnz + 3 * a.m + 2 * a.n + 2 * a.m * zero
-    ok = np.where(zero, resid <= eps * b_norm, resid <= eps * math.sqrt(a.frob_sq) * x_norm)
-    return _OUTCOMES[np.where(overflow, 2, ok)], resid, None, flops
+    ok = resid <= np.where(zero, eps * b_norm, eps * math.sqrt(a.frob_sq) * x_norm)
+    return _OUTCOMES[np.where(finite, ok, 2)], resid, None, flops
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -422,19 +422,18 @@ def rek_termination_check(a, sums, eps):
     component of b; A^T z measures how far z still is from b_perp.
     """
     resid, atz, x_norm, _, b_norm = np.sqrt(sums).T
-    overflow = ~np.isfinite(resid + atz + x_norm)
+    finite = np.isfinite(resid + atz + x_norm)
     # Degenerate rule: converged at the origin only if b - z has (relatively)
     # nothing left for x to explain, and overflow where ||b|| does.
-    zero = (x_norm == 0.0) & ~overflow
+    zero = (x_norm == 0.0) & finite
     b_finite = zero & np.isfinite(b_norm)
     # b - z, A x and their difference, A^T z, then the sums of squares of the
     # residual, A^T z and x; at x = 0 that of b, and (b finite) the residual
     # is b - z itself, booked as the norm of b - z
     flops = 4 * (a.nnz + a.m + a.n) + 2 * a.m * zero + 2 * a.m * b_finite
-    frob = math.sqrt(a.frob_sq)
-    ok = np.where(zero, resid <= eps * b_norm,
-                  (resid <= eps * frob * x_norm) & (atz <= eps * a.frob_sq * x_norm))
-    return _OUTCOMES[np.where(overflow | (zero & ~b_finite), 2, ok)], resid, atz, flops
+    ok = (resid <= np.where(zero, eps * b_norm, eps * math.sqrt(a.frob_sq) * x_norm)) & (
+        zero | (atz <= eps * a.frob_sq * x_norm))
+    return _OUTCOMES[np.where(finite & (b_finite | ~zero), ok, 2)], resid, atz, flops
 
 
 # ----------------------------------------------------------------------
@@ -455,8 +454,8 @@ def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
 
     Every run stops at each count in `marks`, which must not decrease and may
     be lazy. With checks, a run also stops for the solver's termination check
-    every check interval and at the cap, until its check first gives an
-    outcome (CONVERGED or OVERFLOW); after that it goes on only as far as the
+    every check interval and at the cap, until its check first gives
+    CONVERGED or OVERFLOW; after that it goes on only as far as the
     marks ahead, and with none ahead it leaves the batch, its rows left as
     they are. checked is None at a stop where no run is checked, else
     (runs, outcomes, residual_norms, atz_norms, flops): the int64 array of
@@ -487,7 +486,7 @@ def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
         checked = None
         if stop == due:
             checked = (checking, *check(a, sums(checking), eps))
-            checking = checking[np.equal(checked[1], None)]
+            checking = checking[checked[1] == MAX_ITERS]
             due = next(schedule, None) if checking.size else None
         while mark == stop:
             mark = next(marks, None)
@@ -498,20 +497,18 @@ def _run(a, b, config, solver):
     """Run `solver` until its termination check says stop, checking every interval."""
     config = config or SolverConfig(solver=solver)
     check_flops = 0
-    reason = MAX_ITERS
     start = time.perf_counter()
     # every stop is a check stop of the one run
     for iters, x, z, flops, (_, outcomes, resids, atzs, costs) in trajectory(
             a, b, solver, config, [config.seed]):
         check_flops += int(costs[0])
-        reason = outcomes[0] or reason
     return SolveReport(
         x=None if x is None else x[0],
         z=None if z is None else z[0],
         iters=iters,
         flops=int(flops[0]),
         check_flops=check_flops,
-        termination=reason,
+        termination=outcomes[0],
         residual_norm=None if resids is None else float(resids[0]),
         atz_norm=None if atzs is None else float(atzs[0]),
         wall_time=time.perf_counter() - start,

@@ -44,7 +44,6 @@ from .reference import min_norm_solve
 from .sampling import sample_block  # noqa: F401  (the benchmark's tracer patches this name)
 from .solvers import (
     CONVERGED,
-    MAX_ITERS,
     REK,
     RK,
     ROP,
@@ -75,7 +74,7 @@ class CheckResult:
 
 
 class Walks(NamedTuple):
-    """What walk reads off its runs; row r of each array and item r of each list are seeds[r]'s."""
+    """What walk reads off its runs; row r of each array is seeds[r]'s."""
 
     x_errors: np.ndarray  # seeds x x_marks
     z_errors: np.ndarray  # seeds x z_marks
@@ -103,9 +102,8 @@ def walk(a, b, solver, config, seeds, x_ref, x_marks, z_ref, z_marks, checks):
         for t, x, z, _, checked in trajectory(
                 a, b, solver, config, batch, sorted({*x_marks, *z_marks}), checks):
             if checked:
-                runs, outcomes = lo + checked[0], checked[1]
-                read.termination[runs] = np.where(np.equal(outcomes, None), MAX_ITERS, outcomes)
-                read.iters[runs] = t
+                read.termination[lo + checked[0]] = checked[1]
+                read.iters[lo + checked[0]] = t
             for ref, marks, rows, errors in ((x_ref, x_marks, x, read.x_errors),
                                              (z_ref, z_marks, z, read.z_errors)):
                 if t in marks:  # a repeated mark repeats its error

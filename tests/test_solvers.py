@@ -173,18 +173,18 @@ def test_termination_check_degenerate_rules():
     b = np.array([1.0, 2.0, 3.0])
     eps = 1e-8
     # x = 0 with nonzero rhs is not converged
-    ok, _, atz, _ = _rk_check(a, b, np.zeros(2), eps)
-    assert not ok and atz is None  # RK has no z
+    outcome, _, atz, _ = _rk_check(a, b, np.zeros(2), eps)
+    assert outcome == MAX_ITERS and atz is None  # RK has no z
     # x = 0 with zero rhs is the answer
-    ok, _, _, _ = _rk_check(a, np.zeros(3), np.zeros(2), eps)
-    assert ok
+    outcome, _, _, _ = _rk_check(a, np.zeros(3), np.zeros(2), eps)
+    assert outcome == CONVERGED
     # z = 0 is already the orthogonal-complement limit
-    ok, resid, _, _ = _rop_check(a, np.zeros(3), eps)
-    assert ok and resid is None  # ROP has no x
-    ok, _, _, _ = _rek_check(a, b, np.zeros(2), b.copy(), eps)
-    assert ok  # b - z = 0 leaves nothing for x to explain
-    ok, _, _, _ = _rek_check(a, b, np.zeros(2), np.zeros(3), eps)
-    assert not ok
+    outcome, resid, _, _ = _rop_check(a, np.zeros(3), eps)
+    assert outcome == CONVERGED and resid is None  # ROP has no x
+    outcome, _, _, _ = _rek_check(a, b, np.zeros(2), b.copy(), eps)
+    assert outcome == CONVERGED  # b - z = 0 leaves nothing for x to explain
+    outcome, _, _, _ = _rek_check(a, b, np.zeros(2), np.zeros(3), eps)
+    assert outcome == MAX_ITERS
 
 
 def test_termination_checks_book_their_flops_in_every_branch(kernels):
@@ -235,22 +235,22 @@ _NAN_X = np.array([np.nan, 1.0])
 # per solver, (b, x, z, outcome at eps 1e-8) of runs whose checks take every
 # branch of its rule; x or z of None is the bound run's own start
 _CHECK_ROWS = {
-    REK: [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), np.array([0.5, 1.0, 1.5]), None),
+    REK: [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), np.array([0.5, 1.0, 1.5]), MAX_ITERS),
           (_FIT, np.array([1.0, 2.0]), np.zeros(3), CONVERGED),
-          (np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), np.zeros(3), None),  # z = 0
-          (np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([0.5, 1.0, 1.5]), None),
+          (np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), np.zeros(3), MAX_ITERS),  # z = 0
+          (np.array([1.0, 2.0, 3.0]), np.zeros(2), np.array([0.5, 1.0, 1.5]), MAX_ITERS),
           (np.array([1.0, 2.0, 3.0]), np.zeros(2), None, CONVERGED),  # x = 0, b - z = 0
           (_HUGE, np.zeros(2), None, OVERFLOW),  # x = 0, ||b|| overflows
           (_HUGE, np.zeros(2), _HUGE / 2, OVERFLOW),  # ||b - z|| overflows
           (np.array([1.0, 2.0, 3.0]), _NAN_X, None, OVERFLOW)],
-    RK: [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), None, None),
+    RK: [(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]), None, MAX_ITERS),
          (_FIT, np.array([1.0, 2.0]), None, CONVERGED),
-         (np.array([1.0, 2.0, 3.0]), None, None, None),  # x = 0, finite ||b||
+         (np.array([1.0, 2.0, 3.0]), None, None, MAX_ITERS),  # x = 0, finite ||b||
          (np.zeros(3), None, None, CONVERGED),  # x = 0, b = 0
          (_HUGE, None, None, OVERFLOW),  # x = 0, ||b|| overflows
          (np.array([1.0, 2.0, 3.0]), np.array([1e200, 1e200]), None, OVERFLOW),
          (np.array([1.0, 2.0, 3.0]), _NAN_X, None, OVERFLOW)],
-    ROP: [(np.array([1.0, 2.0, 3.0]), None, None, None),
+    ROP: [(np.array([1.0, 2.0, 3.0]), None, None, MAX_ITERS),
           (_HUGE / 1e200, None, None, CONVERGED),
           (np.zeros(3), None, None, CONVERGED),  # z = 0
           (np.full(3, 1e200), None, None, OVERFLOW),
@@ -298,7 +298,7 @@ def _scalar_check(solver, a, row, eps):
         if not math.isfinite(atz + z_norm):
             return OVERFLOW, None, atz, flops
         ok = z_norm == 0.0 or atz <= eps * math.sqrt(a.frob_sq) * z_norm
-        return CONVERGED if ok else None, None, atz, flops
+        return CONVERGED if ok else MAX_ITERS, None, atz, flops
     atz = None if solver == RK else atz
     flops = 2 * a.nnz + 3 * a.m + 2 * a.n if solver == RK else 4 * (a.nnz + a.m + a.n)
     if not math.isfinite(resid + x_norm + (atz or 0.0)):
@@ -309,10 +309,10 @@ def _scalar_check(solver, a, row, eps):
             if not math.isfinite(b_norm):
                 return OVERFLOW, resid, atz, flops
             flops += 2 * a.m
-        return CONVERGED if resid <= eps * b_norm else None, resid, atz, flops
+        return CONVERGED if resid <= eps * b_norm else MAX_ITERS, resid, atz, flops
     ok = resid <= eps * math.sqrt(a.frob_sq) * x_norm and (
         atz is None or atz <= eps * a.frob_sq * x_norm)
-    return CONVERGED if ok else None, resid, atz, flops
+    return CONVERGED if ok else MAX_ITERS, resid, atz, flops
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
