@@ -211,16 +211,15 @@ def cmd_gen(args):
     return 0
 
 
+def _config(args, seed, solver):
+    """The config of a `solver` run from `seed`, with --eps, --max-iters and --check-interval."""
+    return SolverConfig(eps=args.eps, max_iters=args.max_iters,
+                        check_interval=args.check_interval, seed=seed, solver=solver)
+
+
 def cmd_solve(args):
     a, b = _instance_from_args(args, args.seed)
-    config = SolverConfig(
-        eps=args.eps,
-        max_iters=args.max_iters,
-        check_interval=args.check_interval,
-        seed=args.seed,
-        solver=args.solver,
-    )
-    report = solve(a, b, config)
+    report = solve(a, b, _config(args, args.seed, args.solver))
     if args.out:
         estimate = report.x if report.x is not None else report.z
         write_vector(args.out, estimate, comment="solver=%s seed=%d" % (args.solver, args.seed))
@@ -279,13 +278,7 @@ def _bench_rows(args):
             raise KaczmarzError("unknown solver %r" % s)
     for rep, seed, name, a, b, ref in _bench_instances(args):
         for solver_name in solvers:
-            config = SolverConfig(
-                eps=args.eps,
-                max_iters=args.max_iters,
-                check_interval=args.check_interval,
-                seed=seed,
-                solver=solver_name,
-            )
+            config = _config(args, seed, solver_name)
             if config.max_iters is None and ref is not None:
                 config.max_iters = math.ceil(
                     2.0 * theory_bounds(ref, eps=args.eps, delta=args.delta).t_star

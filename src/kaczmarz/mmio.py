@@ -101,13 +101,19 @@ def _head(fmt, comment, size):
     """The banner, the optional comment and the size line, as bytes."""
     lines = ["%s matrix %s real general" % (_BANNER, fmt)]
     if comment:
+        # the reader would take a second line of it for the size line or an entry
+        if "\n" in comment or "\r" in comment:
+            raise MatrixMarketError("comment must be one line, got %r" % (comment,))
         lines.append("% " + comment)
     lines.append(size)
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def write_matrix_market(path, obj, comment=None):
-    """Write a DualSparseMatrix (coordinate) or ndarray (array) to `path`."""
+    """Write a DualSparseMatrix (coordinate) or ndarray (array) to `path`.
+
+    A comment goes on one line after the banner, so it must hold no line break.
+    """
     if isinstance(obj, DualSparseMatrix):
         head = _head("coordinate", comment, "%d %d %d" % (obj.m, obj.n, obj.nnz))
         entries = (obj.row_vals, obj.row_ptr, obj.row_cols)

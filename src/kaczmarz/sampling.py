@@ -7,6 +7,8 @@ stream can be computed without the ones before it, and the stream is
 bit-for-bit reproducible on any platform; no libc rand state is involved.
 
 Uniform doubles are (u64 >> 11) * 2^-53, i.e. dyadic rationals in [0, 1).
+A stream is the pair (seed, draws used), a length-2 uint64 array: its next
+draw is number draws used + 1, and drawing moves the second entry on.
 
 Alias tables give O(1) draws from a fixed discrete distribution: one uniform
 picks the cell, one uniform flips the accept/alias coin. Zero-weight indices
@@ -14,9 +16,11 @@ keep their cell but carry acceptance probability 0 and are never returned.
 
 sample_block draws a whole block on numpy arrays, in the sequence of one
 draw at a time (cell uniform, then coin uniform, per index), which the tests
-restate as a scalar reference. The solvers' compiled block kernel in
-_blocks.c draws by the same arithmetic itself, inside its step loop; where
-that cannot be built, the solvers' indices come from sample_block.
+restate as a scalar reference. Each run of a solver batch owns two streams,
+rows of the batch's `streams` array. The solvers' compiled block kernel in
+_blocks.c draws by the same arithmetic itself, inside its step loop, and
+moves those rows in place; where that cannot be built, sample_block draws
+from the same rows and moves them alike.
 
 A table is checked (_check_table) on every use: by each sample_block call,
 and once when a compiled batch is bound, which is when the addresses of its
@@ -62,26 +66,6 @@ def _mix64_array(z):
 def derived_seeds(seeds, salt):
     """mix64(s ^ salt) for each s in `seeds`, as a uint64 array: the seeds of the runs' streams."""
     return _mix64_array(np.asarray(seeds, dtype=np.uint64) ^ np.uint64(salt))
-
-
-class RngStream:
-    """A SplitMix64 stream identified by (seed, draws consumed so far)."""
-
-    __slots__ = ("seed", "counter")
-
-    def __init__(self, seed, counter=0):
-        self.seed = int(seed) & MASK64
-        self.counter = int(counter)
-
-    def uniform_block(self, count):
-        """The next `count` uniforms, (mix64(seed + k*GOLDEN) >> 11) * 2^-53 for each k."""
-        ks = np.arange(self.counter + 1, self.counter + count + 1, dtype=np.uint64)
-        self.counter += int(count)
-        z = _mix64_array(np.uint64(self.seed) + ks * np.uint64(GOLDEN))  # wraps mod 2^64
-        return (z >> np.uint64(11)) * 2.0**-53
-
-    def __repr__(self):
-        return "RngStream(seed=%d, counter=%d)" % (self.seed, self.counter)
 
 
 @dataclass(frozen=True)
@@ -167,10 +151,18 @@ def _check_table(table):
         raise ValueError("alias table entries must lie in [0, %d)" % size)
 
 
-def sample_block(table, rng, count):
-    """`count` draws, each from one uniform for the cell and the next for the coin."""
+def sample_block(table, stream, count):
+    """`count` draws from `stream`, which moves on by the 2 * count uniforms they take.
+
+    `stream` is a (seed, draws used) uint64 pair, moved in place. Each draw
+    takes one uniform for the cell and the next for the coin.
+    """
     _check_table(table)  # refuses a malformed table before the stream moves
-    u = rng.uniform_block(2 * count)
+    seed, used = (int(v) for v in stream)
+    ks = np.arange(used + 1, used + 2 * count + 1, dtype=np.uint64)
+    stream[1] = used + 2 * count
+    z = _mix64_array(np.uint64(seed) + ks * np.uint64(GOLDEN))  # wraps mod 2^64
+    u = (z >> np.uint64(11)) * 2.0**-53
     cells = (u[0::2] * table.size).astype(np.int64)
     np.minimum(cells, table.size - 1, out=cells)
     return np.where(u[1::2] < table.prob[cells], cells, table.alias[cells])

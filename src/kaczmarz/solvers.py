@@ -29,12 +29,12 @@ at any iteration counts (marks) its caller adds. run_rek / run_rk / run_rop
 (and `solve`, which picks one) walk a batch of one with the checks alone;
 verify's walk reads the iterates of every seed of a check at its marks,
 with or without the checks. A block is one call of the compiled block_steps
-in _blocks.c, which moves the runs of the batch in shares over the CPUs
-the process may use and draws each step's indices as it goes; where that
-cannot be built, sample_block draws them and one numpy loop runs the same
-steps, a run at a time, each step a BLAS dot and a numpy axpy over the
-stored entries of one line. The compiled dots sum left to right, so their
-iterates differ from the numpy loop's only by rounding (about 1e-14
+in _blocks.c, which moves the runs of the batch in shares over the CPUs the
+process may use and draws each step's indices as it goes; where that cannot
+be built, sample_block draws them from the same streams and one numpy loop
+runs the same steps, a run at a time, each step a BLAS dot and a numpy axpy
+over the stored entries of one line. The compiled dots sum left to right, so
+their iterates differ from the numpy loop's only by rounding (about 1e-14
 relative) and do not depend on the BLAS kernel the host picks, nor on the
 other runs of the batch or the number of CPUs.
 
@@ -86,7 +86,6 @@ from .errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
 from .sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
-    RngStream,
     _check_table,
     col_sampler,
     derived_seeds,
@@ -222,23 +221,23 @@ def _bind(a, b, solver, seeds):
     starting at 0 and z at a copy of b. steps and sums keep x, z, b and A
     alive. steps(count, rows, cols, runs) runs `count` steps of each run in
     `runs` (every run when None), in place, on row and column indices drawn
-    from the two streams derived from its seed, as sample_block draws them,
-    and returns the flops booked per listed run (an int64 array). Given
-    index arrays rows and cols hold `count` indices per listed run, in the
-    order listed, which the runs step on instead (rows unread for ROP, cols
-    for RK), leaving their streams where they are. A given array of a half
-    that runs must be a C-contiguous int64 array of that length (else
-    ValueError) with every index in range (else IndexError), checked before
-    any run steps. The compiled kernels split the listed runs over the CPUs
-    the process may use, one thread per share of runs, so a run listed
-    twice would be stepped twice at once: runs must be distinct (else
-    ValueError) and in [0, len(seeds)) (else IndexError), for steps and
-    sums alike and on both paths. sums(runs) gives a new (k, 5) array for
-    the k listed runs: row n holds, for the n-th listed run, the sums of
-    squares of A x - (b - z), A^T z, x, z and b, in that order, for the
-    current contents of its x and z. RK's first sum is of A x - b and it
-    leaves out A^T z and z; ROP leaves out A x - (b - z), x and b. Left-out
-    sums are 0.0.
+    from the two streams derived from its seed, as sample_block draws them
+    and moves each (seed, draws used) pair on, and returns the flops booked
+    per listed run (an int64 array). Given index arrays rows and cols hold
+    `count` indices per listed run, in the order listed, which the runs step
+    on instead (rows unread for ROP, cols for RK), leaving their streams
+    where they are. A given array of a half that runs must be a C-contiguous
+    int64 array of that length (else ValueError) with every index in range
+    (else IndexError), checked before any run steps. The compiled kernels
+    split the listed runs over the CPUs the process may use, one thread per
+    share of runs, so a run listed twice would be stepped twice at once:
+    runs must be distinct (else ValueError) and in [0, len(seeds)) (else
+    IndexError), for steps and sums alike and on both paths. sums(runs)
+    gives a new (k, 5) array for the k listed runs: row n holds, for the
+    n-th listed run, the sums of squares of A x - (b - z), A^T z, x, z and
+    b, in that order, for the current contents of its x and z. RK's first
+    sum is of A x - b and it leaves out A^T z and z; ROP leaves out
+    A x - (b - z), x and b. Left-out sums are 0.0.
     """
     b = _checked_rhs(a, b)
     if len(seeds) and not (0 <= min(seeds) and max(seeds) < 2**64):
@@ -321,20 +320,14 @@ def _compiled_batch(lib, a, b, x, z, streams, tables, listed):
 def _numpy_batch(a, b, x, z, streams, tables, listed):
     """Numpy twins of the kernels' block_steps and check_sums, a run and a step at a time."""
 
-    def draw(r, half, count):
-        # from the run's stream where the last block left it, which moves on
-        rng = RngStream(*streams[r, half].tolist())
-        ids = sample_block(tables[half], rng, count)
-        streams[r, half, 1] = rng.counter
-        return ids
-
     def run_steps(r, rows, cols, count):
         run_x = None if x is None else x[r]
         run_z = None if z is None else z[r]
+        # drawn from the run's own streams, which move on as in the kernel
         if run_x is not None and rows is None:
-            rows = draw(r, 0, count)
+            rows = sample_block(tables[0], streams[r, 0], count)
         if run_z is not None and cols is None:
-            cols = draw(r, 1, count)
+            cols = sample_block(tables[1], streams[r, 1], count)
         # the compiled kernel's loop: the row target with z_i from before
         # the column step, then the column step, then the row step
         for i, j in zip(itertools.repeat(None) if run_x is None else rows.tolist(),

@@ -17,6 +17,11 @@ def projector_residual(ref, v):
     return float(np.linalg.norm(v - ref.row_basis @ (ref.row_basis.T @ v)))
 
 
+def stream(seed, used=0):
+    """A (seed, draws used) stream, as sample_block takes and moves it."""
+    return np.array([seed, used], dtype=np.uint64)
+
+
 def read_csv(path):
     """Read back a CSV written by mmio.write_csv, as a list of dicts of strings."""
     with open(path, "r", encoding="ascii", newline="") as fh:

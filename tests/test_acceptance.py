@@ -19,7 +19,6 @@ from kaczmarz.matrices import DualSparseMatrix
 from kaczmarz.reference import min_norm_solve
 from kaczmarz.sampling import (
     ROW_STREAM_SALT,
-    RngStream,
     build_alias_table,
     derived_seeds,
     reconstructed_mass,
@@ -35,7 +34,7 @@ from kaczmarz.verify import (
     rop_one_step_expectation,
 )
 
-from helpers import projector_residual, read_csv
+from helpers import projector_residual, read_csv, stream
 
 EPS = np.finfo(np.float64).eps
 ENVELOPE_SLACK = 1.5
@@ -257,7 +256,7 @@ def test_criterion_07_step_orthogonality_and_pythagoras():
     assert float(np.linalg.norm(ref.x_ls - planted)) <= 1e-10  # oracle agrees
 
     steps = 10_000
-    rng = RngStream(derived_seeds([5150], ROW_STREAM_SALT)[0])
+    rng = stream(derived_seeds([5150], ROW_STREAM_SALT)[0])
     rows = sample_block(row_sampler(a), rng, steps)
     x = np.zeros(a.n)
     worst_orth = 0.0
@@ -350,7 +349,7 @@ def test_criterion_10_sampler_distribution():
     fails = 0
     worst_p = 1.0
     for s in range(100):
-        idx = sample_block(table, RngStream(s), draws)
+        idx = sample_block(table, stream(s), draws)
         counts = np.bincount(idx, minlength=100)
         stat = float((((counts - draws * probs) ** 2) / (draws * probs)).sum())
         pval = float(chi2.sf(stat, df=99))

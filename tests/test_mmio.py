@@ -241,6 +241,24 @@ def test_writer_refuses_non_finite(tmp_path):
     assert p.read_bytes() == before
 
 
+def test_writer_refuses_a_comment_with_a_line_break(tmp_path):
+    # the reader would refuse what these wrote: "line 3: coordinate size line
+    # needs 'm n nnz'" and "line 3: expected 25 entries, found 4"
+    a = DualSparseMatrix.from_dense(np.eye(3))
+    p = tmp_path / "a.mtx"
+    write_matrix_market(p, a, comment="one line")
+    before = p.read_bytes()
+    with pytest.raises(MatrixMarketError, match=r"^comment must be one line, got 'two\\nlines'$"):
+        write_matrix_market(p, a, comment="two\nlines")
+    with pytest.raises(MatrixMarketError, match="^comment must be one line"):
+        write_vector(p, np.ones(4), comment="x\r\n5 5")
+    with pytest.raises(MatrixMarketError, match="^comment must be one line"):
+        write_vector(p, np.ones(4), comment="x\r5 5")
+    # refused before the file is opened, so it keeps its bytes
+    assert p.read_bytes() == before
+    assert read_matrix_market(p).to_dense().tolist() == np.eye(3).tolist()
+
+
 def test_csv_round_trip_and_cell_conventions(tmp_path):
     p = tmp_path / "t.csv"
     rows = [

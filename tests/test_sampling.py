@@ -23,7 +23,6 @@ from kaczmarz.sampling import (
     GOLDEN,
     MASK64,
     AliasTable,
-    RngStream,
     build_alias_table,
     col_sampler,
     derived_seeds,
@@ -34,23 +33,25 @@ from kaczmarz.sampling import (
 )
 from kaczmarz.solvers import SolverConfig, solve
 
+from helpers import stream
+
 EPS = np.finfo(np.float64).eps
 
 
-def next_uint64(rng):
-    """Draw number rng.counter + 1 of the stream, advancing the counter by one."""
-    rng.counter += 1
-    return mix64((rng.seed + rng.counter * GOLDEN) & MASK64)
+def next_uint64(pair):
+    """Draw number pair[1] + 1 of the (seed, draws used) stream `pair`, moving it on by one."""
+    pair[1] += 1
+    return mix64((int(pair[0]) + int(pair[1]) * GOLDEN) & MASK64)
 
 
-def next_uniform(rng):
-    return (next_uint64(rng) >> 11) * 2.0**-53
+def next_uniform(pair):
+    return (next_uint64(pair) >> 11) * 2.0**-53
 
 
-def sample(table, rng):
+def sample(table, pair):
     """One draw: one uniform for the cell, one for the coin."""
-    u_cell = next_uniform(rng)
-    u_coin = next_uniform(rng)
+    u_cell = next_uniform(pair)
+    u_coin = next_uniform(pair)
     k = int(u_cell * table.size)
     if k >= table.size:  # guard the top rounding edge
         k = table.size - 1
@@ -70,7 +71,7 @@ SPLITMIX64_FIRST5 = [
 
 
 def test_known_splitmix64_sequence():
-    rng = RngStream(SPLITMIX64_SEED)
+    rng = stream(SPLITMIX64_SEED)
     got = [next_uint64(rng) for _ in range(5)]
     assert got == SPLITMIX64_FIRST5
 
@@ -82,7 +83,7 @@ def test_mix64_matches_stream():
 
 
 def test_uniforms_are_53_bit_fractions():
-    rng = RngStream(SPLITMIX64_SEED)
+    rng = stream(SPLITMIX64_SEED)
     for want_bits in SPLITMIX64_FIRST5:
         u = next_uniform(rng)
         assert u == (want_bits >> 11) * 2.0**-53
@@ -90,12 +91,14 @@ def test_uniforms_are_53_bit_fractions():
 
 
 def test_block_path_equals_scalar_path():
-    a = RngStream(42)
-    b = RngStream(42)
-    block = b.uniform_block(7)
-    scalar = np.array([next_uniform(a) for _ in range(7)])
-    np.testing.assert_array_equal(block, scalar)
-    assert a.counter == b.counter == 7
+    t = build_alias_table(np.array([1.0, 2.0, 3.0, 4.0]))
+    a = stream(42)
+    b = stream(42)
+    block = sample_block(t, b, 7)
+    scalar = [sample(t, a) for _ in range(7)]
+    assert block.tolist() == scalar
+    # the block moved the pair it was given, two draws per index
+    assert a.tolist() == b.tolist() == [42, 14]
     # continuing after a block pickup stays aligned
     assert next_uint64(a) == next_uint64(b)
 
@@ -107,15 +110,15 @@ def test_derived_streams_are_decorrelated_and_deterministic():
     assert row_seeds == [mix64(s ^ ROW_STREAM_SALT) for s in seeds]
     assert col_seeds == [mix64(s ^ COL_STREAM_SALT) for s in seeds]
     assert not set(row_seeds) & set(col_seeds)
-    row, again = RngStream(row_seeds[1]), RngStream(derived_seeds([9], ROW_STREAM_SALT)[0])
+    row, again = stream(row_seeds[1]), stream(derived_seeds([9], ROW_STREAM_SALT)[0])
     assert [next_uint64(row) for _ in range(4)] == [next_uint64(again) for _ in range(4)]
 
 
 def test_counter_mode_is_stateless_in_the_counter():
     # jumping the counter reproduces the tail of the sequence
-    rng = RngStream(5)
+    rng = stream(5)
     seq = [next_uint64(rng) for _ in range(6)]
-    late = RngStream(5, counter=3)
+    late = stream(5, used=3)
     assert [next_uint64(late) for _ in range(3)] == seq[3:]
 
 
@@ -164,7 +167,7 @@ def test_alias_reconstruction_property(w):
 def test_zero_weight_outcomes_are_never_sampled():
     w = np.array([0.5, 0.0, 0.25, 0.0, 0.25])
     t = build_alias_table(w)
-    rng = RngStream(123)
+    rng = stream(123)
     draws = sample_block(t, rng, 20000)
     assert set(np.unique(draws)).isdisjoint({1, 3})
     counts = np.bincount(draws, minlength=5) / draws.size
@@ -179,7 +182,7 @@ def test_weights_with_a_subnormal_total_keep_their_zeros_unreachable():
     mass = reconstructed_mass(t)
     assert mass[1] == mass[3] == 0.0
     np.testing.assert_allclose(mass, [0.25, 0.0, 0.75, 0.0], atol=1e-6, rtol=0)
-    assert set(sample_block(t, RngStream(3), 2000).tolist()) == {0, 2}
+    assert set(sample_block(t, stream(3), 2000).tolist()) == {0, 2}
 
 
 def test_degenerate_weights_rejected():
@@ -195,8 +198,8 @@ def test_degenerate_weights_rejected():
 
 def test_sample_scalar_and_block_agree():
     t = build_alias_table(np.array([1.0, 2.0, 3.0, 4.0]))
-    a = RngStream(77)
-    b = RngStream(77)
+    a = stream(77)
+    b = stream(77)
     block = sample_block(t, b, 50)
     scalar = np.array([sample(t, a) for _ in range(50)])
     np.testing.assert_array_equal(block, scalar)
@@ -216,12 +219,12 @@ def test_sample_scalar_and_block_agree():
 def test_numpy_draws_equal_the_scalar_draws(w, seed, counter, count):
     assume(w.sum() > 0.0)
     table = build_alias_table(w)
-    streams = [RngStream(seed, counter) for _ in range(2)]
+    streams = [stream(seed, counter) for _ in range(2)]
     block = sample_block(table, streams[0], count)
     scalar = [sample(table, streams[1]) for _ in range(count)]
     assert block.dtype == np.int64
     assert block.tolist() == scalar
-    assert streams[0].counter == streams[1].counter == counter + 2 * count
+    assert streams[0].tolist() == streams[1].tolist() == [seed, counter + 2 * count]
     assert all(w[k] > 0.0 for k in scalar)
 
 
@@ -241,11 +244,11 @@ def test_malformed_alias_tables_are_refused_before_the_kernel_runs():
         AliasTable(3, good.prob, np.array([-1, 1, 2])),
     ]
     for table in malformed:
-        rng = RngStream(5, 7)
+        rng = stream(5, 7)
         with pytest.raises(ValueError, match="alias table"):
             sample_block(table, rng, 4)
-        assert rng.counter == 7
-    rng, ref = RngStream(5, 7), RngStream(5, 7)
+        assert rng.tolist() == [5, 7]
+    rng, ref = stream(5, 7), stream(5, 7)
     assert sample_block(good, rng, 4).tolist() == [sample(good, ref) for _ in range(4)]
 
 
@@ -266,7 +269,7 @@ def test_cached_tables_reconstruct_the_squared_norm_distribution(spec):
 
 def test_single_outcome_table():
     t = build_alias_table(np.array([2.5]))
-    rng = RngStream(0)
+    rng = stream(0)
     assert all(sample(t, rng) == 0 for _ in range(10))
 
 
@@ -294,7 +297,7 @@ def test_row_col_samplers_use_squared_norms():
 def test_empirical_frequencies_track_weights():
     w = np.array([1.0, 2.0, 3.0, 4.0])
     t = build_alias_table(w)
-    rng = RngStream(2024)
+    rng = stream(2024)
     draws = sample_block(t, rng, 100_000)
     freq = np.bincount(draws, minlength=4) / draws.size
     np.testing.assert_allclose(freq, w / w.sum(), atol=0.01)

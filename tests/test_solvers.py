@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kaczmarz import _blocks
+from kaczmarz import _blocks, solvers
 from kaczmarz.errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
 from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
@@ -31,7 +31,6 @@ from kaczmarz.sampling import (
     COL_STREAM_SALT,
     ROW_STREAM_SALT,
     AliasTable,
-    RngStream,
     col_sampler,
     derived_seeds,
     row_sampler,
@@ -61,7 +60,7 @@ from kaczmarz.verify import (
     rop_checkpoint_errors,
 )
 
-from helpers import projector_residual
+from helpers import projector_residual, stream
 
 try:
     from numpy._core import _internal as np_internal
@@ -77,9 +76,8 @@ def _ids(*k):
 
 
 def _streams(seed):
-    """The row and column streams of the run of `seed`, as a binding derives them."""
-    return [RngStream(derived_seeds([seed], salt)[0])
-            for salt in (ROW_STREAM_SALT, COL_STREAM_SALT)]
+    """The row and column streams of the run of `seed`, (seed, draws used) as bound."""
+    return [stream(derived_seeds([seed], salt)[0]) for salt in (ROW_STREAM_SALT, COL_STREAM_SALT)]
 
 
 @pytest.fixture
@@ -764,6 +762,34 @@ def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(solver, kern
             assert want_steps(count, given_rows, given_cols).tolist() == [got]
         assert _run_bytes(x, z, r) == _run_bytes(want_x, want_z, 0)
         assert sums(_ids(r)).tolist() == want_sums().tolist()
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_both_paths_move_a_batch_s_streams_alike(kind, solver, compiled, monkeypatch):
+    a, b, _ = generate(BLOCK_SPECS[kind])
+    rng = np.random.default_rng(28)
+    rows = rng.choice(np.flatnonzero(a.row_sq_norms), 20)
+    cols = rng.choice(np.flatnonzero(a.col_sq_norms), 20)
+    # each bound batch's (seed, draws used) pairs, as the kernel or its numpy twin moves them
+    streams = []
+    for name, at in (("_compiled_batch", 5), ("_numpy_batch", 4)):
+        def capture(*args, batch=getattr(solvers, name), at=at):
+            streams.append(args[at])
+            return batch(*args)
+        monkeypatch.setattr(solvers, name, capture)
+    for lib in (_blocks.load(), None):
+        monkeypatch.setattr(_blocks, "load", lambda lib=lib: lib)
+        steps = _bind(a, b, solver, [7, 8, 9])[2]
+        # drawn, a drawn subset, given indices (which draw nothing), drawn again
+        steps(50)
+        steps(30, runs=_ids(2, 0))
+        steps(10, rows, cols, _ids(0, 1))
+        steps(40)
+    assert len(streams) == 2
+    assert streams[1].tolist() == streams[0].tolist()
+    used = [2 * 120, 2 * 90, 2 * 120]  # two uniforms per drawn step, for each half that runs
+    assert streams[0][:, :, 1].tolist() == [[n * (solver != ROP), n * (solver != RK)] for n in used]
 
 
 @pytest.mark.parametrize("scale, b, error, message", [
