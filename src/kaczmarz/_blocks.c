@@ -50,17 +50,18 @@
  * fallback's bincounts over the entries' squares (squares above the double
  * range are inf there and here).
  *
- * format_lines and parse_entries are the per-entry text work of
- * kaczmarz.mmio. format_lines writes the bytes of Python's
- * "%d %d %.17g\n" % (i, j, v) (or "%.17g\n" % v), which like snprintf
- * rounds correctly. parse_entries reads only a strict grammar and returns -1
- * ("not mine") on anything else, so that mmio's numpy reader, with its own
- * error messages, sees every other file; its values are those of strtod and
- * numpy, which also round correctly. Indices are converted by hand, two
- * digits at a time. A value from 1e-11 to 1e17 is printed from its 17
- * digits, formed exactly in 128-bit integers; a decimal of at most 19 digits
- * times 10^-27 .. 10^27 is read by one long double product or quotient with
- * an exact power of ten, unless it lies next to a tie. snprintf and strtod
+ * format_lines and parse_lines are the per-entry text work of kaczmarz.mmio,
+ * on buffers mmio passes: this file reads and writes no file. format_lines
+ * writes the bytes of Python's "%d %d %.17g\n" % (i, j, v) (or "%.17g\n" % v),
+ * which like snprintf rounds correctly. parse_lines reads the whole lines of
+ * one piece of a file, in only a strict grammar, and returns -1 ("not mine")
+ * on anything else, so that mmio's numpy reader, with its own error messages,
+ * sees every other file; its values are those of strtod and numpy, which
+ * also round correctly. Indices are converted by hand, two digits at a
+ * time. A value from 1e-11 to 1e17 is printed from its 17 digits, formed
+ * exactly in 128-bit integers; a decimal of at most 19 digits times
+ * 10^-27 .. 10^27 is read by one long double product or quotient with an
+ * exact power of ten, unless it lies next to a tie. snprintf and strtod
  * convert the rest.
  * Both functions return -1 when the C locale's decimal point is not ".",
  * since snprintf and strtod follow LC_NUMERIC.
@@ -663,13 +664,20 @@ static const char *scan_value(const char *p, double *out)
     return end == q ? q : NULL;
 }
 
-/* Parses the lines of [p, stop), which ends in '\n', into entries k, k+1, ...
- * of at most count. Returns the next k, or -1 at a line outside the grammar
- * or past count. */
-static int64_t parse_lines(const char *p, const char *stop, int64_t k,
-                           int64_t count, int64_t *rows, int64_t *cols,
-                           double *vals)
+/* Parses the whole lines of buf[0 .. len-1] into entries k, k+1, ... of at
+ * most count: "i j v" lines into rows, cols and vals, or "v" lines into vals
+ * when rows and cols are NULL. Every line must end in '\n', take one space or
+ * tab between tokens and nothing else, with indices and values in
+ * scan_index's and scan_value's grammar; every scan stops at the '\n' that
+ * ends buf. Returns the next k, or -1 at a line outside the grammar or past
+ * count, or when buf does not end in '\n' (entries already parsed are left
+ * in the arrays). */
+int64_t parse_lines(const char *buf, int64_t len, int64_t k, int64_t count,
+                    int64_t *rows, int64_t *cols, double *vals)
 {
+    if (!decimal_point_is_dot() || (len > 0 && buf[len - 1] != '\n'))
+        return -1;
+    const char *p = buf, *stop = buf + len;
     while (p < stop) {
         if (k == count)
             return -1;
@@ -688,47 +696,5 @@ static int64_t parse_lines(const char *p, const char *stop, int64_t k,
         p++;
         k++;
     }
-    return k;
-}
-
-/* Reads the entry lines of the Matrix Market file at path, from byte offset
- * on, READ_CHUNK bytes at a time: "i j v" lines into rows, cols and vals, or
- * "v" lines into vals when rows and cols are NULL. Every line must end in
- * '\n', take one space or tab between tokens and nothing else, with indices
- * and values in scan_index's and scan_value's grammar. Returns count when the
- * file holds exactly count such lines, else -1 (entries already parsed are
- * left in the arrays). */
-#define READ_CHUNK (1 << 20)
-int64_t parse_entries(const char *path, int64_t offset, int64_t count,
-                      int64_t *rows, int64_t *cols, double *vals)
-{
-    if (!decimal_point_is_dot())
-        return -1;
-    FILE *fh = fopen(path, "rb");
-    if (fh == NULL)
-        return -1;
-    char *buf = malloc(READ_CHUNK + 1);
-    int64_t k = buf != NULL && fseek(fh, (long)offset, SEEK_SET) == 0 ? 0 : -1;
-    size_t kept = 0; /* a partial last line, carried to the next chunk */
-    while (k >= 0) {
-        size_t len = kept + fread(buf + kept, 1, READ_CHUNK - kept, fh);
-        if (len == kept)
-            break;
-        buf[len] = '\0'; /* stops every scan at the end of the data */
-        size_t whole = len;
-        while (whole > 0 && buf[whole - 1] != '\n')
-            whole--;
-        if (whole == 0 && len == READ_CHUNK) {
-            k = -1; /* one line longer than a chunk */
-            break;
-        }
-        k = parse_lines(buf, buf + whole, k, count, rows, cols, vals);
-        kept = len - whole;
-        memmove(buf, buf + whole, kept);
-    }
-    if (kept != 0 || ferror(fh) || k != count)
-        k = -1;
-    free(buf);
-    fclose(fh);
     return k;
 }

@@ -50,7 +50,7 @@ _SIGNATURES = {
     "check_sums": (None, (_PTR, _PTR, _I64, _PTR)),
     "csc_scatter": (None, (_I64,) + (_PTR,) * 8),
     "format_lines": (_I64, (_PTR,) * 3 + (_I64,) * 3 + (_PTR,)),
-    "parse_entries": (_I64, (_PTR, _I64, _I64, _PTR, _PTR, _PTR)),
+    "parse_lines": (_I64, (_PTR,) + (_I64,) * 3 + (_PTR,) * 3),
 }
 
 

@@ -14,14 +14,15 @@ wherever it stands, as in numpy.loadtxt. When the entries are refused, the
 file is scanned again line by line, only to report the first bad line by its
 1-based number.
 
-The entry pass is parse_entries in the compiled _blocks.c where that is
-built. It reads the file in 1 MB chunks and takes only a strict grammar: one
-space or tab between tokens, indices of at most 18 digits, plain decimal
-values, `\\n` line ends, no comment or blank line among the entries and
-exactly the announced number of them. Any other file, and every file when
-the kernels are not built, goes to numpy.loadtxt, so the accepted files, the
-values (both parsers round correctly) and every error message are the same
-on both paths.
+The entry pass is parse_lines in the compiled _blocks.c where that is
+built. This module reads the entries 1 MB at a time (`_READ_CHUNK`) and
+passes the parser each piece's whole lines. It takes only a strict grammar:
+one space or tab between tokens, indices of at most 18 digits, plain decimal
+values, `\\n` line ends, no comment or blank line among the entries, no line
+longer than a piece and exactly the announced number of entries. Any other
+file, and every file when the kernels are not built, goes to numpy.loadtxt,
+so the accepted files, the values (both parsers round correctly) and every
+error message are the same on both paths.
 
 Floats are written with 17 significant digits, which round-trips float64
 exactly; reading back a file this module wrote reproduces the object bit for
@@ -51,6 +52,7 @@ _COORDINATE_ENTRY = np.dtype([("i", "i8"), ("j", "i8"), ("v", "f8")])
 _PLAIN_INT = re.compile(r"[+-]?[0-9]+")
 _LINES_PER_WRITE = 65536
 _LINE_BYTES = 72  # the longest entry line format_lines in _blocks.c can write
+_READ_CHUNK = 1 << 20  # the bytes of a file the compiled parser takes at a time
 
 
 def format_float(x):
@@ -124,6 +126,9 @@ def write_matrix_market(path, obj, comment=None):
         # refused before `path` is opened, so an existing file keeps its bytes
         if arr.ndim != 2:
             raise MatrixMarketError("can only write 1-D or 2-D arrays")
+        # the reader refuses a size line with a zero in it
+        if 0 in arr.shape:
+            raise MatrixMarketError("cannot write an array of shape %s" % (arr.shape,))
         if not np.isfinite(arr).all():
             raise NonFiniteError("refusing to write non-finite entries")
         head = _head("array", comment, "%d %d" % arr.shape)
@@ -283,22 +288,40 @@ def _raise_first_fault(path, fmt, m, n, expected, size_lineno):
     raise MatrixMarketError("entries could not be parsed", size_lineno)
 
 
-def _parse_compiled(path, offset, fmt, expected):
-    """The entries from byte `offset` on by the compiled parser, or None.
+def _parse_compiled(fh, fmt, expected):
+    """The entries from the position of `fh` on by the compiled parser, or None.
 
-    None when the parser is not built, or refuses the file: anything outside
-    its strict grammar (see _blocks.c) goes to numpy.loadtxt instead. Arrays
-    are sized by the entry count only where the rest of the file can hold
-    that many lines, of at least 6 bytes ("1 1 1\\n") or 2 ("1\\n").
+    parse_lines in _blocks.c parses the whole lines of each `_READ_CHUNK`-byte
+    piece of the entries, read into one buffer; a partial last line moves to
+    its front for the next piece. None, with `fh` back at the first entry,
+    where the parser is not built or refuses the file: a line outside its
+    grammar (see _blocks.c) or longer than a piece, a last line without a
+    line end or another entry count go to numpy.loadtxt instead. Arrays are
+    sized by the entry count only where the rest of the file can hold that
+    many lines, of at least 6 bytes ("1 1 1\\n") or 2 ("1\\n").
     """
     lib = _blocks.load()
+    offset = fh.tell()
     min_line = 6 if fmt == "coordinate" else 2
-    if lib is None or not 0 < expected <= (os.path.getsize(path) - offset) // min_line:
+    if lib is None or not 0 < expected <= (os.fstat(fh.fileno()).st_size - offset) // min_line:
         return None
     vals = np.empty(expected)
     ij = (np.empty(expected, dtype=np.int64), np.empty(expected, dtype=np.int64))
-    addrs = (a.ctypes.data for a in ij) if fmt == "coordinate" else (None, None)
-    if lib.parse_entries(os.fsencode(path), offset, expected, *addrs, vals.ctypes.data) < 0:
+    addrs = [a.ctypes.data for a in ij] if fmt == "coordinate" else [None, None]
+    addrs.append(vals.ctypes.data)
+    piece = bytearray(_READ_CHUNK)
+    view, start = memoryview(piece), np.frombuffer(piece, dtype=np.uint8).ctypes.data
+    fh.buffer.seek(offset)
+    # kept: the bytes of a partial line at the front of the piece; one that
+    # fills the piece leaves no room, so the read gives 0 and it is refused
+    k = kept = 0
+    while k >= 0 and (size := kept + fh.buffer.readinto(view[kept:])) > kept:
+        whole = piece.rfind(b"\n", 0, size) + 1
+        k = lib.parse_lines(start, whole, k, expected, *addrs)
+        kept = size - whole
+        view[:kept] = piece[whole:size]
+    fh.seek(offset)
+    if kept or k != expected:
         return None
     return (*ij, vals) if fmt == "coordinate" else (vals,)
 
@@ -329,7 +352,7 @@ def read_matrix_market(path):
         fmt, size_tokens, size_lineno, has_entries = _read_preamble(fh)
         m, n, expected = _parse_size(fmt, size_tokens, size_lineno)
         if has_entries:
-            entries = _parse_compiled(path, fh.tell(), fmt, expected) or _parse_loadtxt(fh, fmt)
+            entries = _parse_compiled(fh, fmt, expected) or _parse_loadtxt(fh, fmt)
         elif fmt == "coordinate":
             entries = (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
         else:

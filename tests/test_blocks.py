@@ -92,11 +92,37 @@ def test_signatures_name_exactly_the_exported_functions():
     exported = _exported_functions(source)
     assert exported == _blocks._SIGNATURES
     assert set(exported) == {"block_steps", "check_sums", "csc_scatter", "format_lines",
-                             "parse_entries"}
+                             "parse_lines"}
     structs = _structs(source)
     # struct share, one thread's part of a call, never crosses into Python
     assert set(structs) == {"batch", "share"}
     assert structs["batch"] == _blocks.Batch._fields_
+
+
+def test_kernels_take_their_bytes_from_their_callers():
+    # the file reader of kaczmarz.mmio reads the pieces parse_lines parses
+    with open(_blocks.SOURCE) as fh:
+        code = re.sub(r"/\*.*?\*/", " ", fh.read(), flags=re.S)
+    calls = set(re.findall(r"\b(\w+)\s*\(", code))
+    assert not calls & {"fopen", "fread", "fseek", "ferror", "fclose", "malloc", "free"}
+
+
+def test_parse_lines_goes_on_from_the_entry_it_is_given(lib):
+    rows, cols, vals = (np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64), np.zeros(3))
+    addrs = [a.ctypes.data for a in (rows, cols, vals)]
+
+    def parse(text, k):
+        buf = np.frombuffer(text, dtype=np.uint8)
+        return lib.parse_lines(buf.ctypes.data, buf.size, k, 3, *addrs)
+
+    assert parse(b"1 2 0.5\n", 0) == 1
+    assert parse(b"3 4 -2\n5\t6 1e3\n", 1) == 3
+    assert (rows.tolist(), cols.tolist(), vals.tolist()) == ([1, 3, 5], [2, 4, 6],
+                                                             [0.5, -2.0, 1000.0])
+    assert parse(b"", 3) == 3
+    assert parse(b"1 1 1\n", 3) == -1  # past the count
+    assert parse(b"1 1 1", 0) == -1  # the last line unended
+    assert parse(b"1 1 x\n", 0) == -1
 
 
 def test_signature_parser_reads_declarations_it_must_not_miss():

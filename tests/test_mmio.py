@@ -259,6 +259,19 @@ def test_writer_refuses_a_comment_with_a_line_break(tmp_path):
     assert read_matrix_market(p).to_dense().tolist() == np.eye(3).tolist()
 
 
+@pytest.mark.parametrize("write, shape", [(write_vector, (0,)), (write_matrix_market, (0, 3)),
+                                          (write_matrix_market, (3, 0))])
+def test_writer_refuses_an_array_with_a_zero_dimension(tmp_path, write, shape):
+    # the reader would refuse what this wrote: "line 2: bad dimensions 0 1"
+    p = tmp_path / "v.mtx"
+    write_vector(p, np.array([1.0, -2.5]))
+    before = p.read_bytes()
+    with pytest.raises(MatrixMarketError, match=r"^cannot write an array of shape \(\d, \d\)$"):
+        write(p, np.zeros(shape))
+    # refused before the file is opened, so it keeps its bytes
+    assert p.read_bytes() == before
+
+
 def test_csv_round_trip_and_cell_conventions(tmp_path):
     p = tmp_path / "t.csv"
     rows = [
@@ -430,64 +443,129 @@ ARRAY = "%%MatrixMarket matrix array real general\n"
 FAST = COORD + "3 3 2\n1 1 1.5\n2 3 -2.0\n"
 
 
-@pytest.mark.parametrize(
-    "content, defers",
-    [
-        (FAST, False),
-        (FAST.replace("1 1", "1\t1"), False),  # one tab is a separator
-        (FAST.replace("1 1", "+1 1"), False),
-        (FAST.replace("1.5", ".5"), False),
-        (FAST.replace("1.5", "5."), False),
-        (FAST.replace("1.5", "1E5"), False),
-        (FAST.replace("1.5", "-1.5e-3"), False),
-        (FAST.replace("1.5", "1e-400"), False),  # underflows to 0.0 on both paths
-        (FAST.replace("1.5", "1e400"), False),  # overflows, refused as non-finite
-        (FAST.replace("1 1", "000000000000000001 1"), False),  # 18 digits
-        (FAST.replace("1 1", "-1 1"), False),  # refused by the range check
-        (ARRAY + "2 1\n5.\n.5\n", False),
-        (FAST.replace("2 3 -2.0", "% mid\n2 3 -2.0"), True),
-        (FAST.replace("1.5\n", "1.5 % c\n"), True),
-        (FAST.replace("\n1 1", "\r\n1 1").replace("\n2 3", "\r\n2 3"), True),
-        (FAST.replace("1.5\n", "1.5\r"), True),
-        (FAST.replace("1.5\n", "1.5\n\n"), True),
-        (FAST + "\n", True),
-        (FAST[:-1], True),  # no final newline
-        (FAST + "3 3", True),  # a last line past the count, without one
-        (FAST.replace("1 1", "1  1"), True),
-        (FAST.replace("1 1", " 1 1"), True),
-        (FAST.replace("1.5", "1.5 "), True),
-        (FAST.replace("1.5", "1_0"), True),
-        (FAST.replace("1 1", "1_0 1"), True),
-        (FAST.replace("1.5", "0x1p3"), True),
-        (FAST.replace("1.5", "inf"), True),
-        (FAST.replace("1.5", "nan"), True),
-        (FAST.replace("1.5", "1.5e"), True),
-        (FAST.replace("1 1", "0000000000000000001 1"), True),  # 19 digits
-        (FAST.replace("1 1", "1.0 1"), True),
-        (FAST.replace("1.5", "1.5é"), True),
-        (FAST.replace("1.5", "1·5"), True),
-        (FAST.replace("2 3 -2.0\n", ""), True),  # too few entries
-        (FAST + "3 3 1.0\n", True),  # too many
-        (ARRAY + "2 1\n5.\n1 2\n", True),
-    ],
-)
-def test_fast_reader_defers_exactly_where_it_should(tmp_path, monkeypatch, content, defers):
-    if _blocks.load() is None:
-        pytest.skip("no C compiler: only the numpy reader runs here")
-    p = tmp_path / "f.mtx"
-    p.write_bytes(content.encode("utf-8"))
+DEFERS = [
+    (FAST, False),
+    (FAST.replace("1 1", "1\t1"), False),  # one tab is a separator
+    (FAST.replace("1 1", "+1 1"), False),
+    (FAST.replace("1.5", ".5"), False),
+    (FAST.replace("1.5", "5."), False),
+    (FAST.replace("1.5", "1E5"), False),
+    (FAST.replace("1.5", "-1.5e-3"), False),
+    (FAST.replace("1.5", "1e-400"), False),  # underflows to 0.0 on both paths
+    (FAST.replace("1.5", "1e400"), False),  # overflows, refused as non-finite
+    (FAST.replace("1 1", "000000000000000001 1"), False),  # 18 digits
+    (FAST.replace("1 1", "-1 1"), False),  # refused by the range check
+    (ARRAY + "2 1\n5.\n.5\n", False),
+    (FAST.replace("2 3 -2.0", "% mid\n2 3 -2.0"), True),
+    (FAST.replace("1.5\n", "1.5 % c\n"), True),
+    (FAST.replace("\n1 1", "\r\n1 1").replace("\n2 3", "\r\n2 3"), True),
+    (FAST.replace("1.5\n", "1.5\r"), True),
+    (FAST.replace("1.5\n", "1.5\n\n"), True),
+    (FAST + "\n", True),
+    (FAST[:-1], True),  # no final newline
+    (FAST + "3 3", True),  # a last line past the count, without one
+    (FAST.replace("1 1", "1  1"), True),
+    (FAST.replace("1 1", " 1 1"), True),
+    (FAST.replace("1.5", "1.5 "), True),
+    (FAST.replace("1.5", "1_0"), True),
+    (FAST.replace("1 1", "1_0 1"), True),
+    (FAST.replace("1.5", "0x1p3"), True),
+    (FAST.replace("1.5", "inf"), True),
+    (FAST.replace("1.5", "nan"), True),
+    (FAST.replace("1.5", "1.5e"), True),
+    (FAST.replace("1 1", "0000000000000000001 1"), True),  # 19 digits
+    (FAST.replace("1 1", "1.0 1"), True),
+    (FAST.replace("1.5", "1.5é"), True),
+    (FAST.replace("1.5", "1·5"), True),
+    (FAST.replace("2 3 -2.0\n", ""), True),  # too few entries
+    (FAST + "3 3 1.0\n", True),  # too many
+    (ARRAY + "2 1\n5.\n1 2\n", True),
+]
+
+
+def spied_outcome(monkeypatch):
+    """outcome(path) as a function that also says whether numpy.loadtxt ran."""
     calls = []
 
     def spy(fh, fmt):
         calls.append(fmt)
         return parse_loadtxt(fh, fmt)
 
+    def read(path):
+        calls.clear()
+        return outcome(path), bool(calls)
+
     parse_loadtxt = mmio._parse_loadtxt
     monkeypatch.setattr(mmio, "_parse_loadtxt", spy)
-    compiled = outcome(p)
-    assert bool(calls) == defers
+    return read
+
+
+@pytest.mark.parametrize("content, defers", DEFERS)
+def test_fast_reader_defers_exactly_where_it_should(tmp_path, monkeypatch, content, defers):
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: only the numpy reader runs here")
+    p = tmp_path / "f.mtx"
+    p.write_bytes(content.encode("utf-8"))
+    compiled, deferred = spied_outcome(monkeypatch)(p)
+    assert deferred == defers
     monkeypatch.setattr(_blocks, "load", lambda: None)
     assert compiled == outcome(p)
+
+
+def _few_hundred_entries(kind):
+    # eighths print short; the awkward values mixed in give the long lines
+    rng = np.random.default_rng(8)
+    dense = rng.integers(-99, 100, (20, 15)) / 8
+    dense.flat[::30] = AWKWARD
+    if kind == "array":
+        obj = dense
+    else:
+        dense[rng.random(dense.shape) < 0.2] = 0.0
+        obj = DualSparseMatrix.from_dense(dense)
+    return per_line_bytes(obj).decode("ascii")
+
+
+@pytest.mark.parametrize("content", [c for c, _ in DEFERS] + [_few_hundred_entries("array"),
+                                                             _few_hundred_entries("coordinate")],
+                         ids=["defers-%d" % k for k in range(len(DEFERS))] + ["array",
+                                                                             "coordinate"])
+def test_every_piece_size_reads_as_the_default_piece_does(tmp_path, monkeypatch, content):
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: only the numpy reader runs here")
+    p = tmp_path / "f.mtx"
+    p.write_bytes(content.encode("utf-8"))
+    with open(p, encoding="ascii", errors="replace") as fh:
+        mmio._read_preamble(fh)
+        region = p.read_bytes()[fh.tell():]
+    longest = max(len(line) + 1 for line in region.split(b"\n"))  # with its "\n"
+    read = spied_outcome(monkeypatch)
+    want = read(p)
+    # from pieces that each hold the longest line to one piece for all of them
+    for size in range(longest, len(region) + 1):
+        monkeypatch.setattr(mmio, "_READ_CHUNK", size)
+        assert read(p) == want, size
+    # a line longer than a piece goes to numpy.loadtxt
+    for size in (1, longest - 1):
+        monkeypatch.setattr(mmio, "_READ_CHUNK", size)
+        assert read(p) == (want[0], True), size
+
+
+def test_a_file_of_many_pieces_reads_as_the_numpy_reader_reads_it(tmp_path, monkeypatch):
+    if _blocks.load() is None:
+        pytest.skip("no C compiler: only the numpy reader runs here")
+    a = generate(InstanceSpec("sparse", 4000, 500, density=0.1, seed=5))[0]
+    p = tmp_path / "a.mtx"
+    write_matrix_market(p, a)
+    assert p.stat().st_size > 5 * mmio._READ_CHUNK
+    parse_loadtxt = mmio._parse_loadtxt
+    monkeypatch.setattr(mmio, "_parse_loadtxt", None)  # must not be reached
+    compiled = read_matrix_market(p)
+    monkeypatch.setattr(mmio, "_parse_loadtxt", parse_loadtxt)
+    monkeypatch.setattr(_blocks, "load", lambda: None)
+    for back in (compiled, read_matrix_market(p)):
+        np.testing.assert_array_equal(back.row_ptr, a.row_ptr)
+        np.testing.assert_array_equal(back.row_cols, a.row_cols)
+        np.testing.assert_array_equal(bits(back.row_vals), bits(a.row_vals))
 
 
 def test_an_entry_count_the_file_cannot_hold_allocates_nothing(kernels, tmp_path):
