@@ -1,6 +1,6 @@
 /* The compiled inner loops of the package, over the CSR/CSC arrays of a
  * DualSparseMatrix and the entry lines of Matrix Market files: whole blocks
- * of solver steps with their index draws, the sums of squares of the
+ * of solver steps with their index draws and the sums of squares of the
  * termination checks, the CSC order of a matrix, and the formatting and
  * parsing of entry lines. Each has a numpy twin that runs when this file
  * cannot be built.
@@ -30,19 +30,21 @@
  * kaczmarz.solvers range-checks given indices before the call, and drawn
  * ones are in range when every alias entry is, which sampling checks.
  *
- * check_sums forms, for each run of a batch, each entry of A x and A^T z in
- * the order the numpy products do (each row's entries left to right, each
- * column's top to bottom), so those vectors are the same bits, and sums every
- * sum of squares left to right, b's once per call.
+ * Given an out array, block_steps also sums each run's termination-check
+ * squares right after its steps (run_sums), with count 0 for the sums alone:
+ * it forms each entry of A x and A^T z in the order the numpy products do
+ * (each row's entries left to right, each column's top to bottom), so those
+ * vectors are the same bits, and sums every sum of squares left to right,
+ * b's once per call.
  *
  * A run owns its rows of x, z and streams and reads only what the batch
- * shares, so both split a call's listed runs into contiguous shares, one per
- * thread (in_shares): as many threads as the CPUs the process may run on
- * (its affinity mask), the listed runs and MAX_THREADS allow, created and
- * joined within the call, the calling thread running the first share. A call
- * whose work is under SERIAL_WORK runs inline. Each run is computed by one
- * thread, in the order it would be alone, so every result has the same bits
- * on any number of CPUs.
+ * shares, so block_steps splits a call's listed runs into contiguous shares,
+ * one per thread (in_shares): as many threads as the CPUs the process may
+ * run on (its affinity mask), the listed runs and MAX_THREADS allow, created
+ * and joined within the call, the calling thread running the first share. A
+ * call whose work is under SERIAL_WORK runs inline. Each run is stepped and
+ * summed by one thread, in the order it would be alone, so every result has
+ * the same bits on any number of CPUs.
  *
  * csc_scatter builds the column-major arrays by one counting pass over the
  * row-major ones, the same arrays as DualSparseMatrix's argsort, and in the
@@ -280,8 +282,8 @@ static void run_sums(const struct batch *bt, int64_t r, double b_sq, double *out
     out[4] = b_sq;
 }
 
-/* One thread's share of a block_steps or check_sums call: listed runs lo ..
- * hi-1. A block_steps share has touched, a check_sums share out and b_sq. */
+/* One thread's share of a block_steps call: listed runs lo .. hi-1, each
+ * summed into out after its steps when out is not NULL. */
 struct share {
     const struct batch *batch;
     const int64_t *listed, *rows, *cols;
@@ -294,10 +296,9 @@ static void *run_share(void *arg)
 {
     const struct share *s = arg;
     for (int64_t r = s->lo; r < s->hi; r++) {
-        if (s->touched != NULL)
-            s->touched[r] = run_steps(s->batch, s->listed[r], run_ids(s->rows, r, s->count),
-                                      run_ids(s->cols, r, s->count), s->count);
-        else
+        s->touched[r] = run_steps(s->batch, s->listed[r], run_ids(s->rows, r, s->count),
+                                  run_ids(s->cols, r, s->count), s->count);
+        if (s->out != NULL)
             run_sums(s->batch, s->listed[r], s->b_sq, s->out + 5 * r);
     }
     return NULL;
@@ -351,32 +352,25 @@ static void in_shares(const struct share *call, int64_t nlisted, double work)
 }
 
 /* count steps of each run listed[r], r < nlisted (run_steps), with its
- * stored entries visited in touched[r]. Given rows or cols hold count
- * indices per listed run (run_ids), each in range; listed holds no run
- * twice. */
+ * stored entries visited in touched[r], and when out is not NULL, then its
+ * sums in out[5r .. 5r+4] (run_sums). Given rows or cols hold count indices
+ * per listed run (run_ids), each in range; listed holds no run twice. b's
+ * sum of squares, the same for every run, is formed once. */
 void block_steps(const struct batch *batch, const int64_t *listed, int64_t nlisted,
-                 const int64_t *rows, const int64_t *cols, int64_t count, int64_t *touched)
+                 const int64_t *rows, const int64_t *cols, int64_t count, int64_t *touched,
+                 double *out)
 {
-    struct share call = {batch, listed, rows, cols, 0, 0, count, touched, NULL, 0.0};
+    double b_sq = out != NULL && batch->x != NULL ? sum_sq(batch->b, batch->m) : 0.0;
+    struct share call = {batch, listed, rows, cols, 0, 0, count, touched, out, b_sq};
     /* a dot and an axpy per entry of a step's lines (a mean row and a mean
-     * column), its draws and scalars */
+     * column), its draws and scalars; for the sums, a product and two sums
+     * of squares per half that runs */
     double nnz = (double)batch->row_ptr[batch->m];
     double step = 8.0 + 2.0 * ((batch->x != NULL ? nnz / (double)batch->m : 0.0)
                                + (batch->z != NULL ? nnz / (double)batch->n : 0.0));
-    in_shares(&call, nlisted, (double)nlisted * (double)count * step);
-}
-
-/* The sums of run listed[r] into out[5r .. 5r+4], for r < nlisted (run_sums);
- * listed holds no run twice. b's sum of squares, the same for every run, is
- * formed once. */
-void check_sums(const struct batch *batch, const int64_t *listed, int64_t nlisted, double *out)
-{
-    double b_sq = batch->x != NULL ? sum_sq(batch->b, batch->m) : 0.0;
-    struct share call = {batch, listed, NULL, NULL, 0, 0, 0, NULL, out, b_sq};
-    /* a product and two sums of squares per half that runs */
-    double half = (double)(batch->row_ptr[batch->m] + batch->m + batch->n);
-    int halves = (batch->x != NULL) + (batch->z != NULL);
-    in_shares(&call, nlisted, (double)nlisted * half * halves);
+    double sums = out != NULL ? (nnz + (double)(batch->m + batch->n))
+                                    * ((batch->x != NULL) + (batch->z != NULL)) : 0.0;
+    in_shares(&call, nlisted, (double)nlisted * ((double)count * step + sums));
 }
 
 /* The column-major arrays of an m-row CSR matrix: each row's entries, rows

@@ -1,8 +1,9 @@
 """Build and load the compiled kernels in _blocks.c.
 
-The kernels are the solvers' block steps, which draw their own indices, and
-termination-check sums, DualSparseMatrix's CSC scatter and line norms, and
-the Matrix Market entry formatter and parser of kaczmarz.mmio.
+The kernels are the solvers' block steps, which draw their own indices and
+sum the termination checks' squares after them, DualSparseMatrix's CSC
+scatter and line norms, and the Matrix Market entry formatter and parser of
+kaczmarz.mmio.
 
 The shared library is compiled on first use with the system C compiler and
 cached under ${XDG_CACHE_HOME:-~/.cache}/kaczmarz/. Its file name is a hash
@@ -16,8 +17,8 @@ same iterates, draws and check sums. -falign-loops=64 changes no result: it
 starts every loop on a cache line, so the speed of the hot dot and axpy
 loops does not hinge on where the compiler happens to place them (left to
 gcc 12, the RK row loop ran 20% slower on dense rows of 400 entries on an
-AMD EPYC). -pthread links the threads block_steps and check_sums split a
-batch's runs over; each run is computed by one thread, so that changes no
+AMD EPYC). -pthread links the threads block_steps splits a batch's runs
+over; each run is stepped and summed by one thread, so that changes no
 result either. If the compiler is missing, the build fails or the library
 cannot be loaded, load() logs why once and returns None, and the solvers
 (drawing through sampling.sample_block), their checks, the matrix
@@ -46,8 +47,7 @@ _PTR = ctypes.c_void_p
 # (result type, argument types) of the C functions; pointers are passed as
 # raw addresses.
 _SIGNATURES = {
-    "block_steps": (None, (_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR)),
-    "check_sums": (None, (_PTR, _PTR, _I64, _PTR)),
+    "block_steps": (None, (_PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR)),
     "csc_scatter": (None, (_I64,) + (_PTR,) * 8),
     "format_lines": (_I64, (_PTR,) * 3 + (_I64,) * 3 + (_PTR,)),
     "parse_lines": (_I64, (_PTR,) + (_I64,) * 3 + (_PTR,) * 3),
@@ -55,7 +55,7 @@ _SIGNATURES = {
 
 
 class Batch(ctypes.Structure):
-    """struct batch: what block_steps and check_sums read of a batch's runs."""
+    """struct batch: what block_steps reads of a batch's runs."""
 
     _fields_ = [("m", _I64), ("n", _I64)] + [(name, _PTR) for name in (
         "row_ptr row_cols col_ptr col_rows row_vals row_sq col_vals col_sq b "

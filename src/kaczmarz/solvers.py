@@ -41,22 +41,22 @@ other runs of the batch or the number of CPUs.
 A batch is bound once, not once per block or check: when trajectory starts,
 _bind checks A and b and allocates a row of three arrays per run: its x, its
 z, and its row and column streams, (seed, draws used) each, which both paths
-move. Its steps and sums are one front for both paths: they list the runs to
-move, check any given indices and book the flops, and call block_steps and
-check_sums, the compiled kernels on one struct batch (the addresses of A's
-line arrays, b, the alias tables and the three arrays, taken at binding) or
-their numpy twins. Long lists of seeds are bound in consecutive batches
-whose vectors stay within BATCH_BYTES.
+move. Its steps is one front for both paths: it lists the runs to move,
+checks any given indices, books the flops and calls block_steps, the
+compiled kernel on one struct batch (the addresses of A's line arrays, b,
+the alias tables and the three arrays, taken at binding) or its numpy twin.
+Long lists of seeds are bound in consecutive batches whose vectors stay
+within BATCH_BYTES.
 
-The termination checks take their norms from the compiled check_sums, one
-call for every run checked at a stop: the products A x and A^T z come out
-bit-identical to the numpy ones, and every sum of squares runs left to
-right. So on the compiled path the stopping decision and the reported
-residual_norm / atz_norm do not depend on the BLAS kernel either. Where the
-kernels are unavailable, the checks use the numpy products and BLAS dots, as
-np.linalg.norm does. trajectory hands the stop's sums to one call of the
-solver's check, a row per checked run, and the check decides every row at
-once, each as it would alone.
+The termination checks take their norms from sums block_steps forms right
+after a run's steps, in the same call, so a stop is one kernel call: the
+products A x and A^T z come out bit-identical to the numpy ones, and every
+sum of squares runs left to right. So on the compiled path the stopping
+decision and the reported residual_norm / atz_norm do not depend on the
+BLAS kernel either. Where the kernels are unavailable, the checks use the
+numpy products and BLAS dots, as np.linalg.norm does. trajectory hands the
+stop's sums to one call of the solver's check, a row per checked run, and
+the check decides every row at once, each as it would alone.
 
 Flops are booked by formula where the work runs; one dot or axpy over k
 stored entries costs 2k. block_steps returns 4 per stored entry its steps
@@ -213,31 +213,31 @@ def _checked_rhs(a, b):
 
 
 def _bind(a, b, solver, seeds):
-    """A batch of seeded runs of `solver` on A and b, bound once: (x, z, steps, sums).
+    """A batch of seeded runs of `solver` on A and b, bound once: (x, z, steps).
 
     A and b are checked first (_checked_rhs), then each seed must fit in 64
     bits. There is one run per seed: row r of x (a len(seeds) x n array, None for
     ROP) and of z (len(seeds) x m, None for RK) are run r's iterates, x
-    starting at 0 and z at a copy of b. steps and sums keep x, z, b and A
-    alive. steps(count, rows, cols, runs) runs `count` steps of each run in
+    starting at 0 and z at a copy of b. steps keeps x, z, b and A alive.
+    steps(count, rows, cols, runs, check) runs `count` steps of each run in
     `runs` (every run when None), in place, on row and column indices drawn
     from the two streams derived from its seed, as sample_block draws them
-    and moves each (seed, draws used) pair on, and returns the flops booked
-    per listed run (an int64 array). Given index arrays rows and cols hold
-    `count` indices per listed run, in the order listed, which the runs step
-    on instead (rows unread for ROP, cols for RK), leaving their streams
-    where they are. A given array of a half that runs must be a C-contiguous
-    int64 array of that length (else ValueError) with every index in range
-    (else IndexError), checked before any run steps. The compiled kernels
-    split the listed runs over the CPUs the process may use, one thread per
-    share of runs, so a run listed twice would be stepped twice at once:
-    runs must be distinct (else ValueError) and in [0, len(seeds)) (else
-    IndexError), for steps and sums alike and on both paths. sums(runs)
-    gives a new (k, 5) array for the k listed runs: row n holds, for the
-    n-th listed run, the sums of squares of A x - (b - z), A^T z, x, z and
-    b, in that order, for the current contents of its x and z. RK's first
-    sum is of A x - b and it leaves out A^T z and z; ROP leaves out
-    A x - (b - z), x and b. Left-out sums are 0.0.
+    and moves each (seed, draws used) pair on, and returns (flops, sums):
+    the flops booked per listed run (an int64 array) and, with check, a new
+    (k, 5) array for the k listed runs, else None. Row n of sums holds, for
+    the n-th listed run after its steps, the sums of squares of A x - (b - z),
+    A^T z, x, z and b, in that order. RK's first sum is of A x - b and it
+    leaves out A^T z and z; ROP leaves out A x - (b - z), x and b. Left-out
+    sums are 0.0. count may be 0, for the sums alone. Given index arrays rows
+    and cols hold `count` indices per listed run, in the order listed, which
+    the runs step on instead (rows unread for ROP, cols for RK), leaving their
+    streams where they are. A given array of a half that runs must be a
+    C-contiguous int64 array of that length (else ValueError) with every
+    index in range (else IndexError), checked before any run steps. The
+    compiled kernel splits the listed runs over the CPUs the process may use,
+    one thread per share of runs, so a run listed twice would be stepped
+    twice at once: runs must be distinct (else ValueError) and in
+    [0, len(seeds)) (else IndexError), on both paths.
     """
     b = _checked_rhs(a, b)
     if len(seeds) and not (0 <= min(seeds) and max(seeds) < 2**64):
@@ -252,13 +252,13 @@ def _bind(a, b, solver, seeds):
     streams = np.zeros((len(seeds), 2, 2), dtype=np.uint64)
     streams[:, 0, 0] = derived_seeds(seeds, ROW_STREAM_SALT)
     streams[:, 1, 0] = derived_seeds(seeds, COL_STREAM_SALT)
-    listed = np.empty(len(seeds), dtype=np.int64)  # the runs a call steps or sums
+    listed = np.empty(len(seeds), dtype=np.int64)  # the runs a call steps
     lib = _blocks.load()
-    # block_steps(k, rows, cols, count) and check_sums(k) take the first k runs in listed
-    block_steps, check_sums = (_numpy_batch(a, b, x, z, streams, tables, listed) if lib is None
-                               else _compiled_batch(lib, a, b, x, z, streams, tables, listed))
+    # block_steps(k, rows, cols, count, check) takes the first k runs in listed
+    block_steps = (_numpy_batch(a, b, x, z, streams, tables, listed) if lib is None
+                   else _compiled_batch(lib, a, b, x, z, streams, tables, listed))
 
-    def list_runs(runs):
+    def steps(count, rows=None, cols=None, runs=None, check=False):
         if runs is None:
             runs = every
         # each listed run is stepped by one thread: a repeat would be two
@@ -268,11 +268,7 @@ def _bind(a, b, solver, seeds):
             raise IndexError("runs must lie in [0, %d)" % len(seeds))
         if len(set(ids)) < len(ids):
             raise ValueError("runs must not repeat")
-        listed[:runs.size] = runs
-        return runs.size
-
-    def steps(count, rows=None, cols=None, runs=None):
-        k = list_runs(runs)
+        k = runs.size
         rows, cols = rows if has_x else None, cols if has_z else None
         for given, size in ((rows, a.m), (cols, a.n)):
             # the kernel reads count indices per listed run through a raw pointer
@@ -282,16 +278,15 @@ def _bind(a, b, solver, seeds):
                                  % (k * count))
             if given is not None and given.size and not (0 <= given.min() and given.max() < size):
                 raise IndexError("sampled row or column index out of range")
-        return 4 * block_steps(k, rows, cols, count) + scalar_flops * count
-
-    def sums(runs=None):
-        # a copy: the compiled check_sums writes every call into one buffer
-        return check_sums(list_runs(runs)).copy()
-    return x, z, steps, sums
+        listed[:k] = runs
+        touched, sums = block_steps(k, rows, cols, count, check)
+        # a copy: the compiled block_steps writes every call's sums into one buffer
+        return 4 * touched + scalar_flops * count, None if sums is None else sums.copy()
+    return x, z, steps
 
 
 def _compiled_batch(lib, a, b, x, z, streams, tables, listed):
-    """The kernels' block_steps and check_sums on one struct batch of the runs."""
+    """The kernel's block_steps on one struct batch of the runs."""
     for table in tables:
         if table is not None:
             _check_table(table)
@@ -303,22 +298,19 @@ def _compiled_batch(lib, a, b, x, z, streams, tables, listed):
     addrs = ctypes.addressof(batch), listed.ctypes.data
     touched_addr, out_addr = touched.ctypes.data, out.ctypes.data
 
-    def block_steps(k, rows, cols, count):
+    def block_steps(k, rows, cols, count, check):
         lib.block_steps(*addrs, k, None if rows is None else rows.ctypes.data,
-                        None if cols is None else cols.ctypes.data, count, touched_addr)
-        return touched[:k]
-
-    def check_sums(k):
-        lib.check_sums(*addrs, k, out_addr)
-        return out[:k]
-    # the header holds raw addresses only: the calls keep what they point
+                        None if cols is None else cols.ctypes.data, count, touched_addr,
+                        out_addr if check else None)
+        return touched[:k], out[:k] if check else None
+    # the header holds raw addresses only: the call keeps what they point
     # into (the matrix's lines, b, the alias tables, x, z and streams) alive
-    block_steps.owners = check_sums.owners = (a, b, tables, x, z, streams, batch)
-    return block_steps, check_sums
+    block_steps.owners = (a, b, tables, x, z, streams, batch)
+    return block_steps
 
 
 def _numpy_batch(a, b, x, z, streams, tables, listed):
-    """Numpy twins of the kernels' block_steps and check_sums, a run and a step at a time."""
+    """The numpy twin of the kernel's block_steps, a run and a step at a time."""
 
     def run_steps(r, rows, cols, count):
         run_x = None if x is None else x[r]
@@ -346,25 +338,24 @@ def _numpy_batch(a, b, x, z, streams, tables, listed):
         return ((0 if run_x is None else _line_nnz(a.row_ptr, rows))
                 + (0 if run_z is None else _line_nnz(a.col_ptr, cols)))
 
-    def block_steps(k, rows, cols, count):
-        return np.array([run_steps(r, None if rows is None else rows[n * count:(n + 1) * count],
-                                   None if cols is None else cols[n * count:(n + 1) * count], count)
-                         for n, r in enumerate(listed[:k].tolist())], dtype=np.int64)
-
-    def check_sums(k):
-        # v.dot(v) is the sum np.linalg.norm takes the root of; b's is the
-        # same for every run
-        out = np.zeros((k, 5))
-        b_sq = b.dot(b) if x is not None else 0.0
+    def block_steps(k, rows, cols, count, check):
+        # each run is stepped and then summed, as in the kernel; v.dot(v) is
+        # the sum np.linalg.norm takes the root of, and b's is the same for
+        # every run
+        touched, sums = np.empty(k, dtype=np.int64), np.zeros((k, 5)) if check else None
+        b_sq = b.dot(b) if check and x is not None else 0.0
         for n, r in enumerate(listed[:k].tolist()):
-            if x is not None:
+            touched[n] = run_steps(r, None if rows is None else rows[n * count:(n + 1) * count],
+                                   None if cols is None else cols[n * count:(n + 1) * count],
+                                   count)
+            if check and x is not None:
                 resid = a.matvec(x[r]) - (b if z is None else b - z[r])
-                out[n, [0, 2, 4]] = resid.dot(resid), x[r].dot(x[r]), b_sq
-            if z is not None:
+                sums[n, [0, 2, 4]] = resid.dot(resid), x[r].dot(x[r]), b_sq
+            if check and z is not None:
                 atz = a.rmatvec(z[r])
-                out[n, [1, 3]] = atz.dot(atz), z[r].dot(z[r])
-        return out
-    return block_steps, check_sums
+                sums[n, [1, 3]] = atz.dot(atz), z[r].dot(z[r])
+        return touched, sums
+    return block_steps
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +446,7 @@ def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
     the runs checked there and the check's entries for them, in that order.
     """
     eps, cap, interval = config.resolved(a.m, a.n)
-    x, z, steps, sums = _bind(a, b, solver, seeds)
+    x, z, steps = _bind(a, b, solver, seeds)
     # looked up per batch, so a wrapper bound to the module-level name sees
     # every check stop
     check = {REK: rek_termination_check, RK: rk_termination_check,
@@ -472,13 +463,16 @@ def trajectory(a, b, solver, config, seeds, marks=(), checks=True):
         stop = min(s for s in (due, mark) if s is not None)
         if stop < iters:
             raise ValueError("marks must not decrease from 0, got %d after %d" % (stop, iters))
-        if stop > iters:
-            stepping = every if mark is not None else checking
-            flops[stepping] += steps(stop - iters, runs=stepping)
-            iters = stop
+        # one kernel call per stop: the steps, and at a check stop the sums
+        stepping = every if mark is not None else checking
+        step_flops, sums = steps(stop - iters, runs=stepping, check=stop == due)
+        flops[stepping] += step_flops
+        iters = stop
         checked = None
-        if stop == due:
-            checked = (checking, *check(a, sums(checking), eps))
+        if sums is not None:
+            # with marks ahead every run stepped and was summed, rows in run
+            # order: the runs whose checks are over are dropped
+            checked = (checking, *check(a, sums if stepping is checking else sums[checking], eps))
             checking = checking[checked[1] == MAX_ITERS]
             due = next(schedule, None) if checking.size else None
         while mark == stop:

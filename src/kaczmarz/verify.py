@@ -152,7 +152,7 @@ def _one_step_expectation(a, b, solver, start, target, sq_norms):
     weights = sq_norms / a.frob_sq
     total = 0.0
     for lines in _batches(a, solver, np.flatnonzero(weights).astype(np.int64)):
-        x, z, steps, _ = _bind(a, b, solver, [0] * len(lines))
+        x, z, steps = _bind(a, b, solver, [0] * len(lines))
         trial = z if x is None else x
         trial[:] = start
         steps(1, lines, lines)  # RK reads only the rows, ROP only the columns
@@ -226,13 +226,16 @@ def _envelope_check(name, label, checkpoints, envelope, errors):
 
     errors is seeds x checkpoints, a walk's x_errors or z_errors; `label`
     names the checkpoints in the detail line. Each column is summed in seed
-    order in Python floats (numpy would sum some shapes pairwise).
+    order in Python floats (numpy would sum some shapes pairwise). A positive
+    mean over an envelope of 0 is ratio inf, and the worst ratio is nan when
+    any is, so both fail.
     """
-    worst = 0.0
+    ratios = []
     for t, column in zip(checkpoints, errors.T.tolist()):
         mean = functools.reduce(operator.add, column) / len(column)
-        env = envelope(t)
-        worst = max(worst, mean / (SLACK * env) if env > 0 else float(mean > 0))
+        bound = SLACK * envelope(t)
+        ratios.append(mean / bound if bound != 0 else math.inf if mean != 0 else 0.0)
+    worst = float(np.max(ratios))
     return CheckResult(name, worst <= 1.0, "max mean/bound ratio %.3g over %s=%s (%d runs)"
                        % (worst, label, checkpoints, len(errors)))
 
@@ -282,14 +285,14 @@ def check_one_step(bat):
         err_sq = float((x - ref.x_ls) @ (x - ref.x_ls))
         expect = rk_one_step_expectation(a, ref.b_range, x, ref.x_ls)
         tol = 1e-12 * max(err_sq, 1.0)
-        if expect > rate * err_sq + tol:
+        if not expect <= rate * err_sq + tol:  # nan fails too
             ok = False
         details.append("rk %.3g<=%.3g" % (expect, rate * err_sq))
         z = ref.b_perp + a.matvec(rng.standard_normal(a.n))
         e_sq = float((z - ref.b_perp) @ (z - ref.b_perp))
         expect_z = rop_one_step_expectation(a, z, ref.b_perp)
         tol_z = 1e-12 * max(e_sq, 1.0)
-        if expect_z > rate * e_sq + tol_z:
+        if not expect_z <= rate * e_sq + tol_z:
             ok = False
         details.append("rop %.3g<=%.3g" % (expect_z, rate * e_sq))
     return CheckResult("one-step-contraction", ok, "; ".join(details[:2]) + " ...")

@@ -91,8 +91,7 @@ def test_signatures_name_exactly_the_exported_functions():
         source = fh.read()
     exported = _exported_functions(source)
     assert exported == _blocks._SIGNATURES
-    assert set(exported) == {"block_steps", "check_sums", "csc_scatter", "format_lines",
-                             "parse_lines"}
+    assert set(exported) == {"block_steps", "csc_scatter", "format_lines", "parse_lines"}
     structs = _structs(source)
     # struct share, one thread's part of a call, never crosses into Python
     assert set(structs) == {"batch", "share"}
@@ -166,17 +165,17 @@ def _dense(seed, m=12, n=7):
 
 @pytest.mark.parametrize("matrix", [_with_empty_lines, _dense])
 @pytest.mark.parametrize("halves", ["both", "x only", "z only"])
-def test_check_sums_are_sequential_sums_over_the_numpy_products(lib, halves, matrix):
+def test_check_stop_sums_are_sequential_sums_over_the_numpy_products(lib, halves, matrix):
     a, rng = matrix(31)
     b = rng.standard_normal(a.m)
     x = None if halves == "z only" else rng.standard_normal(a.n)
     z = None if halves == "x only" else rng.standard_normal(a.m)
-    run_x, run_z, _, sums = _bind(a, b, {"both": REK, "x only": RK, "z only": ROP}[halves], [0])
+    run_x, run_z, steps = _bind(a, b, {"both": REK, "x only": RK, "z only": ROP}[halves], [0])
     if x is not None:
         run_x[0] = x
     if z is not None:
         run_z[0] = z
-    (got,) = sums().tolist()
+    (got,) = steps(0, check=True)[1].tolist()
     want = [0.0] * 5
     if x is not None:
         resid = a.matvec(x) - (b if z is None else b - z)
@@ -199,8 +198,9 @@ def _block_steps(lib, a, b, x, z, rows, cols, count):
     batch = _blocks.Batch(a.m, a.n, *map(addr, lines), None, None, None, None, addr(x), addr(z),
                           addr(streams))
     listed, touched = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    # no out: the steps alone, no sums
     lib.block_steps(ctypes.byref(batch), addr(listed), 1, addr(rows), addr(cols), count,
-                    addr(touched))
+                    addr(touched), None)
     assert not streams.any()
     return int(touched[0])
 

@@ -6,6 +6,7 @@ interpreter loads starts one.
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -399,6 +400,15 @@ def test_verify_one_step_fails_when_either_expectation_does_not_contract(capsys,
     assert run_cli(_SMALL_VERIFY + ["--checks", "one-step-contraction"]) == 2
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith("FAIL one-step-contraction: rk ")
+
+
+@pytest.mark.parametrize("name", ["rk_one_step_expectation", "rop_one_step_expectation"])
+def test_verify_one_step_fails_a_nan_expectation(capsys, monkeypatch, name):
+    # nan > bound is False as well as nan <= bound: a nan must not pass
+    monkeypatch.setattr(verify, name, lambda *args: math.nan)
+    assert run_cli(_SMALL_VERIFY + ["--checks", "one-step-contraction"]) == 2
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("FAIL one-step-contraction: rk ") and "nan<=" in line
 
 
 def test_verify_forward_error_fails_a_run_that_did_not_converge(capsys, monkeypatch):

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kaczmarz import _blocks, solvers
+from kaczmarz import _blocks, solvers, verify
 from kaczmarz.errors import DimensionMismatchError, InvalidRangeError, NonFiniteError
 from kaczmarz.generate import InstanceSpec, generate
 from kaczmarz.matrices import DualSparseMatrix
@@ -91,7 +91,7 @@ def test_rop_step_matches_dense_projection(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(1)
     z = rng.standard_normal(7)
-    _, (got,), steps, _ = _bind(a, z, ROP, [0])
+    _, (got,), steps = _bind(a, z, ROP, [0])
     for j in range(4):
         col = dense[:, j]
         want = z - (col @ z) / (col @ col) * col
@@ -106,7 +106,7 @@ def test_rk_step_matches_dense_projection(small_instance, kernels):
     dense, a, b = small_instance
     rng = np.random.default_rng(2)
     x = rng.standard_normal(4)
-    (got,), _, steps, _ = _bind(a, b, RK, [0])
+    (got,), _, steps = _bind(a, b, RK, [0])
     for i in range(7):
         row = dense[i]
         want = x + (b[i] - row @ x) / (row @ row) * row
@@ -131,7 +131,7 @@ def test_rek_step_uses_pre_update_z(small_instance, kernels):
     # default: the row target uses z_i from before the column step
     x_want = x0 + (b[i] - z0[i] - row @ x0) / (row @ row) * row
 
-    (x,), (z,), steps, _ = _bind(a, b, REK, [0])
+    (x,), (z,), steps = _bind(a, b, REK, [0])
     x[:], z[:] = x0, z0
     steps(1, _ids(i), _ids(j))
     np.testing.assert_allclose(z, z_want, atol=32 * EPS * np.linalg.norm(z0), rtol=0)
@@ -150,20 +150,20 @@ def _alone(check, a, sums, eps):
 
 
 def _rek_check(a, b, x, z, eps):
-    run_x, run_z, _, sums = _bind(a, b, REK, [0])
+    run_x, run_z, steps = _bind(a, b, REK, [0])
     run_x[0], run_z[0] = x, z
-    return _alone(rek_termination_check, a, sums(), eps)
+    return _alone(rek_termination_check, a, steps(0, check=True)[1], eps)
 
 
 def _rk_check(a, b, x, eps):
-    run_x, _, _, sums = _bind(a, b, RK, [0])
+    run_x, _, steps = _bind(a, b, RK, [0])
     run_x[0] = x
-    return _alone(rk_termination_check, a, sums(), eps)
+    return _alone(rk_termination_check, a, steps(0, check=True)[1], eps)
 
 
 def _rop_check(a, z, eps):
     # a bound ROP run starts from z = b
-    return _alone(rop_termination_check, a, _bind(a, z, ROP, [0])[3](), eps)
+    return _alone(rop_termination_check, a, _bind(a, z, ROP, [0])[2](0, check=True)[1], eps)
 
 
 def test_termination_check_degenerate_rules():
@@ -212,18 +212,21 @@ def test_termination_checks_book_their_flops_in_every_branch(kernels):
 def test_bound_checks_follow_in_place_updates(kernels):
     # the runners bind the check sums once and keep updating x and z in place
     a, b, _ = generate(InstanceSpec(kind="sparse", m=40, n=12, density=0.3, seed=4))
-    (rek_x,), (rek_z,), _, rek_sums = _bind(a, b, REK, [0])
-    (rk_x,), _, _, rk_sums = _bind(a, b, RK, [0])
-    _, (rop_z,), _, rop_sums = _bind(a, b, ROP, [0])
+    (rek_x,), (rek_z,), rek_steps = _bind(a, b, REK, [0])
+    (rk_x,), _, rk_steps = _bind(a, b, RK, [0])
+    _, (rop_z,), rop_steps = _bind(a, b, ROP, [0])
     rng = np.random.default_rng(1)
     for _ in range(3):
         x = rek_x[:] = rk_x[:] = rng.standard_normal(a.n)
         z = rek_z[:] = rop_z[:] = rng.standard_normal(a.m)
         for eps in (1e-8, 10.0):
-            # sums bound before the updates read what freshly bound ones do
-            assert _alone(rek_termination_check, a, rek_sums(), eps) == _rek_check(a, b, x, z, eps)
-            assert _alone(rk_termination_check, a, rk_sums(), eps) == _rk_check(a, b, x, eps)
-            assert _alone(rop_termination_check, a, rop_sums(), eps) == _rop_check(a, z, eps)
+            # runs bound before the updates sum what freshly bound ones do
+            assert _alone(rek_termination_check, a, rek_steps(0, check=True)[1],
+                          eps) == _rek_check(a, b, x, z, eps)
+            assert _alone(rk_termination_check, a, rk_steps(0, check=True)[1],
+                          eps) == _rk_check(a, b, x, eps)
+            assert _alone(rop_termination_check, a, rop_steps(0, check=True)[1],
+                          eps) == _rop_check(a, z, eps)
 
 
 _HUGE = np.array([1.0, 0.5, -1.0]) * 1e200  # orthogonal to _CHECK_A's columns
@@ -270,12 +273,12 @@ def test_one_check_of_many_runs_gives_each_what_it_gets_checked_alone(solver, ke
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the fallback's numpy sums
         for b, x, z, _ in _CHECK_ROWS[solver]:
-            run_x, run_z, _, sums = _bind(a, b, solver, [0])
+            run_x, run_z, steps = _bind(a, b, solver, [0])
             if x is not None:
                 run_x[0] = x
             if z is not None:
                 run_z[0] = z
-            rows.append(sums())
+            rows.append(steps(0, check=True)[1])
     stacked = np.vstack(rows)
     for eps in (1e-8, 0.5, 1.9):
         outcomes, resids, atzs, flops = check(a, stacked, eps)
@@ -332,14 +335,14 @@ def test_checks_match_the_scalar_rule_on_extreme_sums_bit_for_bit(scale):
 
 
 def test_sums_taken_earlier_stay_as_they_were(kernels):
-    # the compiled check_sums writes every call into the same buffer
+    # the compiled block_steps writes every call's sums into the same buffer
     a, b, _ = generate(InstanceSpec(kind="sparse", m=40, n=12, density=0.3, seed=4))
     for solver in (REK, RK, ROP):
-        _, _, steps, sums = _bind(a, b, solver, [0, 1])
-        before = sums()
+        _, _, steps = _bind(a, b, solver, [0, 1])
+        before = steps(0, check=True)[1]
         kept = before.copy()
         steps(50)
-        after = sums()
+        after = steps(0, check=True)[1]
         assert before.tobytes() == kept.tobytes() != after.tobytes()
 
 
@@ -638,8 +641,8 @@ def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
     # 4 flops per stored entry visited, plus 2 per row step and 1 per ROP step
     row_entries = int(np.diff(a.row_ptr)[rows].sum())
     col_entries = int(np.diff(a.col_ptr)[cols].sum())
-    (x_blk,), (z_blk,), steps, _ = _bind(a, b, REK, [0])
-    assert steps(500, rows, cols).tolist() == [4 * row_entries + 4 * col_entries + 2 * 500]
+    (x_blk,), (z_blk,), steps = _bind(a, b, REK, [0])
+    assert steps(500, rows, cols)[0].tolist() == [4 * row_entries + 4 * col_entries + 2 * 500]
     # the iterates of the same draws, one dense REK step at a time
     dense = a.to_dense()
     x, z = np.zeros(a.n), b.copy()
@@ -649,8 +652,8 @@ def test_block_flops_follow_the_line_populations_on_sparse_instances(kernels):
         x += (target - dense[i] @ x) / a.row_sq_norms[i] * dense[i]
     np.testing.assert_allclose(x_blk, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
     np.testing.assert_allclose(z_blk, z, rtol=0, atol=1e-12 * np.linalg.norm(z))
-    assert _bind(a, b, RK, [0])[2](500, rows).tolist() == [4 * row_entries + 2 * 500]
-    assert _bind(a, b, ROP, [0])[2](500, None, cols).tolist() == [4 * col_entries + 500]
+    assert _bind(a, b, RK, [0])[2](500, rows)[0].tolist() == [4 * row_entries + 2 * 500]
+    assert _bind(a, b, ROP, [0])[2](500, None, cols)[0].tolist() == [4 * col_entries + 500]
 
 
 def test_block_steps_refuse_out_of_range_indices(kernels):
@@ -659,16 +662,16 @@ def test_block_steps_refuse_out_of_range_indices(kernels):
     a, b, _ = generate(BLOCK_SPECS["dense"])
     out_of_range = "^sampled row or column index out of range$"
     malformed = "^given indices must be a C-contiguous int64 array of 2$"
-    (x,), (z,), steps, _ = _bind(a, b, REK, [0])
+    (x,), (z,), steps = _bind(a, b, REK, [0])
     for rows, cols in (([0, a.m], [0, 0]), ([-1, 0], [0, 0]), ([0, 0], [-1, 0]),
                        ([0, 0], [0, a.n])):
         with pytest.raises(IndexError, match=out_of_range):
             steps(2, _ids(*rows), _ids(*cols))
-    (rk_x,), _, rk_steps, _ = _bind(a, b, RK, [0])
+    (rk_x,), _, rk_steps = _bind(a, b, RK, [0])
     for bad in (-1, a.m):
         with pytest.raises(IndexError, match=out_of_range):
             rk_steps(2, _ids(0, bad))
-    _, (rop_z,), rop_steps, _ = _bind(a, b, ROP, [0])
+    _, (rop_z,), rop_steps = _bind(a, b, ROP, [0])
     for bad in (-1, a.n):
         with pytest.raises(IndexError, match=out_of_range):
             rop_steps(2, None, _ids(0, bad))
@@ -680,7 +683,7 @@ def test_block_steps_refuse_out_of_range_indices(kernels):
         with pytest.raises(ValueError, match=malformed):
             steps(2, _ids(0, 1), given)
     # in a batch, a bad index of the last run listed refuses every run's block
-    batch_x, batch_z, batch_steps, _ = _bind(a, b, REK, [0, 1, 2])
+    batch_x, batch_z, batch_steps = _bind(a, b, REK, [0, 1, 2])
     with pytest.raises(IndexError, match=out_of_range):
         batch_steps(2, _ids(0, 1, 2, 3), _ids(0, 1, 2, a.n), _ids(2, 0))
     # a refused block leaves the iterates untouched
@@ -691,10 +694,10 @@ def test_block_steps_refuse_out_of_range_indices(kernels):
     # a half left out ignores its index array, out of range or malformed
     for bad in (_ids(-1, a.m + a.n), _ids(0).astype(np.int32)):
         for solver, rows, cols in ((RK, _ids(0, 1), bad), (ROP, bad, _ids(0, 1))):
-            got_x, got_z, got_steps, _ = _bind(a, b, solver, [0])
-            want_x, want_z, want_steps, _ = _bind(a, b, solver, [0])
-            want = want_steps(2, _ids(0, 1), _ids(0, 1)).tolist()
-            assert got_steps(2, rows, cols).tolist() == want
+            got_x, got_z, got_steps = _bind(a, b, solver, [0])
+            want_x, want_z, want_steps = _bind(a, b, solver, [0])
+            want = want_steps(2, _ids(0, 1), _ids(0, 1))[0].tolist()
+            assert got_steps(2, rows, cols)[0].tolist() == want
             assert _run_bytes(got_x, got_z, 0) == _run_bytes(want_x, want_z, 0)
 
 
@@ -708,22 +711,24 @@ def test_bound_steps_and_sums_refuse_runs_out_of_range_or_repeated(solver, kerne
     # memory outside x and z, and a repeated one would be stepped twice at
     # once; both are refused before any run steps
     a, b, _ = generate(BLOCK_SPECS["dense"])
-    x, z, steps, sums = _bind(a, b, solver, [1, 2])
+    x, z, steps = _bind(a, b, solver, [1, 2])
     for runs in (_ids(-1), _ids(2), _ids(0, 10**7), [1, -2]):
         with pytest.raises(IndexError, match=r"^runs must lie in \[0, 2\)$"):
             steps(3, runs=runs)
         with pytest.raises(IndexError, match=r"^runs must lie in \[0, 2\)$"):
-            sums(runs)
+            steps(0, runs=runs, check=True)
     for runs in (_ids(0, 0), _ids(1, 0, 1)):
         with pytest.raises(ValueError, match="^runs must not repeat$"):
             steps(3, runs=runs)
         with pytest.raises(ValueError, match="^runs must not repeat$"):
-            sums(runs)
+            steps(0, runs=runs, check=True)
     assert x is None or not x.any()
     assert z is None or (z == b).all()
     # a list of distinct runs in any order, or none, is a run list
-    assert steps(3, runs=[1, 0]).size == 2 and steps(3, runs=_ids()).size == 0
-    assert sums([1, 0]).tolist() == sums()[::-1].tolist() and sums(_ids()).tolist() == []
+    assert steps(3, runs=[1, 0])[0].size == 2 and steps(3, runs=_ids())[0].size == 0
+    assert steps(0, runs=[1, 0], check=True)[1].tolist() == steps(
+        0, check=True)[1][::-1].tolist()
+    assert steps(0, runs=_ids(), check=True)[1].tolist() == []
 
 
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
@@ -731,37 +736,40 @@ def test_a_batch_steps_and_sums_each_listed_run_as_a_run_of_its_own(solver, kern
     a, b, _ = generate(BLOCK_SPECS["sparse"])
     rng = np.random.default_rng(25)
     rows, cols = rng.integers(0, a.m, (2, 30)), rng.integers(0, a.n, (2, 30))
-    x, z, steps, sums = _bind(a, b, solver, [7, 8, 9])
+    x, z, steps = _bind(a, b, solver, [7, 8, 9])
     # runs 2 and 0 step on the given indices, listed in that order; run 1 draws
-    flops = steps(30, rows.ravel(), cols.ravel(), _ids(2, 0)).tolist()
-    drawn = steps(10, runs=_ids(1)).tolist()
+    flops = steps(30, rows.ravel(), cols.ravel(), _ids(2, 0))[0].tolist()
+    drawn = steps(10, runs=_ids(1))[0].tolist()
     for k, r in enumerate((2, 0)):
-        want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [7 + r])
-        assert flops[k] == want_steps(30, rows[k], cols[k])[0]
+        want_x, want_z, want_steps = _bind(a, b, solver, [7 + r])
+        assert flops[k] == want_steps(30, rows[k], cols[k])[0][0]
         assert _run_bytes(x, z, r) == _run_bytes(want_x, want_z, 0)
-        assert sums(_ids(r)).tolist() == want_sums().tolist()
-    want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [8])
-    assert drawn == want_steps(10).tolist()
+        assert (steps(0, runs=_ids(r), check=True)[1].tolist()
+                == want_steps(0, check=True)[1].tolist())
+    want_x, want_z, want_steps = _bind(a, b, solver, [8])
+    assert drawn == want_steps(10)[0].tolist()
     assert _run_bytes(x, z, 1) == _run_bytes(want_x, want_z, 0)
-    assert sums().tolist() == [sums(_ids(r)).tolist()[0] for r in range(3)]
+    assert steps(0, check=True)[1].tolist() == [
+        steps(0, runs=_ids(r), check=True)[1].tolist()[0] for r in range(3)]
     # then runs 2 and 1 draw, and then every run: each run's streams go on
     # from its own last draw, so each run is its seed's run stepped on what
     # sample_block draws from the seed's two streams, given blocks aside
     blocks = {0: [(30, rows[1], cols[1], flops[1])], 1: [(10, None, None, drawn[0])],
               2: [(30, rows[0], cols[0], flops[0])]}
     for count, runs in ((7, (2, 1)), (5, (0, 1, 2))):
-        for r, got in zip(runs, steps(count, runs=_ids(*runs)).tolist()):
+        for r, got in zip(runs, steps(count, runs=_ids(*runs))[0].tolist()):
             blocks[r].append((count, None, None, got))
     for r, run_blocks in blocks.items():
-        want_x, want_z, want_steps, want_sums = _bind(a, b, solver, [7 + r])
+        want_x, want_z, want_steps = _bind(a, b, solver, [7 + r])
         row_rng, col_rng = _streams(7 + r)
         for count, given_rows, given_cols, got in run_blocks:
             if given_rows is None:
                 given_rows = sample_block(row_sampler(a), row_rng, count)
                 given_cols = sample_block(col_sampler(a), col_rng, count)
-            assert want_steps(count, given_rows, given_cols).tolist() == [got]
+            assert want_steps(count, given_rows, given_cols)[0].tolist() == [got]
         assert _run_bytes(x, z, r) == _run_bytes(want_x, want_z, 0)
-        assert sums(_ids(r)).tolist() == want_sums().tolist()
+        assert (steps(0, runs=_ids(r), check=True)[1].tolist()
+                == want_steps(0, check=True)[1].tolist())
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -941,16 +949,16 @@ instances = {"dense": generate(InstanceSpec(kind="dense", m=100, n=30, seed=3))[
              "sparse": (DualSparseMatrix.from_dense(sparse), rng.standard_normal(200))}
 for kind, (a, b) in instances.items():
     for solver in ("rek", "rk", "rop"):
-        x, z, steps, sums = solvers._bind(a, b, solver, list(range(40)))
+        x, z, steps = solvers._bind(a, b, solver, list(range(40)))
         given = (rng.permutation(40)[:32],
                  rng.choice(np.flatnonzero(a.row_sq_norms), 32 * 300),
                  rng.choice(np.flatnonzero(a.col_sq_norms), 32 * 300))
-        flops = [steps(400), steps(300, given[1], given[2], given[0]),
-                 steps(400, runs=np.arange(40)[::3])]
+        flops = [steps(400)[0], steps(300, given[1], given[2], given[0])[0],
+                 steps(400, runs=np.arange(40)[::3])[0]]
         digest = hashlib.sha256()
         for v in (x, z, streams[-1], *flops):
             digest.update(b"-" if v is None else v.tobytes())
-        digest.update(sums().tobytes())
+        digest.update(steps(0, check=True)[1].tobytes())
         print(kind, solver, digest.hexdigest())
 assert len(os.listdir("/proc/self/task")) == tasks, "a kernel thread outlived its call"
 """
@@ -1015,12 +1023,12 @@ def test_a_bound_run_keeps_the_vectors_it_reads_alive(solver, compiled):
     rep = solve(a, strided, SolverConfig(solver=solver, eps=1e-10, seed=1, max_iters=20000))
     got = (rep.iters, rep.flops, rep.check_flops, rep.termination, _digest(rep.x), _digest(rep.z))
     assert got == GOLDEN_RUNS["sparse", solver]
-    steps, sums = _bind(a, b.tolist(), solver, [1])[2:]
+    steps = _bind(a, b.tolist(), solver, [1])[2]
     reused = [np.full(size, np.nan) for size in (a.m, a.n) for _ in range(4)]
     steps(500)
-    want_steps, want_sums = _bind(a, b, solver, [1])[2:]
+    want_steps = _bind(a, b, solver, [1])[2]
     want_steps(500)
-    assert sums().tolist() == want_sums().tolist()
+    assert steps(0, check=True)[1].tolist() == want_steps(0, check=True)[1].tolist()
     assert all(np.isnan(v).all() for v in reused)
 
 
@@ -1072,6 +1080,61 @@ def test_trajectory_takes_no_addresses_per_block(solver, compiled, monkeypatch):
     assert counts[0] == counts[1]
 
 
+def _kernel_calls(monkeypatch, run):
+    """The names of the loaded library's functions that `run()` calls, one per call."""
+    lib = _blocks.load()
+    calls = []
+    with monkeypatch.context() as mp:
+        for name in _blocks._SIGNATURES:
+            def spy(*args, name=name, fn=getattr(lib, name)):
+                calls.append(name)
+                return fn(*args)
+            mp.setattr(lib, name, spy)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_a_stop_is_one_kernel_call(solver, compiled, monkeypatch):
+    # the steps and the check's sums cross into the kernel together, and no
+    # other kernel is called: 9 check stops every 120 steps, then the cap
+    a, b, _ = generate(InstanceSpec(kind="dense", m=40, n=15, seed=1))
+    config = SolverConfig(solver=solver, eps=1e-300, max_iters=1200, seed=2)
+    assert config.resolved(a.m, a.n)[2] == 120
+    report = solve(a, b, config)
+    assert (report.iters, report.termination) == (1200, MAX_ITERS)
+    assert _kernel_calls(monkeypatch, lambda: solve(a, b, config)) == ["block_steps"] * 10
+    # a walk's checks and marks: stops where runs only go on to marks, and
+    # a mark past the last check
+    config, marks = SolverConfig(eps=1e-8, max_iters=4000), [100, 1000, 2000, 3000]
+    x_marks, z_marks = {REK: (marks[::2], marks[1::2]), RK: (marks, ()), ROP: ((), marks)}[solver]
+    args = (a, b, solver, config, range(6), np.zeros(a.n), x_marks, np.zeros(a.m), z_marks, True)
+    stops = list(trajectory(a, b, solver, config, range(6), marks))
+    read = []
+    calls = _kernel_calls(monkeypatch, lambda: read.append(verify.walk(*args)))
+    assert calls == ["block_steps"] * len(stops)
+    if solver == REK:
+        assert len(stops) == 17  # checks every 120 to 1560, four marks between
+    for r in range(6):
+        report = solve(a, b, dataclasses.replace(config, solver=solver, seed=r))
+        assert (read[0].termination[r], read[0].iters[r]) == (report.termination, report.iters)
+
+
+@pytest.mark.parametrize("solver", [REK, RK, ROP])
+def test_sums_after_steps_in_one_call_are_the_sums_of_a_call_of_their_own(solver, kernels):
+    a, b, _ = generate(BLOCK_SPECS["sparse"])
+    x, z, steps = _bind(a, b, solver, [7, 8, 9])
+    want_x, want_z, want_steps = _bind(a, b, solver, [7, 8, 9])
+    for count, runs in ((40, _ids(2, 0)), (0, _ids(1)), (25, None)):
+        flops, sums = steps(count, runs=runs, check=True)
+        want = want_steps(count, runs=runs)[0], want_steps(0, runs=runs, check=True)[1]
+        assert (flops.tolist(), sums.tolist()) == (want[0].tolist(), want[1].tolist())
+        assert steps(count, runs=runs)[1] is None
+        want_steps(count, runs=runs)
+    for r in range(3):
+        assert _run_bytes(x, z, r) == _run_bytes(want_x, want_z, r)
+
+
 @pytest.mark.parametrize("checks", [True, False])
 @pytest.mark.parametrize("solver", [REK, RK, ROP])
 def test_trajectory_refuses_decreasing_stops(solver, checks, kernels):
@@ -1099,13 +1162,13 @@ def test_trajectory_steps_on_the_indices_sample_block_draws(spec, solver, kernel
     got = [(iters, _digest(x), _digest(z), flops.tolist()) for iters, x, z, flops, _ in trajectory(
         a, b, solver, SolverConfig(), [9], stops, checks=False)]
     # the same run, stepped on indices drawn here instead of by the kernel
-    x, z, steps, _ = _bind(a, b, solver, [9])
+    x, z, steps = _bind(a, b, solver, [9])
     row_rng, col_rng = _streams(9)
     want, flops, iters = [], 0, 0
     for stop in dict.fromkeys(stops):
         rows = None if x is None else sample_block(row_sampler(a), row_rng, stop - iters)
         cols = None if z is None else sample_block(col_sampler(a), col_rng, stop - iters)
-        flops += int(steps(stop - iters, rows, cols)[0])
+        flops += int(steps(stop - iters, rows, cols)[0][0])
         iters = stop
         want.append((iters, _digest(x), _digest(z), [flops]))
     assert got == want

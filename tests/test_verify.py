@@ -202,9 +202,23 @@ def test_an_envelope_mean_sums_the_seeds_in_seed_order():
         "e", True, "max mean/bound ratio 1 over t=[1] (100 runs)")
 
 
+@pytest.mark.parametrize("errors, envelope, line", [
+    ([[math.nan, 1.0]], 2.0, "FAIL e: max mean/bound ratio nan over t=[1, 2] (1 runs)"),
+    ([[1.0, math.nan], [1.0, 2.0]], 2.0, "FAIL e: max mean/bound ratio nan over t=[1, 2] (2 runs)"),
+    ([[6.0], [6.0]], 0.0, "FAIL e: max mean/bound ratio inf over t=[1] (2 runs)"),
+    ([[math.nan]], 0.0, "FAIL e: max mean/bound ratio inf over t=[1] (1 runs)"),
+    ([[0.0], [0.0]], 0.0, "PASS e: max mean/bound ratio 0 over t=[1] (2 runs)"),
+], ids=["nan-first", "nan-in-a-later-mean", "zero-envelope", "nan-over-zero", "zero-over-zero"])
+def test_an_envelope_check_fails_a_nan_mean_and_a_positive_mean_over_zero(errors, envelope,
+                                                                          line):
+    checkpoints = list(range(1, len(errors[0]) + 1))
+    got = verify._envelope_check("e", "t", checkpoints, lambda t: envelope, np.array(errors))
+    assert got.line() == line
+
+
 def _one_step_reference(a, b, solver, start, target, sq_norms):
     """The enumeration a line at a time: one bound run, set to `start` before each step."""
-    x, z, steps, _ = solvers._bind(a, b, solver, [0])
+    x, z, steps = solvers._bind(a, b, solver, [0])
     trial = (z if x is None else x)[0]
     weights = sq_norms / a.frob_sq
     total = 0.0
